@@ -14,16 +14,21 @@ C_j(t) = sum_k c_k^j t^k, which is equivalent to
     H_{c_j}(t) = G_j(t) := -log( exp(C_j) exp(-Ad(rho(c_j)) C_j) ).
 
 Matching coefficients of t^{k+1} gives, for known lower orders, an affine
-system in the unknowns (h_{k+1}, c_{k+1}^j): the linear part is the
-cocycle restriction map minus (Ad - 1), the inhomogeneity collects the
-bracket terms of the lower orders.  A direction extends past order k
-exactly when that inhomogeneity is in the range of the linear map; the
-least-squares residual is the obstruction and is reported as such.
+system in the unknowns (h_{k+1}, c_{k+1}^j).  Its linear part does not
+depend on the order and is built once, in closed form: on each
+peripheral word it is the cocycle restriction u -> u(w), i.e. the Fox
+derivative of w in Ad coordinates, and on the conjugators it is
+-(Ad(rho(c_j)) - 1).  The inhomogeneity collects the bracket terms of the
+lower orders and is the residual at the zero candidate.  A direction
+extends past order k exactly when that inhomogeneity is in the range of
+the linear map; the least-squares residual is the obstruction and is
+reported as such.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from .errors import ObstructionFound
 from .pairing import lift_to_cone
 from .presentation import Representation, Word, evaluate_word
 from .unitary import (
+    adjoint_matrix,
     flatten_algebra,
     mat_exp,
     match_class,
@@ -43,6 +49,16 @@ OBSTRUCTION_TOL = 1e-8
 
 DEFAULT_VERIFY_TS = tuple(10.0 ** e for e in (-1.0, -1.5, -2.0, -2.5, -3.0))
 SLOPE_NOISE_FLOOR = 1e-13
+
+
+@lru_cache(maxsize=16)
+def _cauchy_mask(order: int) -> np.ndarray:
+    """0/1 matrix picking the pairs (i, j) with i + j = m, row m."""
+    k = np.arange(order + 1)
+    mask = (k[None, :, None] + k[None, None, :] == k[:, None, None])
+    out = mask.reshape(order + 1, -1).astype(complex)
+    out.setflags(write=False)
+    return out
 
 
 class MatrixSeries:
@@ -96,11 +112,13 @@ class MatrixSeries:
 
     def __matmul__(self, other: "MatrixSeries") -> "MatrixSeries":
         order = min(self.order, other.order)
-        out = np.zeros((order + 1, self.dim, self.dim), dtype=complex)
-        for m in range(order + 1):
-            for i in range(m + 1):
-                out[m] += self.coeffs[i] @ other.coeffs[m - i]
-        return MatrixSeries(out)
+        n = self.dim
+        a = self.coeffs[:order + 1]
+        b = other.coeffs[:order + 1]
+        # all products a[i] @ b[j] at once, then the sums over i + j = m
+        products = (a[:, None] @ b[None]).reshape((order + 1) ** 2, n * n)
+        out = _cauchy_mask(order) @ products
+        return MatrixSeries(out.reshape(order + 1, n, n))
 
     def coefficient(self, k: int) -> np.ndarray:
         return self.coeffs[k]
@@ -229,6 +247,8 @@ class DeformationState:
     h: np.ndarray
     c: np.ndarray
     residual_norms: tuple = field(default_factory=tuple)
+    # rank certificate of the linear solve; None when no order was solved
+    linear_rank: linalg.RankInfo | None = None
 
     @property
     def order(self) -> int:
@@ -278,20 +298,54 @@ def first_order_data(rho: Representation, direction: np.ndarray):
     return direction, lift_to_cone(rho, direction)
 
 
+def matching_matrix(rho: Representation) -> np.ndarray:
+    """Linear part of the top-order matching conditions, in closed form.
+
+    Maps the flattened unknowns (h_top, c_top), in the layout read by
+    `_unpack_unknowns`, to the flattened top-order residuals of
+    `order_residuals`; it is the same at every order.  On the word w of
+    puncture j the top coefficient enters H_w through its cocycle
+    extension, the Fox derivative of w in Ad coordinates: a letter x adds
+    +Ad(prefix) h(x), an inverse letter -Ad(prefix x^-1) h(x), where
+    prefix is the image of the letters before it.  c_top^j enters G_j as
+    (Ad(rho(c_j)) - 1) c_top^j, so its block is I - Ad(rho(c_j)).
+    """
+    pres = rho.presentation
+    n = rho.rank
+    d = n * n
+    nf, r = pres.free_rank, pres.punctures
+    a = np.zeros((r * d, (nf + r) * d))
+    for j in range(r):
+        rows = a[j * d:(j + 1) * d]
+        prefix = np.eye(n, dtype=complex)
+        for idx, e in pres.to_free(pres.peripheral_word(j)):
+            m = rho.images[idx]
+            if e == 1:
+                rows[:, idx * d:(idx + 1) * d] += adjoint_matrix(prefix)
+                prefix = prefix @ m
+            else:
+                prefix = prefix @ m.conj().T
+                rows[:, idx * d:(idx + 1) * d] -= adjoint_matrix(prefix)
+        rows[:, (nf + j) * d:(nf + j + 1) * d] = np.eye(d) - adjoint_matrix(prefix)
+    return a
+
+
 def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
-                     tol: float = OBSTRUCTION_TOL):
+                     tol: float = OBSTRUCTION_TOL, solver=None):
     """Extend a family known to order k by one order.
 
     The order-(k+1) matching conditions are affine in the unknown top
-    coefficients, so the linear part is assembled by differencing the
-    residual map against the zero candidate and solved at minimum norm.
-    Raises ObstructionFound when no candidate reaches the tolerance.
+    coefficients: the linear part is `matching_matrix(rho)`, the
+    inhomogeneity is the residual at the zero candidate.  The system is
+    solved at minimum norm by `solver`, a `linalg.min_norm_solver` of the
+    matching matrix, factored here when not given.  Raises
+    ObstructionFound when the residual at the solution exceeds `tol`.
     """
     pres = rho.presentation
     n = rho.rank
     nf, r = pres.free_rank, pres.punctures
-    zero_h = np.zeros((1, nf, n, n), dtype=complex)
-    zero_c = np.zeros((1, r, n, n), dtype=complex)
+    if solver is None:
+        solver = linalg.min_norm_solver(matching_matrix(rho))
 
     def residual(h_top, c_top):
         res = order_residuals(rho,
@@ -299,15 +353,9 @@ def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
                               np.concatenate([c, c_top[None]]))
         return _flatten_residuals(res)
 
-    b = residual(zero_h[0], zero_c[0])
-    dim = (nf + r) * n * n
-    a = np.empty((b.size, dim))
-    for m in range(dim):
-        e = np.zeros(dim)
-        e[m] = 1.0
-        h_top, c_top = _unpack_unknowns(e, nf, r, n)
-        a[:, m] = residual(h_top, c_top) - b
-    x, _ = linalg.min_norm_solve(a, -b)
+    b = residual(np.zeros((nf, n, n), dtype=complex),
+                 np.zeros((r, n, n), dtype=complex))
+    x, _ = solver(-b)
     h_top, c_top = _unpack_unknowns(x, nf, r, n)
     final = residual(h_top, c_top)
     norm = float(np.linalg.norm(final))
@@ -321,8 +369,9 @@ def build_deformation(rho: Representation, direction: np.ndarray, order: int,
     """Solve the matching conditions order by order up to the given order.
 
     The direction must be a parabolic cocycle (values on the free
-    generators).  Raises ObstructionFound at the first order whose
-    inhomogeneity leaves the range of the linear part.
+    generators).  The matching matrix is built, rank-certified and
+    factored once for all orders.  Raises ObstructionFound at the first
+    order whose inhomogeneity leaves the range of the linear part.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -330,12 +379,17 @@ def build_deformation(rho: Representation, direction: np.ndarray, order: int,
     h = h1[None]
     c = c1[None]
     norms = []
+    rank = solver = None
+    if order > 1:
+        a = matching_matrix(rho)
+        rank = linalg.checked_rank(a, rtol=linalg.SOLVE_RTOL)
+        solver = linalg.min_norm_solver(a)
     for _ in range(1, order):
-        h_top, c_top, norm = solve_next_order(rho, h, c, tol)
+        h_top, c_top, norm = solve_next_order(rho, h, c, tol, solver)
         h = np.concatenate([h, h_top[None]])
         c = np.concatenate([c, c_top[None]])
         norms.append(norm)
-    return DeformationState(rho, h, c, tuple(norms))
+    return DeformationState(rho, h, c, tuple(norms), rank)
 
 
 def conjugation_state(rho: Representation, x: np.ndarray,

@@ -27,6 +27,8 @@ from .errors import NumericalRankError
 
 RANK_RTOL = 1e-9
 RANK_ATOL = 1e-12
+# relative singular value cut of the minimum-norm solves
+SOLVE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,21 +106,32 @@ def range_complement(m: np.ndarray, rtol: float = RANK_RTOL):
     return u[:, info.rank:], info
 
 
-def min_norm_solve(a: np.ndarray, b: np.ndarray, rcond: float = 1e-12,
-                   atol: float = RANK_ATOL):
-    """Minimum-norm least-squares solution of a x = b and the residual norm.
+def min_norm_solver(a: np.ndarray, rcond: float = SOLVE_RTOL,
+                    atol: float = RANK_ATOL):
+    """Factor a once for repeated minimum-norm least-squares solves.
 
-    Singular values below max(rcond * s_max, atol) are treated as zero;
-    without the absolute floor a matrix that is zero up to roundoff would
-    be "solved" along its noise directions with order-one garbage.
+    Returns a function b -> (x, residual norm of a x - b).  Singular
+    values below max(rcond * s_max, atol) are treated as zero; without the
+    absolute floor a matrix that is zero up to roundoff would be "solved"
+    along its noise directions with order-one garbage.
     """
     if a.shape[1] == 0:
-        return np.zeros(0), float(np.linalg.norm(b))
+        return lambda b: (np.zeros(0), float(np.linalg.norm(b)))
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= atol:
-        x = np.zeros(a.shape[1])
+        keep = np.zeros(s.size, dtype=bool)
     else:
         keep = s > max(rcond * s[0], atol)
-        x = vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
-    res = float(np.linalg.norm(a @ x - b))
-    return x, res
+    u_t, s_kept, v = u[:, keep].T, s[keep], vt[keep].T
+
+    def solve(b: np.ndarray):
+        x = v @ ((u_t @ b) / s_kept)
+        return x, float(np.linalg.norm(a @ x - b))
+
+    return solve
+
+
+def min_norm_solve(a: np.ndarray, b: np.ndarray, rcond: float = SOLVE_RTOL,
+                   atol: float = RANK_ATOL):
+    """Minimum-norm least-squares solution of a x = b and the residual norm."""
+    return min_norm_solver(a, rcond, atol)(b)

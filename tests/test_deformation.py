@@ -5,13 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from surfrep.corpus import smooth_instance, tangent_direction, witness_representation
+import surfrep.deformation as deformation
+from surfrep import linalg
+from surfrep.corpus import (
+    CORPUS_SHAPES,
+    obstructed_instance,
+    smooth_instance,
+    tangent_direction,
+    witness_representation,
+)
 from surfrep.deformation import (
     DEFAULT_VERIFY_TS,
     MatrixSeries,
     build_deformation,
     conjugation_state,
     first_order_data,
+    matching_matrix,
     order_residuals,
     series_exp,
     series_log,
@@ -20,7 +29,15 @@ from surfrep.deformation import (
 )
 from surfrep.errors import ObstructionFound
 from surfrep.presentation import evaluate_word
-from surfrep.unitary import adjoint, algebra_norm, bracket, mat_exp, skew_project
+from surfrep.unitary import (
+    adjoint,
+    algebra_norm,
+    bracket,
+    flatten_algebra,
+    mat_exp,
+    skew_project,
+    unflatten_algebra,
+)
 
 
 def _witness(genus, rank, punctures, seed=0):
@@ -203,3 +220,131 @@ def test_default_ts_cover_two_decades():
     ts = np.asarray(DEFAULT_VERIFY_TS, dtype=float)
     assert ts.max() == pytest.approx(0.1)
     assert ts.min() == pytest.approx(1e-3)
+
+
+# --- the closed-form linear part against finite differences ---------------
+
+def _flat_residual(rho, h, c, h_top, c_top):
+    res = order_residuals(rho, np.concatenate([h, h_top[None]]),
+                          np.concatenate([c, c_top[None]]))
+    return np.concatenate([flatten_algebra(m) for m in res])
+
+
+def _unpack(vec, rho):
+    n = rho.rank
+    n2 = n * n
+    mats = np.array([unflatten_algebra(vec[k * n2:(k + 1) * n2], n)
+                     for k in range(vec.size // n2)])
+    return mats[:rho.presentation.free_rank], mats[rho.presentation.free_rank:]
+
+
+def _differenced_system(rho, h, c):
+    """The top-order linear part and inhomogeneity, by differencing the residuals."""
+    pres = rho.presentation
+    n = rho.rank
+    zero_h = np.zeros((pres.free_rank, n, n), dtype=complex)
+    zero_c = np.zeros((pres.punctures, n, n), dtype=complex)
+    b = _flat_residual(rho, h, c, zero_h, zero_c)
+    dim = (pres.free_rank + pres.punctures) * n * n
+    a = np.empty((b.size, dim))
+    for m in range(dim):
+        a[:, m] = _flat_residual(rho, h, c, *_unpack(np.eye(dim)[m], rho)) - b
+    return a, b
+
+
+def _random_lower_orders(rho, order, rng):
+    pres = rho.presentation
+    n = rho.rank
+
+    def skew(*shape):
+        x = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+        return 0.5 * (x - np.swapaxes(x.conj(), -1, -2))
+
+    return skew(order - 1, pres.free_rank), skew(order - 1, pres.punctures)
+
+
+def _non_rigid_points():
+    points = []
+    for genus, rank, punctures in CORPUS_SHAPES:
+        inst = smooth_instance(genus, rank, punctures)
+        if inst.report.tangent_dim > 0:
+            points.append(inst.representation)
+    return points + [obstructed_instance()[0]]
+
+
+def test_matching_matrix_matches_differenced_jacobian():
+    rng = np.random.default_rng(3)
+    for rho in _non_rigid_points():
+        a = matching_matrix(rho)
+        for order in (1, 2, 3):
+            h, c = _random_lower_orders(rho, order, rng)
+            reference, _ = _differenced_system(rho, h, c)
+            assert np.abs(a - reference).max() < 1e-12, (rho.surface, order)
+
+
+def _reference_build(rho, direction, order):
+    """Order-by-order solve with a differenced Jacobian at every order."""
+    h1, c1 = first_order_data(rho, direction)
+    h, c = h1[None], c1[None]
+    for k in range(2, order + 1):
+        a, b = _differenced_system(rho, h, c)
+        x, _ = linalg.min_norm_solve(a, -b)
+        h_top, c_top = _unpack(x, rho)
+        final = _flat_residual(rho, h, c, h_top, c_top)
+        if np.linalg.norm(final) > deformation.OBSTRUCTION_TOL:
+            return h, c, (k, float(np.linalg.norm(final)))
+        h = np.concatenate([h, h_top[None]])
+        c = np.concatenate([c, c_top[None]])
+    return h, c, None
+
+
+def test_two_residual_evaluations_per_order(witness_u2, monkeypatch):
+    calls = []
+    original = deformation.order_residuals
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(deformation, "order_residuals", counted)
+    rho = witness_u2.representation
+    direction = tangent_direction(rho, 0)
+    for order in (1, 2, 4):
+        calls.clear()
+        build_deformation(rho, direction, order=order)
+        assert len(calls) == 2 * (order - 1)
+        assert calls == [k for k in range(2, order + 1) for _ in range(2)]
+
+
+def test_solver_matches_differenced_reference(witness_u2, witness_u3,
+                                              witness_u2_sphere):
+    for inst in (witness_u2, witness_u3, witness_u2_sphere):
+        rho = inst.representation
+        direction = tangent_direction(rho, 0)
+        state = build_deformation(rho, direction, order=4)
+        h, c, obstruction = _reference_build(rho, direction, order=4)
+        assert obstruction is None
+        assert np.abs(state.h - h).max() < 1e-12
+        assert np.abs(state.c - c).max() < 1e-12
+
+
+def test_obstruction_matches_differenced_reference(obstructed):
+    rho, direction = obstructed
+    _, _, (order, norm) = _reference_build(rho, direction, order=3)
+    with pytest.raises(ObstructionFound) as exc:
+        build_deformation(rho, direction, order=3)
+    assert exc.value.order == order == 2
+    assert exc.value.residual_norm == pytest.approx(norm, abs=1e-12)
+
+
+def test_linear_solve_rank_is_certified(witness_u2):
+    rho = witness_u2.representation
+    direction = tangent_direction(rho, 0)
+    assert build_deformation(rho, direction, order=1).linear_rank is None
+    state = build_deformation(rho, direction, order=3)
+    a = matching_matrix(rho)
+    info = state.linear_rank
+    assert info == linalg.checked_rank(a, rtol=linalg.SOLVE_RTOL)
+    assert 0 < info.rank <= a.shape[0]
+    assert info.smallest_kept > 1e-3 > 1e-12 > info.largest_dropped
+    assert "linear_rank" not in state.to_dict()

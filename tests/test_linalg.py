@@ -7,6 +7,7 @@ from surfrep.linalg import (
     RANK_ATOL,
     checked_rank,
     min_norm_solve,
+    min_norm_solver,
     nullspace,
     range_complement,
     rank_pivoted_qr,
@@ -74,6 +75,17 @@ def test_min_norm_solution_is_orthogonal_to_kernel(rng):
     ns, _ = nullspace(a)
     assert ns.shape[1] == 4
     assert np.linalg.norm(ns.T @ x) < 1e-10
+
+
+def test_factored_solver_reuses_one_factorisation(rng):
+    a = _random_rank_deficient(rng, 6, 8, 4)
+    solve = min_norm_solver(a)
+    for _ in range(3):
+        b = rng.standard_normal(6)
+        x, res = solve(b)
+        x_ref, res_ref = min_norm_solve(a, b)
+        assert np.array_equal(x, x_ref)
+        assert res == res_ref
 
 
 def test_nullspace_annihilates(rng):
