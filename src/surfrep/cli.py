@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solver convergence tolerance")
         p.add_argument("--restarts", type=int, default=8)
         p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("--threads", type=int, default=1)
 
     p_solve = sub.add_parser("solve", help="find and certify a representation")
     common(p_solve)
@@ -123,7 +122,6 @@ def _solver_config(args) -> SolverConfig:
         tol=args.tol,
         seed=args.seed,
         restarts=args.restarts,
-        threads=args.threads,
     )
 
 
@@ -183,7 +181,7 @@ def _cmd_symplectic(args) -> dict:
     watch = Stopwatch()
     _, rho, result = _obtain_point(args)
     report = analyze(rho)
-    gram = gram_matrix(rho, report=report, threads=args.threads)
+    gram = gram_matrix(rho, report=report)
     payload = point_to_dict(rho)
     payload["analysis"] = report.to_dict()
     payload["gram"] = gram.to_dict()

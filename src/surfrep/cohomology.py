@@ -10,7 +10,10 @@ The tangent space of the relative character variety is the kernel of the
 peripheral restriction: the class of u(c_j) in coker(Ad(rho(c_j)) - 1)
 must vanish for every puncture.  Because Ad is orthogonal for the
 invariant form, that cokernel is canonically the fixed space
-ker(Ad(rho(c_j)) - 1) and the class is an orthogonal projection.
+ker(Ad(rho(c_j)) - 1) and the class is an orthogonal projection.  The
+restriction u -> u(c_j) is the Fox derivative `fox_matrix(rho, c_j)`, so
+the classes of a whole subspace of cocycles, given by the columns of S,
+are the one product fixed_j^T F(c_j) S per puncture.
 
 The reported obstruction space `relative_h2_dim` is the cokernel of the
 restriction H^1 -> sum_j coker_j computed with traceless (su(N))
@@ -30,10 +33,9 @@ import numpy as np
 
 from . import linalg
 from .errors import NotSmoothError, ReducibleError
-from .presentation import Representation, SurfaceData, extend_cocycle, standard_presentation
+from .presentation import Representation, SurfaceData, extend_cocycle, fox_matrix, standard_presentation
 from .unitary import (
     adjoint_matrix,
-    algebra_basis,
     flatten_algebra,
     traceless_coordinates,
     unflatten_algebra,
@@ -152,44 +154,28 @@ def peripheral_value(rho: Representation, values: np.ndarray, j: int) -> np.ndar
     return extend_cocycle(rho, values, rho.presentation.peripheral_word(j))
 
 
-def peripheral_restriction(rho: Representation, values: np.ndarray, j: int):
-    """The peripheral value and its class in the cokernel.
-
-    Returns (u(c_j), coordinates of the class in the fixed-space basis).
-    A cocycle is tangent to the class-constrained variety exactly when
-    every such class vanishes.
-    """
-    val = peripheral_value(rho, values, j)
-    fixed = peripheral_fixed_space(rho, j)
-    return val, fixed.T @ flatten_algebra(val)
-
-
 def _restriction_matrix(rho: Representation, source: np.ndarray,
                         fixed_bases) -> np.ndarray:
     """Stacked peripheral-class coordinates of each source column."""
-    r = rho.surface.punctures
-    rows = sum(f.shape[1] for f in fixed_bases)
-    out = np.empty((rows, source.shape[1]))
-    for k in range(source.shape[1]):
-        values = unflatten_cochain(rho, source[:, k])
-        row0 = 0
-        for j in range(r):
-            f = fixed_bases[j]
-            v = flatten_algebra(peripheral_value(rho, values, j))
-            out[row0:row0 + f.shape[1], k] = f.T @ v
-            row0 += f.shape[1]
-    return out
+    pres = rho.presentation
+    return np.vstack([
+        f.T @ fox_matrix(rho, pres.peripheral_word(j)) @ source
+        for j, f in enumerate(fixed_bases)
+    ])
 
 
 def parabolic_tangent_basis(rho: Representation,
-                            rtol: float = linalg.RANK_RTOL) -> Subspace:
+                            rtol: float = linalg.RANK_RTOL,
+                            h1: Subspace | None = None) -> Subspace:
     """Tangent space of the relative character variety at rho.
 
     Orthonormal cocycle representatives (orthogonal to coboundaries) whose
-    peripheral classes all vanish.
+    peripheral classes all vanish.  `h1` reuses an `h1_basis` already
+    computed at the same rtol.
     """
     _require_nondegenerate(rho)
-    h1 = h1_basis(rho, rtol)
+    if h1 is None:
+        h1 = h1_basis(rho, rtol)
     fixed = [peripheral_fixed_space(rho, j) for j in range(rho.surface.punctures)]
     m = _restriction_matrix(rho, h1.basis, fixed)
     null, info = linalg.nullspace(m, rtol)
@@ -209,16 +195,8 @@ def relative_h2(rho: Representation, rtol: float = linalg.RANK_RTOL):
     if n == 1:
         return 0, (float("inf"), 0.0)
     su = traceless_coordinates(n)
-    pres = rho.presentation
-    nf = pres.free_rank
-    cols = []
-    dim_su = su.shape[1]
-    for i in range(nf):
-        for k in range(dim_su):
-            vec = np.zeros(nf * n * n)
-            vec[i * n * n:(i + 1) * n * n] = su[:, k]
-            cols.append(vec)
-    source = np.array(cols).T
+    # traceless values on each free generator in turn
+    source = np.kron(np.eye(rho.presentation.free_rank), su)
     fixed = [
         peripheral_fixed_space(rho, j, coefficients=su)
         for j in range(rho.surface.punctures)
@@ -328,7 +306,7 @@ class AnalysisReport:
 def analyze(rho: Representation, rtol: float = linalg.RANK_RTOL) -> AnalysisReport:
     """Full diagnostic pass at one representation."""
     h1 = h1_basis(rho, rtol)
-    tangent = parabolic_tangent_basis(rho, rtol)
+    tangent = parabolic_tangent_basis(rho, rtol, h1)
     z = centralizer_dimension(rho, rtol)
     h2_dim, h2_gap = relative_h2(rho, rtol)
     return AnalysisReport(

@@ -35,7 +35,7 @@ import numpy as np
 from . import linalg
 from .errors import ObstructionFound
 from .pairing import lift_to_cone
-from .presentation import Representation, Word, evaluate_word
+from .presentation import Representation, Word, evaluate_word, fox_matrix
 from .unitary import (
     adjoint_matrix,
     flatten_algebra,
@@ -305,28 +305,19 @@ def matching_matrix(rho: Representation) -> np.ndarray:
     `_unpack_unknowns`, to the flattened top-order residuals of
     `order_residuals`; it is the same at every order.  On the word w of
     puncture j the top coefficient enters H_w through its cocycle
-    extension, the Fox derivative of w in Ad coordinates: a letter x adds
-    +Ad(prefix) h(x), an inverse letter -Ad(prefix x^-1) h(x), where
-    prefix is the image of the letters before it.  c_top^j enters G_j as
-    (Ad(rho(c_j)) - 1) c_top^j, so its block is I - Ad(rho(c_j)).
+    extension, so its block is `fox_matrix(rho, w)`; c_top^j enters G_j
+    as (Ad(rho(c_j)) - 1) c_top^j, so its block is I - Ad(rho(c_j)).
     """
     pres = rho.presentation
-    n = rho.rank
-    d = n * n
+    d = rho.rank ** 2
     nf, r = pres.free_rank, pres.punctures
     a = np.zeros((r * d, (nf + r) * d))
     for j in range(r):
+        w = pres.to_free(pres.peripheral_word(j))
         rows = a[j * d:(j + 1) * d]
-        prefix = np.eye(n, dtype=complex)
-        for idx, e in pres.to_free(pres.peripheral_word(j)):
-            m = rho.images[idx]
-            if e == 1:
-                rows[:, idx * d:(idx + 1) * d] += adjoint_matrix(prefix)
-                prefix = prefix @ m
-            else:
-                prefix = prefix @ m.conj().T
-                rows[:, idx * d:(idx + 1) * d] -= adjoint_matrix(prefix)
-        rows[:, (nf + j) * d:(nf + j + 1) * d] = np.eye(d) - adjoint_matrix(prefix)
+        rows[:, :nf * d] = fox_matrix(rho, w)
+        rows[:, (nf + j) * d:(nf + j + 1) * d] = (
+            np.eye(d) - adjoint_matrix(evaluate_word(rho, w)))
     return a
 
 

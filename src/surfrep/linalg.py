@@ -110,13 +110,13 @@ def min_norm_solver(a: np.ndarray, rcond: float = SOLVE_RTOL,
                     atol: float = RANK_ATOL):
     """Factor a once for repeated minimum-norm least-squares solves.
 
-    Returns a function b -> (x, residual norm of a x - b).  Singular
-    values below max(rcond * s_max, atol) are treated as zero; without the
-    absolute floor a matrix that is zero up to roundoff would be "solved"
-    along its noise directions with order-one garbage.
+    Returns a function b -> (x, residual norm of a x - b).  A 2-D b is a
+    matrix of right-hand sides, solved column by column, and the residual
+    is then one norm per column.  Singular values below
+    max(rcond * s_max, atol) are treated as zero; without the absolute
+    floor a matrix that is zero up to roundoff would be "solved" along its
+    noise directions with order-one garbage.
     """
-    if a.shape[1] == 0:
-        return lambda b: (np.zeros(0), float(np.linalg.norm(b)))
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= atol:
         keep = np.zeros(s.size, dtype=bool)
@@ -125,8 +125,12 @@ def min_norm_solver(a: np.ndarray, rcond: float = SOLVE_RTOL,
     u_t, s_kept, v = u[:, keep].T, s[keep], vt[keep].T
 
     def solve(b: np.ndarray):
-        x = v @ ((u_t @ b) / s_kept)
-        return x, float(np.linalg.norm(a @ x - b))
+        b = np.asarray(b)
+        if b.ndim == 1:
+            x = v @ ((u_t @ b) / s_kept)
+            return x, float(np.linalg.norm(a @ x - b))
+        x = v @ ((u_t @ b) / s_kept[:, None])
+        return x, np.linalg.norm(a @ x - b, axis=0)
 
     return solve
 

@@ -24,11 +24,21 @@ The handle and identity corrections make Phi vanish on every cone
 coboundary (telescoping, no normalization assumption on the cochain), and
 the 1/r factor normalizes Phi to send the class dual to the boundary
 circles, the tuple (0, q) with q_j(c_j) = 1, to 1.
+
+Every value above is linear in the cocycle: u(w) = F(w) u, where
+F(w) = fox_matrix(rho, w) is the Fox derivative of w in Ad coordinates.
+For d tangent cocycles stored as the columns of C the Gram matrix is
+therefore a sum of (N^2, d) block products,
+
+    G = ( sum_t sign_t (F(w1_t) C)^T Ad(rho(w1_t)) F(w2_t) C
+          - sum_j S_j^T F(c_j) C ) / r,
+
+over the staircase terms t, with S_j the lifts of all columns at puncture
+j, found by one factored solve of (Ad(rho(c_j)) - 1) S_j = F(c_j) C.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,14 +49,16 @@ from .cohomology import (
     PARABOLIC_TOL,
     AnalysisReport,
     Subspace,
+    flatten_cochain,
+    parabolic_tangent_basis,
     peripheral_fixed_space,
     peripheral_value,
     require_smooth_irreducible,
-    unflatten_cochain,
 )
 from .errors import NotParabolicError
-from .presentation import Representation, Word, evaluate_word, extend_cocycle, standard_presentation
-from .unitary import adjoint_matrix, flatten_algebra, invariant_form, unflatten_algebra
+from .presentation import (Representation, Word, evaluate_word, extend_cocycle, fox_matrix,
+                           standard_presentation)
+from .unitary import adjoint_matrix, invariant_form, unflatten_algebra
 
 
 @lru_cache(maxsize=None)
@@ -84,6 +96,32 @@ def evaluate_cycle(genus: int, punctures: int, w, q) -> float:
     return total / punctures
 
 
+def _cone_lifts(rho: Representation, cols: np.ndarray, tol: float):
+    """Peripheral values and lifts of many cocycles at once.
+
+    `cols` holds one flattened cocycle per column.  Returns two lists over
+    the punctures: the values u(c_j) of every column, fox_matrix(rho, c_j)
+    @ cols, and their minimum-norm lifts, one factored solve per puncture.
+    """
+    pres = rho.presentation
+    n2 = rho.rank ** 2
+    values, lifts = [], []
+    for j in range(pres.punctures):
+        vals = fox_matrix(rho, pres.peripheral_word(j)) @ cols
+        fixed = peripheral_fixed_space(rho, j)
+        stuck = np.linalg.norm(fixed.T @ vals, axis=0)
+        bad = np.flatnonzero(stuck > tol * np.maximum(1.0, np.linalg.norm(vals, axis=0)))
+        if bad.size:
+            raise NotParabolicError(
+                f"cocycle is not parabolic at puncture {j}: "
+                f"fixed-space component {stuck[bad[0]]:.3e}"
+            )
+        solve = linalg.min_norm_solver(rho.peripheral_adjoint(j) - np.eye(n2))
+        values.append(vals)
+        lifts.append(solve(vals)[0])
+    return values, lifts
+
+
 def lift_to_cone(rho: Representation, values: np.ndarray,
                  tol: float = PARABOLIC_TOL) -> np.ndarray:
     """Peripheral lifts s_j with (Ad(rho(c_j)) - 1) s_j = u(c_j).
@@ -93,22 +131,8 @@ def lift_to_cone(rho: Representation, values: np.ndarray,
     class-constrained variety.  The minimum-norm solution is returned; any
     other lift gives the same pairing against parabolic cocycles.
     """
-    n = rho.rank
-    lifts = np.empty((rho.surface.punctures, n, n), dtype=complex)
-    for j in range(rho.surface.punctures):
-        val = peripheral_value(rho, values, j)
-        vec = flatten_algebra(val)
-        fixed = peripheral_fixed_space(rho, j)
-        stuck = np.linalg.norm(fixed.T @ vec) if fixed.size else 0.0
-        if stuck > tol * max(1.0, np.linalg.norm(vec)):
-            raise NotParabolicError(
-                f"cocycle is not parabolic at puncture {j}: "
-                f"fixed-space component {stuck:.3e}"
-            )
-        a = rho.peripheral_adjoint(j) - np.eye(n * n)
-        sol, _ = linalg.min_norm_solve(a, vec)
-        lifts[j] = unflatten_algebra(sol, n)
-    return lifts
+    _, lifts = _cone_lifts(rho, flatten_cochain(rho, values)[:, None], tol)
+    return np.array([unflatten_algebra(s[:, 0], rho.rank) for s in lifts])
 
 
 def cup_evaluate(rho: Representation, u: np.ndarray, v: np.ndarray,
@@ -166,16 +190,18 @@ class GramMatrix:
 
 
 def gram_matrix(rho: Representation, basis: Subspace | np.ndarray | None = None,
-                report: AnalysisReport | None = None, threads: int = 1) -> GramMatrix:
+                report: AnalysisReport | None = None) -> GramMatrix:
     """Gram matrix of the symplectic form on a tangent basis.
 
     With `basis` omitted the orthonormal parabolic tangent basis is used.
-    All word evaluations are hoisted out of the pair loop: for each basis
-    vector the cocycle is evaluated once per staircase word, then the
-    d x d table is two contractions.
+    The cochains are linear in the basis columns: on a word w the values
+    of all columns are fox_matrix(rho, w) @ cols, one (N^2, d) block.  The
+    relation prefixes are built letter by letter with the cocycle identity
+    F(w1 w2) = F(w1) + Ad(rho(w1)) F(w2), each staircase term is one
+    product of blocks, and the peripheral lifts of all columns are one
+    factored solve per puncture.  Raises NotParabolicError when a column
+    is not a parabolic cocycle.
     """
-    from .cohomology import parabolic_tangent_basis
-
     report = require_smooth_irreducible(rho, report)
     if basis is None:
         basis = parabolic_tangent_basis(rho)
@@ -185,41 +211,26 @@ def gram_matrix(rho: Representation, basis: Subspace | np.ndarray | None = None,
         return GramMatrix(np.zeros((0, 0)), 0, None, (float("inf"), 0.0))
 
     pres = rho.presentation
-    cocycles = [unflatten_cochain(rho, cols[:, k]) for k in range(d)]
-    terms = staircase_terms(pres.genus, pres.punctures)
-    n2 = rho.rank ** 2
-    r = pres.punctures
 
-    # left values, sign-weighted, and Ad-transported right values
-    ls = np.empty((len(terms), d, n2))
-    rs = np.empty((len(terms), d, n2))
-    for t, (sign, w1, w2) in enumerate(terms):
-        ad1 = adjoint_matrix(evaluate_word(rho, w1))
-        for k, uk in enumerate(cocycles):
-            ls[t, k] = sign * flatten_algebra(extend_cocycle(rho, uk, w1))
-            rs[t, k] = ad1 @ flatten_algebra(extend_cocycle(rho, uk, w2))
+    @lru_cache(maxsize=None)
+    def restrict(w: Word):
+        """Ad(rho(w)) and the values of every column on w."""
+        if len(w) <= 1:
+            return adjoint_matrix(evaluate_word(rho, w)), fox_matrix(rho, w) @ cols
+        ad1, u1 = restrict(w[:-1])
+        ad2, u2 = restrict(w[-1:])
+        return ad1 @ ad2, u1 + ad1 @ u2
 
-    # peripheral lifts of each basis vector and peripheral values
-    s_flat = np.empty((r, d, n2))
-    p_flat = np.empty((r, d, n2))
-    for k, uk in enumerate(cocycles):
-        lifts = lift_to_cone(rho, uk)
-        for j in range(r):
-            s_flat[j, k] = flatten_algebra(lifts[j])
-            p_flat[j, k] = flatten_algebra(peripheral_value(rho, uk, j))
-
-    if threads > 1 and d >= 2 * threads:
-        blocks = np.array_split(np.arange(d), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda idx: np.einsum("tik,tjk->ij", ls[:, idx], rs)
-                - np.einsum("rik,rjk->ij", s_flat[:, idx], p_flat),
-                blocks,
-            ))
-        entries = np.vstack(parts) / r
-    else:
-        entries = (np.einsum("tik,tjk->ij", ls, rs)
-                   - np.einsum("rik,rjk->ij", s_flat, p_flat)) / r
+    # B(u(w1), Ad(rho(w1)) v(w2)) per staircase term, then -B(s_j, v(c_j))
+    left, right = [], []
+    for sign, w1, w2 in staircase_terms(pres.genus, pres.punctures):
+        ad1, u1 = restrict(w1)
+        left.append(sign * u1)
+        right.append(ad1 @ restrict(w2)[1])
+    values, lifts = _cone_lifts(rho, cols, PARABOLIC_TOL)
+    left += [-s for s in lifts]
+    right += values
+    entries = np.vstack(left).T @ np.vstack(right) / pres.punctures
 
     info = linalg.checked_rank(entries)
     svals = np.linalg.svd(entries, compute_uv=False)

@@ -26,8 +26,9 @@ import numpy as np
 from .unitary import (
     ConjugacyClass,
     adjoint_matrix,
+    flatten_algebra,
     match_class,
-    skew_project,
+    unflatten_algebra,
 )
 
 # A word is a tuple of (generator index, exponent) letters with exponent +-1.
@@ -287,24 +288,38 @@ def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
     return rho.evaluate(w)
 
 
-def extend_cocycle(rho: Representation, values: np.ndarray, w: Word) -> np.ndarray:
-    """Value of the crossed homomorphism on a word, from free-basis values.
+def fox_matrix(rho: Representation, w: Word) -> np.ndarray:
+    """Matrix of the cocycle restriction u -> u(w) in algebra coordinates.
 
-    `values` has shape (free_rank, N, N).  The word may mention the last
-    peripheral generator; it is rewritten over the free basis first, so
-    the extension is exact and independent of the stored image of c_r.
+    Real, of shape (N^2, free_rank * N^2), acting on the flattened
+    free-basis values.  It is the Fox derivative of w in Ad coordinates:
+    a letter x adds +Ad(prefix) to the block of x and an inverse letter
+    -Ad(prefix x^-1), prefix being the image of the letters before it.
+    The word is rewritten over the free basis first, so the map does not
+    depend on the stored image of the last peripheral generator.
     """
     pres = rho.presentation
-    values = np.asarray(values)
     n = rho.rank
-    acc = np.zeros((n, n), dtype=complex)
+    d = n * n
+    out = np.zeros((d, pres.free_rank * d))
     prefix = np.eye(n, dtype=complex)
     for idx, e in pres.to_free(w):
         m = rho.images[idx]
+        block = out[:, idx * d:(idx + 1) * d]
         if e == 1:
-            letter_value = values[idx]
+            block += adjoint_matrix(prefix)
+            prefix = prefix @ m
         else:
-            letter_value = -(m.conj().T @ values[idx] @ m)
-        acc = acc + prefix @ letter_value @ prefix.conj().T
-        prefix = prefix @ (m if e == 1 else m.conj().T)
-    return skew_project(acc)
+            prefix = prefix @ m.conj().T
+            block -= adjoint_matrix(prefix)
+    return out
+
+
+def extend_cocycle(rho: Representation, values: np.ndarray, w: Word) -> np.ndarray:
+    """Value of the crossed homomorphism on a word, from free-basis values.
+
+    `values` has shape (free_rank, N, N); the result is
+    `fox_matrix(rho, w)` applied to their skew-Hermitian coordinates.
+    """
+    flat = np.array([flatten_algebra(v) for v in values]).reshape(-1)
+    return unflatten_algebra(fox_matrix(rho, w) @ flat, rho.rank)

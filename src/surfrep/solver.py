@@ -57,7 +57,6 @@ class SolverConfig:
     grow: float = 1.3
     min_step: float = 1e-14
     gn_iters: int = 8
-    threads: int = 1
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iters < 1 or self.restarts < 1:
@@ -143,11 +142,11 @@ class _Point:
         return float(np.linalg.norm(e - np.eye(self.surface.rank)))
 
     def move(self, h_dirs, f_dirs, scale: float) -> "_Point":
-        handles = [cayley(0.5 * scale * d) @ m
-                   for m, d in zip(self.handles, h_dirs)]
-        frames = [cayley(0.5 * scale * d) @ m
-                  for m, d in zip(self.frames, f_dirs)]
-        return _Point(self.surface, handles, frames)
+        """Cayley-retracted step along the directions, all variables at once."""
+        steps = cayley(0.5 * scale * np.array(list(h_dirs) + list(f_dirs)))
+        moved = [c @ m for c, m in zip(steps, self.handles + self.frames)]
+        nh = len(self.handles)
+        return _Point(self.surface, moved[:nh], moved[nh:])
 
     def reunitarize(self) -> None:
         self.handles = [unitarize(m) for m in self.handles]

@@ -109,20 +109,21 @@ def cayley(x: np.ndarray) -> np.ndarray:
     transform (iI - A)(iI + A)^-1 written in terms of the Hermitian
     counterpart A = -i x.  Satisfies cayley(0) = I and
     d/de cayley(e x)|_0 = 2x, so it retracts tangent directions onto the
-    group at second order.
+    group at second order.  A stack of shape (k, N, N) is transformed
+    matrix by matrix in one call.
 
-    Raises NearSingularError when I - x is ill conditioned, which cannot
-    happen for genuinely skew-Hermitian input (the spectrum of x is
+    Raises NearSingularError when some I - x is ill conditioned, which
+    cannot happen for genuinely skew-Hermitian input (the spectrum of x is
     imaginary, so I - x has singular values >= 1) but guards against
     contract violations.
     """
-    n = x.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(x.shape[-1])
     m = eye - x
     cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > _CAYLEY_COND_LIMIT:
-        raise NearSingularError(f"Cayley denominator condition {cond:.3e}")
-    return np.linalg.solve(m.conj().T, (eye + x).conj().T).conj().T
+    if not np.all(cond <= _CAYLEY_COND_LIMIT):  # also refuses inf and nan
+        raise NearSingularError(f"Cayley denominator condition {np.max(cond):.3e}")
+    sol = np.linalg.solve(m.conj().swapaxes(-1, -2), (eye + x).conj().swapaxes(-1, -2))
+    return sol.conj().swapaxes(-1, -2)
 
 
 def _nested(*mats: np.ndarray) -> np.ndarray:

@@ -195,9 +195,3 @@ def test_gram_to_dict_schema(witness_u2):
     assert d["normalization"] == "lemma4.1"
     assert len(d["entries"]) == d["basis_dim"]
 
-
-def test_gram_threading_matches_serial(witness_u2_sphere, witness_u3):
-    for inst in (witness_u2_sphere, witness_u3):
-        serial = gram_matrix(inst.representation, report=inst.report, threads=1)
-        parallel = gram_matrix(inst.representation, report=inst.report, threads=2)
-        assert np.allclose(serial.entries, parallel.entries, atol=1e-12)

@@ -114,6 +114,19 @@ def test_cayley_rejects_singular_input():
         cayley(np.eye(2, dtype=complex))
 
 
+def test_cayley_of_a_stack_equals_single_calls(rng):
+    xs = np.array([_random_skew(rng, 3) for _ in range(5)])
+    stacked = cayley(xs)
+    assert stacked.shape == xs.shape
+    for x, c in zip(xs, stacked):
+        assert np.array_equal(c, cayley(x))
+
+
+def test_cayley_of_a_stack_rejects_any_singular_member(rng):
+    xs = np.array([_random_skew(rng, 2), np.eye(2, dtype=complex)])
+    with pytest.raises(NearSingularError):
+        cayley(xs)
+
 def test_bch_scaling_slopes(rng):
     # truncation at order k must leave an O(t^(k+1)) defect
     x = _random_skew(rng, 2)
