@@ -18,6 +18,7 @@ package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,6 +132,15 @@ def standard_presentation(genus: int, punctures: int) -> Presentation:
     return Presentation(genus, punctures)
 
 
+def _integer_field(name: str, value) -> int:
+    """value as an int; integral floats such as 2.0 pass, 1.7 or NaN do not."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SurfaceData:
     """Input datum: topology plus one prescribed conjugacy class per puncture."""
@@ -141,6 +151,8 @@ class SurfaceData:
     classes: tuple
 
     def __post_init__(self):
+        for name in ("genus", "punctures", "rank"):
+            object.__setattr__(self, name, _integer_field(name, getattr(self, name)))
         if self.genus < 0:
             raise ValueError("negative genus")
         if self.punctures < 1:
@@ -173,9 +185,9 @@ class SurfaceData:
     @classmethod
     def from_dict(cls, d: dict) -> "SurfaceData":
         return cls(
-            genus=int(d["genus"]),
-            punctures=int(d["punctures"]),
-            rank=int(d["rank"]),
+            genus=d["genus"],
+            punctures=d["punctures"],
+            rank=d["rank"],
             classes=tuple(tuple(map(float, c)) for c in d["classes"]),
         )
 

@@ -72,10 +72,6 @@ class SolveResult:
     irreducible: bool
     history: tuple
 
-    @property
-    def converged(self) -> bool:
-        return True
-
     def to_dict(self) -> dict:
         return {
             "residual": self.residual,

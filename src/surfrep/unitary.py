@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -34,8 +34,8 @@ ANGLE_TOL = 1e-9
 _CAYLEY_COND_LIMIT = 1e12
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+def wrap_angle(theta):
+    """Wrap an angle, or elementwise an array of angles, to (-pi, pi]."""
     w = -((-theta + math.pi) % TWO_PI - math.pi)
     return w
 
@@ -295,9 +295,12 @@ class ConjugacyClass:
     angles: tuple
 
     def __post_init__(self):
-        norm = tuple(float(a) % TWO_PI for a in self.angles)
-        if not norm:
+        raw = tuple(float(a) for a in self.angles)
+        if not raw:
             raise ValueError("a conjugacy class needs at least one angle")
+        if not all(math.isfinite(a) for a in raw):
+            raise ValueError(f"class angles must be finite, got {list(raw)}")
+        norm = tuple(a % TWO_PI for a in raw)
         object.__setattr__(self, "angles", norm)
 
     @property
@@ -320,18 +323,24 @@ class ConjugacyClass:
         return property_p_check(self.angles, tol)
 
 
+@lru_cache(maxsize=None)
+def _permutation_table(n: int) -> np.ndarray:
+    """All n! permutations of range(n) as a read-only (n!, n) index array."""
+    table = np.array(list(permutations(range(n))), dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
 def match_class(u: np.ndarray, cls: ConjugacyClass, tol: float = 1e-8) -> float:
     """Largest circular eigenvalue mismatch between u and the class.
 
-    Uses an optimal assignment between the eigenvalue angles of u and the
-    recorded class angles, so wrap-around at 0 is handled correctly.
+    Pairs the eigenvalue angles of u with the recorded class angles by the
+    assignment of least total circular distance, found by trying every
+    permutation (N! of them, at most 6 for N <= 3), and returns the largest
+    distance in that pairing.  Distances are wrapped, so wrap-around at 0
+    is handled correctly.
     """
-    from scipy.optimize import linear_sum_assignment
-
     eig = np.angle(np.linalg.eigvals(u))
-    target = np.array(cls.angles)
-    dist = np.abs(
-        np.vectorize(wrap_angle)(eig[:, None] - target[None, :])
-    )
-    rows, cols = linear_sum_assignment(dist)
-    return float(dist[rows, cols].max())
+    dist = np.abs(wrap_angle(eig[:, None] - np.array(cls.angles)[None, :]))
+    paired = dist[np.arange(eig.size), _permutation_table(eig.size)]
+    return float(paired[np.argmin(paired.sum(axis=1))].max())

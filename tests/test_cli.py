@@ -109,6 +109,32 @@ def test_schema_violation_exits_1(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("genus", 1.7), ("punctures", 4.5), ("rank", 2.5), ("genus", float("nan")),
+])
+def test_non_integer_topology_exits_1(tmp_path, capsys, field, value):
+    inp = _write(tmp_path, "bad.json", {**FOUR_PUNCTURE, field: value})
+    code, out, err = _run(capsys, ["solve", "--input", inp])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert field in error["message"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_angle_exits_1(tmp_path, capsys, bad):
+    # json writes these as NaN / Infinity, which json.load reads back
+    classes = [[HALF_PI, -HALF_PI]] * 3 + [[HALF_PI, bad]]
+    inp = _write(tmp_path, "bad.json", {**FOUR_PUNCTURE, "classes": classes})
+    code, out, err = _run(capsys, ["solve", "--input", inp])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "finite" in error["message"]
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = _run(capsys, ["analyze", "--input", "/nonexistent.json"])
     assert code == 1

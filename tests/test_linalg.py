@@ -2,9 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from surfrep import linalg
+from surfrep.cohomology import analyze
+from surfrep.corpus import (
+    CORPUS_SHAPES,
+    obstructed_instance,
+    smooth_instance,
+    tangent_direction,
+)
+from surfrep.deformation import build_deformation
+from surfrep.errors import ObstructionFound
 from surfrep.linalg import (
     RANK_ATOL,
+    RANK_RTOL,
     checked_rank,
     min_norm_solve,
     min_norm_solver,
@@ -13,6 +25,7 @@ from surfrep.linalg import (
     rank_pivoted_qr,
     rank_svd,
 )
+from surfrep.pairing import gram_matrix
 
 
 def _random_rank_deficient(rng, rows, cols, rank):
@@ -138,3 +151,94 @@ def test_empty_shapes():
     x, res = min_norm_solve(np.zeros((3, 0)), np.ones(3))
     assert x.shape == (0,)
     assert res == pytest.approx(np.sqrt(3.0))
+
+
+def _scipy_qr_rank(m, rtol=RANK_RTOL):
+    """The pivoted-QR rank as LAPACK's geqp3 (through scipy) decides it."""
+    if m.size == 0:
+        return 0
+    d = np.abs(np.diagonal(scipy.linalg.qr(m, mode="r", pivoting=True)[0]))
+    if d[0] <= RANK_ATOL:
+        return 0
+    return int(np.count_nonzero(d > max(rtol * d[0], RANK_ATOL)))
+
+
+def _planted_gap(rng, complex_entries=False):
+    """A random matrix of at most 40 x 40 whose singular values have a gap.
+
+    Kept singular values lie in [1e-7, 10], dropped ones in [1e-20, 1e-11],
+    both log-uniform, with Haar-like singular vectors.
+    """
+    rows, cols = (int(x) for x in rng.integers(1, 41, size=2))
+    k = min(rows, cols)
+    rank = int(rng.integers(0, k + 1))
+    s = np.concatenate([10.0 ** rng.uniform(-7, 1, rank),
+                        10.0 ** rng.uniform(-20, -11, k - rank)])
+
+    def frame(n):
+        z = rng.standard_normal((n, k))
+        if complex_entries:
+            z = z + 1j * rng.standard_normal((n, k))
+        return np.linalg.qr(z)[0]
+
+    return (frame(rows) * s) @ frame(cols).conj().T
+
+
+def test_pivoted_qr_rank_matches_lapack_on_planted_gaps():
+    rng = np.random.default_rng(20240)
+    mismatches = []
+    for i in range(2000):
+        m = _planted_gap(rng)
+        if rank_pivoted_qr(m) != _scipy_qr_rank(m):
+            mismatches.append((i, m.shape))
+    assert mismatches == []
+
+
+def test_pivoted_qr_rank_matches_lapack_on_complex_input():
+    rng = np.random.default_rng(20241)
+    for _ in range(300):
+        m = _planted_gap(rng, complex_entries=True)
+        assert rank_pivoted_qr(m) == _scipy_qr_rank(m)
+    # exactly rank deficient complex products, and the rtol argument
+    for rows, cols, rank in [(6, 6, 3), (9, 4, 2), (4, 9, 4), (12, 12, 1)]:
+        m = (rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))) @ (
+            rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols)))
+        assert rank_pivoted_qr(m) == _scipy_qr_rank(m) == rank
+        assert rank_pivoted_qr(m, linalg.SOLVE_RTOL) == _scipy_qr_rank(m, linalg.SOLVE_RTOL)
+
+
+def test_pivoted_qr_rank_matches_lapack_on_every_certified_matrix(monkeypatch):
+    # every matrix checked_rank certifies in analyze, gram_matrix and a
+    # second-order deformation on the seed-0 corpus points, and in analyze
+    # and the failing deformation of the obstructed instance
+    seen = []
+    numpy_rank = linalg.rank_pivoted_qr
+
+    def recording(m, rtol=RANK_RTOL):
+        seen.append((np.array(m), rtol))
+        return numpy_rank(m, rtol)
+
+    monkeypatch.setattr(linalg, "rank_pivoted_qr", recording)
+    for shape in CORPUS_SHAPES:
+        rho = smooth_instance(*shape).representation
+        report = analyze(rho)
+        gram_matrix(rho, report=report)
+        if report.tangent_dim:
+            build_deformation(rho, tangent_direction(rho, 0), 2)
+    rho, direction = obstructed_instance()
+    analyze(rho)  # reducible: gram_matrix refuses it before any rank decision
+    with pytest.raises(ObstructionFound):
+        build_deformation(rho, direction, 2)
+    assert len(seen) > 100
+    for m, rtol in seen:
+        assert numpy_rank(m, rtol) == _scipy_qr_rank(m, rtol), m.shape
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pivoted_qr_rejects_non_finite_input(bad):
+    m = np.eye(3)
+    m[1, 2] = bad
+    with pytest.raises(ValueError):
+        rank_pivoted_qr(m)
+    with pytest.raises(ValueError):
+        rank_pivoted_qr(m.astype(complex))

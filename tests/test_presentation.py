@@ -144,6 +144,39 @@ def test_from_dict_rejects_garbage():
                                "classes": [[0.1, 0.2]]})
 
 
+_GOOD = {"genus": 1, "punctures": 2, "rank": 2, "classes": [[0.3, 1.1], [2.0, 4.0]]}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("genus", 1.7), ("genus", float("nan")), ("genus", "1"), ("genus", True),
+    ("punctures", 2.5), ("punctures", float("inf")),
+    ("rank", 2.000001), ("rank", None),
+])
+def test_from_dict_rejects_non_integer_topology(field, value):
+    with pytest.raises(ValueError, match=field):
+        SurfaceData.from_dict({**_GOOD, field: value})
+
+
+def test_integral_floats_pass_as_integers():
+    surface = SurfaceData.from_dict({**_GOOD, "genus": 1.0, "punctures": 2.0,
+                                     "rank": np.int64(2)})
+    assert (surface.genus, surface.punctures, surface.rank) == (1, 2, 2)
+    assert all(type(x) is int for x in (surface.genus, surface.punctures, surface.rank))
+    assert surface.to_dict() == SurfaceData.from_dict(_GOOD).to_dict()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_class_angles_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SurfaceData.from_dict({**_GOOD, "classes": [[0.3, bad], [2.0, 4.0]]})
+    with pytest.raises(ValueError, match="finite"):
+        SurfaceData(1, 2, 2, ((0.3, 1.1), (bad, 4.0)))
+    with pytest.raises(ValueError, match="finite"):
+        ConjugacyClass((bad,))
+    with pytest.raises(ValueError, match="genus"):
+        SurfaceData(1.5, 2, 2, ((0.3, 1.1), (2.0, 4.0)))
+
+
 def test_validate_rejects_wrong_classes():
     rho = _witness(1, 2, 1)
     wrong = SurfaceData(1, 1, 2, (ConjugacyClass((0.123, 0.456)),))

@@ -1,8 +1,11 @@
 """Lie-algebra kernel: exp, Cayley, BCH, Haar draws, conjugacy classes."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 from hypothesis import given, strategies as st
 
 from surfrep.errors import NearSingularError
@@ -220,3 +223,66 @@ def test_match_class_handles_wraparound(rng):
     cls = ConjugacyClass((1e-12, 3.0))
     u = np.diag(np.exp(1j * np.array([-1e-12, 3.0])))
     assert match_class(u, cls) < 1e-9
+
+
+def _assignment_reference(u, cls):
+    """linear_sum_assignment's mismatch, and the mismatch of every assignment
+    whose total distance ties the optimum within roundoff."""
+    eig = np.angle(np.linalg.eigvals(u))
+    dist = np.abs(np.vectorize(wrap_angle)(eig[:, None] - np.array(cls.angles)[None, :]))
+    rows, cols = linear_sum_assignment(dist)
+    totals = {p: sum(dist[i, j] for i, j in enumerate(p))
+              for p in itertools.permutations(range(cls.size))}
+    best = min(totals.values())
+    optimal = {max(dist[i, j] for i, j in enumerate(p))
+               for p, total in totals.items() if total <= best + 1e-12}
+    return float(dist[rows, cols].max()), optimal
+
+
+@pytest.mark.parametrize("angles", [
+    (0.7,),
+    (1e-13,),
+    (2 * np.pi - 1e-13,),
+    (0.4, 2.2),
+    (1.3, 1.3),
+    (1e-12, 2 * np.pi - 1e-12),
+    (3.0, -3.0),
+    (0.4, 2.2, 5.0),
+    (1.1, 1.1, 4.0),
+    (2.5, 2.5, 2.5),
+    (1e-10, 3.0, 2 * np.pi - 1e-10),
+    (-1e-14, 1e-14, np.pi),
+])
+def test_match_class_equals_linear_sum_assignment(angles, rng):
+    # near-class unitaries: the class representative conjugated by a Haar
+    # unitary, with eigenvalue angles moved by up to 1e-1, and far ones
+    # moved by up to pi, where the least-total pairing is often not the
+    # pairing of least largest distance.  Where one
+    # pairing is optimal, or all optimal pairings share their largest
+    # distance (repeated angles), the result is the reference bit for bit.
+    # Classes with angles closer than the move (2e-14 apart, across 0)
+    # have several pairings of equal total up to roundoff, and any of
+    # them is a correct answer; the two methods may break that tie apart.
+    cls = ConjugacyClass(angles)
+    n = cls.size
+    for scale in (0.0, 1e-14, 1e-9, 1e-4, 1e-1, np.pi):
+        for _ in range(20):
+            g = haar_unitary(n, rng)
+            moved = np.array(angles) + scale * rng.uniform(-1, 1, n)
+            u = g @ np.diag(np.exp(1j * moved)) @ g.conj().T
+            ours = match_class(u, cls)
+            reference, optimal = _assignment_reference(u, cls)
+            if len(optimal) == 1:
+                assert ours == reference
+            else:
+                assert ours in optimal and reference in optimal
+
+
+def test_wrap_angle_of_an_array_equals_the_scalar_wrap():
+    # match_class wraps a whole distance matrix at once; np.mod has the
+    # semantics of Python's %, so this is bit for bit the scalar result
+    rng = np.random.default_rng(3)
+    theta = np.concatenate([rng.uniform(-4 * np.pi, 4 * np.pi, 2000),
+                            [0.0, np.pi, -np.pi, 2 * np.pi, 1e-300, -1e-300]])
+    assert np.array_equal(wrap_angle(theta), [wrap_angle(float(t)) for t in theta])
+
