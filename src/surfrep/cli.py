@@ -239,8 +239,9 @@ def _emit(payload: dict, output: str | None) -> None:
             fh.write(text)
 
 
-def _fail(code: int, kind: str, message: str) -> int:
-    sys.stderr.write(canonical_json({"error": {"type": kind, "message": message}}))
+def _fail(code: int, kind: str, message: str, **details) -> int:
+    error = {"type": kind, "message": message, **details}
+    sys.stderr.write(canonical_json({"error": error}))
     return code
 
 
@@ -254,7 +255,8 @@ def main(argv=None) -> int:
     except NotParabolicError as e:
         return _fail(EXIT_INVALID, "NotParabolicError", str(e))
     except NoConvergenceError as e:
-        return _fail(EXIT_NO_CONVERGENCE, "NoConvergenceError", str(e))
+        return _fail(EXIT_NO_CONVERGENCE, "NoConvergenceError", str(e),
+                     restart_residuals=list(e.restart_residuals))
     except (ReducibleError, NotSmoothError) as e:
         return _fail(EXIT_NOT_SMOOTH_POINT, type(e).__name__, str(e))
     except ObstructionFound as e:

@@ -26,12 +26,16 @@ class ReducibleError(SurfrepError):
 
 
 class NoConvergenceError(SurfrepError):
-    """The solver exhausted its budget without reaching the tolerance."""
+    """The solver exhausted its budget without reaching the tolerance.
 
-    def __init__(self, message, best_residual=None, history=None):
+    `restart_residuals` holds each restart's final residual, after polish.
+    """
+
+    def __init__(self, message, best_residual=None, history=None, restart_residuals=()):
         super().__init__(message)
         self.best_residual = best_residual
         self.history = history if history is not None else []
+        self.restart_residuals = tuple(restart_residuals)
 
 
 class ObstructionFound(SurfrepError):

@@ -184,12 +184,15 @@ class SurfaceData:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SurfaceData":
-        return cls(
-            genus=d["genus"],
-            punctures=d["punctures"],
-            rank=d["rank"],
-            classes=tuple(tuple(map(float, c)) for c in d["classes"]),
-        )
+        classes = d["classes"]
+        if not isinstance(classes, (list, tuple)) or not all(
+                isinstance(c, (list, tuple)) for c in classes):
+            raise ValueError(f"classes must be a list of angle lists, got {classes!r}")
+        if not all(isinstance(a, numbers.Real) and not isinstance(a, bool)
+                   for c in classes for a in c):
+            raise ValueError(f"classes must hold numbers, got {classes!r}")
+        return cls(genus=d["genus"], punctures=d["punctures"], rank=d["rank"],
+                   classes=tuple(tuple(map(float, c)) for c in classes))
 
 
 RELATION_TOL = 1e-8

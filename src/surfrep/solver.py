@@ -8,20 +8,34 @@ relation defect
 
     f = || prod_i [a_i, b_i] c_1 ... c_r  -  I ||_F^2 .
 
-Left multiplication by exp(eps xi) with xi skew-Hermitian gives, for each
-occurrence of a variable between prefix L and suffix R of the relation
-product, the gradient contributions (with respect to the Frobenius real
+A point is one (2g + r, N, N) stack: the handle images, then the frames.
+The relation's letters are gathered from concat(handles, handles^H,
+peripherals) by an index built once per solve, and each point computes
+its relation sweep (letters M_k, prefixes L_k, product E) once and keeps
+it: an accepted line-search candidate hands it on to the next gradient.
+Suffixes R_k are built only for accepted points.
+
+Left multiplication by exp(eps xi) with xi skew-Hermitian gives, for the
+letter M_k, the gradient contribution (with respect to the Frobenius real
 inner product on skew matrices)
 
-    positive letter x:   2 skew(x R L)
-    inverse letter x:   -2 skew(R L x^-1)
-    class variable Q_j:  2 skew([c_j, R L]) .
+    2 skew(a_k M_k R_k L_k + b_k R_k L_k M_k),
+
+with (a_k, b_k) = (1, 0) for a handle x, (0, -1) for an inverse handle
+x^-1 and (1, -1) for a peripheral c_j = Q_j Lambda_j Q_j^dagger moved by
+its frame.  All letters are done in one batched product, and an owner
+matrix sums the contributions onto the variables.  The Gauss-Newton
+Jacobian (Fox's free derivative of the relation, Ann. Math. 57, 1953)
+comes from the same sweep in one batched product: the direction xi of a
+variable moves E by the sum over its letters of
+L_k (a_k xi M_k + b_k M_k xi) R_k.
 
 Descent steps are retracted with the Cayley map, which is exactly
-unitary; step sizes follow a standard backtracking line search.  Once the
-residual is small a guarded Gauss-Newton polish (minimum-norm steps of
-the linearized relation map) takes it to machine precision, which the
-downstream rank decisions rely on.
+unitary (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008); step sizes follow a standard backtracking line search.
+Once the residual is small a guarded Gauss-Newton polish (minimum-norm
+steps of the linearized relation map) takes it to machine precision,
+which the downstream rank decisions rely on.
 
 Restarts draw independent starting points from deterministic child seeds,
 so a given (surface, config) pair always produces the same output.  The
@@ -40,7 +54,7 @@ from . import linalg
 from .cohomology import is_irreducible
 from .errors import NoConvergenceError
 from .presentation import Representation, SurfaceData
-from .unitary import algebra_basis, bracket, cayley, haar_unitary, skew_project, unitarize
+from .unitary import algebra_basis, cayley, haar_unitary, skew_project, unitarize
 
 _REUNITARIZE_EVERY = 50
 
@@ -82,97 +96,125 @@ class SolveResult:
         }
 
 
-class _Point:
-    """Mutable solver state: handle images and class frames."""
+class _Layout:
+    """What every point of one solve shares.
 
-    __slots__ = ("surface", "handles", "frames", "lambdas")
+    The class representatives Lambda_j, stacked, and the relation's letter
+    layout: letter k is `pool[gather[k]]` of the pool concat(handles,
+    handles^H, peripherals), it belongs to variable `owner[:, k]`, and its
+    coefficients (a_k, b_k) are (1, 0) for a handle, (0, -1) for an inverse
+    handle and (1, -1) for a peripheral (see the module docstring).
+    """
 
-    def __init__(self, surface: SurfaceData, handles, frames):
+    __slots__ = ("surface", "nh", "eye", "lambdas", "gather", "a", "b", "owner")
+
+    def __init__(self, surface: SurfaceData):
+        nh = 2 * surface.genus
+        relation = surface.presentation.relation
         self.surface = surface
-        self.handles = [np.array(m, dtype=complex) for m in handles]
-        self.frames = [np.array(m, dtype=complex) for m in frames]
-        self.lambdas = [c.representative() for c in surface.classes]
+        self.nh = nh
+        self.eye = np.eye(surface.rank)
+        self.lambdas = np.array([c.representative() for c in surface.classes])
+        # pool index: idx for a handle, nh + idx for an inverse handle or a
+        # peripheral; variable index: idx (handles first, then frames)
+        self.gather = np.array([idx + nh * (e == -1 or idx >= nh) for idx, e in relation])
+        coef = [(1.0, -1.0) if idx >= nh else (1.0, 0.0) if e == 1 else (0.0, -1.0)
+                for idx, e in relation]
+        self.a, self.b = np.array(coef).T.reshape(2, -1, 1, 1)
+        self.owner = np.zeros((nh + surface.punctures, len(relation)), dtype=complex)
+        self.owner[[idx for idx, _ in relation], np.arange(len(relation))] = 1.0
+
+    def owner_sum(self, per_letter: np.ndarray) -> np.ndarray:
+        """Sum per-letter terms onto their variables, leading axis L -> 2g + r.
+
+        Each variable occurs at most twice in the relation, so the sum is
+        the same in every order, bit for bit.
+        """
+        shape = per_letter.shape
+        return (self.owner @ per_letter.reshape(shape[0], -1)).reshape((-1,) + shape[1:])
+
+
+class _Point:
+    """Solver state: one (2g + r, N, N) stack of handle images and class frames.
+
+    The relation sweep (letters, prefixes, product E) is computed at most
+    once per point and cached, so a line-search candidate that is accepted
+    hands its sweep on to the next gradient.
+    """
+
+    __slots__ = ("layout", "stack", "_sweep")
+
+    def __init__(self, layout: _Layout, stack: np.ndarray):
+        self.layout = layout
+        self.stack = stack
+        self._sweep = None
 
     @classmethod
-    def random(cls, surface: SurfaceData, rng) -> "_Point":
+    def random(cls, surface: SurfaceData, rng, layout: _Layout | None = None) -> "_Point":
         n = surface.rank
-        handles = [haar_unitary(n, rng) for _ in range(2 * surface.genus)]
-        frames = [haar_unitary(n, rng) for _ in range(surface.punctures)]
-        return cls(surface, handles, frames)
+        stack = np.array([haar_unitary(n, rng)
+                          for _ in range(2 * surface.genus + surface.punctures)])
+        return cls(layout or _Layout(surface), stack)
 
-    def peripherals(self):
-        return [q @ lam @ q.conj().T
-                for q, lam in zip(self.frames, self.lambdas)]
+    def peripherals(self) -> np.ndarray:
+        q = self.stack[self.layout.nh:]
+        return q @ self.layout.lambdas @ q.conj().swapaxes(-1, -2)
 
-    def letters(self):
-        """Relation letter matrices in order, tagged with their variable.
+    def sweep(self):
+        """Relation letters in order, their prefix products and E."""
+        if self._sweep is None:
+            h = self.stack[:self.layout.nh]
+            pool = np.concatenate([h, h.conj().swapaxes(-1, -2), self.peripherals()])
+            letters = pool[self.layout.gather]
+            prefixes = np.empty_like(letters)
+            prefixes[0] = self.layout.eye
+            for k in range(len(letters) - 1):
+                np.matmul(prefixes[k], letters[k], out=prefixes[k + 1])
+            self._sweep = letters, prefixes, prefixes[-1] @ letters[-1]
+        return self._sweep
 
-        Tags are ('h', handle_index, exponent) and ('c', puncture_index).
-        """
-        pres = self.surface.presentation
-        out = []
-        peripherals = self.peripherals()
-        for idx, e in pres.relation:
-            if idx < 2 * self.surface.genus:
-                m = self.handles[idx] if e == 1 else self.handles[idx].conj().T
-                out.append((m, ("h", idx, e)))
-            else:
-                out.append((peripherals[idx - 2 * self.surface.genus], ("c", idx - 2 * self.surface.genus)))
-        return out
-
-    def relation_product(self):
-        """Product E with prefix and suffix factors at every position."""
-        mats = [m for m, _ in self.letters()]
-        n = self.surface.rank
-        length = len(mats)
-        prefixes = [np.eye(n, dtype=complex)]
-        for m in mats[:-1]:
-            prefixes.append(prefixes[-1] @ m)
-        suffixes = [np.eye(n, dtype=complex)] * length
-        for k in range(length - 2, -1, -1):
-            suffixes[k] = mats[k + 1] @ suffixes[k + 1]
-        return prefixes[-1] @ mats[-1], prefixes, suffixes
+    def suffixes(self) -> np.ndarray:
+        """Products of the letters after each position, I at the last."""
+        letters = self.sweep()[0]
+        suffixes = np.empty_like(letters)
+        suffixes[-1] = self.layout.eye
+        for k in range(len(letters) - 2, -1, -1):
+            np.matmul(letters[k + 1], suffixes[k + 1], out=suffixes[k])
+        return suffixes
 
     def residual(self) -> float:
-        e, _, _ = self.relation_product()
-        return float(np.linalg.norm(e - np.eye(self.surface.rank)))
+        return float(np.linalg.norm(self.sweep()[2] - self.layout.eye))
+
+    def step(self, dirs: np.ndarray, scale: float) -> "_Point":
+        """Cayley-retracted step along a (2g + r, N, N) stack of directions."""
+        return _Point(self.layout, cayley(0.5 * scale * dirs) @ self.stack)
 
     def move(self, h_dirs, f_dirs, scale: float) -> "_Point":
-        """Cayley-retracted step along the directions, all variables at once."""
-        steps = cayley(0.5 * scale * np.array(list(h_dirs) + list(f_dirs)))
-        moved = [c @ m for c, m in zip(steps, self.handles + self.frames)]
-        nh = len(self.handles)
-        return _Point(self.surface, moved[:nh], moved[nh:])
+        """`step` with the handle and frame directions given apart."""
+        return self.step(np.array(list(h_dirs) + list(f_dirs)), scale)
 
     def reunitarize(self) -> None:
-        self.handles = [unitarize(m) for m in self.handles]
-        self.frames = [unitarize(m) for m in self.frames]
+        self.stack = unitarize(self.stack)
+        self._sweep = None
 
     def representation(self) -> Representation:
-        images = tuple(self.handles) + tuple(self.peripherals())
-        return Representation(self.surface, images)
+        images = tuple(self.stack[:self.layout.nh]) + tuple(self.peripherals())
+        return Representation(self.layout.surface, images)
+
+
+def _gradient(point: _Point) -> np.ndarray:
+    """Riemannian gradient of the relation defect, one stack for all variables."""
+    letters, prefixes, _ = point.sweep()
+    lay = point.layout
+    rl = point.suffixes() @ prefixes
+    terms = 2.0 * skew_project(lay.a * (letters @ rl) + lay.b * (rl @ letters))
+    return lay.owner_sum(terms)
 
 
 def _gradients(point: _Point):
-    """Per-variable Riemannian gradients of the relation defect."""
-    letters = point.letters()
-    _, prefixes, suffixes = point.relation_product()
-    n = point.surface.rank
-    h_grads = [np.zeros((n, n), dtype=complex) for _ in point.handles]
-    f_grads = [np.zeros((n, n), dtype=complex) for _ in point.frames]
-    for k, (m, tag) in enumerate(letters):
-        rl = suffixes[k] @ prefixes[k]
-        if tag[0] == "h":
-            idx, e = tag[1], tag[2]
-            x = point.handles[idx]
-            if e == 1:
-                h_grads[idx] += 2.0 * skew_project(x @ rl)
-            else:
-                h_grads[idx] -= 2.0 * skew_project(rl @ x.conj().T)
-        else:
-            j = tag[1]
-            f_grads[j] += 2.0 * skew_project(bracket(m, rl))
-    return h_grads, f_grads
+    """Per-variable gradients, handles and frames apart."""
+    grad = _gradient(point)
+    return list(grad[:point.layout.nh]), list(grad[point.layout.nh:])
 
 
 def _descend(point: _Point, cfg: SolverConfig):
@@ -184,14 +226,14 @@ def _descend(point: _Point, cfg: SolverConfig):
         history.append(res)
         if res <= cfg.tol:
             break
-        h_grads, f_grads = _gradients(point)
-        gnorm2 = sum(np.linalg.norm(g) ** 2 for g in h_grads + f_grads)
+        grad = _gradient(point)
+        gnorm2 = np.vdot(grad, grad).real
         if gnorm2 < 1e-30:
             break
         f0 = res * res
         moved = None
         while step >= cfg.min_step:
-            cand = point.move([-g for g in h_grads], [-g for g in f_grads], step)
+            cand = point.step(-grad, step)
             cand_res = cand.residual()
             if cand_res * cand_res <= f0 - cfg.armijo * step * gnorm2:
                 moved = cand
@@ -211,47 +253,32 @@ def _complex_to_real(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m.real.ravel(), m.imag.ravel()])
 
 
+def _jacobian(point: _Point, basis: np.ndarray) -> np.ndarray:
+    """Real Jacobian of E at the point, one column per (variable, basis) pair."""
+    letters, prefixes, _ = point.sweep()
+    lay = point.layout
+    m = letters[:, None]
+    dm = lay.a[:, None] * (basis @ m) + lay.b[:, None] * (m @ basis)
+    de = lay.owner_sum(prefixes[:, None] @ dm @ point.suffixes()[:, None])
+    de = de.reshape(-1, basis.shape[0])
+    return np.concatenate([de.real, de.imag], axis=1).T
+
+
 def _polish(point: _Point, cfg: SolverConfig):
     """Guarded Gauss-Newton steps on the linearized relation map."""
-    n = point.surface.rank
+    n = point.layout.surface.rank
     basis = algebra_basis(n)
     res = point.residual()
     for _ in range(cfg.gn_iters):
         if res <= 1e-14:
             break
-        e, prefixes, suffixes = point.relation_product()
-        letters = point.letters()
-        rhs = -_complex_to_real(e - np.eye(n))
-        cols = []
-        # handle directions, then frame directions, n^2 basis elements each
-        for v in range(len(point.handles)):
-            x = point.handles[v]
-            for xi in basis:
-                de = np.zeros((n, n), dtype=complex)
-                for k, (m, tag) in enumerate(letters):
-                    if tag[0] == "h" and tag[1] == v:
-                        dm = xi @ x if tag[2] == 1 else -x.conj().T @ xi
-                        de += prefixes[k] @ dm @ suffixes[k]
-                cols.append(_complex_to_real(de))
-        for j in range(len(point.frames)):
-            for xi in basis:
-                de = np.zeros((n, n), dtype=complex)
-                for k, (m, tag) in enumerate(letters):
-                    if tag[0] == "c" and tag[1] == j:
-                        de += prefixes[k] @ bracket(xi, m) @ suffixes[k]
-                cols.append(_complex_to_real(de))
-        jac = np.array(cols).T
-        delta, _ = linalg.min_norm_solve(jac, rhs)
-        nh = len(point.handles)
-        n2 = n * n
-        h_dirs = [np.einsum("a,aij->ij", delta[v * n2:(v + 1) * n2], basis)
-                  for v in range(nh)]
-        f_dirs = [np.einsum("a,aij->ij", delta[(nh + j) * n2:(nh + j + 1) * n2], basis)
-                  for j in range(len(point.frames))]
+        rhs = -_complex_to_real(point.sweep()[2] - point.layout.eye)
+        delta, _ = linalg.min_norm_solve(_jacobian(point, basis), rhs)
+        dirs = np.array([np.einsum("a,aij->ij", d, basis) for d in delta.reshape(-1, n * n)])
         scale = 1.0
         improved = False
         for _ in range(25):
-            cand = point.move(h_dirs, f_dirs, scale)
+            cand = point.step(dirs, scale)
             cand_res = cand.residual()
             if cand_res < res:
                 point, res = cand, cand_res
@@ -276,14 +303,17 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     if surface.presentation.free_rank == 0:
         raise ValueError("degenerate surface (genus 0, one puncture) has no moduli")
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    layout = _Layout(surface)
     fallback = None
     best_res = np.inf
     best_history = ()
+    residuals = []
     for attempt in range(cfg.restarts):
         rng = np.random.default_rng(children[attempt])
-        point = _Point.random(surface, rng)
+        point = _Point.random(surface, rng, layout)
         point, res, history = _descend(point, cfg)
         point, res = _polish(point, cfg)
+        residuals.append(res)
         if res < best_res:
             best_res = res
             best_history = tuple(history)
@@ -309,4 +339,5 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
         f"(best residual {best_res:.3e})",
         best_residual=best_res,
         history=best_history,
+        restart_residuals=residuals,
     )

@@ -46,8 +46,8 @@ def circle_distance(theta: float, phi: float = 0.0) -> float:
 
 
 def skew_project(x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a complex matrix onto u(N)."""
-    return 0.5 * (x - x.conj().T)
+    """Orthogonal projection of a complex matrix, or of a stack, onto u(N)."""
+    return 0.5 * (x - x.conj().swapaxes(-1, -2))
 
 
 def is_skew_hermitian(x: np.ndarray, tol: float = 1e-12) -> bool:
@@ -55,7 +55,7 @@ def is_skew_hermitian(x: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def unitarize(u: np.ndarray) -> np.ndarray:
-    """Nearest unitary matrix (polar projection via SVD)."""
+    """Nearest unitary matrix, or stack of them (polar projection via SVD)."""
     w, _, vh = np.linalg.svd(u)
     return w @ vh
 
@@ -331,7 +331,7 @@ def _permutation_table(n: int) -> np.ndarray:
     return table
 
 
-def match_class(u: np.ndarray, cls: ConjugacyClass, tol: float = 1e-8) -> float:
+def match_class(u: np.ndarray, cls: ConjugacyClass) -> float:
     """Largest circular eigenvalue mismatch between u and the class.
 
     Pairs the eigenvalue angles of u with the recorded class angles by the

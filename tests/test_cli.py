@@ -205,3 +205,26 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert cli.TOOL_VERSION in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("classes", [None, [HALF_PI] * 4], ids=["null", "bare-number"])
+def test_malformed_classes_exit_1(tmp_path, capsys, classes):
+    inp = _write(tmp_path, "bad.json", {**FOUR_PUNCTURE, "classes": classes})
+    code, out, err = _run(capsys, ["solve", "--input", inp])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "classes" in error["message"]
+
+
+def test_no_convergence_payload_lists_restart_residuals(tmp_path, capsys):
+    inp = _write(tmp_path, "bad.json", {
+        "genus": 1, "punctures": 1, "rank": 1, "classes": [[1.0]],
+    })
+    code, _, err = _run(capsys, ["solve", "--input", inp, "--max-iters", "60",
+                                 "--restarts", "3"])
+    assert code == 2
+    residuals = json.loads(err)["error"]["restart_residuals"]
+    assert len(residuals) == 3
+    assert all(r > 1e-10 for r in residuals)

@@ -202,3 +202,10 @@ def test_peripheral_words():
     # the eliminated generator never appears in a free word
     for idx, _ in pres.to_free(pres.peripheral_word(2)):
         assert idx < pres.free_rank
+
+
+@pytest.mark.parametrize("classes", [None, 0.5, [0.5, 1.0], [[0.3, None], [2.0, 4.0]],
+                                     [[0.3, "1.1"], [2.0, 4.0]], [[0.3, True], [2.0, 4.0]]])
+def test_from_dict_rejects_malformed_classes(classes):
+    with pytest.raises(ValueError, match="classes"):
+        SurfaceData.from_dict({**_GOOD, "classes": classes})

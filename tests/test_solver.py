@@ -135,3 +135,14 @@ def test_solved_points_certify_smooth_irreducible():
     assert report.irreducible
     assert report.smooth
     assert report.tangent_dim == 2
+
+
+def test_no_convergence_reports_each_restart_residual():
+    surface = SurfaceData(1, 1, 1, (ConjugacyClass((1.0,)),))
+    cfg = SolverConfig(seed=0, restarts=3, max_iters=60)
+    with pytest.raises(NoConvergenceError) as exc:
+        solve(surface, cfg)
+    residuals = exc.value.restart_residuals
+    assert len(residuals) == cfg.restarts
+    assert all(r > cfg.tol for r in residuals)
+    assert min(residuals) == exc.value.best_residual
