@@ -76,10 +76,6 @@ class Subspace:
 # cochain coordinates
 
 
-def cochain_dim(rho: Representation) -> int:
-    return rho.presentation.free_rank * rho.rank ** 2
-
-
 def flatten_cochain(rho: Representation, values: np.ndarray) -> np.ndarray:
     """Stack per-generator algebra coordinates into one real vector."""
     return np.concatenate([flatten_algebra(v) for v in values])

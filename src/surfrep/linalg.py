@@ -123,23 +123,33 @@ def range_complement(m: np.ndarray, rtol: float = RANK_RTOL):
     return u[:, info.rank:], info
 
 
-def min_norm_solver(a: np.ndarray, rcond: float = SOLVE_RTOL,
-                    atol: float = RANK_ATOL):
-    """Factor a once for repeated minimum-norm least-squares solves.
+def truncated_svd(a: np.ndarray, rcond: float = SOLVE_RTOL, atol: float = RANK_ATOL):
+    """Thin SVD (u, s, vt) of a, keeping only the singular values above
+    max(rcond * s_max, atol).
 
-    Returns a function b -> (x, residual norm of a x - b).  A 2-D b is a
-    matrix of right-hand sides, solved column by column, and the residual
-    is then one norm per column.  Singular values below
-    max(rcond * s_max, atol) are treated as zero; without the absolute
-    floor a matrix that is zero up to roundoff would be "solved" along its
-    noise directions with order-one garbage.
+    Without the absolute floor a matrix that is zero up to roundoff would
+    keep its noise directions, and a solve along them returns order-one
+    garbage.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= atol:
         keep = np.zeros(s.size, dtype=bool)
     else:
         keep = s > max(rcond * s[0], atol)
-    u_t, s_kept, v = u[:, keep].T, s[keep], vt[keep].T
+    return u[:, keep], s[keep], vt[keep]
+
+
+def min_norm_solver(a: np.ndarray, rcond: float = SOLVE_RTOL,
+                    atol: float = RANK_ATOL):
+    """Factor a once for repeated minimum-norm least-squares solves.
+
+    Returns a function b -> (x, residual norm of a x - b).  A 2-D b is a
+    matrix of right-hand sides, solved column by column, and the residual
+    is then one norm per column.  Singular values are cut as in
+    `truncated_svd`.
+    """
+    u, s_kept, vt = truncated_svd(a, rcond, atol)
+    u_t, v = u.T, vt.T
 
     def solve(b: np.ndarray):
         b = np.asarray(b)

@@ -12,30 +12,33 @@ A point is one (2g + r, N, N) stack: the handle images, then the frames.
 The relation's letters are gathered from concat(handles, handles^H,
 peripherals) by an index built once per solve, and each point computes
 its relation sweep (letters M_k, prefixes L_k, product E) once and keeps
-it: an accepted line-search candidate hands it on to the next gradient.
-Suffixes R_k are built only for accepted points.
+it: an accepted candidate hands it on to the next Jacobian.  Suffixes R_k
+are built only for accepted points.
 
-Left multiplication by exp(eps xi) with xi skew-Hermitian gives, for the
-letter M_k, the gradient contribution (with respect to the Frobenius real
-inner product on skew matrices)
+Left multiplication of a variable by exp(eps xi), xi skew-Hermitian,
+moves its letter M_k by eps (a_k xi M_k + b_k M_k xi), with
+(a_k, b_k) = (1, 0) for a handle x, (0, -1) for an inverse handle x^-1
+and (1, -1) for a peripheral c_j = Q_j Lambda_j Q_j^dagger moved by its
+frame.  So the Jacobian of E (Fox's free derivative of the relation,
+Ann. Math. 57, 1953) sends the direction xi of a variable to the sum over
+its letters of L_k (a_k xi M_k + b_k M_k xi) R_k; all letters are done in
+one batched product, and an owner matrix sums them onto the variables.
 
-    2 skew(a_k M_k R_k L_k + b_k R_k L_k M_k),
-
-with (a_k, b_k) = (1, 0) for a handle x, (0, -1) for an inverse handle
-x^-1 and (1, -1) for a peripheral c_j = Q_j Lambda_j Q_j^dagger moved by
-its frame.  All letters are done in one batched product, and an owner
-matrix sums the contributions onto the variables.  The Gauss-Newton
-Jacobian (Fox's free derivative of the relation, Ann. Math. 57, 1953)
-comes from the same sweep in one batched product: the direction xi of a
-variable moves E by the sum over its letters of
-L_k (a_k xi M_k + b_k M_k xi) R_k.
-
-Descent steps are retracted with the Cayley map, which is exactly
-unitary (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
-Manifolds, 2008); step sizes follow a standard backtracking line search.
-Once the residual is small a guarded Gauss-Newton polish (minimum-norm
-steps of the linearized relation map) takes it to machine precision,
-which the downstream rank decisions rely on.
+Every step is a damped Gauss-Newton (Levenberg-Marquardt) step on the
+manifold, from the first iterate on.  At each point one SVD of the
+Jacobian J serves every damping retry: singular values below `linalg`'s
+cutoff are structurally zero (gauge directions and the centre) and are
+dropped, the rest are damped with mu = lam * res^2, and the step
+delta = sum_i s_i <u_i, -r> / (s_i^2 + mu) v_i is retracted with the
+Cayley map, which is exactly unitary (Absil, Mahony and Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008, section 8.4).  A step
+is accepted only if the residual falls; lam shrinks after an accepted
+step and grows after a rejected one.  With mu proportional to res^2 the
+iteration stays locally quadratic although the solutions are not
+isolated (Yamashita and Fukushima, Computing Suppl. 15, 2001), so it
+reaches machine precision, which the downstream rank decisions rely on.
+A restart stops at res <= 1e-14, when no damping lowers the residual, or
+after `max_iters` steps.
 
 Restarts draw independent starting points from deterministic child seeds,
 so a given (surface, config) pair always produces the same output.  The
@@ -54,9 +57,15 @@ from . import linalg
 from .cohomology import is_irreducible
 from .errors import NoConvergenceError
 from .presentation import Representation, SurfaceData
-from .unitary import algebra_basis, cayley, haar_unitary, skew_project, unitarize
+from .unitary import algebra_basis, cayley, haar_unitary, unitarize
 
-_REUNITARIZE_EVERY = 50
+# Levenberg-Marquardt damping mu = lam * res^2: lam starts at _LM_LAMBDA,
+# is divided by _LM_SHRINK after an accepted step and multiplied by
+# _LM_GROW after a rejected one, at most _LM_RETRIES times per point.
+_LM_LAMBDA = 1e-2
+_LM_SHRINK = 3.0
+_LM_GROW = 10.0
+_LM_RETRIES = 12
 
 
 @dataclass(frozen=True)
@@ -65,12 +74,6 @@ class SolverConfig:
     tol: float = 1e-10
     seed: int = 0
     restarts: int = 8
-    step0: float = 0.1
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    grow: float = 1.3
-    min_step: float = 1e-14
-    gn_iters: int = 8
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iters < 1 or self.restarts < 1:
@@ -138,8 +141,8 @@ class _Point:
     """Solver state: one (2g + r, N, N) stack of handle images and class frames.
 
     The relation sweep (letters, prefixes, product E) is computed at most
-    once per point and cached, so a line-search candidate that is accepted
-    hands its sweep on to the next gradient.
+    once per point and cached, so a candidate that is accepted hands its
+    sweep on to the next Jacobian.
     """
 
     __slots__ = ("layout", "stack", "_sweep")
@@ -185,13 +188,9 @@ class _Point:
     def residual(self) -> float:
         return float(np.linalg.norm(self.sweep()[2] - self.layout.eye))
 
-    def step(self, dirs: np.ndarray, scale: float) -> "_Point":
+    def step(self, dirs: np.ndarray) -> "_Point":
         """Cayley-retracted step along a (2g + r, N, N) stack of directions."""
-        return _Point(self.layout, cayley(0.5 * scale * dirs) @ self.stack)
-
-    def move(self, h_dirs, f_dirs, scale: float) -> "_Point":
-        """`step` with the handle and frame directions given apart."""
-        return self.step(np.array(list(h_dirs) + list(f_dirs)), scale)
+        return _Point(self.layout, cayley(0.5 * dirs) @ self.stack)
 
     def reunitarize(self) -> None:
         self.stack = unitarize(self.stack)
@@ -200,53 +199,6 @@ class _Point:
     def representation(self) -> Representation:
         images = tuple(self.stack[:self.layout.nh]) + tuple(self.peripherals())
         return Representation(self.layout.surface, images)
-
-
-def _gradient(point: _Point) -> np.ndarray:
-    """Riemannian gradient of the relation defect, one stack for all variables."""
-    letters, prefixes, _ = point.sweep()
-    lay = point.layout
-    rl = point.suffixes() @ prefixes
-    terms = 2.0 * skew_project(lay.a * (letters @ rl) + lay.b * (rl @ letters))
-    return lay.owner_sum(terms)
-
-
-def _gradients(point: _Point):
-    """Per-variable gradients, handles and frames apart."""
-    grad = _gradient(point)
-    return list(grad[:point.layout.nh]), list(grad[point.layout.nh:])
-
-
-def _descend(point: _Point, cfg: SolverConfig):
-    """Backtracking gradient descent; returns the point and its history."""
-    step = cfg.step0
-    history = []
-    res = point.residual()
-    for it in range(cfg.max_iters):
-        history.append(res)
-        if res <= cfg.tol:
-            break
-        grad = _gradient(point)
-        gnorm2 = np.vdot(grad, grad).real
-        if gnorm2 < 1e-30:
-            break
-        f0 = res * res
-        moved = None
-        while step >= cfg.min_step:
-            cand = point.step(-grad, step)
-            cand_res = cand.residual()
-            if cand_res * cand_res <= f0 - cfg.armijo * step * gnorm2:
-                moved = cand
-                res = cand_res
-                break
-            step *= cfg.backtrack
-        if moved is None:
-            break
-        point = moved
-        step = min(step * cfg.grow, 1.0)
-        if (it + 1) % _REUNITARIZE_EVERY == 0:
-            point.reunitarize()
-    return point, res, history
 
 
 def _complex_to_real(m: np.ndarray) -> np.ndarray:
@@ -264,38 +216,40 @@ def _jacobian(point: _Point, basis: np.ndarray) -> np.ndarray:
     return np.concatenate([de.real, de.imag], axis=1).T
 
 
-def _polish(point: _Point, cfg: SolverConfig):
-    """Guarded Gauss-Newton steps on the linearized relation map."""
+def _levenberg_marquardt(point: _Point, cfg: SolverConfig):
+    """Damped Gauss-Newton steps from the start; returns the point, its
+    residual and the residual before each step."""
     n = point.layout.surface.rank
     basis = algebra_basis(n)
+    lam = _LM_LAMBDA
+    history = []
     res = point.residual()
-    for _ in range(cfg.gn_iters):
+    for _ in range(cfg.max_iters):
+        history.append(res)
         if res <= 1e-14:
             break
-        rhs = -_complex_to_real(point.sweep()[2] - point.layout.eye)
-        delta, _ = linalg.min_norm_solve(_jacobian(point, basis), rhs)
-        dirs = np.array([np.einsum("a,aij->ij", d, basis) for d in delta.reshape(-1, n * n)])
-        scale = 1.0
-        improved = False
-        for _ in range(25):
-            cand = point.step(dirs, scale)
+        u, s, vt = linalg.truncated_svd(_jacobian(point, basis))
+        rhs = s * (u.T @ -_complex_to_real(point.sweep()[2] - point.layout.eye))
+        for _ in range(_LM_RETRIES):
+            delta = vt.T @ (rhs / (s * s + lam * res * res))
+            cand = point.step(np.tensordot(delta.reshape(-1, n * n), basis, axes=1))
             cand_res = cand.residual()
             if cand_res < res:
-                point, res = cand, cand_res
-                improved = True
                 break
-            scale *= 0.5
-        if not improved:
+            lam *= _LM_GROW
+        else:
             break
+        point, res = cand, cand_res
+        lam /= _LM_SHRINK
     point.reunitarize()
-    return point, point.residual()
+    return point, point.residual(), history
 
 
 def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResult:
     """Find a representation with the prescribed peripheral classes.
 
-    Runs deterministic restarts; each descends from a fresh random point
-    and is polished.  Returns the first irreducible converged point, or
+    Runs deterministic restarts; each takes Levenberg-Marquardt steps from
+    a fresh random point.  Returns the first irreducible converged point, or
     the first converged point if every restart lands on a reducible one.
     Raises NoConvergenceError when no restart reaches the tolerance.
     """
@@ -311,8 +265,7 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     for attempt in range(cfg.restarts):
         rng = np.random.default_rng(children[attempt])
         point = _Point.random(surface, rng, layout)
-        point, res, history = _descend(point, cfg)
-        point, res = _polish(point, cfg)
+        point, res, history = _levenberg_marquardt(point, cfg)
         residuals.append(res)
         if res < best_res:
             best_res = res

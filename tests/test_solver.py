@@ -5,8 +5,8 @@ import pytest
 
 from surfrep.errors import NoConvergenceError
 from surfrep.presentation import SurfaceData
-from surfrep.solver import SolverConfig, _gradients, _Point, solve
-from surfrep.unitary import ConjugacyClass
+from surfrep.solver import SolverConfig, _jacobian, _Point, solve
+from surfrep.unitary import ConjugacyClass, algebra_basis
 
 HALF_PI = np.pi / 2
 
@@ -65,36 +65,33 @@ def test_class_constraints_hold_exactly_during_search():
     assert max(rep.class_residuals()) < 1e-12
 
 
-def test_gradients_match_finite_differences():
+def test_jacobian_matches_finite_differences():
+    # step(t dirs) moves a variable X to cayley(t xi / 2) X = (1 + t xi) X
+    # + O(t^2), so each Jacobian column is the derivative of E along it
+    surfaces = [
+        SurfaceData(0, 3, 2, (ConjugacyClass((0.4, 1.9)),) * 2 + (ConjugacyClass((2.5, 0.9)),)),
+        SurfaceData(0, 3, 3, (ConjugacyClass((0.3, 1.4, 4.2)),) * 3),
+        SurfaceData(1, 2, 2, (ConjugacyClass((0.4, 1.9)), ConjugacyClass((2.5, 0.9)))),
+        SurfaceData(1, 1, 1, (ConjugacyClass((0.7,)),)),
+        SurfaceData(2, 1, 3, (ConjugacyClass((1.0, 3.0, 5.0)),)),
+    ]
     rng = np.random.default_rng(11)
-    surface = SurfaceData(1, 2, 2, (
-        ConjugacyClass((0.4, 1.9)), ConjugacyClass((2.5, 0.9)),
-    ))
-    point = _Point.random(surface, rng)
-    h_grads, f_grads = _gradients(point)
-    eps = 1e-6
+    h = 1e-5
 
-    def perturbed(kind, k, direction):
-        h_dirs = [np.zeros_like(g) for g in h_grads]
-        f_dirs = [np.zeros_like(g) for g in f_grads]
-        if kind == "h":
-            h_dirs[k] = direction
-        else:
-            f_dirs[k] = direction
-        # first-order move along the given tangent direction
-        moved = point.move(h_dirs, f_dirs, eps)
-        return moved.residual() ** 2
+    def e_vector(point):
+        e = point.sweep()[2]
+        return np.concatenate([e.real.ravel(), e.imag.ravel()])
 
-    base = point.residual() ** 2
-    for kind, grads in (("h", h_grads), ("f", f_grads)):
-        for k, g in enumerate(grads):
-            if np.linalg.norm(g) < 1e-12:
-                continue
-            d = g / np.linalg.norm(g)
-            fd = (perturbed(kind, k, d) - base) / eps
-            # the Cayley step moves by s*d at first order
-            analytic = np.real(np.sum(np.conj(g) * d))
-            assert fd == pytest.approx(analytic, rel=2e-3, abs=1e-8)
+    for surface in surfaces:
+        basis = algebra_basis(surface.rank)
+        point = _Point.random(surface, rng)
+        jac = _jacobian(point, basis)
+        assert jac.shape == (2 * surface.rank ** 2, point.stack.shape[0] * len(basis))
+        for col in range(jac.shape[1]):
+            dirs = np.zeros_like(point.stack)
+            dirs[col // len(basis)] = basis[col % len(basis)]
+            fd = (e_vector(point.step(h * dirs)) - e_vector(point.step(-h * dirs))) / (2 * h)
+            assert np.abs(fd - jac[:, col]).max() <= 1e-9
 
 
 def test_history_is_monotone():

@@ -1,11 +1,11 @@
 """The stacked solver against the per-letter solver it replaced.
 
 The solver keeps one (2g + r, N, N) stack per point and computes the
-gradient and the Gauss-Newton Jacobian in batched form.  The reference
-here is the earlier per-letter code: a point held as lists of matrices,
-the gradient as a loop over relation letters and the Jacobian as a loop
-over variables x basis x letters.  Every matrix product is taken in the
-same order in both, so solves must agree bit for bit.
+Jacobian of the relation in batched form.  The reference here is the
+earlier per-letter code: a point held as lists of matrices and the
+Jacobian as a loop over variables x basis x letters, driven by the same
+Levenberg-Marquardt loop.  Every matrix product is taken in the same
+order in both, so solves must agree bit for bit.
 """
 
 import numpy as np
@@ -16,9 +16,12 @@ from surfrep.cohomology import is_irreducible
 from surfrep.corpus import CORPUS_SHAPES, smooth_instance
 from surfrep.presentation import Representation, SurfaceData
 from surfrep.solver import (
-    _REUNITARIZE_EVERY,
+    _LM_GROW,
+    _LM_LAMBDA,
+    _LM_RETRIES,
+    _LM_SHRINK,
     SolverConfig,
-    _gradients,
+    _jacobian,
     _Point,
     solve,
 )
@@ -27,7 +30,6 @@ from surfrep.unitary import (
     algebra_basis,
     bracket,
     cayley,
-    skew_project,
     unitarize,
 )
 
@@ -71,8 +73,8 @@ class _RefPoint:
         e, _, _ = self.relation_product()
         return float(np.linalg.norm(e - np.eye(self.surface.rank)))
 
-    def move(self, h_dirs, f_dirs, scale):
-        steps = cayley(0.5 * scale * np.array(list(h_dirs) + list(f_dirs)))
+    def move(self, h_dirs, f_dirs):
+        steps = cayley(0.5 * np.array(list(h_dirs) + list(f_dirs)))
         moved = [c @ m for c, m in zip(steps, self.handles + self.frames)]
         nh = len(self.handles)
         return _RefPoint(self.surface, moved[:nh], moved[nh:])
@@ -85,131 +87,99 @@ class _RefPoint:
         return Representation(self.surface, tuple(self.handles) + tuple(self.peripherals()))
 
 
-def _ref_gradients(point):
-    letters = point.letters()
-    _, prefixes, suffixes = point.relation_product()
-    n = point.surface.rank
-    h_grads = [np.zeros((n, n), dtype=complex) for _ in point.handles]
-    f_grads = [np.zeros((n, n), dtype=complex) for _ in point.frames]
-    for k, (m, tag) in enumerate(letters):
-        rl = suffixes[k] @ prefixes[k]
-        if tag[0] == "h":
-            idx, e = tag[1], tag[2]
-            x = point.handles[idx]
-            if e == 1:
-                h_grads[idx] += 2.0 * skew_project(x @ rl)
-            else:
-                h_grads[idx] -= 2.0 * skew_project(rl @ x.conj().T)
-        else:
-            f_grads[tag[1]] += 2.0 * skew_project(bracket(m, rl))
-    return h_grads, f_grads
-
-
-def _ref_descend(point, cfg):
-    step = cfg.step0
-    history = []
-    res = point.residual()
-    for it in range(cfg.max_iters):
-        history.append(res)
-        if res <= cfg.tol:
-            break
-        h_grads, f_grads = _ref_gradients(point)
-        gnorm2 = sum(np.linalg.norm(g) ** 2 for g in h_grads + f_grads)
-        if gnorm2 < 1e-30:
-            break
-        f0 = res * res
-        moved = None
-        while step >= cfg.min_step:
-            cand = point.move([-g for g in h_grads], [-g for g in f_grads], step)
-            cand_res = cand.residual()
-            if cand_res * cand_res <= f0 - cfg.armijo * step * gnorm2:
-                moved = cand
-                res = cand_res
-                break
-            step *= cfg.backtrack
-        if moved is None:
-            break
-        point = moved
-        step = min(step * cfg.grow, 1.0)
-        if (it + 1) % _REUNITARIZE_EVERY == 0:
-            point.reunitarize()
-    return point, res, history
-
-
 def _complex_to_real(m):
     return np.concatenate([m.real.ravel(), m.imag.ravel()])
 
 
-def _ref_polish(point, cfg):
+def _ref_jacobian(point, basis):
+    """Per-letter Jacobian of E: a loop over variables x basis x letters."""
+    _, prefixes, suffixes = point.relation_product()
+    letters = point.letters()
+    n = point.surface.rank
+    cols = []
+    for v in range(len(point.handles)):
+        x = point.handles[v]
+        for xi in basis:
+            de = np.zeros((n, n), dtype=complex)
+            for k, (m, tag) in enumerate(letters):
+                if tag[0] == "h" and tag[1] == v:
+                    dm = xi @ x if tag[2] == 1 else -x.conj().T @ xi
+                    de += prefixes[k] @ dm @ suffixes[k]
+            cols.append(_complex_to_real(de))
+    for j in range(len(point.frames)):
+        for xi in basis:
+            de = np.zeros((n, n), dtype=complex)
+            for k, (m, tag) in enumerate(letters):
+                if tag[0] == "c" and tag[1] == j:
+                    de += prefixes[k] @ bracket(xi, m) @ suffixes[k]
+            cols.append(_complex_to_real(de))
+    return np.array(cols).T
+
+
+def _ref_levenberg_marquardt(point, cfg):
+    """The solver's damped Gauss-Newton loop over the per-letter Jacobian.
+
+    Returns the point, its residual, the history and the number of
+    rejected (re-damped) steps.
+    """
     n = point.surface.rank
     basis = algebra_basis(n)
+    lam = _LM_LAMBDA
+    history = []
+    rejected = 0
     res = point.residual()
-    for _ in range(cfg.gn_iters):
+    for _ in range(cfg.max_iters):
+        history.append(res)
         if res <= 1e-14:
             break
-        e, prefixes, suffixes = point.relation_product()
-        letters = point.letters()
-        rhs = -_complex_to_real(e - np.eye(n))
-        cols = []
-        for v in range(len(point.handles)):
-            x = point.handles[v]
-            for xi in basis:
-                de = np.zeros((n, n), dtype=complex)
-                for k, (m, tag) in enumerate(letters):
-                    if tag[0] == "h" and tag[1] == v:
-                        dm = xi @ x if tag[2] == 1 else -x.conj().T @ xi
-                        de += prefixes[k] @ dm @ suffixes[k]
-                cols.append(_complex_to_real(de))
-        for j in range(len(point.frames)):
-            for xi in basis:
-                de = np.zeros((n, n), dtype=complex)
-                for k, (m, tag) in enumerate(letters):
-                    if tag[0] == "c" and tag[1] == j:
-                        de += prefixes[k] @ bracket(xi, m) @ suffixes[k]
-                cols.append(_complex_to_real(de))
-        jac = np.array(cols).T
-        delta, _ = linalg.min_norm_solve(jac, rhs)
+        u, s, vt = np.linalg.svd(_ref_jacobian(point, basis), full_matrices=False)
+        keep = s > max(linalg.SOLVE_RTOL * s[0], linalg.RANK_ATOL)
+        u, s, vt = u[:, keep], s[keep], vt[keep]
+        e, _, _ = point.relation_product()
+        rhs = s * (u.T @ -_complex_to_real(e - np.eye(n)))
         nh = len(point.handles)
-        n2 = n * n
-        h_dirs = [np.einsum("a,aij->ij", delta[v * n2:(v + 1) * n2], basis)
-                  for v in range(nh)]
-        f_dirs = [np.einsum("a,aij->ij", delta[(nh + j) * n2:(nh + j + 1) * n2], basis)
-                  for j in range(len(point.frames))]
-        scale = 1.0
-        improved = False
-        for _ in range(25):
-            cand = point.move(h_dirs, f_dirs, scale)
+        moved = None
+        for _ in range(_LM_RETRIES):
+            delta = vt.T @ (rhs / (s * s + lam * res * res))
+            dirs = np.tensordot(delta.reshape(-1, n * n), basis, axes=1)
+            cand = point.move(dirs[:nh], dirs[nh:])
             cand_res = cand.residual()
             if cand_res < res:
-                point, res = cand, cand_res
-                improved = True
+                moved = cand
                 break
-            scale *= 0.5
-        if not improved:
+            rejected += 1
+            lam *= _LM_GROW
+        if moved is None:
             break
+        point, res = moved, cand_res
+        lam /= _LM_SHRINK
     point.reunitarize()
-    return point, point.residual()
+    return point, point.residual(), history, rejected
 
 
 def _ref_solve(surface, cfg):
-    """The restart loop of `solve` over the reference descent and polish."""
+    """The restart loop of `solve` over the reference LM loop.
+
+    Returns the winning result and the rejected steps of every restart run.
+    """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     fallback = None
+    rejected = 0
     for attempt in range(cfg.restarts):
         start = _Point.random(surface, np.random.default_rng(children[attempt]))
         nh = 2 * surface.genus
         point = _RefPoint(surface, start.stack[:nh], start.stack[nh:])
-        point, res, history = _ref_descend(point, cfg)
-        point, res = _ref_polish(point, cfg)
+        point, res, history, restart_rejected = _ref_levenberg_marquardt(point, cfg)
+        rejected += restart_rejected
         if res > cfg.tol:
             continue
         rho = point.representation()
         result = (rho, res, len(history), attempt, is_irreducible(rho), tuple(history))
         if result[4]:
-            return result
+            return result, rejected
         if fallback is None:
             fallback = result
-    return fallback
+    return fallback, rejected
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -218,7 +188,7 @@ def test_solve_matches_reference_bit_for_bit(shape, seed):
     surface = smooth_instance(*shape, seed=seed).representation.surface
     cfg = SolverConfig(seed=seed)
     result = solve(surface, cfg)
-    rho, res, iterations, restart_index, irreducible, history = _ref_solve(surface, cfg)
+    (rho, res, iterations, restart_index, irreducible, history), _ = _ref_solve(surface, cfg)
     assert len(result.representation.images) == len(rho.images)
     for ours, ref in zip(result.representation.images, rho.images):
         assert np.array_equal(ours, ref)
@@ -229,10 +199,12 @@ def test_solve_matches_reference_bit_for_bit(shape, seed):
     assert result.irreducible == irreducible
 
 
-def test_comparison_covers_reunitarized_descents():
-    # a stale sweep after reunitarize would only show in descents this long
+def test_comparison_covers_rejected_steps():
+    # a candidate point leaking into the next step would only show after a
+    # rejected step; this compared case takes some
     surface = smooth_instance(0, 3, 3, seed=0).representation.surface
-    assert solve(surface, SolverConfig(seed=0)).iterations > 2 * _REUNITARIZE_EVERY
+    _, rejected = _ref_solve(surface, SolverConfig(seed=0))
+    assert rejected >= 1
 
 
 SURFACES = [
@@ -244,15 +216,12 @@ SURFACES = [
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: f"g{s.genus}_r{s.punctures}_n{s.rank}")
-def test_stacked_gradient_matches_reference(surface):
+def test_stacked_jacobian_matches_reference(surface):
     rng = np.random.default_rng(23)
     nh = 2 * surface.genus
+    basis = algebra_basis(surface.rank)
     for _ in range(5):
         point = _Point.random(surface, rng)
         ref = _RefPoint(surface, point.stack[:nh], point.stack[nh:])
-        h_grads, f_grads = _gradients(point)
-        ref_h, ref_f = _ref_gradients(ref)
-        assert len(h_grads) == len(ref_h) and len(f_grads) == len(ref_f)
-        for ours, theirs in zip(h_grads + f_grads, ref_h + ref_f):
-            assert np.array_equal(ours, theirs)
+        assert np.array_equal(_jacobian(point, basis), _ref_jacobian(ref, basis))
         assert point.residual() == ref.residual()

@@ -130,6 +130,28 @@ def test_cayley_of_a_stack_rejects_any_singular_member(rng):
     with pytest.raises(NearSingularError):
         cayley(xs)
 
+
+def test_cayley_rejects_a_member_with_a_hermitian_part(rng):
+    # the tolerance is per member: a large neighbour must not hide the defect
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    xs = np.array([1e8 * _random_skew(rng, 2), _random_skew(rng, 2) + 1e-6 * (h + h.conj().T)])
+    with pytest.raises(NearSingularError):
+        cayley(xs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cayley_rejects_non_finite_input(rng, bad):
+    x = _random_skew(rng, 2)
+    x[0, 1] = bad
+    with pytest.raises(NearSingularError):
+        cayley(x)
+
+
+def test_cayley_of_a_large_skew_input_is_unitary(rng):
+    x = 1e8 * _random_skew(rng, 3)
+    assert is_unitary(cayley(x))
+
+
 def test_bch_scaling_slopes(rng):
     # truncation at order k must leave an O(t^(k+1)) defect
     x = _random_skew(rng, 2)
