@@ -27,11 +27,9 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .cohomology import analyze
 from .corpus import tangent_direction
-from .deformation import build_deformation, verify_deformation
+from .deformation import DEFAULT_VERIFY_TS, build_deformation, check_t_samples, verify_deformation
 from .errors import (
     NoConvergenceError,
     NotParabolicError,
@@ -193,9 +191,11 @@ def _cmd_symplectic(args) -> dict:
 
 def _cmd_deform(args) -> dict:
     watch = Stopwatch()
-    _, rho, result = _obtain_point(args)
     if args.order < 1:
         raise ValueError("--order must be at least 1")
+    ts = (DEFAULT_VERIFY_TS if args.t_samples is None
+          else check_t_samples(args.t_samples.split(",")))
+    _, rho, result = _obtain_point(args)
     if args.direction_file is not None:
         with open(args.direction_file) as fh:
             direction = decode_values(json.load(fh)["values"])
@@ -204,15 +204,9 @@ def _cmd_deform(args) -> dict:
     else:
         direction = tangent_direction(rho, args.direction)
     state = build_deformation(rho, direction, args.order)
-    ts = None
-    if args.t_samples is not None:
-        ts = np.array([float(s) for s in args.t_samples.split(",")])
-        if ts.size == 0 or np.any(ts <= 0):
-            raise ValueError("--t-samples must be positive floats")
     payload = point_to_dict(rho)
     payload["deformation"] = state.to_dict()
-    payload["verify"] = (verify_deformation(state) if ts is None
-                         else verify_deformation(state, ts=ts))
+    payload["verify"] = verify_deformation(state, ts)
     if result is not None:
         payload["solver"] = result.to_dict()
     payload["manifest"] = _manifest(

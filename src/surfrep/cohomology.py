@@ -23,6 +23,12 @@ makes the trivial-coefficient count below equal 1; no order-by-order
 obstruction ever lands there because all the nonlinear terms of the
 deformation system are iterated brackets, hence traceless.  Splitting the
 center off gives the criterion that actually detects smooth points.
+
+Irreducibility is read off the centralizer, the kernel of the coboundary
+map.  A unitary image is closed under adjoints, so its complex commutant
+is too: it is the centralizer in u(N) plus i times the same, of complex
+dimension equal to the centralizer's real dimension.  By Schur's lemma rho
+is irreducible exactly when that dimension is 1 (the centre u(1)).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotSmoothError, ReducibleError
-from .presentation import Representation, SurfaceData, extend_cocycle, fox_matrix, standard_presentation
+from .presentation import Representation, SurfaceData, fox_matrix, standard_presentation
 from .unitary import (
     adjoint_matrix,
     flatten_algebra,
@@ -54,7 +60,6 @@ class Subspace:
     """
 
     basis: np.ndarray
-    tol: float
     gap: tuple
 
     @property
@@ -114,13 +119,13 @@ def coboundary_matrix(rho: Representation) -> np.ndarray:
     return blocks
 
 
-def h1_basis(rho: Representation, rtol: float = linalg.RANK_RTOL) -> Subspace:
+def h1_basis(rho: Representation) -> Subspace:
     """Orthonormal representatives of H^1: the coboundary-orthogonal cocycles."""
     _require_nondegenerate(rho)
     d0 = coboundary_matrix(rho)
-    info = linalg.checked_rank(d0, rtol)
-    comp, _ = linalg.range_complement(d0, rtol)
-    return Subspace(comp, rtol, info.gap)
+    info = linalg.checked_rank(d0)
+    comp, _ = linalg.range_complement(d0)
+    return Subspace(comp, info.gap)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +150,6 @@ def peripheral_fixed_space(rho: Representation, j: int,
     return coefficients @ inside
 
 
-def peripheral_value(rho: Representation, values: np.ndarray, j: int) -> np.ndarray:
-    """u(c_j), computed over the free basis (a word for the last puncture)."""
-    return extend_cocycle(rho, values, rho.presentation.peripheral_word(j))
-
-
 def _restriction_matrix(rho: Representation, source: np.ndarray,
                         fixed_bases) -> np.ndarray:
     """Stacked peripheral-class coordinates of each source column."""
@@ -160,25 +160,23 @@ def _restriction_matrix(rho: Representation, source: np.ndarray,
     ])
 
 
-def parabolic_tangent_basis(rho: Representation,
-                            rtol: float = linalg.RANK_RTOL,
-                            h1: Subspace | None = None) -> Subspace:
+def parabolic_tangent_basis(rho: Representation, h1: Subspace | None = None) -> Subspace:
     """Tangent space of the relative character variety at rho.
 
     Orthonormal cocycle representatives (orthogonal to coboundaries) whose
     peripheral classes all vanish.  `h1` reuses an `h1_basis` already
-    computed at the same rtol.
+    computed at rho.
     """
     _require_nondegenerate(rho)
     if h1 is None:
-        h1 = h1_basis(rho, rtol)
+        h1 = h1_basis(rho)
     fixed = [peripheral_fixed_space(rho, j) for j in range(rho.surface.punctures)]
     m = _restriction_matrix(rho, h1.basis, fixed)
-    null, info = linalg.nullspace(m, rtol)
-    return Subspace(h1.basis @ null, rtol, info.gap)
+    null, info = linalg.nullspace(m)
+    return Subspace(h1.basis @ null, info.gap)
 
 
-def relative_h2(rho: Representation, rtol: float = linalg.RANK_RTOL):
+def relative_h2(rho: Representation):
     """Dimension and gap of the obstruction space (traceless coefficients).
 
     Computed as the cokernel of the restriction of traceless-valued
@@ -200,16 +198,15 @@ def relative_h2(rho: Representation, rtol: float = linalg.RANK_RTOL):
     m = _restriction_matrix(rho, source, fixed)
     if m.shape[0] == 0:
         return 0, (float("inf"), 0.0)
-    info = linalg.checked_rank(m, rtol)
+    info = linalg.checked_rank(m)
     return m.shape[0] - info.rank, info.gap
 
 
-def relative_h2_dim(rho: Representation, rtol: float = linalg.RANK_RTOL) -> int:
-    return relative_h2(rho, rtol)[0]
+def relative_h2_dim(rho: Representation) -> int:
+    return relative_h2(rho)[0]
 
 
-def cone_h2_trivial_rank(genus: int, punctures: int,
-                         rtol: float = linalg.RANK_RTOL) -> int:
+def cone_h2_trivial_rank(genus: int, punctures: int) -> int:
     """Rank of the degree-2 relative cohomology with trivial real coefficients.
 
     With trivial coefficients the peripheral restriction sends a
@@ -224,7 +221,7 @@ def cone_h2_trivial_rank(genus: int, punctures: int,
     for j in range(r):
         for idx, e in pres.peripheral_word(j):
             m[j, idx] += e
-    info = linalg.checked_rank(m, rtol) if m.size else linalg.RankInfo(0, float("inf"), 0.0)
+    info = linalg.checked_rank(m) if m.size else linalg.RankInfo(0, float("inf"), 0.0)
     return r - info.rank
 
 
@@ -232,28 +229,16 @@ def cone_h2_trivial_rank(genus: int, punctures: int,
 # centralizer, irreducibility, dimension count
 
 
-def centralizer_dimension(rho: Representation, rtol: float = linalg.RANK_RTOL) -> int:
+def centralizer_dimension(rho: Representation) -> int:
     """Real dimension of the centralizer of the image inside u(N)."""
     _require_nondegenerate(rho)
-    d0 = coboundary_matrix(rho)
-    null, _ = linalg.nullspace(d0, rtol)
+    null, _ = linalg.nullspace(coboundary_matrix(rho))
     return null.shape[1]
 
 
-def is_irreducible(rho: Representation, rtol: float = linalg.RANK_RTOL) -> bool:
-    """True when the complex commutant of the image is the scalars."""
-    _require_nondegenerate(rho)
-    n = rho.rank
-    pres = rho.presentation
-    eye = np.eye(n, dtype=complex)
-    blocks = []
-    for i in range(pres.free_rank):
-        u = rho.images[i]
-        # m u - u m = 0 as a linear condition on row-major vec(m)
-        blocks.append(np.kron(eye, u.T) - np.kron(u, eye))
-    stacked = np.vstack(blocks)
-    null, _ = linalg.nullspace(stacked, rtol)
-    return null.shape[1] == 1
+def is_irreducible(rho: Representation) -> bool:
+    """Schur irreducibility: the centralizer is the centre (module docstring)."""
+    return centralizer_dimension(rho) == 1
 
 
 def expected_dimension(surface: SurfaceData, centralizer_dim: int) -> int:
@@ -283,6 +268,8 @@ class AnalysisReport:
     irreducible: bool
     property_p: tuple
     smooth: bool
+    # the certified tangent basis, the default basis of `gram_matrix`
+    tangent: Subspace = field(compare=False, repr=False)
     spectral_gaps: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -299,21 +286,22 @@ class AnalysisReport:
         }
 
 
-def analyze(rho: Representation, rtol: float = linalg.RANK_RTOL) -> AnalysisReport:
+def analyze(rho: Representation) -> AnalysisReport:
     """Full diagnostic pass at one representation."""
-    h1 = h1_basis(rho, rtol)
-    tangent = parabolic_tangent_basis(rho, rtol, h1)
-    z = centralizer_dimension(rho, rtol)
-    h2_dim, h2_gap = relative_h2(rho, rtol)
+    h1 = h1_basis(rho)
+    tangent = parabolic_tangent_basis(rho, h1=h1)
+    z = centralizer_dimension(rho)
+    h2_dim, h2_gap = relative_h2(rho)
     return AnalysisReport(
         h1_dim=h1.dim,
         tangent_dim=tangent.dim,
         expected_dim=expected_dimension(rho.surface, z),
         relative_h2_dim=h2_dim,
         centralizer_dim=z,
-        irreducible=is_irreducible(rho, rtol),
+        irreducible=z == 1,
         property_p=tuple(c.property_p() for c in rho.surface.classes),
         smooth=h2_dim == 0,
+        tangent=tangent,
         spectral_gaps={
             "h1": h1.gap,
             "tangent": tangent.gap,

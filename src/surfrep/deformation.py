@@ -408,6 +408,18 @@ def conjugation_state(rho: Representation, x: np.ndarray,
     return DeformationState(rho, h, c)
 
 
+def check_t_samples(ts) -> list:
+    """The decay-check grid as floats, largest first.
+
+    Raises ValueError unless every t is finite and positive and at least
+    two are distinct: one point gives no slope, yet would pass as slope inf.
+    """
+    ts = sorted((float(t) for t in ts), reverse=True)
+    if not np.all(np.isfinite(ts)) or min(ts, default=0.0) <= 0 or len(set(ts)) < 2:
+        raise ValueError(f"t samples must be finite, positive, two distinct; got {ts}")
+    return ts
+
+
 def verify_deformation(state: DeformationState, ts=DEFAULT_VERIFY_TS) -> dict:
     """Instantiate the family on a parameter grid and fit the decay slope.
 
@@ -416,11 +428,11 @@ def verify_deformation(state: DeformationState, ts=DEFAULT_VERIFY_TS) -> dict:
     t^(K+1).  Points below the double-precision noise floor are excluded
     from the fit; if fewer than two usable points remain the residuals are
     identically at the floor (exact families) and the slope is reported as
-    infinite.
+    infinite.  The grid is checked by `check_t_samples`.
     """
     rho = state.rho
     pres = rho.presentation
-    ts = sorted(ts, reverse=True)
+    ts = check_t_samples(ts)
     relation = []
     classes = []
     totals = []

@@ -28,7 +28,7 @@ class ReducibleError(SurfrepError):
 class NoConvergenceError(SurfrepError):
     """The solver exhausted its budget without reaching the tolerance.
 
-    `restart_residuals` holds each restart's final residual, after polish.
+    `restart_residuals` holds each restart's final residual.
     """
 
     def __init__(self, message, best_residual=None, history=None, restart_residuals=()):

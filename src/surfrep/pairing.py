@@ -35,6 +35,10 @@ therefore a sum of (N^2, d) block products,
 
 over the staircase terms t, with S_j the lifts of all columns at puncture
 j, found by one factored solve of (Ad(rho(c_j)) - 1) S_j = F(c_j) C.
+
+This block assembly is the only evaluation of F: `gram_matrix` applies
+it to a tangent basis, and `symplectic_form(u, v)` is its entry [0, 1] on
+the two columns (u, v).
 """
 
 from __future__ import annotations
@@ -50,15 +54,11 @@ from .cohomology import (
     AnalysisReport,
     Subspace,
     flatten_cochain,
-    parabolic_tangent_basis,
-    peripheral_fixed_space,
-    peripheral_value,
     require_smooth_irreducible,
 )
 from .errors import NotParabolicError
-from .presentation import (Representation, Word, evaluate_word, extend_cocycle, fox_matrix,
-                           standard_presentation)
-from .unitary import adjoint_matrix, invariant_form, unflatten_algebra
+from .presentation import Representation, Word, evaluate_word, fox_matrix, standard_presentation
+from .unitary import adjoint_matrix, unflatten_algebra
 
 
 @lru_cache(maxsize=None)
@@ -96,34 +96,34 @@ def evaluate_cycle(genus: int, punctures: int, w, q) -> float:
     return total / punctures
 
 
-def _cone_lifts(rho: Representation, cols: np.ndarray, tol: float):
+def _cone_lifts(rho: Representation, cols: np.ndarray):
     """Peripheral values and lifts of many cocycles at once.
 
     `cols` holds one flattened cocycle per column.  Returns two lists over
     the punctures: the values u(c_j) of every column, fox_matrix(rho, c_j)
     @ cols, and their minimum-norm lifts, one factored solve per puncture.
+    Ad(rho(c_j)) is orthogonal, so the residual of a column's solve is its
+    component in the fixed space ker(Ad(rho(c_j)) - 1), the cokernel that
+    a parabolic cocycle must miss.
     """
     pres = rho.presentation
     n2 = rho.rank ** 2
     values, lifts = [], []
     for j in range(pres.punctures):
         vals = fox_matrix(rho, pres.peripheral_word(j)) @ cols
-        fixed = peripheral_fixed_space(rho, j)
-        stuck = np.linalg.norm(fixed.T @ vals, axis=0)
-        bad = np.flatnonzero(stuck > tol * np.maximum(1.0, np.linalg.norm(vals, axis=0)))
+        lift, stuck = linalg.min_norm_solver(rho.peripheral_adjoint(j) - np.eye(n2))(vals)
+        bad = np.flatnonzero(stuck > PARABOLIC_TOL * np.maximum(1.0, np.linalg.norm(vals, axis=0)))
         if bad.size:
             raise NotParabolicError(
                 f"cocycle is not parabolic at puncture {j}: "
                 f"fixed-space component {stuck[bad[0]]:.3e}"
             )
-        solve = linalg.min_norm_solver(rho.peripheral_adjoint(j) - np.eye(n2))
         values.append(vals)
-        lifts.append(solve(vals)[0])
+        lifts.append(lift)
     return values, lifts
 
 
-def lift_to_cone(rho: Representation, values: np.ndarray,
-                 tol: float = PARABOLIC_TOL) -> np.ndarray:
+def lift_to_cone(rho: Representation, values: np.ndarray) -> np.ndarray:
     """Peripheral lifts s_j with (Ad(rho(c_j)) - 1) s_j = u(c_j).
 
     Raises NotParabolicError when some u(c_j) has a component in the fixed
@@ -131,30 +131,38 @@ def lift_to_cone(rho: Representation, values: np.ndarray,
     class-constrained variety.  The minimum-norm solution is returned; any
     other lift gives the same pairing against parabolic cocycles.
     """
-    _, lifts = _cone_lifts(rho, flatten_cochain(rho, values)[:, None], tol)
+    _, lifts = _cone_lifts(rho, flatten_cochain(rho, values)[:, None])
     return np.array([unflatten_algebra(s[:, 0], rho.rank) for s in lifts])
 
 
-def cup_evaluate(rho: Representation, u: np.ndarray, v: np.ndarray,
-                 w1: Word, w2: Word) -> float:
-    """The surface-group part of the cup product at one word pair."""
-    g1 = evaluate_word(rho, w1)
-    return invariant_form(
-        extend_cocycle(rho, u, w1),
-        g1 @ extend_cocycle(rho, v, w2) @ g1.conj().T,
-    )
+def _pairing(rho: Representation, cols: np.ndarray) -> np.ndarray:
+    """The block sum G of the module docstring on the columns of `cols`.
 
-
-def pair_with_lifts(rho: Representation, u: np.ndarray, lifts: np.ndarray,
-                    v: np.ndarray) -> float:
-    """Evaluate the pairing of u (with chosen lifts) against v."""
+    Entry [k, l] pairs column k, lifted to the cone, with column l.  The
+    relation prefixes are built letter by letter with the cocycle identity
+    F(w1 w2) = F(w1) + Ad(rho(w1)) F(w2).
+    """
     pres = rho.presentation
-    total = 0.0
+
+    @lru_cache(maxsize=None)
+    def restrict(w: Word):
+        """Ad(rho(w)) and the values of every column on w."""
+        if len(w) <= 1:
+            return adjoint_matrix(evaluate_word(rho, w)), fox_matrix(rho, w) @ cols
+        ad1, u1 = restrict(w[:-1])
+        ad2, u2 = restrict(w[-1:])
+        return ad1 @ ad2, u1 + ad1 @ u2
+
+    # B(u(w1), Ad(rho(w1)) v(w2)) per staircase term, then -B(s_j, v(c_j))
+    left, right = [], []
     for sign, w1, w2 in staircase_terms(pres.genus, pres.punctures):
-        total += sign * cup_evaluate(rho, u, v, w1, w2)
-    for j in range(pres.punctures):
-        total -= invariant_form(lifts[j], peripheral_value(rho, v, j))
-    return total / pres.punctures
+        ad1, u1 = restrict(w1)
+        left.append(sign * u1)
+        right.append(ad1 @ restrict(w2)[1])
+    values, lifts = _cone_lifts(rho, cols)
+    left += [-s for s in lifts]
+    right += values
+    return np.vstack(left).T @ np.vstack(right) / pres.punctures
 
 
 def symplectic_form(rho: Representation, u: np.ndarray, v: np.ndarray,
@@ -162,10 +170,12 @@ def symplectic_form(rho: Representation, u: np.ndarray, v: np.ndarray,
     """Value of the symplectic form on two parabolic tangent cocycles.
 
     Refuses to evaluate at reducible or non-smooth points, where the
-    pairing on the tangent space is not the moduli-space form.
+    pairing on the tangent space is not the moduli-space form.  Raises
+    NotParabolicError when u or v is not a parabolic cocycle.
     """
     require_smooth_irreducible(rho, report)
-    return pair_with_lifts(rho, u, lift_to_cone(rho, u), v)
+    cols = np.column_stack([flatten_cochain(rho, u), flatten_cochain(rho, v)])
+    return float(_pairing(rho, cols)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -193,45 +203,17 @@ def gram_matrix(rho: Representation, basis: Subspace | np.ndarray | None = None,
                 report: AnalysisReport | None = None) -> GramMatrix:
     """Gram matrix of the symplectic form on a tangent basis.
 
-    With `basis` omitted the orthonormal parabolic tangent basis is used.
-    The cochains are linear in the basis columns: on a word w the values
-    of all columns are fox_matrix(rho, w) @ cols, one (N^2, d) block.  The
-    relation prefixes are built letter by letter with the cocycle identity
-    F(w1 w2) = F(w1) + Ad(rho(w1)) F(w2), each staircase term is one
-    product of blocks, and the peripheral lifts of all columns are one
-    factored solve per puncture.  Raises NotParabolicError when a column
-    is not a parabolic cocycle.
+    With `basis` omitted the orthonormal parabolic tangent basis that
+    `analyze` certified, `report.tangent`, is used.  Raises
+    NotParabolicError when a column is not a parabolic cocycle.
     """
     report = require_smooth_irreducible(rho, report)
     if basis is None:
-        basis = parabolic_tangent_basis(rho)
+        basis = report.tangent
     cols = basis.basis if isinstance(basis, Subspace) else np.asarray(basis, dtype=float)
-    d = cols.shape[1]
-    if d == 0:
+    if cols.shape[1] == 0:
         return GramMatrix(np.zeros((0, 0)), 0, None, (float("inf"), 0.0))
-
-    pres = rho.presentation
-
-    @lru_cache(maxsize=None)
-    def restrict(w: Word):
-        """Ad(rho(w)) and the values of every column on w."""
-        if len(w) <= 1:
-            return adjoint_matrix(evaluate_word(rho, w)), fox_matrix(rho, w) @ cols
-        ad1, u1 = restrict(w[:-1])
-        ad2, u2 = restrict(w[-1:])
-        return ad1 @ ad2, u1 + ad1 @ u2
-
-    # B(u(w1), Ad(rho(w1)) v(w2)) per staircase term, then -B(s_j, v(c_j))
-    left, right = [], []
-    for sign, w1, w2 in staircase_terms(pres.genus, pres.punctures):
-        ad1, u1 = restrict(w1)
-        left.append(sign * u1)
-        right.append(ad1 @ restrict(w2)[1])
-    values, lifts = _cone_lifts(rho, cols, PARABOLIC_TOL)
-    left += [-s for s in lifts]
-    right += values
-    entries = np.vstack(left).T @ np.vstack(right) / pres.punctures
-
+    entries = _pairing(rho, cols)
     info = linalg.checked_rank(entries)
     svals = np.linalg.svd(entries, compute_uv=False)
     return GramMatrix(entries, info.rank, float(svals[-1]), info.gap)

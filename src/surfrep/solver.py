@@ -37,8 +37,9 @@ step and grows after a rejected one.  With mu proportional to res^2 the
 iteration stays locally quadratic although the solutions are not
 isolated (Yamashita and Fukushima, Computing Suppl. 15, 2001), so it
 reaches machine precision, which the downstream rank decisions rely on.
-A restart stops at res <= 1e-14, when no damping lowers the residual, or
-after `max_iters` steps.
+A restart stops at res <= 1e-14, when no singular value survives the cut
+(no step can move E) or no damping lowers the residual, or after
+`max_iters` steps.
 
 Restarts draw independent starting points from deterministic child seeds,
 so a given (surface, config) pair always produces the same output.  The
@@ -229,6 +230,8 @@ def _levenberg_marquardt(point: _Point, cfg: SolverConfig):
         if res <= 1e-14:
             break
         u, s, vt = linalg.truncated_svd(_jacobian(point, basis))
+        if s.size == 0:
+            break  # the Jacobian is zero: no step moves E
         rhs = s * (u.T @ -_complex_to_real(point.sweep()[2] - point.layout.eye))
         for _ in range(_LM_RETRIES):
             delta = vt.T @ (rhs / (s * s + lam * res * res))

@@ -19,7 +19,7 @@ from surfrep.cohomology import (
 from surfrep.corpus import obstructed_instance, tangent_direction
 from surfrep.deformation import build_deformation, verify_deformation, word_coefficients
 from surfrep.errors import NoConvergenceError, ObstructionFound
-from surfrep.pairing import evaluate_cycle, gram_matrix, lift_to_cone, pair_with_lifts, symplectic_form
+from surfrep.pairing import evaluate_cycle, gram_matrix, lift_to_cone, symplectic_form
 from surfrep.presentation import SurfaceData, evaluate_word
 from surfrep.solver import SolverConfig, solve
 from surfrep.unitary import (
@@ -36,6 +36,8 @@ from surfrep.unitary import (
     skew_project,
     unflatten_algebra,
 )
+
+from oracles import pair_with_lifts
 
 
 def _verdict(num: int, label: str, ok: bool) -> bool:

@@ -51,7 +51,8 @@ def test_output_flag_writes_file(tmp_path, capsys):
     code, out, _ = _run(capsys, ["solve", "--input", inp, "--output", outp])
     assert code == 0
     assert out == ""
-    assert json.loads(open(outp).read())["manifest"]["command"] == "solve"
+    with open(outp) as fh:
+        assert json.load(fh)["manifest"]["command"] == "solve"
 
 
 def test_commands_compose_by_piping_files(tmp_path, capsys):
@@ -90,6 +91,24 @@ def test_deform_t_samples_flag(tmp_path, capsys):
     code, _, err = _run(capsys, ["deform", "--input", inp,
                                  "--t-samples", "0.1,-0.2"])
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--t-samples", "nan,0.01"], ["--t-samples", "inf,0.01"],
+    ["--t-samples", "0.5"], ["--t-samples", "0.1,0.1"],
+    ["--t-samples", "0,0.01"], ["--t-samples", "0.1,-0.2"],
+    ["--t-samples", "0.1,x"], ["--order", "0"],
+], ids=["nan", "inf", "single", "repeated", "zero", "negative", "word", "order-0"])
+def test_bad_deform_flags_exit_1_before_solving(tmp_path, capsys, monkeypatch, flags):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    inp = _write(tmp_path, "surf.json", FOUR_PUNCTURE)
+    code, out, err = _run(capsys, ["deform", "--input", inp] + flags)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):

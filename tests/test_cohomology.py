@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from surfrep.cohomology import (
     AnalysisReport,
@@ -15,7 +18,6 @@ from surfrep.cohomology import (
     is_irreducible,
     parabolic_tangent_basis,
     peripheral_fixed_space,
-    peripheral_value,
     relative_h2_dim,
     require_smooth_irreducible,
 )
@@ -23,6 +25,8 @@ from surfrep.corpus import smooth_instance, witness_representation
 from surfrep.errors import NotSmoothError, ReducibleError
 from surfrep.presentation import SurfaceData, Representation
 from surfrep.unitary import ConjugacyClass, haar_unitary, skew_project
+
+from oracles import commutant_dimension, peripheral_value
 
 
 def _witness(genus, rank, punctures, seed=0):
@@ -140,6 +144,45 @@ def test_irreducibility(obstructed):
     assert not is_irreducible(rho)
 
 
+def _block_sum(genus, punctures, ranks, seed):
+    """Direct sum of independent witness points, one per block rank."""
+    rng = np.random.default_rng(seed)
+    blocks = [witness_representation(genus, n, punctures, rng) for n in ranks]
+    classes = tuple(
+        ConjugacyClass(sum((b.surface.classes[j].angles for b in blocks), ()))
+        for j in range(punctures)
+    )
+    surface = SurfaceData(genus, punctures, sum(ranks), classes)
+    images = tuple(scipy.linalg.block_diag(*parts)
+                   for parts in zip(*(b.images for b in blocks)))
+    return Representation(surface, images)
+
+
+@given(ranks=st.sampled_from([(1, 1), (1, 2), (1, 1, 1)]),
+       genus=st.integers(0, 2), punctures=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_sums_have_one_centralizer_dimension_per_block(ranks, genus, punctures, seed):
+    # generic blocks are irreducible once the group is not cyclic, or at
+    # any free rank when every block is a U(1)
+    free_rank = 2 * genus + punctures - 1
+    assume(free_rank >= (2 if max(ranks) > 1 else 1))
+    rho = _block_sum(genus, punctures, ranks, seed)
+    rho.validate()
+    report = analyze(rho)
+    assert report.centralizer_dim == len(ranks)
+    assert not report.irreducible
+    assert not is_irreducible(rho)
+    assert commutant_dimension(rho) == len(ranks)
+
+
+def test_commutant_oracle_agrees_on_the_corpus(corpus, obstructed):
+    for inst in corpus:
+        rho = inst.representation
+        assert commutant_dimension(rho) == centralizer_dimension(rho) == 1, inst.name
+    rho, _ = obstructed
+    assert commutant_dimension(rho) == centralizer_dimension(rho) == 2
+
+
 def test_expected_dimension_values():
     gen2 = ConjugacyClass((0.3, 1.2))
     assert expected_dimension(SurfaceData(0, 4, 2, (gen2,) * 4), 1) == 2
@@ -189,7 +232,7 @@ def test_require_smooth_refusals(obstructed, witness_u2):
         expected_dim=good.expected_dim, relative_h2_dim=1,
         centralizer_dim=good.centralizer_dim, irreducible=True,
         property_p=good.property_p, smooth=False,
-        spectral_gaps=good.spectral_gaps,
+        tangent=good.tangent, spectral_gaps=good.spectral_gaps,
     )
     with pytest.raises(NotSmoothError):
         require_smooth_irreducible(witness_u2.representation, doctored)

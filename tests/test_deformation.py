@@ -188,6 +188,17 @@ def test_verify_report_layout(witness_u2):
     assert len(report["class_residuals"][0]) == rho.surface.punctures
 
 
+@pytest.mark.parametrize("ts", [
+    [math.nan, 0.01], [math.inf, 0.01], [0.5], [0.1, 0.1], [0.0, 0.01], [0.1, -0.2], [],
+], ids=["nan", "inf", "single", "repeated", "zero", "negative", "empty"])
+def test_verify_refuses_a_grid_without_two_usable_ts(witness_u2, ts):
+    # one distinct t would give no slope, yet pass as an infinite one
+    rho = witness_u2.representation
+    state = build_deformation(rho, tangent_direction(rho, 0), order=1)
+    with pytest.raises(ValueError):
+        verify_deformation(state, ts=ts)
+
+
 def test_obstruction_is_raised_with_order_and_residual(obstructed):
     rho, direction = obstructed
     with pytest.raises(ObstructionFound) as exc:

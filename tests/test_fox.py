@@ -222,3 +222,22 @@ def test_analyze_computes_h1_once(monkeypatch, witness_u2):
     monkeypatch.setattr(cohomology, "h1_basis", counted)
     cohomology.analyze(witness_u2.representation)
     assert len(calls) == 1
+
+
+def test_gram_matrix_reuses_the_reported_tangent_basis(monkeypatch, witness_u2):
+    calls = []
+    for name in ("h1_basis", "parabolic_tangent_basis"):
+        original = getattr(cohomology, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cohomology, name, counted)
+    rho, report = witness_u2.representation, witness_u2.report
+    gram = gram_matrix(rho, report=report)
+    assert calls == []
+    assert gram.basis_dim == report.tangent.dim == report.tangent_dim
+    # without a report the gate analyzes once, through the counted names
+    gram_matrix(rho)
+    assert sorted(calls) == ["h1_basis", "parabolic_tangent_basis"]

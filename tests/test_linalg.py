@@ -1,5 +1,7 @@
 """Rank decisions, nullspaces, and the minimum-norm solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -209,8 +211,8 @@ def test_pivoted_qr_rank_matches_lapack_on_complex_input():
 
 def test_pivoted_qr_rank_matches_lapack_on_every_certified_matrix(monkeypatch):
     # every matrix checked_rank certifies in analyze, gram_matrix and a
-    # second-order deformation on the seed-0 corpus points, and in analyze
-    # and the failing deformation of the obstructed instance
+    # second-order deformation on the seed-0 and seed-1 corpus points, and
+    # in analyze and the failing deformation of the obstructed instance
     seen = []
     numpy_rank = linalg.rank_pivoted_qr
 
@@ -219,8 +221,8 @@ def test_pivoted_qr_rank_matches_lapack_on_every_certified_matrix(monkeypatch):
         return numpy_rank(m, rtol)
 
     monkeypatch.setattr(linalg, "rank_pivoted_qr", recording)
-    for shape in CORPUS_SHAPES:
-        rho = smooth_instance(*shape).representation
+    for shape, seed in itertools.product(CORPUS_SHAPES, (0, 1)):
+        rho = smooth_instance(*shape, seed=seed).representation
         report = analyze(rho)
         gram_matrix(rho, report=report)
         if report.tangent_dim:

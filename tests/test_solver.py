@@ -143,3 +143,30 @@ def test_no_convergence_reports_each_restart_residual():
     assert len(residuals) == cfg.restarts
     assert all(r > cfg.tol for r in residuals)
     assert min(residuals) == exc.value.best_residual
+
+
+def test_zero_jacobian_stops_each_restart_without_a_step(monkeypatch):
+    # U(1) is abelian: E = [a, b] c does not move with the point, the
+    # Jacobian keeps no singular value and no Cayley step can help
+    surface = SurfaceData(1, 1, 1, (ConjugacyClass((1.0,)),))
+    cfg = SolverConfig(seed=0, restarts=3, max_iters=60)
+    steps = []
+    original = _Point.step
+
+    def counted(self, dirs):
+        steps.append(dirs)
+        return original(self, dirs)
+
+    monkeypatch.setattr(_Point, "step", counted)
+    with pytest.raises(NoConvergenceError) as exc:
+        solve(surface, cfg)
+    assert steps == []
+    # each restart ends at its (reunitarized) start, after one iterate
+    before, after = [], []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
+        point = _Point.random(surface, np.random.default_rng(child))
+        before.append(point.residual())
+        point.reunitarize()
+        after.append(point.residual())
+    assert exc.value.restart_residuals == tuple(after)
+    assert exc.value.history == (before[int(np.argmin(after))],)
