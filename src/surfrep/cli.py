@@ -123,14 +123,36 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
+def _solve_missing(args, surface: SurfaceData, rho):
+    """The point and the solve result, solving only when no point was given."""
+    if rho is not None:
+        return rho, None
+    result = solve(surface, _solver_config(args))
+    return result.representation, result
+
+
 def _obtain_point(args):
     """The input point, solving when only a surface was given."""
-    surface, rho = _load_input(args.input)
-    result = None
-    if rho is None:
-        result = solve(surface, _solver_config(args))
-        rho = result.representation
-    return surface, rho, result
+    return _solve_missing(args, *_load_input(args.input))
+
+
+def _load_direction(path: str, surface: SurfaceData):
+    """The cocycle values of a --direction-file, one N x N matrix per free
+    generator of the surface."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or "values" not in data:
+        raise ValueError('direction file must be a JSON object with "values"')
+    try:
+        direction = decode_values(data["values"])
+    except (TypeError, IndexError) as e:
+        raise ValueError(f"direction values must be matrices of [re, im] pairs: {e}") from e
+    n = surface.rank
+    want = (surface.presentation.free_rank, n, n)
+    if direction.shape != want:
+        raise ValueError(f"direction must give one {n}x{n} value per free generator: "
+                         f"shape {want}, got {direction.shape}")
+    return direction
 
 
 def _manifest(args, watch: Stopwatch, extra_config=None) -> dict:
@@ -148,7 +170,7 @@ def _manifest(args, watch: Stopwatch, extra_config=None) -> dict:
 
 def _cmd_solve(args) -> dict:
     watch = Stopwatch()
-    _, rho, result = _obtain_point(args)
+    rho, result = _obtain_point(args)
     report = analyze(rho)
     if not report.irreducible:
         raise ReducibleError(
@@ -166,7 +188,7 @@ def _cmd_solve(args) -> dict:
 
 def _cmd_analyze(args) -> dict:
     watch = Stopwatch()
-    _, rho, result = _obtain_point(args)
+    rho, result = _obtain_point(args)
     payload = point_to_dict(rho)
     payload["analysis"] = analyze(rho).to_dict()
     if result is not None:
@@ -177,7 +199,7 @@ def _cmd_analyze(args) -> dict:
 
 def _cmd_symplectic(args) -> dict:
     watch = Stopwatch()
-    _, rho, result = _obtain_point(args)
+    rho, result = _obtain_point(args)
     report = analyze(rho)
     gram = gram_matrix(rho, report=report)
     payload = point_to_dict(rho)
@@ -195,13 +217,11 @@ def _cmd_deform(args) -> dict:
         raise ValueError("--order must be at least 1")
     ts = (DEFAULT_VERIFY_TS if args.t_samples is None
           else check_t_samples(args.t_samples.split(",")))
-    _, rho, result = _obtain_point(args)
-    if args.direction_file is not None:
-        with open(args.direction_file) as fh:
-            direction = decode_values(json.load(fh)["values"])
-        if direction.shape[0] != rho.presentation.free_rank:
-            raise ValueError("direction must give one value per free generator")
-    else:
+    surface, rho = _load_input(args.input)
+    direction = (None if args.direction_file is None
+                 else _load_direction(args.direction_file, surface))
+    rho, result = _solve_missing(args, surface, rho)
+    if direction is None:
         direction = tangent_direction(rho, args.direction)
     state = build_deformation(rho, direction, args.order)
     payload = point_to_dict(rho)

@@ -99,15 +99,6 @@ def _require_nondegenerate(rho: Representation) -> None:
         )
 
 
-def coboundary(rho: Representation, x: np.ndarray) -> np.ndarray:
-    """The cocycle of the gauge direction x: gen |-> Ad(rho(gen)) x - x."""
-    pres = rho.presentation
-    return np.array(
-        [rho.images[i] @ x @ rho.images[i].conj().T - x
-         for i in range(pres.free_rank)]
-    )
-
-
 def coboundary_matrix(rho: Representation) -> np.ndarray:
     """Matrix of the coboundary map u(N) -> u(N)^n in algebra coordinates."""
     pres = rho.presentation
@@ -290,7 +281,11 @@ def analyze(rho: Representation) -> AnalysisReport:
     """Full diagnostic pass at one representation."""
     h1 = h1_basis(rho)
     tangent = parabolic_tangent_basis(rho, h1=h1)
-    z = centralizer_dimension(rho)
+    # rank-nullity on the coboundary map u(N) -> u(N)^n: its kernel, the
+    # centralizer, has dimension N^2 - rank and H^1 has n N^2 - rank, so
+    # the rank decided once in h1_basis gives both
+    n2 = rho.rank ** 2
+    z = h1.dim - (rho.presentation.free_rank - 1) * n2
     h2_dim, h2_gap = relative_h2(rho)
     return AnalysisReport(
         h1_dim=h1.dim,

@@ -185,13 +185,6 @@ def word_log_series(rho: Representation, h: np.ndarray, w: Word,
     return -series_log(dev)
 
 
-def word_coefficients(rho: Representation, h: np.ndarray, w: Word) -> np.ndarray:
-    """All coefficients h_k(w), k = 1 .. len(h), of the induced word series."""
-    order = len(h)
-    series = word_log_series(rho, h, w, order)
-    return np.array([series.coefficient(k) for k in range(1, order + 1)])
-
-
 def conjugator_log_series(c_j: np.ndarray, gamma: np.ndarray,
                           order: int) -> MatrixSeries:
     """G_j(t) = -log(exp(C_j) exp(-Ad(gamma) C_j)) truncated."""

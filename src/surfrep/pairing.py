@@ -26,25 +26,43 @@ the 1/r factor normalizes Phi to send the class dual to the boundary
 circles, the tuple (0, q) with q_j(c_j) = 1, to 1.
 
 Every value above is linear in the cocycle: u(w) = F(w) u, where
-F(w) = fox_matrix(rho, w) is the Fox derivative of w in Ad coordinates.
-For d tangent cocycles stored as the columns of C the Gram matrix is
-therefore a sum of (N^2, d) block products,
+F(w) is the Fox derivative of w in Ad coordinates (`fox_matrix`).  Store
+d tangent cocycles as the columns of C and write U_k = F(p_k) C for the
+relation prefixes.  The cocycle rule gives
 
-    G = ( sum_t sign_t (F(w1_t) C)^T Ad(rho(w1_t)) F(w2_t) C
-          - sum_j S_j^T F(c_j) C ) / r,
+    Ad(rho(p_k)) F(x_{k+1}) C = U_{k+1} - U_k,
 
-over the staircase terms t, with S_j the lifts of all columns at puncture
-j, found by one factored solve of (Ad(rho(c_j)) - 1) S_j = F(c_j) C.
+which is exactly the block that `fox_steps` yields for the letter x_{k+1}
+times the columns of C at its generator.  So the staircase is
 
-This block assembly is the only evaluation of F: `gram_matrix` applies
-it to a tangent basis, and `symplectic_form(u, v)` is its entry [0, 1] on
-the two columns (u, v).
+    sum_{k < L} U_k^T (U_{k+1} - U_k),
+
+carried in one running sum over one sweep along the relation without
+its closing letter c_r, and the other terms are known in closed form:
+
+  - over the free basis c_r is p_{L-1}^-1, so U_L = F(p_{L-1} p_{L-1}^-1) C
+    = 0 and the closing term is -U_{L-1}^T U_{L-1};
+  - a handle term is -w(x, x^-1) = -C_x^T Ad(rho(x)) F(x^-1) C = C_x^T C_x,
+    because Ad(rho(x)) F(x^-1) = -F(x), with C_x the rows of C at the
+    free generator x; summed over all a_i, b_i it is H^T H, H the rows of
+    C at the 2g handle generators;
+  - the identity term is w(1, 1) = U_0^T U_0 = 0 and drops out.
+
+With S_j the lifts of all columns at puncture j, found by one factored
+solve of (Ad(rho(c_j)) - 1) S_j = F(c_j) C, the Gram matrix is
+
+    G = ( sum_{k < L-1} U_k^T (U_{k+1} - U_k) - U_{L-1}^T U_{L-1} + H^T H
+          - sum_j S_j^T F(c_j) C ) / r.
+
+This block assembly is the only evaluation of the pairing: `gram_matrix`
+applies it to a tangent basis, and `symplectic_form(u, v)` is its entry
+[0, 1] on the two columns (u, v).  The word-by-word evaluation against
+the fundamental cycle is kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,43 +75,8 @@ from .cohomology import (
     require_smooth_irreducible,
 )
 from .errors import NotParabolicError
-from .presentation import Representation, Word, evaluate_word, fox_matrix, standard_presentation
-from .unitary import adjoint_matrix, unflatten_algebra
-
-
-@lru_cache(maxsize=None)
-def staircase_terms(genus: int, punctures: int):
-    """Signed word pairs of the fundamental cycle (peripheral terms apart).
-
-    Returns a tuple of (sign, left_word, right_word).  Words are over the
-    full generator alphabet; the degenerate identity term carries weight
-    -2g so that evaluation stays exact on arbitrary (non-normalized)
-    cochains.
-    """
-    pres = standard_presentation(genus, punctures)
-    rel = pres.relation
-    terms = []
-    for k in range(len(rel)):
-        terms.append((1.0, rel[:k], (rel[k],)))
-    for i in range(genus):
-        for idx in (pres.a(i), pres.b(i)):
-            terms.append((-1.0, ((idx, 1),), ((idx, -1),)))
-    if genus > 0:
-        terms.append((-2.0 * genus, (), ()))
-    return tuple(terms)
-
-
-def evaluate_cycle(genus: int, punctures: int, w, q) -> float:
-    """Pair an explicit cone 2-cochain with the fundamental class.
-
-    `w` is a callable on pairs of words, `q` a sequence of callables on
-    words, all real-valued.  Used directly by the coboundary tests; the
-    cocycle pairing below inlines the same sum.
-    """
-    pres = standard_presentation(genus, punctures)
-    total = sum(sign * w(w1, w2) for sign, w1, w2 in staircase_terms(genus, punctures))
-    total += sum(q[j](pres.peripheral_word(j)) for j in range(punctures))
-    return total / punctures
+from .presentation import Representation, fox_matrix, fox_steps
+from .unitary import unflatten_algebra
 
 
 def _cone_lifts(rho: Representation, cols: np.ndarray):
@@ -138,31 +121,22 @@ def lift_to_cone(rho: Representation, values: np.ndarray) -> np.ndarray:
 def _pairing(rho: Representation, cols: np.ndarray) -> np.ndarray:
     """The block sum G of the module docstring on the columns of `cols`.
 
-    Entry [k, l] pairs column k, lifted to the cone, with column l.  The
-    relation prefixes are built letter by letter with the cocycle identity
-    F(w1 w2) = F(w1) + Ad(rho(w1)) F(w2).
+    Entry [k, l] pairs column k, lifted to the cone, with column l.
     """
     pres = rho.presentation
-
-    @lru_cache(maxsize=None)
-    def restrict(w: Word):
-        """Ad(rho(w)) and the values of every column on w."""
-        if len(w) <= 1:
-            return adjoint_matrix(evaluate_word(rho, w)), fox_matrix(rho, w) @ cols
-        ad1, u1 = restrict(w[:-1])
-        ad2, u2 = restrict(w[-1:])
-        return ad1 @ ad2, u1 + ad1 @ u2
-
-    # B(u(w1), Ad(rho(w1)) v(w2)) per staircase term, then -B(s_j, v(c_j))
-    left, right = [], []
-    for sign, w1, w2 in staircase_terms(pres.genus, pres.punctures):
-        ad1, u1 = restrict(w1)
-        left.append(sign * u1)
-        right.append(ad1 @ restrict(w2)[1])
+    d = rho.rank ** 2
+    u = np.zeros((d, cols.shape[1]))
+    total = np.zeros((cols.shape[1], cols.shape[1]))
+    for idx, block in fox_steps(rho, pres.relation[:-1]):
+        step = block @ cols[idx * d:(idx + 1) * d]
+        total += u.T @ step
+        u += step
+    handles = cols[:2 * pres.genus * d]
+    total += handles.T @ handles - u.T @ u
     values, lifts = _cone_lifts(rho, cols)
-    left += [-s for s in lifts]
-    right += values
-    return np.vstack(left).T @ np.vstack(right) / pres.punctures
+    for s, v in zip(lifts, values):
+        total -= s.T @ v
+    return total / pres.punctures
 
 
 def symplectic_form(rho: Representation, u: np.ndarray, v: np.ndarray,

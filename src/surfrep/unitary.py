@@ -63,37 +63,6 @@ def unitarize(u: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    n = u.shape[0]
-    return bool(np.linalg.norm(u.conj().T @ u - np.eye(n)) <= tol)
-
-
-def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Commutator [x, y] = xy - yx."""
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    return x @ y - y @ x
-
-
-def invariant_form(x: np.ndarray, y: np.ndarray) -> float:
-    """B(x, y) = -tr(xy).  Real for skew-Hermitian arguments.
-
-    For generic complex arguments the real part is returned, which equals
-    B on the skew-Hermitian components.
-    """
-    return float(np.real(-np.trace(x @ y)))
-
-
-def algebra_norm(x: np.ndarray) -> float:
-    """Norm induced by the invariant form; equals the Frobenius norm on u(N)."""
-    return float(np.linalg.norm(x))
-
-
-def adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Adjoint action Ad(g) x = g x g^-1 on u(N), re-projected to skew."""
-    return skew_project(g @ x @ g.conj().T)
-
-
 def mat_exp(x: np.ndarray) -> np.ndarray:
     """Exponential of a skew-Hermitian matrix via the spectral theorem.
 
@@ -126,44 +95,6 @@ def cayley(x: np.ndarray) -> np.ndarray:
     m = eye - x
     sol = np.linalg.solve(m.conj().swapaxes(-1, -2), (eye + x).conj().swapaxes(-1, -2))
     return sol.conj().swapaxes(-1, -2)
-
-
-def _nested(*mats: np.ndarray) -> np.ndarray:
-    """Right-nested commutator: _nested(a, b, c) = [a, [b, c]]."""
-    acc = mats[-1]
-    for m in reversed(mats[:-1]):
-        acc = bracket(m, acc)
-    return acc
-
-
-def bch(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
-    """Truncated Baker-Campbell-Hausdorff series log(exp(x) exp(y)).
-
-    Hardcoded nested-commutator coefficients through order 6.  The
-    truncation satisfies
-        || exp(bch(sx, sy, k)) - exp(sx) exp(sy) || = O(s^(k+1)),
-    which is what the scaling tests assert.
-    """
-    if not 1 <= order <= 6:
-        raise ValueError(f"unsupported BCH truncation order {order}")
-    acc = x + y
-    if order >= 2:
-        acc = acc + 0.5 * bracket(x, y)
-    if order >= 3:
-        acc = acc + (_nested(x, x, y) + _nested(y, y, x)) / 12.0
-    if order >= 4:
-        acc = acc - _nested(y, x, x, y) / 24.0
-    if order >= 5:
-        acc = acc - (_nested(y, y, y, y, x) + _nested(x, x, x, x, y)) / 720.0
-        acc = acc + (_nested(x, y, y, y, x) + _nested(y, x, x, x, y)) / 360.0
-        acc = acc + (_nested(y, x, y, x, y) + _nested(x, y, x, y, x)) / 120.0
-    if order >= 6:
-        acc = acc - _nested(y, x, x, x, y, x) / 1440.0
-        acc = acc + _nested(y, y, x, x, y, x) / 720.0
-        acc = acc - _nested(y, x, y, x, y, x) / 240.0
-        acc = acc + _nested(y, y, y, x, y, x) / 1440.0
-        acc = acc - _nested(y, x, y, y, y, x) / 720.0
-    return acc
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,6 @@ import pytest
 import scipy.linalg
 
 from surfrep.cohomology import (
-    coboundary,
     cone_h2_trivial_rank,
     parabolic_tangent_basis,
     peripheral_fixed_space,
@@ -17,18 +16,14 @@ from surfrep.cohomology import (
     unflatten_cochain,
 )
 from surfrep.corpus import obstructed_instance, tangent_direction
-from surfrep.deformation import build_deformation, verify_deformation, word_coefficients
+from surfrep.deformation import build_deformation, verify_deformation
 from surfrep.errors import NoConvergenceError, ObstructionFound
-from surfrep.pairing import evaluate_cycle, gram_matrix, lift_to_cone, symplectic_form
+from surfrep.pairing import gram_matrix, lift_to_cone, symplectic_form
 from surfrep.presentation import SurfaceData, evaluate_word
 from surfrep.solver import SolverConfig, solve
 from surfrep.unitary import (
     ConjugacyClass,
-    adjoint,
     adjoint_matrix,
-    algebra_norm,
-    bch,
-    bracket,
     circle_distance,
     haar_unitary,
     mat_exp,
@@ -37,7 +32,16 @@ from surfrep.unitary import (
     unflatten_algebra,
 )
 
-from oracles import pair_with_lifts
+from oracles import (
+    adjoint,
+    algebra_norm,
+    bch,
+    bracket,
+    coboundary,
+    evaluate_cycle,
+    pair_with_lifts,
+    word_coefficients,
+)
 
 
 def _verdict(num: int, label: str, ok: bool) -> bool:

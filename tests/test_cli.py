@@ -111,6 +111,33 @@ def test_bad_deform_flags_exit_1_before_solving(tmp_path, capsys, monkeypatch, f
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+# a 2x2 identity as [re, im] pairs; the 4-punctured sphere has free rank 3
+_IDENTITY = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("content,kind", [
+    (None, "FileNotFoundError"),
+    ("{not json", "JSONDecodeError"),
+    (json.dumps({"values": [_IDENTITY] * 2}), "ValueError"),
+    (json.dumps([_IDENTITY] * 3), "ValueError"),
+    (json.dumps({"values": [[1.0, 2.0]] * 3}), "ValueError"),
+], ids=["missing", "malformed", "wrong-length", "not-an-object", "not-matrices"])
+def test_bad_direction_file_exits_1_before_solving(tmp_path, capsys, monkeypatch,
+                                                   content, kind):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before the direction file was checked")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    inp = _write(tmp_path, "surf.json", FOUR_PUNCTURE)
+    dirf = tmp_path / "dir.json"
+    if content is not None:
+        dirf.write_text(content)
+    code, out, err = _run(capsys, ["deform", "--input", inp, "--direction-file", str(dirf)])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == kind
+
+
 def test_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

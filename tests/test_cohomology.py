@@ -10,7 +10,6 @@ from surfrep.cohomology import (
     AnalysisReport,
     analyze,
     centralizer_dimension,
-    coboundary,
     coboundary_matrix,
     cone_h2_trivial_rank,
     expected_dimension,
@@ -26,7 +25,7 @@ from surfrep.errors import NotSmoothError, ReducibleError
 from surfrep.presentation import SurfaceData, Representation
 from surfrep.unitary import ConjugacyClass, haar_unitary, skew_project
 
-from oracles import commutant_dimension, peripheral_value
+from oracles import coboundary, commutant_dimension, peripheral_value
 
 
 def _witness(genus, rank, punctures, seed=0):
@@ -169,7 +168,7 @@ def test_block_sums_have_one_centralizer_dimension_per_block(ranks, genus, punct
     rho = _block_sum(genus, punctures, ranks, seed)
     rho.validate()
     report = analyze(rho)
-    assert report.centralizer_dim == len(ranks)
+    assert report.centralizer_dim == len(ranks) == centralizer_dimension(rho)
     assert not report.irreducible
     assert not is_irreducible(rho)
     assert commutant_dimension(rho) == len(ranks)
@@ -179,8 +178,10 @@ def test_commutant_oracle_agrees_on_the_corpus(corpus, obstructed):
     for inst in corpus:
         rho = inst.representation
         assert commutant_dimension(rho) == centralizer_dimension(rho) == 1, inst.name
+        assert analyze(rho).centralizer_dim == 1, inst.name
     rho, _ = obstructed
     assert commutant_dimension(rho) == centralizer_dimension(rho) == 2
+    assert analyze(rho).centralizer_dim == 2
 
 
 def test_expected_dimension_values():

@@ -25,19 +25,17 @@ from surfrep.deformation import (
     series_exp,
     series_log,
     verify_deformation,
-    word_coefficients,
 )
 from surfrep.errors import ObstructionFound
 from surfrep.presentation import evaluate_word
 from surfrep.unitary import (
-    adjoint,
-    algebra_norm,
-    bracket,
     flatten_algebra,
     mat_exp,
     skew_project,
     unflatten_algebra,
 )
+
+from oracles import adjoint, algebra_norm, bracket, word_coefficients
 
 
 def _witness(genus, rank, punctures, seed=0):

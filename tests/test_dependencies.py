@@ -1,10 +1,16 @@
-"""The package runs on numpy alone: scipy is a test-only dependency.
+"""What the package depends on, and what depends on each part of it.
 
-The test process itself imports scipy (it is the oracle for several
-kernels), so the check runs the whole public pipeline and two CLI calls
-in a fresh interpreter and inspects that interpreter's sys.modules.
+The package runs on numpy alone: scipy is a test-only dependency.  The
+test process itself imports scipy (it is the oracle for several kernels),
+so the check runs the whole public pipeline and two CLI calls in a fresh
+interpreter and inspects that interpreter's sys.modules.
+
+Every top-level function and class of the package has a caller in the
+package or its scripts, or is public (in `surfrep.__all__`): code that
+only the tests use lives in the tests.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -50,3 +56,34 @@ def test_pipeline_and_cli_never_import_scipy():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+# Called nowhere in the package; the benchmark counts their calls by name
+# (presentation.word_evals, linalg.min_norm_solves).
+_BENCHMARK_COUNTED = {"extend_cocycle", "min_norm_solve"}
+
+
+def _unreferenced_definitions(roots):
+    """Top-level functions and classes of src/surfrep that no other code in
+    `roots` refers to, by name or attribute; a definition's references to
+    itself do not count."""
+    defined, referenced = set(), set()
+    for root in roots:
+        in_package = root.name == "surfrep"
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for stmt in tree.body:
+                names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    names.discard(stmt.name)
+                    if in_package:
+                        defined.add(stmt.name)
+                referenced |= names
+    return defined - referenced
+
+
+def test_every_package_definition_has_a_caller():
+    root = Path(surfrep.__file__).resolve().parent
+    dead = _unreferenced_definitions([root, root.parents[1] / "scripts"])
+    assert dead - set(surfrep.__all__) - _BENCHMARK_COUNTED == set()

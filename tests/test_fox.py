@@ -2,9 +2,11 @@
 
 Every cocycle restriction in the package (peripheral classes, cone lifts,
 the Gram matrix, the deformation's linear part) goes through
-`fox_matrix`.  The reference here is the letter-by-letter fold of the
-cocycle rule u(w1 w2) = u(w1) + Ad(rho(w1)) u(w2) in matrix form, applied
-to one unit cocycle per column.
+`fox_steps`: the Gram matrix runs it along the relation, the others sum
+it per generator in `fox_matrix`.  The reference here is the
+letter-by-letter fold of the cocycle rule u(w1 w2) = u(w1) + Ad(rho(w1))
+u(w2) in matrix form, applied to one unit cocycle per column, and the
+Gram matrix summed term by term over the fundamental cycle.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from surfrep.cohomology import (
 )
 from surfrep.corpus import CORPUS_SHAPES, obstructed_instance, smooth_instance
 from surfrep.errors import NotParabolicError
-from surfrep.pairing import gram_matrix, staircase_terms
+from surfrep.pairing import gram_matrix
 from surfrep.presentation import evaluate_word, extend_cocycle, fox_matrix
 from surfrep.unitary import (
     adjoint_matrix,
@@ -30,6 +32,8 @@ from surfrep.unitary import (
     skew_project,
     traceless_coordinates,
 )
+
+from oracles import staircase_terms
 
 TOL = 1e-12
 
@@ -212,16 +216,18 @@ def test_gram_matrix_rejects_non_parabolic_basis(witness_u2):
 
 
 def test_analyze_computes_h1_once(monkeypatch, witness_u2):
+    # one coboundary rank decision serves H^1 and the centralizer
     calls = []
-    original = cohomology.h1_basis
+    for name in ("h1_basis", "coboundary_matrix"):
+        original = getattr(cohomology, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(cohomology, "h1_basis", counted)
+        monkeypatch.setattr(cohomology, name, counted)
     cohomology.analyze(witness_u2.representation)
-    assert len(calls) == 1
+    assert sorted(calls) == ["coboundary_matrix", "h1_basis"]
 
 
 def test_gram_matrix_reuses_the_reported_tangent_basis(monkeypatch, witness_u2):

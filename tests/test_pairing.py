@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfrep.cohomology import (
-    coboundary,
+    flatten_cochain,
     parabolic_tangent_basis,
     peripheral_fixed_space,
     unflatten_cochain,
@@ -13,12 +13,11 @@ from surfrep.corpus import CORPUS_SHAPES, smooth_instance, witness_representatio
 from surfrep.errors import NotParabolicError, ReducibleError
 from surfrep.pairing import (
     GramMatrix,
-    evaluate_cycle,
     gram_matrix,
     lift_to_cone,
     symplectic_form,
 )
-from surfrep.presentation import reduce_word, standard_presentation
+from surfrep.presentation import standard_presentation
 from surfrep.unitary import (
     adjoint_matrix,
     flatten_algebra,
@@ -27,7 +26,7 @@ from surfrep.unitary import (
     unflatten_algebra,
 )
 
-from oracles import pair_with_lifts, peripheral_value
+from oracles import coboundary, evaluate_cycle, pair_with_lifts, peripheral_value, reduce_word
 
 
 def _witness(genus, rank, punctures, seed=0):
@@ -107,16 +106,25 @@ def test_skewness(witness_u2, witness_u2_sphere):
                 assert abs(a + b) < 1e-10
 
 
-def test_coboundary_invariance(rng, witness_u2):
-    inst = witness_u2
-    rho = inst.representation
-    u, v = _tangent_cocycles(rho)[:2]
-    x = _random_algebra(rng, rho.rank)
-    shifted = u + coboundary(rho, x)
-    base = symplectic_form(rho, u, v, inst.report)
-    assert abs(symplectic_form(rho, shifted, v, inst.report) - base) < 1e-9
-    shifted_right = v + coboundary(rho, x)
-    assert abs(symplectic_form(rho, u, shifted_right, inst.report) - base) < 1e-9
+def test_coboundary_invariance(rng):
+    # a coboundary added to every tangent basis column leaves the Gram
+    # matrix unchanged; this pins the closed-form handle and closing terms
+    # of the sweep at genus 0-2 and ranks 1-3
+    checked = 0
+    for shape in CORPUS_SHAPES:
+        inst = smooth_instance(*shape)
+        rho, report = inst.representation, inst.report
+        if report.tangent_dim == 0:
+            continue
+        checked += 1
+        cols = report.tangent.basis
+        shifts = [flatten_cochain(rho, coboundary(rho, _random_algebra(rng, rho.rank)))
+                  for _ in range(cols.shape[1])]
+        base = gram_matrix(rho, report=report).entries
+        moved = gram_matrix(rho, cols + np.column_stack(shifts), report).entries
+        err = np.max(np.abs(moved - base))
+        assert err <= 1e-12 * np.max(np.abs(base)), (shape, err)
+    assert checked == len(CORPUS_SHAPES) - 1
 
 
 def test_lift_independence(witness_u2):

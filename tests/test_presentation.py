@@ -9,11 +9,12 @@ from surfrep.presentation import (
     SurfaceData,
     evaluate_word,
     extend_cocycle,
-    reduce_word,
     standard_presentation,
     word_inverse,
 )
-from surfrep.unitary import ConjugacyClass, adjoint, haar_unitary, skew_project
+from surfrep.unitary import ConjugacyClass, haar_unitary, skew_project
+
+from oracles import adjoint, reduce_word
 
 
 def _letters(free_rank):

@@ -28,10 +28,11 @@ from surfrep.solver import (
 from surfrep.unitary import (
     ConjugacyClass,
     algebra_basis,
-    bracket,
     cayley,
     unitarize,
 )
+
+from oracles import bracket
 
 
 class _RefPoint:

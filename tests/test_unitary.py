@@ -13,16 +13,11 @@ from surfrep.unitary import (
     ConjugacyClass,
     adjoint_matrix,
     algebra_basis,
-    algebra_norm,
-    bch,
-    bracket,
     cayley,
     circle_distance,
     flatten_algebra,
     haar_unitary,
-    invariant_form,
     is_skew_hermitian,
-    is_unitary,
     match_class,
     mat_exp,
     property_p_check,
@@ -30,6 +25,8 @@ from surfrep.unitary import (
     unflatten_algebra,
     wrap_angle,
 )
+
+from oracles import algebra_norm, bch, bracket, invariant_form, is_unitary
 
 
 def _random_skew(rng, n, scale=1.0):
