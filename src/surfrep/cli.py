@@ -274,7 +274,8 @@ def main(argv=None) -> int:
     except (ReducibleError, NotSmoothError) as e:
         return _fail(EXIT_NOT_SMOOTH_POINT, type(e).__name__, str(e))
     except ObstructionFound as e:
-        return _fail(EXIT_OBSTRUCTED, "ObstructionFound", str(e))
+        return _fail(EXIT_OBSTRUCTED, "ObstructionFound", str(e),
+                     order=e.order, residual_norm=e.residual_norm)
     _emit(payload, args.output)
     return EXIT_OK
 

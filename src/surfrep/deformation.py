@@ -23,6 +23,34 @@ lower orders and is the residual at the zero candidate.  A direction
 extends past order k exactly when that inhomogeneity is in the range of
 the linear map; the least-squares residual is the obstruction and is
 reported as such.
+
+Series are stored stacked: an array of shape (..., K+1, N, N) holds one
+series truncated at order K per index of its leading axes, axis -3 runs
+over the powers t^0 .. t^K and the last two axes are the matrix.  One
+kernel does all series arithmetic on such stacks: the truncated Cauchy
+product `_cauchy` (every product a_i b_j at once, summed over i + j = m
+by the 0/1 matrix of `_cauchy_mask`), and `_exp` and `_log`, which
+refuse, for the whole stack at once, a constant term that is not 0
+(exp) or I (log).  `MatrixSeries` is the one-series view of the same
+kernel.
+
+`order_residuals` evaluates every peripheral word in one pass of that
+kernel.  A letter x of a word over the free basis contributes the series
+exp(-H_x) rho(x), an inverse letter x^-1 contributes
+rho(x)^dagger exp(H_x): the exponent has the sign -1 for a letter and
++1 for an inverse letter, and the constant rho(x)^(+-1) stands on the
+right of a letter and on the left of an inverse letter.  One stacked
+call takes the exponentials of -H_x and +H_x for every free generator
+and of both conjugator series C_j and -Ad(rho(c_j)) C_j.  A product with
+a constant series is one matrix product per power, so the letters form a
+table of 2 free_rank series plus the identity, and each word is a row of
+slots in that table.  The rows are folded from left to right, one Cauchy
+product per letter position for all punctures at once; the shorter
+words are padded at their end with the identity, whose products are
+exact.  One stacked log then gives H_{c_j} and G_j for every puncture.
+`verify_deformation` instantiates the whole parameter grid the same
+way: a Horner sum over the stacked coefficients, then one batched
+exponential over (t, generator).
 """
 
 from __future__ import annotations
@@ -35,7 +63,7 @@ import numpy as np
 from . import linalg
 from .errors import ObstructionFound
 from .pairing import lift_to_cone
-from .presentation import Representation, Word, evaluate_word, fox_matrix
+from .presentation import Presentation, Representation, evaluate_word, fox_matrix
 from .unitary import (
     adjoint_matrix,
     flatten_algebra,
@@ -61,8 +89,72 @@ def _cauchy_mask(order: int) -> np.ndarray:
     return out
 
 
+def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated products of two stacks of series of the same order."""
+    k1, n = a.shape[-3], a.shape[-1]
+    # all products a[i] @ b[j] at once, then the sums over i + j = m
+    products = a[..., :, None, :, :] @ b[..., None, :, :, :]
+    products = products.reshape(products.shape[:-4] + (k1 * k1, n * n))
+    out = _cauchy_mask(k1 - 1) @ products
+    return out.reshape(out.shape[:-2] + (k1, n, n))
+
+
+def _identity(order: int, n: int) -> np.ndarray:
+    """The constant series I."""
+    out = np.zeros((order + 1, n, n), dtype=complex)
+    out[0] = np.eye(n)
+    return out
+
+
+def _exp(s: np.ndarray) -> np.ndarray:
+    """exp of a stack of series with no constant term (valuation makes the
+    sum finite)."""
+    if np.any(np.linalg.norm(s[..., 0, :, :], axis=(-2, -1)) > 1e-12):
+        raise ValueError("series_exp requires a vanishing constant term")
+    order = s.shape[-3] - 1
+    # the m = 1 term is s itself: the product with I is exact
+    acc = _identity(order, s.shape[-1]) + s
+    term = s
+    for m in range(2, order + 1):
+        term = (1.0 / m) * _cauchy(term, s)
+        acc = acc + term
+    return acc
+
+
+def _log(s: np.ndarray) -> np.ndarray:
+    """log of a stack of series with constant term I.
+
+    Unitary roundoff leaves the constant term within ~1e-14 of I; that
+    part is dropped so the valuation argument (x^m starts at t^m) stays
+    exact.
+    """
+    order = s.shape[-3] - 1
+    x = s - _identity(order, s.shape[-1])
+    if np.any(np.linalg.norm(x[..., 0, :, :], axis=(-2, -1)) > 1e-9):
+        raise ValueError("series_log requires constant term I")
+    x[..., 0, :, :] = 0.0
+    acc = power = x
+    for m in range(2, order + 1):
+        power = _cauchy(power, x)
+        acc = acc + ((-1.0) ** (m + 1) / m) * power
+    return acc
+
+
+def _horner(coeffs: np.ndarray, t) -> np.ndarray:
+    """sum_k coeffs[k] t^k; t is a number or an array that broadcasts
+    against one coefficient."""
+    acc = np.array(coeffs[-1])
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = t * acc + coeffs[k]
+    return acc
+
+
 class MatrixSeries:
-    """Matrix-valued polynomial truncated at a fixed order in t."""
+    """Matrix-valued polynomial truncated at a fixed order in t.
+
+    A view of one series of the stacked kernel: products, `series_exp`
+    and `series_log` call `_cauchy`, `_exp` and `_log`.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -112,86 +204,43 @@ class MatrixSeries:
 
     def __matmul__(self, other: "MatrixSeries") -> "MatrixSeries":
         order = min(self.order, other.order)
-        n = self.dim
-        a = self.coeffs[:order + 1]
-        b = other.coeffs[:order + 1]
-        # all products a[i] @ b[j] at once, then the sums over i + j = m
-        products = (a[:, None] @ b[None]).reshape((order + 1) ** 2, n * n)
-        out = _cauchy_mask(order) @ products
-        return MatrixSeries(out.reshape(order + 1, n, n))
+        return MatrixSeries(_cauchy(self.coeffs[:order + 1], other.coeffs[:order + 1]))
 
     def coefficient(self, k: int) -> np.ndarray:
         return self.coeffs[k]
 
     def eval(self, t: float) -> np.ndarray:
-        acc = np.array(self.coeffs[-1])
-        for k in range(self.order - 1, -1, -1):
-            acc = t * acc + self.coeffs[k]
-        return acc
+        return _horner(self.coeffs, t)
 
 
 def series_exp(s: MatrixSeries) -> MatrixSeries:
-    """exp of a series with no constant term (valuation makes the sum finite)."""
-    if np.linalg.norm(s.coeffs[0]) > 1e-12:
-        raise ValueError("series_exp requires a vanishing constant term")
-    acc = MatrixSeries.constant(np.eye(s.dim), s.order)
-    term = acc
-    for m in range(1, s.order + 1):
-        term = (term @ s).scale(1.0 / m)
-        acc = acc + term
-    return acc
+    """exp of a series with no constant term."""
+    return MatrixSeries(_exp(s.coeffs))
 
 
 def series_log(s: MatrixSeries) -> MatrixSeries:
-    """log of a series with constant term I.
+    """log of a series with constant term I."""
+    return MatrixSeries(_log(s.coeffs))
 
-    Unitary roundoff leaves the constant term within ~1e-14 of I; that
-    part is dropped so the valuation argument (x^m starts at t^m) stays
-    exact.
+
+@lru_cache(maxsize=64)
+def _peripheral_slots(pres: Presentation):
+    """The peripheral words over the free basis and their letters as slots.
+
+    Returns (words, slots): `slots` has one row per puncture and one column
+    per letter position, as many as the longest word has letters (at least
+    one).  A letter x is slot x, an inverse letter x^-1 is slot
+    free_rank + x, and slot 2 free_rank, the identity, pads a row at its
+    end.
     """
-    x = s - MatrixSeries.constant(np.eye(s.dim), s.order)
-    if np.linalg.norm(x.coeffs[0]) > 1e-9:
-        raise ValueError("series_log requires constant term I")
-    x.coeffs[0] = 0.0
-    acc = MatrixSeries.zero(s.dim, s.order)
-    power = MatrixSeries.constant(np.eye(s.dim), s.order)
-    for m in range(1, s.order + 1):
-        power = power @ x
-        acc = acc + power.scale((-1.0) ** (m + 1) / m)
-    return acc
-
-
-def _letter_series(rho: Representation, h: np.ndarray, idx: int, exp: int,
-                   order: int) -> MatrixSeries:
-    hs = MatrixSeries.from_coefficients(h[:, idx], order)
-    base = MatrixSeries.constant(rho.images[idx], order)
-    if exp == 1:
-        return series_exp(-hs) @ base
-    return MatrixSeries.constant(rho.images[idx].conj().T, order) @ series_exp(hs)
-
-
-def word_log_series(rho: Representation, h: np.ndarray, w: Word,
-                    order: int) -> MatrixSeries:
-    """H_w(t) = -log(rho_t(w) rho(w)^dagger) truncated at the given order.
-
-    `h` has shape (m, free_rank, N, N): h[k-1] holds the order-k
-    generator coefficients.
-    """
-    w = rho.presentation.to_free(w)
-    s = MatrixSeries.constant(np.eye(rho.rank), order)
-    for idx, e in w:
-        s = s @ _letter_series(rho, h, idx, e, order)
-    dev = s @ MatrixSeries.constant(evaluate_word(rho, w).conj().T, order)
-    return -series_log(dev)
-
-
-def conjugator_log_series(c_j: np.ndarray, gamma: np.ndarray,
-                          order: int) -> MatrixSeries:
-    """G_j(t) = -log(exp(C_j) exp(-Ad(gamma) C_j)) truncated."""
-    cs = MatrixSeries.from_coefficients(c_j, order)
-    gh = gamma.conj().T
-    ad = MatrixSeries(np.array([gamma @ m @ gh for m in cs.coeffs]))
-    return -series_log(series_exp(cs) @ series_exp(-ad))
+    nf = pres.free_rank
+    words = tuple(pres.to_free(pres.peripheral_word(j)) for j in range(pres.punctures))
+    slots = np.full((pres.punctures, max(1, max(map(len, words)))), 2 * nf)
+    for j, w in enumerate(words):
+        for p, (idx, e) in enumerate(w):
+            slots[j, p] = idx if e == 1 else nf + idx
+    slots.setflags(write=False)
+    return words, slots
 
 
 def order_residuals(rho: Representation, h: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -199,18 +248,34 @@ def order_residuals(rho: Representation, h: np.ndarray, c: np.ndarray) -> np.nda
 
     `h` is (m, free_rank, N, N), `c` is (m, punctures, N, N); the residual
     is taken at order m.  Zero residual at every order up to m means the
-    truncated family stays in the classes to that order.
+    truncated family stays in the classes to that order.  Every puncture
+    is done at once, in the stacked layout of the module docstring.
     """
     pres = rho.presentation
+    n, nf, r = rho.rank, pres.free_rank, pres.punctures
     order = len(h)
-    out = np.empty((pres.punctures, rho.rank, rho.rank), dtype=complex)
-    for j in range(pres.punctures):
-        w = pres.peripheral_word(j)
-        gamma = evaluate_word(rho, pres.to_free(w))
-        hw = word_log_series(rho, h, w, order)
-        gj = conjugator_log_series(c[:, j], gamma, order)
-        out[j] = skew_project(hw.coefficient(order) - gj.coefficient(order))
-    return out
+    words, slots = _peripheral_slots(pres)
+    gamma = np.array([evaluate_word(rho, w) for w in words])
+    gamma_h = gamma.conj().swapaxes(-1, -2)
+    hs = np.zeros((nf, order + 1, n, n), dtype=complex)
+    hs[:, 1:] = np.swapaxes(h, 0, 1)
+    cs = np.zeros((r, order + 1, n, n), dtype=complex)
+    cs[:, 1:] = np.swapaxes(c, 0, 1)
+    ad = gamma[:, None] @ cs @ gamma_h[:, None]
+    exps = _exp(np.concatenate([-hs, hs, cs, -ad]))
+    # a product with a constant series is one matrix product per power
+    images = np.array(rho.images[:nf], dtype=complex).reshape(nf, 1, n, n)
+    table = np.concatenate([exps[:nf] @ images,
+                            images.conj().swapaxes(-1, -2) @ exps[nf:2 * nf],
+                            _identity(order, n)[None]])
+    letters = table[slots]
+    prod = letters[:, 0]
+    for p in range(1, slots.shape[1]):
+        prod = _cauchy(prod, letters[:, p])
+    # rho_t(w) rho(w)^dagger, then exp(C_j) exp(-Ad(rho(c_j)) C_j)
+    logs = -_log(np.concatenate([prod @ gamma_h[:, None],
+                                 _cauchy(exps[2 * nf:2 * nf + r], exps[2 * nf + r:])]))
+    return skew_project(logs[:r, order] - logs[r:, order])
 
 
 def _flatten_residuals(res: np.ndarray) -> np.ndarray:
@@ -255,24 +320,30 @@ class DeformationState:
         return self.h[:, i]
 
     def instantiate(self, t: float) -> Representation:
-        """Evaluate the truncated family at a parameter value.
+        """Evaluate the truncated family at one parameter value."""
+        return self.instantiate_grid([t])[0]
+
+    def instantiate_grid(self, ts) -> list:
+        """Evaluate the truncated family at every parameter value of `ts`.
 
         Free generator images come from the exponential form; the last
         peripheral image is taken in conjugator form, hence lies exactly
         in its class, so the relation residual of the result measures the
-        truncation error.
+        truncation error.  One Horner sum over the stacked coefficients
+        and one batched exponential over (t, generator) serve the grid.
         """
         rho = self.rho
         pres = rho.presentation
-        images = []
-        for i in range(pres.free_rank):
-            ht = MatrixSeries.from_coefficients(self.h[:, i], self.order).eval(t)
-            images.append(mat_exp(skew_project(-ht)) @ rho.images[i])
+        nf, n = pres.free_rank, rho.rank
         jlast = pres.punctures - 1
-        ct = MatrixSeries.from_coefficients(self.c[:, jlast], self.order).eval(t)
-        u = mat_exp(skew_project(ct))
-        last = u @ rho.peripheral_image(jlast) @ u.conj().T
-        return Representation(rho.surface, tuple(images) + (last,))
+        coeffs = np.zeros((self.order + 1, nf + 1, n, n), dtype=complex)
+        coeffs[1:, :nf] = -self.h
+        coeffs[1:, nf] = self.c[:, jlast]
+        t = np.asarray(ts, dtype=float).reshape(-1, 1, 1, 1)
+        u = mat_exp(skew_project(_horner(coeffs, t)))
+        free = u[:, :nf] @ np.array(rho.images[:nf], dtype=complex).reshape(nf, n, n)
+        last = u[:, nf] @ rho.peripheral_image(jlast) @ u[:, nf].conj().swapaxes(-1, -2)
+        return [Representation(rho.surface, tuple(f) + (g,)) for f, g in zip(free, last)]
 
     def to_dict(self) -> dict:
         from .serialize import encode_matrix
@@ -282,6 +353,11 @@ class DeformationState:
             "h": [[encode_matrix(m) for m in level] for level in self.h],
             "c": [[encode_matrix(m) for m in level] for level in self.c],
             "residual_norms": list(self.residual_norms),
+            "linear_rank": None if self.linear_rank is None else {
+                "rank": self.linear_rank.rank,
+                "smallest_kept": self.linear_rank.smallest_kept,
+                "largest_dropped": self.linear_rank.largest_dropped,
+            },
         }
 
 
@@ -429,8 +505,7 @@ def verify_deformation(state: DeformationState, ts=DEFAULT_VERIFY_TS) -> dict:
     relation = []
     classes = []
     totals = []
-    for t in ts:
-        rep = state.instantiate(t)
+    for rep in state.instantiate_grid(ts):
         rel = rep.relation_residual()
         cls = list(rep.class_residuals())
         # the stored last image is class-exact by construction; measure the

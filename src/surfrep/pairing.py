@@ -48,8 +48,12 @@ its closing letter c_r, and the other terms are known in closed form:
     C at the 2g handle generators;
   - the identity term is w(1, 1) = U_0^T U_0 = 0 and drops out.
 
-With S_j the lifts of all columns at puncture j, found by one factored
-solve of (Ad(rho(c_j)) - 1) S_j = F(c_j) C, the Gram matrix is
+The peripheral values need no second walk: for j < r the word c_j is a
+free generator, so F(c_j) C is C_{c_j}, the rows of C at c_j, and
+F(c_r) C = F(p_{L-1}^-1) C = -Ad(rho(c_r)) U_{L-1} comes from the end of
+the same sweep.  With S_j the lifts of all columns at puncture j, found
+by one factored solve of (Ad(rho(c_j)) - 1) S_j = F(c_j) C, the Gram
+matrix is
 
     G = ( sum_{k < L-1} U_k^T (U_{k+1} - U_k) - U_{L-1}^T U_{L-1} + H^T H
           - sum_j S_j^T F(c_j) C ) / r.
@@ -79,31 +83,56 @@ from .presentation import Representation, fox_matrix, fox_steps
 from .unitary import unflatten_algebra
 
 
-def _cone_lifts(rho: Representation, cols: np.ndarray):
-    """Peripheral values and lifts of many cocycles at once.
+def _relation_sweep(rho: Representation, cols: np.ndarray):
+    """One pass of `fox_steps` along the relation without its closing letter.
 
-    `cols` holds one flattened cocycle per column.  Returns two lists over
-    the punctures: the values u(c_j) of every column, fox_matrix(rho, c_j)
-    @ cols, and their minimum-norm lifts, one factored solve per puncture.
-    Ad(rho(c_j)) is orthogonal, so the residual of a column's solve is its
-    component in the fixed space ker(Ad(rho(c_j)) - 1), the cokernel that
-    a parabolic cocycle must miss.
+    Returns the staircase sum sum_{k < L-1} U_k^T (U_{k+1} - U_k) of the
+    module docstring and U_{L-1} = F(p_{L-1}) C, C the columns of `cols`.
+    """
+    d = rho.rank ** 2
+    u = np.zeros((d, cols.shape[1]))
+    total = np.zeros((cols.shape[1], cols.shape[1]))
+    for idx, block in fox_steps(rho, rho.presentation.relation[:-1]):
+        step = block @ cols[idx * d:(idx + 1) * d]
+        total += u.T @ step
+        u += step
+    return total, u
+
+
+def _peripheral_values(rho: Representation, cols: np.ndarray, u_last: np.ndarray):
+    """u(c_j) of every column of `cols`, one (N^2, columns) block per puncture.
+
+    `u_last` is U_{L-1} from `_relation_sweep`.  For j < r the value is
+    the block of `cols` at the free generator c_j; over the free basis c_r
+    is p_{L-1}^-1, so F(c_r) C = -Ad(rho(c_r)) U_{L-1}.
     """
     pres = rho.presentation
-    n2 = rho.rank ** 2
-    values, lifts = [], []
-    for j in range(pres.punctures):
-        vals = fox_matrix(rho, pres.peripheral_word(j)) @ cols
-        lift, stuck = linalg.min_norm_solver(rho.peripheral_adjoint(j) - np.eye(n2))(vals)
+    d = rho.rank ** 2
+    values = [cols[pres.c(j) * d:(pres.c(j) + 1) * d] for j in range(pres.punctures - 1)]
+    return values + [-rho.peripheral_adjoint(pres.punctures - 1) @ u_last]
+
+
+def _cone_lifts(rho: Representation, values):
+    """Minimum-norm lifts of peripheral values, one factored solve per puncture.
+
+    `values[j]` holds u(c_j) of many cocycles, one column each.
+    Ad(rho(c_j)) is orthogonal, so the residual of a column's solve is its
+    component in the fixed space ker(Ad(rho(c_j)) - 1), the cokernel that
+    a parabolic cocycle must miss; NotParabolicError is raised when it is
+    not negligible.
+    """
+    d = rho.rank ** 2
+    lifts = []
+    for j, vals in enumerate(values):
+        lift, stuck = linalg.min_norm_solver(rho.peripheral_adjoint(j) - np.eye(d))(vals)
         bad = np.flatnonzero(stuck > PARABOLIC_TOL * np.maximum(1.0, np.linalg.norm(vals, axis=0)))
         if bad.size:
             raise NotParabolicError(
                 f"cocycle is not parabolic at puncture {j}: "
                 f"fixed-space component {stuck[bad[0]]:.3e}"
             )
-        values.append(vals)
         lifts.append(lift)
-    return values, lifts
+    return lifts
 
 
 def lift_to_cone(rho: Representation, values: np.ndarray) -> np.ndarray:
@@ -113,8 +142,16 @@ def lift_to_cone(rho: Representation, values: np.ndarray) -> np.ndarray:
     space of Ad(rho(c_j)), i.e. when the cocycle is not tangent to the
     class-constrained variety.  The minimum-norm solution is returned; any
     other lift gives the same pairing against parabolic cocycles.
+
+    The values u(c_j) come from the Fox matrix of each peripheral word.
+    `_peripheral_values` gives them to roundoff from the relation sweep,
+    but the deformation's first-order conjugators are these lifts, and
+    every deformation coefficient would move by that roundoff.
     """
-    _, lifts = _cone_lifts(rho, flatten_cochain(rho, values)[:, None])
+    pres = rho.presentation
+    cols = flatten_cochain(rho, values)[:, None]
+    lifts = _cone_lifts(rho, [fox_matrix(rho, pres.peripheral_word(j)) @ cols
+                              for j in range(pres.punctures)])
     return np.array([unflatten_algebra(s[:, 0], rho.rank) for s in lifts])
 
 
@@ -124,17 +161,11 @@ def _pairing(rho: Representation, cols: np.ndarray) -> np.ndarray:
     Entry [k, l] pairs column k, lifted to the cone, with column l.
     """
     pres = rho.presentation
-    d = rho.rank ** 2
-    u = np.zeros((d, cols.shape[1]))
-    total = np.zeros((cols.shape[1], cols.shape[1]))
-    for idx, block in fox_steps(rho, pres.relation[:-1]):
-        step = block @ cols[idx * d:(idx + 1) * d]
-        total += u.T @ step
-        u += step
-    handles = cols[:2 * pres.genus * d]
+    total, u = _relation_sweep(rho, cols)
+    handles = cols[:2 * pres.genus * rho.rank ** 2]
     total += handles.T @ handles - u.T @ u
-    values, lifts = _cone_lifts(rho, cols)
-    for s, v in zip(lifts, values):
+    values = _peripheral_values(rho, cols, u)
+    for s, v in zip(_cone_lifts(rho, values), values):
         total -= s.T @ v
     return total / pres.punctures
 

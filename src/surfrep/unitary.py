@@ -64,14 +64,16 @@ def unitarize(u: np.ndarray) -> np.ndarray:
 
 
 def mat_exp(x: np.ndarray) -> np.ndarray:
-    """Exponential of a skew-Hermitian matrix via the spectral theorem.
+    """Exponential of a skew-Hermitian matrix, or of a stack, via the
+    spectral theorem.
 
     Writes x = i H with H Hermitian, diagonalizes H and exponentiates the
-    spectrum.  The result is unitary to rounding.
+    spectrum; a stack takes one batched `eigh`.  The result is unitary to
+    rounding.
     """
     h = -1j * x
-    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return (v * np.exp(1j * w)) @ v.conj().T
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def cayley(x: np.ndarray) -> np.ndarray:

@@ -11,8 +11,14 @@ package computes in one place:
   reads irreducibility off the u(N) centralizer);
 - a coboundary built from matrices, `coboundary` (the package only needs
   the matrix of the coboundary map);
-- the coefficients of the induced series on a word, `word_coefficients`
-  (the package only needs the peripheral words).
+- the induced series on a word, one letter at a time, `word_log_series`
+  and its coefficients `word_coefficients`, the conjugator series
+  `conjugator_log_series`, and from them the matching residuals puncture
+  by puncture, `reference_order_residuals` (the package evaluates every
+  peripheral word at once in the stacked series kernel of
+  `deformation.order_residuals`);
+- the truncated family at one parameter value, `reference_instantiate`
+  (the package instantiates the whole decay-check grid at once).
 
 The rest are u(N) and word operations that the checks state their
 properties with: the invariant form, the commutator and the truncated
@@ -24,9 +30,14 @@ from functools import lru_cache
 import numpy as np
 
 from surfrep import linalg
-from surfrep.deformation import word_log_series
-from surfrep.presentation import evaluate_word, extend_cocycle, standard_presentation
-from surfrep.unitary import skew_project
+from surfrep.deformation import MatrixSeries, series_exp, series_log
+from surfrep.presentation import (
+    Representation,
+    evaluate_word,
+    extend_cocycle,
+    standard_presentation,
+)
+from surfrep.unitary import mat_exp, skew_project
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +139,70 @@ def coboundary(rho, x):
 def peripheral_value(rho, values, j):
     """u(c_j), computed over the free basis (a word for the last puncture)."""
     return extend_cocycle(rho, values, rho.presentation.peripheral_word(j))
+
+
+# ---------------------------------------------------------------------------
+# deformation series, one word and one letter at a time
+
+
+def _letter_series(rho, h, idx, exp, order):
+    """exp(-H_x) rho(x) for a letter x, rho(x)^dagger exp(H_x) for x^-1."""
+    hs = MatrixSeries.from_coefficients(h[:, idx], order)
+    base = MatrixSeries.constant(rho.images[idx], order)
+    if exp == 1:
+        return series_exp(-hs) @ base
+    return MatrixSeries.constant(rho.images[idx].conj().T, order) @ series_exp(hs)
+
+
+def word_log_series(rho, h, w, order):
+    """H_w(t) = -log(rho_t(w) rho(w)^dagger) truncated at the given order.
+
+    `h` has shape (m, free_rank, N, N): h[k-1] holds the order-k
+    generator coefficients.
+    """
+    w = rho.presentation.to_free(w)
+    s = MatrixSeries.constant(np.eye(rho.rank), order)
+    for idx, e in w:
+        s = s @ _letter_series(rho, h, idx, e, order)
+    dev = s @ MatrixSeries.constant(evaluate_word(rho, w).conj().T, order)
+    return -series_log(dev)
+
+
+def conjugator_log_series(c_j, gamma, order):
+    """G_j(t) = -log(exp(C_j) exp(-Ad(gamma) C_j)) truncated."""
+    cs = MatrixSeries.from_coefficients(c_j, order)
+    gh = gamma.conj().T
+    ad = MatrixSeries(np.array([gamma @ m @ gh for m in cs.coeffs]))
+    return -series_log(series_exp(cs) @ series_exp(-ad))
+
+
+def reference_order_residuals(rho, h, c):
+    """`deformation.order_residuals`, one puncture and one letter at a time."""
+    pres = rho.presentation
+    order = len(h)
+    out = np.empty((pres.punctures, rho.rank, rho.rank), dtype=complex)
+    for j in range(pres.punctures):
+        w = pres.peripheral_word(j)
+        gamma = evaluate_word(rho, pres.to_free(w))
+        hw = word_log_series(rho, h, w, order)
+        gj = conjugator_log_series(c[:, j], gamma, order)
+        out[j] = skew_project(hw.coefficient(order) - gj.coefficient(order))
+    return out
+
+
+def reference_instantiate(state, t):
+    """`DeformationState.instantiate`, one generator at a time."""
+    rho = state.rho
+    pres = rho.presentation
+    images = []
+    for i in range(pres.free_rank):
+        ht = MatrixSeries.from_coefficients(state.h[:, i], state.order).eval(t)
+        images.append(mat_exp(skew_project(-ht)) @ rho.images[i])
+    jlast = pres.punctures - 1
+    ct = MatrixSeries.from_coefficients(state.c[:, jlast], state.order).eval(t)
+    u = mat_exp(skew_project(ct))
+    last = u @ rho.peripheral_image(jlast) @ u.conj().T
+    return Representation(rho.surface, tuple(images) + (last,))
 
 
 def word_coefficients(rho, h, w):

@@ -7,6 +7,8 @@ import pytest
 
 from surfrep import cli
 from surfrep.corpus import obstructed_instance
+from surfrep.deformation import build_deformation
+from surfrep.errors import ObstructionFound
 from surfrep.serialize import encode_values, point_to_dict
 
 HALF_PI = float(np.pi / 2)
@@ -222,6 +224,35 @@ def test_obstructed_deformation_exits_4(tmp_path, capsys):
     payload = json.loads(err)["error"]
     assert payload["type"] == "ObstructionFound"
     assert "order 2" in payload["message"]
+
+
+def test_obstruction_payload_carries_order_and_residual_norm(tmp_path, capsys):
+    # like exit 2's restart_residuals, exit 4 says where the extension stopped
+    rho, direction = obstructed_instance()
+    with pytest.raises(ObstructionFound) as exc:
+        build_deformation(rho, direction, order=3)
+    inp = _write(tmp_path, "point.json", point_to_dict(rho))
+    dirf = _write(tmp_path, "dir.json", {"values": encode_values(direction)})
+    code, _, err = _run(capsys, ["deform", "--input", inp, "--order", "3",
+                                 "--direction-file", dirf])
+    assert code == 4
+    payload = json.loads(err)["error"]
+    assert payload["order"] == exc.value.order == 2
+    assert payload["residual_norm"] == exc.value.residual_norm > 1.0
+
+
+def test_deform_output_reports_the_linear_rank(tmp_path, capsys):
+    inp = _write(tmp_path, "surf.json", FOUR_PUNCTURE)
+    code, out, _ = _run(capsys, ["deform", "--input", inp, "--order", "2"])
+    assert code == 0
+    info = json.loads(out)["deformation"]["linear_rank"]
+    assert set(info) == {"rank", "smallest_kept", "largest_dropped"}
+    assert info["rank"] > 0
+    assert info["smallest_kept"] > 1e-3 > 1e-12 > info["largest_dropped"]
+
+    code, out, _ = _run(capsys, ["deform", "--input", inp, "--order", "1"])
+    assert code == 0
+    assert json.loads(out)["deformation"]["linear_rank"] is None
 
 
 def test_analyze_does_not_refuse_non_smooth_points(tmp_path, capsys):

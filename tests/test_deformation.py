@@ -35,7 +35,14 @@ from surfrep.unitary import (
     unflatten_algebra,
 )
 
-from oracles import adjoint, algebra_norm, bracket, word_coefficients
+from oracles import (
+    adjoint,
+    algebra_norm,
+    bracket,
+    reference_instantiate,
+    reference_order_residuals,
+    word_coefficients,
+)
 
 
 def _witness(genus, rank, punctures, seed=0):
@@ -356,4 +363,98 @@ def test_linear_solve_rank_is_certified(witness_u2):
     assert info == linalg.checked_rank(a, rtol=linalg.SOLVE_RTOL)
     assert 0 < info.rank <= a.shape[0]
     assert info.smallest_kept > 1e-3 > 1e-12 > info.largest_dropped
-    assert "linear_rank" not in state.to_dict()
+    assert state.to_dict()["linear_rank"] == {
+        "rank": info.rank, "smallest_kept": info.smallest_kept,
+        "largest_dropped": info.largest_dropped,
+    }
+    assert build_deformation(rho, direction, order=1).to_dict()["linear_rank"] is None
+
+
+# --- the stacked kernel against the per-letter reference -------------------
+
+def test_stacked_residuals_equal_reference_bit_for_bit(corpus):
+    # every shape at seeds 0-3, random skew lower and top orders
+    rng = np.random.default_rng(11)
+    for inst in corpus:
+        rho = inst.representation
+        for order in (1, 2, 3, 4):
+            h, c = _random_lower_orders(rho, order + 1, rng)
+            stacked = order_residuals(rho, h, c)
+            assert np.array_equal(stacked, reference_order_residuals(rho, h, c)), \
+                (inst.name, order)
+
+
+def _reference_pipeline(monkeypatch, rho, direction, order):
+    """build_deformation and verify_deformation on the per-letter residuals
+    and the per-t instantiation."""
+    with monkeypatch.context() as m:
+        m.setattr(deformation, "order_residuals", reference_order_residuals)
+        m.setattr(deformation.DeformationState, "instantiate_grid",
+                  lambda state, ts: [reference_instantiate(state, t) for t in ts])
+        state = build_deformation(rho, direction, order=order)
+        return state, verify_deformation(state)
+
+
+def test_build_and_verify_equal_reference_pipeline(corpus, monkeypatch):
+    for inst in corpus:
+        if inst.report.tangent_dim == 0:
+            continue
+        rho = inst.representation
+        direction = tangent_direction(rho, 0)
+        state = build_deformation(rho, direction, order=4)
+        report = verify_deformation(state)
+        ref_state, ref_report = _reference_pipeline(monkeypatch, rho, direction, 4)
+        assert np.array_equal(state.h, ref_state.h), inst.name
+        assert np.array_equal(state.c, ref_state.c), inst.name
+        assert state.residual_norms == ref_state.residual_norms, inst.name
+        assert report == ref_report, inst.name
+        for img, ref in zip(state.instantiate(0.03).images,
+                            reference_instantiate(state, 0.03).images):
+            assert np.array_equal(img, ref), inst.name
+
+
+def test_obstruction_equals_reference_pipeline(obstructed, monkeypatch):
+    rho, direction = obstructed
+    with pytest.raises(ObstructionFound) as exc:
+        build_deformation(rho, direction, order=4)
+    with pytest.raises(ObstructionFound) as ref:
+        _reference_pipeline(monkeypatch, rho, direction, 4)
+    assert exc.value.order == ref.value.order == 2
+    assert exc.value.residual_norm == ref.value.residual_norm
+    assert np.array_equal(exc.value.residual_vector, ref.value.residual_vector)
+
+
+def test_stacked_kernel_equals_one_series_at_a_time(rng):
+    a = np.array([_random_series(rng, 3, 4).coeffs for _ in range(5)])
+    b = np.array([_random_series(rng, 3, 4).coeffs for _ in range(5)])
+    a[:, 0] = b[:, 0] = 0.0
+    prod = deformation._cauchy(a, b)
+    exps = deformation._exp(a)
+    logs = deformation._log(exps)
+    for k in range(5):
+        sa, sb = MatrixSeries(a[k]), MatrixSeries(b[k])
+        assert np.array_equal(prod[k], (sa @ sb).coeffs)
+        assert np.array_equal(exps[k], series_exp(sa).coeffs)
+        assert np.array_equal(logs[k], series_log(series_exp(sa)).coeffs)
+
+
+@pytest.mark.parametrize("kernel, bad, good", [
+    (deformation._exp, 2e-12, 5e-13),
+    (deformation._log, 2e-9, 5e-10),
+], ids=["exp", "log"])
+def test_stacked_exp_and_log_refuse_a_bad_constant_term(rng, kernel, bad, good):
+    # one bad member of the stack is enough; exp wants 0 there, log wants I
+    base = np.zeros((4, 3, 2, 2), dtype=complex)
+    if kernel is deformation._log:
+        base[:, 0] = np.eye(2)
+    for size, refused in ((bad, True), (good, False)):
+        stack = base.copy()
+        stack[2, 0, 0, 1] += size
+        if refused:
+            with pytest.raises(ValueError):
+                kernel(stack)
+            with pytest.raises(ValueError):
+                (series_exp if kernel is deformation._exp else series_log)(
+                    MatrixSeries(stack[2]))
+        else:
+            kernel(stack)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import surfrep.cohomology as cohomology
+import surfrep.pairing as pairing
 from surfrep import linalg
 from surfrep.cohomology import (
     _restriction_matrix,
@@ -205,6 +206,38 @@ def test_gram_matrix_matches_reference_assembly(instances):
                       - np.linalg.svd(g_ref, compute_uv=False)).max() < TOL, rho.surface
         checked += 1
     assert checked == len(instances) - 1   # all but the rigid shape
+
+
+def test_sweep_peripheral_values_match_fox_matrix(points):
+    # u(c_j) is the c_j block of the columns for j < r, and
+    # u(c_r) = -Ad(rho(c_r)) U_{L-1} from the end of the relation sweep
+    rng = np.random.default_rng(5)
+    for rho in points:
+        pres = rho.presentation
+        cols = rng.standard_normal((pres.free_rank * rho.rank ** 2, 3))
+        _, u_last = pairing._relation_sweep(rho, cols)
+        values = pairing._peripheral_values(rho, cols, u_last)
+        assert len(values) == pres.punctures
+        for j, v in enumerate(values):
+            ref = fox_matrix(rho, pres.peripheral_word(j)) @ cols
+            assert np.abs(v - ref).max() < TOL, (rho.surface, j)
+
+
+def test_gram_matrix_walks_the_relation_once(monkeypatch, instances):
+    walked = []
+    original = pairing.fox_steps
+
+    def counted(rho, w):
+        walked.append(len(rho.presentation.to_free(w)))
+        return original(rho, w)
+
+    monkeypatch.setattr(pairing, "fox_steps", counted)
+    for inst in instances:
+        if inst.report.tangent_dim == 0:
+            continue
+        walked.clear()
+        gram_matrix(inst.representation, report=inst.report)
+        assert walked == [len(inst.representation.presentation.relation) - 1]
 
 
 def test_gram_matrix_rejects_non_parabolic_basis(witness_u2):
