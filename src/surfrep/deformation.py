@@ -28,29 +28,52 @@ Series are stored stacked: an array of shape (..., K+1, N, N) holds one
 series truncated at order K per index of its leading axes, axis -3 runs
 over the powers t^0 .. t^K and the last two axes are the matrix.  One
 kernel does all series arithmetic on such stacks: the truncated Cauchy
-product `_cauchy` (every product a_i b_j at once, summed over i + j = m
-by the 0/1 matrix of `_cauchy_mask`), and `_exp` and `_log`, which
-refuse, for the whole stack at once, a constant term that is not 0
-(exp) or I (log).  `MatrixSeries` is the one-series view of the same
-kernel.
+product `_cauchy`, and `_exp` and `_log`, which refuse, for the whole
+stack at once, a constant term that is not 0 (exp) or I (log), and drop
+the roundoff that passes the check.  `_cauchy` takes the valuations of
+its factors (a_i = 0 for i < v_a, b_j = 0 for j < v_b) and forms only
+the products a_i b_j with i + j <= K, i >= v_a and j >= v_b, all at
+once, then sums those with i + j = m in the order of i.  The m-th term
+of exp(s) and the m-th power in log(I + x) are products of factors of
+valuations (m - 1, 1), so a series truncated at order 4 needs 10 block
+products for its exponential instead of 75.  Valuation and truncation
+only leave out products that are exactly zero or cut off, and the sums
+keep their order, so a coefficient does not depend on the truncation
+order it was computed at: bit for bit for N >= 2, and up to the last
+bit for N = 1, whose sums BLAS runs as matrix-vector products.
+`MatrixSeries` is the one-series view of the same kernel.
 
 `order_residuals` evaluates every peripheral word in one pass of that
-kernel.  A letter x of a word over the free basis contributes the series
-exp(-H_x) rho(x), an inverse letter x^-1 contributes
-rho(x)^dagger exp(H_x): the exponent has the sign -1 for a letter and
-+1 for an inverse letter, and the constant rho(x)^(+-1) stands on the
-right of a letter and on the left of an inverse letter.  One stacked
-call takes the exponentials of -H_x and +H_x for every free generator
-and of both conjugator series C_j and -Ad(rho(c_j)) C_j.  A product with
-a constant series is one matrix product per power, so the letters form a
-table of 2 free_rank series plus the identity, and each word is a row of
-slots in that table.  The rows are folded from left to right, one Cauchy
-product per letter position for all punctures at once; the shorter
-words are padded at their end with the identity, whose products are
-exact.  One stacked log then gives H_{c_j} and G_j for every puncture.
+kernel and returns the residual at every order.  A letter x of a word
+over the free basis contributes the series exp(-H_x) rho(x), an inverse
+letter x^-1 contributes rho(x)^dagger exp(H_x): the exponent has the
+sign -1 for a letter and +1 for an inverse letter, and the constant
+rho(x)^(+-1) stands on the right of a letter and on the left of an
+inverse letter.  One stacked call takes the exponentials of -H_x and +H_x
+for every free generator and of both conjugator series C_j and
+-Ad(rho(c_j)) C_j.  A product with a constant series is one matrix
+product per power, so the letters form a table of 2 free_rank series
+plus the identity, and each word is a row of slots in that table.  The
+rows are folded from left to right, one Cauchy product per letter
+position for all punctures at once; the shorter words are padded at
+their end with the identity, whose products are exact.  One stacked log
+then gives H_{c_j} and G_j for every puncture.  The images rho(w_j) of
+the peripheral words depend on rho alone; a build evaluates them once.
+
+Evaluation schedule: `solve_next_order` on a family known to order k
+makes one `order_residuals` call on (h_1..h_k, 0), (c_1..c_k, 0),
+truncated at k+1.  Its order-k coefficient checks the order solved last
+(order 1, the cocycle and its lifts, is not a solve and is not checked),
+and its order-(k+1) coefficient is the inhomogeneity of the next solve.
+One last call checks the top order, so an order-K build evaluates the
+full nonlinear residual K times, and every solved order is checked by
+such an evaluation.
+
 `verify_deformation` instantiates the whole parameter grid the same
 way: a Horner sum over the stacked coefficients, then one batched
-exponential over (t, generator).
+exponential over (t, generator).  The relation and the last peripheral
+word are folded once over the stacked grid, and `match_class` takes
+each puncture's (T, N, N) stack in one call.
 """
 
 from __future__ import annotations
@@ -79,23 +102,32 @@ DEFAULT_VERIFY_TS = tuple(10.0 ** e for e in (-1.0, -1.5, -2.0, -2.5, -3.0))
 SLOPE_NOISE_FLOOR = 1e-13
 
 
-@lru_cache(maxsize=16)
-def _cauchy_mask(order: int) -> np.ndarray:
-    """0/1 matrix picking the pairs (i, j) with i + j = m, row m."""
-    k = np.arange(order + 1)
-    mask = (k[None, :, None] + k[None, None, :] == k[:, None, None])
-    out = mask.reshape(order + 1, -1).astype(complex)
-    out.setflags(write=False)
-    return out
+@lru_cache(maxsize=64)
+def _cauchy_pairs(order: int, va: int, vb: int):
+    """The pairs (i, j) with i + j <= order, i >= va and j >= vb, in
+    lexicographic order, and the 0/1 matrix whose row m sums the pairs
+    with i + j = m."""
+    pairs = [(i, j) for i in range(va, order + 1) for j in range(vb, order + 1 - i)]
+    i = np.array([p[0] for p in pairs], dtype=np.intp)
+    j = np.array([p[1] for p in pairs], dtype=np.intp)
+    mask = (i + j == np.arange(order + 1)[:, None]).astype(complex)
+    for arr in (i, j, mask):
+        arr.setflags(write=False)
+    return i, j, mask
 
 
-def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated products of two stacks of series of the same order."""
+def _cauchy(a: np.ndarray, b: np.ndarray, va: int = 0, vb: int = 0) -> np.ndarray:
+    """Truncated products of two stacks of series of the same order.
+
+    `va` and `vb` are valuations: a_i = 0 for i < va and b_j = 0 for
+    j < vb.  Only the products a_i b_j that the truncation keeps and the
+    valuations leave nonzero are formed, all at once, and row m sums those
+    with i + j = m in the order of i.
+    """
     k1, n = a.shape[-3], a.shape[-1]
-    # all products a[i] @ b[j] at once, then the sums over i + j = m
-    products = a[..., :, None, :, :] @ b[..., None, :, :, :]
-    products = products.reshape(products.shape[:-4] + (k1 * k1, n * n))
-    out = _cauchy_mask(k1 - 1) @ products
+    i, j, mask = _cauchy_pairs(k1 - 1, va, vb)
+    products = np.take(a, i, axis=-3) @ np.take(b, j, axis=-3)
+    out = mask @ products.reshape(products.shape[:-3] + (i.size, n * n))
     return out.reshape(out.shape[:-2] + (k1, n, n))
 
 
@@ -107,16 +139,22 @@ def _identity(order: int, n: int) -> np.ndarray:
 
 
 def _exp(s: np.ndarray) -> np.ndarray:
-    """exp of a stack of series with no constant term (valuation makes the
-    sum finite)."""
+    """exp of a stack of series with no constant term.
+
+    A constant term below 1e-12 is roundoff and is dropped, so that s has
+    valuation 1, the m-th term valuation m, and the sum stops at the
+    truncation order.
+    """
     if np.any(np.linalg.norm(s[..., 0, :, :], axis=(-2, -1)) > 1e-12):
         raise ValueError("series_exp requires a vanishing constant term")
     order = s.shape[-3] - 1
+    s = s.copy()
+    s[..., 0, :, :] = 0.0
     # the m = 1 term is s itself: the product with I is exact
     acc = _identity(order, s.shape[-1]) + s
     term = s
     for m in range(2, order + 1):
-        term = (1.0 / m) * _cauchy(term, s)
+        term = (1.0 / m) * _cauchy(term, s, m - 1, 1)
         acc = acc + term
     return acc
 
@@ -135,7 +173,7 @@ def _log(s: np.ndarray) -> np.ndarray:
     x[..., 0, :, :] = 0.0
     acc = power = x
     for m in range(2, order + 1):
-        power = _cauchy(power, x)
+        power = _cauchy(power, x, m - 1, 1)
         acc = acc + ((-1.0) ** (m + 1) / m) * power
     return acc
 
@@ -243,19 +281,33 @@ def _peripheral_slots(pres: Presentation):
     return words, slots
 
 
-def order_residuals(rho: Representation, h: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Top-order coefficients of H_{c_j} - G_j, one skew matrix per puncture.
+def _peripheral_images(rho: Representation) -> np.ndarray:
+    """rho(w_j) for the peripheral word of every puncture, (punctures, N, N).
 
-    `h` is (m, free_rank, N, N), `c` is (m, punctures, N, N); the residual
-    is taken at order m.  Zero residual at every order up to m means the
-    truncated family stays in the classes to that order.  Every puncture
-    is done at once, in the stacked layout of the module docstring.
+    It depends on rho alone, so a build evaluates it once and hands it to
+    `matching_matrix` and to every `order_residuals` call.
+    """
+    words, _ = _peripheral_slots(rho.presentation)
+    return np.array([evaluate_word(rho, w) for w in words])
+
+
+def order_residuals(rho: Representation, h: np.ndarray, c: np.ndarray,
+                    gamma: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of H_{c_j} - G_j at orders 1..m, one skew matrix per puncture.
+
+    `h` is (m, free_rank, N, N), `c` is (m, punctures, N, N); the result
+    is (m, punctures, N, N) in the same layout, row k-1 holding order k.
+    Zero residual at every order up to m means the truncated family stays
+    in the classes to that order.  `gamma` is `_peripheral_images(rho)`,
+    evaluated here when not given.  Every puncture is done at once, in the
+    stacked layout of the module docstring.
     """
     pres = rho.presentation
     n, nf, r = rho.rank, pres.free_rank, pres.punctures
     order = len(h)
-    words, slots = _peripheral_slots(pres)
-    gamma = np.array([evaluate_word(rho, w) for w in words])
+    _, slots = _peripheral_slots(pres)
+    if gamma is None:
+        gamma = _peripheral_images(rho)
     gamma_h = gamma.conj().swapaxes(-1, -2)
     hs = np.zeros((nf, order + 1, n, n), dtype=complex)
     hs[:, 1:] = np.swapaxes(h, 0, 1)
@@ -275,7 +327,7 @@ def order_residuals(rho: Representation, h: np.ndarray, c: np.ndarray) -> np.nda
     # rho_t(w) rho(w)^dagger, then exp(C_j) exp(-Ad(rho(c_j)) C_j)
     logs = -_log(np.concatenate([prod @ gamma_h[:, None],
                                  _cauchy(exps[2 * nf:2 * nf + r], exps[2 * nf + r:])]))
-    return skew_project(logs[:r, order] - logs[r:, order])
+    return skew_project(np.swapaxes(logs[:r, 1:] - logs[r:, 1:], 0, 1))
 
 
 def _flatten_residuals(res: np.ndarray) -> np.ndarray:
@@ -324,7 +376,13 @@ class DeformationState:
         return self.instantiate_grid([t])[0]
 
     def instantiate_grid(self, ts) -> list:
-        """Evaluate the truncated family at every parameter value of `ts`.
+        """Evaluate the truncated family at every parameter value of `ts`."""
+        surface = self.rho.surface
+        return [Representation(surface, images) for images in zip(*self._grid_images(ts))]
+
+    def _grid_images(self, ts) -> tuple:
+        """The images of the family on the grid, one (T, N, N) stack per
+        generator.
 
         Free generator images come from the exponential form; the last
         peripheral image is taken in conjugator form, hence lies exactly
@@ -343,7 +401,7 @@ class DeformationState:
         u = mat_exp(skew_project(_horner(coeffs, t)))
         free = u[:, :nf] @ np.array(rho.images[:nf], dtype=complex).reshape(nf, n, n)
         last = u[:, nf] @ rho.peripheral_image(jlast) @ u[:, nf].conj().swapaxes(-1, -2)
-        return [Representation(rho.surface, tuple(f) + (g,)) for f, g in zip(free, last)]
+        return tuple(free[:, i] for i in range(nf)) + (last,)
 
     def to_dict(self) -> dict:
         from .serialize import encode_matrix
@@ -367,7 +425,7 @@ def first_order_data(rho: Representation, direction: np.ndarray):
     return direction, lift_to_cone(rho, direction)
 
 
-def matching_matrix(rho: Representation) -> np.ndarray:
+def matching_matrix(rho: Representation, gamma: np.ndarray | None = None) -> np.ndarray:
     """Linear part of the top-order matching conditions, in closed form.
 
     Maps the flattened unknowns (h_top, c_top), in the layout read by
@@ -376,51 +434,64 @@ def matching_matrix(rho: Representation) -> np.ndarray:
     puncture j the top coefficient enters H_w through its cocycle
     extension, so its block is `fox_matrix(rho, w)`; c_top^j enters G_j
     as (Ad(rho(c_j)) - 1) c_top^j, so its block is I - Ad(rho(c_j)).
+    `gamma` is `_peripheral_images(rho)`, evaluated here when not given.
     """
     pres = rho.presentation
     d = rho.rank ** 2
     nf, r = pres.free_rank, pres.punctures
+    words, _ = _peripheral_slots(pres)
+    if gamma is None:
+        gamma = _peripheral_images(rho)
     a = np.zeros((r * d, (nf + r) * d))
-    for j in range(r):
-        w = pres.to_free(pres.peripheral_word(j))
+    for j, w in enumerate(words):
         rows = a[j * d:(j + 1) * d]
         rows[:, :nf * d] = fox_matrix(rho, w)
-        rows[:, (nf + j) * d:(nf + j + 1) * d] = (
-            np.eye(d) - adjoint_matrix(evaluate_word(rho, w)))
+        rows[:, (nf + j) * d:(nf + j + 1) * d] = np.eye(d) - adjoint_matrix(gamma[j])
     return a
 
 
-def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
-                     tol: float = OBSTRUCTION_TOL, solver=None):
-    """Extend a family known to order k by one order.
+def _checked_order(res: np.ndarray, order: int, tol: float) -> float:
+    """Norm of one order's residuals; ObstructionFound if it exceeds `tol`."""
+    flat = _flatten_residuals(res)
+    norm = float(np.linalg.norm(flat))
+    if norm > tol:
+        raise ObstructionFound(order, flat, norm)
+    return norm
 
-    The order-(k+1) matching conditions are affine in the unknown top
-    coefficients: the linear part is `matching_matrix(rho)`, the
-    inhomogeneity is the residual at the zero candidate.  The system is
+
+def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
+                     tol: float = OBSTRUCTION_TOL, solver=None, gamma=None):
+    """Check the top order of a family known to order k, then solve order k+1.
+
+    One `order_residuals` call on (h_1..h_k, 0), (c_1..c_k, 0) serves
+    both: its order-k coefficient is the residual of the order solved
+    last, and its order-(k+1) coefficient is the inhomogeneity b of the
+    order-(k+1) matching conditions, which are affine in the unknown top
+    coefficients with linear part `matching_matrix(rho)`.  The system is
     solved at minimum norm by `solver`, a `linalg.min_norm_solver` of the
-    matching matrix, factored here when not given.  Raises
-    ObstructionFound when the residual at the solution exceeds `tol`.
+    matching matrix, factored here when not given; `gamma` is
+    `_peripheral_images(rho)`, likewise.
+
+    Returns (h_top, c_top, norm), norm being the order-k residual norm,
+    or None for k = 1, whose coefficients are the cocycle and its lifts
+    rather than a solve.  Raises ObstructionFound when that residual
+    exceeds `tol`.
     """
     pres = rho.presentation
     n = rho.rank
     nf, r = pres.free_rank, pres.punctures
+    k = len(h)
+    if gamma is None:
+        gamma = _peripheral_images(rho)
     if solver is None:
-        solver = linalg.min_norm_solver(matching_matrix(rho))
-
-    def residual(h_top, c_top):
-        res = order_residuals(rho,
-                              np.concatenate([h, h_top[None]]),
-                              np.concatenate([c, c_top[None]]))
-        return _flatten_residuals(res)
-
-    b = residual(np.zeros((nf, n, n), dtype=complex),
-                 np.zeros((r, n, n), dtype=complex))
-    x, _ = solver(-b)
+        solver = linalg.min_norm_solver(matching_matrix(rho, gamma))
+    res = order_residuals(rho,
+                          np.concatenate([h, np.zeros((1, nf, n, n), dtype=complex)]),
+                          np.concatenate([c, np.zeros((1, r, n, n), dtype=complex)]),
+                          gamma)
+    norm = None if k == 1 else _checked_order(res[k - 1], k, tol)
+    x, _ = solver(-_flatten_residuals(res[k]))
     h_top, c_top = _unpack_unknowns(x, nf, r, n)
-    final = residual(h_top, c_top)
-    norm = float(np.linalg.norm(final))
-    if norm > tol:
-        raise ObstructionFound(len(h) + 1, final, norm)
     return h_top, c_top, norm
 
 
@@ -429,9 +500,13 @@ def build_deformation(rho: Representation, direction: np.ndarray, order: int,
     """Solve the matching conditions order by order up to the given order.
 
     The direction must be a parabolic cocycle (values on the free
-    generators).  The matching matrix is built, rank-certified and
-    factored once for all orders.  Raises ObstructionFound at the first
-    order whose inhomogeneity leaves the range of the linear part.
+    generators).  The peripheral images are evaluated, and the matching
+    matrix is built, rank-certified and factored, once for all orders.
+    Each `solve_next_order` checks the order before it; one last
+    `order_residuals` call checks the top order, so an order-K build
+    evaluates the residual series K times.  Raises ObstructionFound at
+    the first order whose inhomogeneity leaves the range of the linear
+    part.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -439,16 +514,19 @@ def build_deformation(rho: Representation, direction: np.ndarray, order: int,
     h = h1[None]
     c = c1[None]
     norms = []
-    rank = solver = None
+    rank = None
     if order > 1:
-        a = matching_matrix(rho)
+        gamma = _peripheral_images(rho)
+        a = matching_matrix(rho, gamma)
         rank = linalg.checked_rank(a, rtol=linalg.SOLVE_RTOL)
         solver = linalg.min_norm_solver(a)
-    for _ in range(1, order):
-        h_top, c_top, norm = solve_next_order(rho, h, c, tol, solver)
-        h = np.concatenate([h, h_top[None]])
-        c = np.concatenate([c, c_top[None]])
-        norms.append(norm)
+        for _ in range(1, order):
+            h_top, c_top, norm = solve_next_order(rho, h, c, tol, solver, gamma)
+            h = np.concatenate([h, h_top[None]])
+            c = np.concatenate([c, c_top[None]])
+            if norm is not None:
+                norms.append(norm)
+        norms.append(_checked_order(order_residuals(rho, h, c, gamma)[-1], order, tol))
     return DeformationState(rho, h, c, tuple(norms), rank)
 
 
@@ -489,6 +567,40 @@ def check_t_samples(ts) -> list:
     return ts
 
 
+def _word_on_grid(stacks: tuple, w, n: int) -> np.ndarray:
+    """`Representation.evaluate` on every grid point at once: the product
+    along w of the generator stacks of `DeformationState._grid_images`."""
+    out = np.broadcast_to(np.eye(n, dtype=complex), stacks[0].shape)
+    for idx, e in w:
+        m = stacks[idx]
+        out = out @ (m if e == 1 else m.conj().swapaxes(-1, -2))
+    return out
+
+
+def _grid_residuals(state: DeformationState, ts) -> tuple:
+    """Relation residual and class residuals of the family at every t.
+
+    Returns (relation, classes): one float per t, and per t one float per
+    puncture.  The relation and the last peripheral word are folded once
+    over the stacked grid, and `match_class` takes each puncture's stack
+    of T images in one call.
+    """
+    rho = state.rho
+    pres = rho.presentation
+    n, r = rho.rank, pres.punctures
+    classes = rho.surface.classes
+    stacks = state._grid_images(ts)
+    eye = np.eye(n)
+    relation = [float(np.linalg.norm(m - eye))
+                for m in _word_on_grid(stacks, pres.relation, n)]
+    per_puncture = [match_class(stacks[pres.c(j)], classes[j]) for j in range(r - 1)]
+    # the stored last image is class-exact by construction; measure the
+    # free-word product against the class instead
+    per_puncture.append(match_class(_word_on_grid(stacks, pres.last_peripheral_word, n),
+                                    classes[r - 1]))
+    return relation, np.array(per_puncture).T.tolist()
+
+
 def verify_deformation(state: DeformationState, ts=DEFAULT_VERIFY_TS) -> dict:
     """Instantiate the family on a parameter grid and fit the decay slope.
 
@@ -497,26 +609,12 @@ def verify_deformation(state: DeformationState, ts=DEFAULT_VERIFY_TS) -> dict:
     t^(K+1).  Points below the double-precision noise floor are excluded
     from the fit; if fewer than two usable points remain the residuals are
     identically at the floor (exact families) and the slope is reported as
-    infinite.  The grid is checked by `check_t_samples`.
+    infinite.  The grid is checked by `check_t_samples`; the residuals
+    come from `_grid_residuals`.
     """
-    rho = state.rho
-    pres = rho.presentation
     ts = check_t_samples(ts)
-    relation = []
-    classes = []
-    totals = []
-    for rep in state.instantiate_grid(ts):
-        rel = rep.relation_residual()
-        cls = list(rep.class_residuals())
-        # the stored last image is class-exact by construction; measure the
-        # free-word product against the class instead
-        cls[-1] = match_class(
-            evaluate_word(rep, pres.last_peripheral_word),
-            rho.surface.classes[pres.punctures - 1],
-        )
-        relation.append(rel)
-        classes.append(cls)
-        totals.append(rel + sum(cls))
+    relation, classes = _grid_residuals(state, ts)
+    totals = [rel + sum(cls) for rel, cls in zip(relation, classes)]
     usable = [(t, v) for t, v in zip(ts, totals) if v > SLOPE_NOISE_FLOOR]
     if len(usable) < 2:
         slope = float("inf")

@@ -37,6 +37,8 @@ class RankInfo:
     rank: int
     smallest_kept: float
     largest_dropped: float
+    # the last singular value of the SVD the rank was read from
+    smallest_singular_value: float | None = None
 
     @property
     def gap(self):
@@ -45,13 +47,15 @@ class RankInfo:
 
 def _svd_rank_from_singular_values(s: np.ndarray, rtol: float,
                                     atol: float = RANK_ATOL) -> RankInfo:
-    if s.size == 0 or s[0] <= atol:
-        return RankInfo(0, float("inf"), float(s[0]) if s.size else 0.0)
+    if s.size == 0:
+        return RankInfo(0, float("inf"), 0.0)
+    if s[0] <= atol:
+        return RankInfo(0, float("inf"), float(s[0]), float(s[-1]))
     keep = s > max(rtol * s[0], atol)
     rank = int(np.count_nonzero(keep))
     smallest_kept = float(s[rank - 1]) if rank > 0 else float("inf")
     largest_dropped = float(s[rank]) if rank < s.size else 0.0
-    return RankInfo(rank, smallest_kept, largest_dropped)
+    return RankInfo(rank, smallest_kept, largest_dropped, float(s[-1]))
 
 
 def rank_svd(m: np.ndarray, rtol: float = RANK_RTOL) -> RankInfo:

@@ -220,5 +220,4 @@ def gram_matrix(rho: Representation, basis: Subspace | np.ndarray | None = None,
         return GramMatrix(np.zeros((0, 0)), 0, None, (float("inf"), 0.0))
     entries = _pairing(rho, cols)
     info = linalg.checked_rank(entries)
-    svals = np.linalg.svd(entries, compute_uv=False)
-    return GramMatrix(entries, info.rank, float(svals[-1]), info.gap)
+    return GramMatrix(entries, info.rank, info.smallest_singular_value, info.gap)

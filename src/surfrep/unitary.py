@@ -266,16 +266,22 @@ def _permutation_table(n: int) -> np.ndarray:
     return table
 
 
-def match_class(u: np.ndarray, cls: ConjugacyClass) -> float:
+def match_class(u: np.ndarray, cls: ConjugacyClass):
     """Largest circular eigenvalue mismatch between u and the class.
 
     Pairs the eigenvalue angles of u with the recorded class angles by the
     assignment of least total circular distance, found by trying every
     permutation (N! of them, at most 6 for N <= 3), and returns the largest
     distance in that pairing.  Distances are wrapped, so wrap-around at 0
-    is handled correctly.
+    is handled correctly.  A float for one matrix; for a stack (..., N, N)
+    an array holding the same float for each member.
     """
     eig = np.angle(np.linalg.eigvals(u))
-    dist = np.abs(wrap_angle(eig[:, None] - np.array(cls.angles)[None, :]))
-    paired = dist[np.arange(eig.size), _permutation_table(eig.size)]
-    return float(paired[np.argmin(paired.sum(axis=1))].max())
+    n = eig.shape[-1]
+    dist = np.abs(wrap_angle(eig[..., :, None] - np.array(cls.angles)))
+    paired = dist[..., np.arange(n), _permutation_table(n)]
+    worst = paired.max(axis=-1)
+    best = np.argmin(paired.sum(axis=-1), axis=-1)
+    if u.ndim == 2:
+        return float(worst[best])
+    return np.take_along_axis(worst, best[..., None], axis=-1)[..., 0]

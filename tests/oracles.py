@@ -11,14 +11,19 @@ package computes in one place:
   reads irreducibility off the u(N) centralizer);
 - a coboundary built from matrices, `coboundary` (the package only needs
   the matrix of the coboundary map);
+- the truncated series product over all (K+1)^2 pairs of coefficients,
+  `all_pairs_cauchy`, and the exponential and log built on it,
+  `all_pairs_exp` and `all_pairs_log` (the package forms only the pairs
+  that truncation and valuation leave nonzero);
 - the induced series on a word, one letter at a time, `word_log_series`
   and its coefficients `word_coefficients`, the conjugator series
   `conjugator_log_series`, and from them the matching residuals puncture
   by puncture, `reference_order_residuals` (the package evaluates every
   peripheral word at once in the stacked series kernel of
   `deformation.order_residuals`);
-- the truncated family at one parameter value, `reference_instantiate`
-  (the package instantiates the whole decay-check grid at once).
+- the truncated family at one parameter value, `reference_instantiate`,
+  and its residuals one t at a time, `reference_grid_residuals` (the
+  package instantiates and checks the whole decay-check grid at once).
 
 The rest are u(N) and word operations that the checks state their
 properties with: the invariant form, the commutator and the truncated
@@ -37,7 +42,7 @@ from surfrep.presentation import (
     extend_cocycle,
     standard_presentation,
 )
-from surfrep.unitary import mat_exp, skew_project
+from surfrep.unitary import mat_exp, match_class, skew_project
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +147,55 @@ def peripheral_value(rho, values, j):
 
 
 # ---------------------------------------------------------------------------
+# truncated series over all pairs of coefficients
+
+
+@lru_cache(maxsize=16)
+def cauchy_mask(order):
+    """0/1 matrix picking the pairs (i, j) with i + j = m, row m."""
+    k = np.arange(order + 1)
+    mask = (k[None, :, None] + k[None, None, :] == k[:, None, None])
+    return mask.reshape(order + 1, -1).astype(complex)
+
+
+def all_pairs_cauchy(a, b):
+    """Truncated products of two stacks of series (..., K+1, N, N): every
+    product a_i b_j, summed over i + j = m by `cauchy_mask`."""
+    k1, n = a.shape[-3], a.shape[-1]
+    products = a[..., :, None, :, :] @ b[..., None, :, :, :]
+    products = products.reshape(products.shape[:-4] + (k1 * k1, n * n))
+    out = cauchy_mask(k1 - 1) @ products
+    return out.reshape(out.shape[:-2] + (k1, n, n))
+
+
+def _series_identity(s):
+    out = np.zeros(s.shape, dtype=complex)
+    out[..., 0, :, :] = np.eye(s.shape[-1])
+    return out
+
+
+def all_pairs_exp(s):
+    """exp of a stack of series with zero constant term, by `all_pairs_cauchy`."""
+    acc = _series_identity(s) + s
+    term = s
+    for m in range(2, s.shape[-3]):
+        term = (1.0 / m) * all_pairs_cauchy(term, s)
+        acc = acc + term
+    return acc
+
+
+def all_pairs_log(s):
+    """log of a stack of series with constant term I, by `all_pairs_cauchy`."""
+    x = s - _series_identity(s)
+    x[..., 0, :, :] = 0.0
+    acc = power = x
+    for m in range(2, s.shape[-3]):
+        power = all_pairs_cauchy(power, x)
+        acc = acc + ((-1.0) ** (m + 1) / m) * power
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # deformation series, one word and one letter at a time
 
 
@@ -176,17 +230,19 @@ def conjugator_log_series(c_j, gamma, order):
     return -series_log(series_exp(cs) @ series_exp(-ad))
 
 
-def reference_order_residuals(rho, h, c):
-    """`deformation.order_residuals`, one puncture and one letter at a time."""
+def reference_order_residuals(rho, h, c, gamma=None):
+    """`deformation.order_residuals`, one puncture and one letter at a time;
+    the peripheral images are evaluated here whether given or not."""
     pres = rho.presentation
     order = len(h)
-    out = np.empty((pres.punctures, rho.rank, rho.rank), dtype=complex)
+    out = np.empty((order, pres.punctures, rho.rank, rho.rank), dtype=complex)
     for j in range(pres.punctures):
         w = pres.peripheral_word(j)
-        gamma = evaluate_word(rho, pres.to_free(w))
+        gamma_j = evaluate_word(rho, pres.to_free(w))
         hw = word_log_series(rho, h, w, order)
-        gj = conjugator_log_series(c[:, j], gamma, order)
-        out[j] = skew_project(hw.coefficient(order) - gj.coefficient(order))
+        gj = conjugator_log_series(c[:, j], gamma_j, order)
+        for k in range(1, order + 1):
+            out[k - 1, j] = skew_project(hw.coefficient(k) - gj.coefficient(k))
     return out
 
 
@@ -203,6 +259,23 @@ def reference_instantiate(state, t):
     u = mat_exp(skew_project(ct))
     last = u @ rho.peripheral_image(jlast) @ u.conj().T
     return Representation(rho.surface, tuple(images) + (last,))
+
+
+def reference_grid_residuals(state, ts):
+    """`deformation._grid_residuals`, one t and one representation at a time."""
+    rho = state.rho
+    pres = rho.presentation
+    relation, classes = [], []
+    for t in ts:
+        rep = reference_instantiate(state, t)
+        cls = list(rep.class_residuals())
+        # the stored last image is class-exact by construction; measure the
+        # free-word product against the class instead
+        cls[-1] = match_class(evaluate_word(rep, pres.last_peripheral_word),
+                              rho.surface.classes[pres.punctures - 1])
+        relation.append(rep.relation_residual())
+        classes.append(cls)
+    return relation, classes
 
 
 def word_coefficients(rho, h, w):

@@ -38,7 +38,11 @@ from surfrep.unitary import (
 from oracles import (
     adjoint,
     algebra_norm,
+    all_pairs_cauchy,
+    all_pairs_exp,
+    all_pairs_log,
     bracket,
+    reference_grid_residuals,
     reference_instantiate,
     reference_order_residuals,
     word_coefficients,
@@ -243,7 +247,7 @@ def test_default_ts_cover_two_decades():
 def _flat_residual(rho, h, c, h_top, c_top):
     res = order_residuals(rho, np.concatenate([h, h_top[None]]),
                           np.concatenate([c, c_top[None]]))
-    return np.concatenate([flatten_algebra(m) for m in res])
+    return np.concatenate([flatten_algebra(m) for m in res[-1]])
 
 
 def _unpack(vec, rho):
@@ -314,22 +318,78 @@ def _reference_build(rho, direction, order):
     return h, c, None
 
 
-def test_two_residual_evaluations_per_order(witness_u2, monkeypatch):
+def test_one_residual_evaluation_per_order(witness_u2, monkeypatch):
+    # solve_next_order on an order-k family evaluates (h_1..h_k, 0) once:
+    # order k is its check, order k+1 its inhomogeneity; one last call
+    # checks the top order
     calls = []
-    original = deformation.order_residuals
+    original_residuals = deformation.order_residuals
+    original_next = deformation.solve_next_order
 
-    def counted(*args):
-        calls.append(len(args[1]))
-        return original(*args)
+    def counted_residuals(*args):
+        calls.append(("order_residuals", len(args[1])))
+        return original_residuals(*args)
 
-    monkeypatch.setattr(deformation, "order_residuals", counted)
+    def counted_next(*args):
+        calls.append(("solve_next_order", len(args[1])))
+        return original_next(*args)
+
+    def counted_word(*args):
+        calls.append(("evaluate_word", None))
+        return evaluate_word(*args)
+
+    monkeypatch.setattr(deformation, "order_residuals", counted_residuals)
+    monkeypatch.setattr(deformation, "solve_next_order", counted_next)
+    monkeypatch.setattr(deformation, "evaluate_word", counted_word)
     rho = witness_u2.representation
     direction = tangent_direction(rho, 0)
-    for order in (1, 2, 4):
+    for order in (1, 2, 3, 4):
         calls.clear()
         build_deformation(rho, direction, order=order)
-        assert len(calls) == 2 * (order - 1)
-        assert calls == [k for k in range(2, order + 1) for _ in range(2)]
+        # the peripheral images are evaluated once per build
+        expected = [("evaluate_word", None)] * rho.surface.punctures if order > 1 else []
+        expected += [call for k in range(1, order)
+                     for call in (("solve_next_order", k), ("order_residuals", k + 1))]
+        if order > 1:
+            expected.append(("order_residuals", order))
+        assert calls == expected
+        assert sum(name == "order_residuals" for name, _ in calls) == (order if order > 1 else 0)
+
+
+def test_each_order_check_matches_a_fresh_top_order_evaluation(witness_u1, witness_u2,
+                                                              witness_u3, witness_u2_sphere):
+    # the check of order k is read off an evaluation truncated at k+1;
+    # it must equal the top coefficient of the family truncated at k
+    for inst in (witness_u1, witness_u2, witness_u3, witness_u2_sphere):
+        rho = inst.representation
+        state = build_deformation(rho, tangent_direction(rho, 0), order=5)
+        assert len(state.residual_norms) == 4
+        for k, norm in zip(range(2, 6), state.residual_norms):
+            fresh = order_residuals(rho, state.h[:k], state.c[:k])[-1]
+            fresh_norm = np.linalg.norm(np.concatenate([flatten_algebra(m) for m in fresh]))
+            assert abs(norm - fresh_norm) <= 1e-15, (inst.name, k)
+
+
+def test_obstruction_vector_does_not_depend_on_the_build_order(obstructed):
+    # order 2 is checked by the top-order call at build order 2 and by the
+    # next order's evaluation at build orders 3 and 4: one vector, bit for
+    # bit, equal to a fresh evaluation at the least-squares solution
+    rho, direction = obstructed
+    raised = []
+    for order in (2, 3, 4):
+        with pytest.raises(ObstructionFound) as exc:
+            build_deformation(rho, direction, order=order)
+        raised.append(exc.value)
+    assert all(e.order == 2 for e in raised)
+    for e in raised[1:]:
+        assert e.residual_norm == raised[0].residual_norm
+        assert np.array_equal(e.residual_vector, raised[0].residual_vector)
+    h1, c1 = first_order_data(rho, direction)
+    h_top, c_top, _ = deformation.solve_next_order(rho, h1[None], c1[None])
+    fresh = order_residuals(rho, np.array([h1, h_top]), np.array([c1, c_top]))[-1]
+    flat = np.concatenate([flatten_algebra(m) for m in fresh])
+    assert np.array_equal(raised[0].residual_vector, flat)
+    assert raised[0].residual_norm == pytest.approx(1.2707969905351293, rel=1e-12)
 
 
 def test_solver_matches_differenced_reference(witness_u2, witness_u3,
@@ -386,11 +446,10 @@ def test_stacked_residuals_equal_reference_bit_for_bit(corpus):
 
 def _reference_pipeline(monkeypatch, rho, direction, order):
     """build_deformation and verify_deformation on the per-letter residuals
-    and the per-t instantiation."""
+    and the per-t instantiation and residuals."""
     with monkeypatch.context() as m:
         m.setattr(deformation, "order_residuals", reference_order_residuals)
-        m.setattr(deformation.DeformationState, "instantiate_grid",
-                  lambda state, ts: [reference_instantiate(state, t) for t in ts])
+        m.setattr(deformation, "_grid_residuals", reference_grid_residuals)
         state = build_deformation(rho, direction, order=order)
         return state, verify_deformation(state)
 
@@ -458,3 +517,43 @@ def test_stacked_exp_and_log_refuse_a_bad_constant_term(rng, kernel, bad, good):
                     MatrixSeries(stack[2]))
         else:
             kernel(stack)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_valuation_aware_kernel_equals_all_pairs(n):
+    # random stacks of every order 1..5: a product at the valuations the
+    # kernel is called with, exp and log, against the all-pairs products
+    rng = np.random.default_rng(n)
+
+    def stack(order, valuation):
+        shape = (3, order + 1, n, n)
+        s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s[:, :valuation] = 0.0
+        return s
+
+    def close(ours, ref):
+        return np.abs(ours - ref).max() <= 1e-15 * max(np.abs(ref).max(), 1.0)
+
+    for order in range(1, 6):
+        a, b = stack(order, 0), stack(order, 0)
+        assert close(deformation._cauchy(a, b), all_pairs_cauchy(a, b)), order
+        x = stack(order, 1)
+        for m in range(2, order + 2):
+            power = stack(order, m - 1)
+            assert close(deformation._cauchy(power, x, m - 1, 1),
+                         all_pairs_cauchy(power, x)), (order, m)
+        exps = deformation._exp(0.3 * x)
+        assert close(exps, all_pairs_exp(0.3 * x)), order
+        assert close(deformation._log(exps), all_pairs_log(exps)), order
+
+
+def test_exp_drops_a_constant_term_below_its_refusal_threshold(rng):
+    s = np.array([_random_series(rng, 2, 4, with_constant=np.zeros((2, 2))).coeffs
+                  for _ in range(3)])
+    tiny = s.copy()
+    tiny[1, 0, 0, 1] = 5e-13
+    assert np.array_equal(deformation._exp(tiny), deformation._exp(s))
+    assert np.array_equal(tiny[1, 0, 0, 1], 5e-13)
+    tiny[1, 0, 0, 1] = 2e-12
+    with pytest.raises(ValueError):
+        deformation._exp(tiny)

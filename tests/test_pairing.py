@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from surfrep import linalg
 from surfrep.cohomology import (
     flatten_cochain,
     parabolic_tangent_basis,
@@ -179,6 +180,33 @@ def test_gram_skew_and_nondegenerate(witness_u2, witness_u3):
         assert np.linalg.norm(gram.entries + gram.entries.T) < 1e-10
         assert gram.rank == gram.basis_dim
         assert gram.smallest_singular_value > 1e-6
+
+
+def test_gram_takes_its_smallest_singular_value_from_the_rank_svd(corpus, monkeypatch):
+    # one SVD of the entries per Gram matrix, still cross-checked by QR,
+    # and its last singular value bit for bit
+    svd_args, qr_calls = [], []
+    svd, qr = np.linalg.svd, linalg.rank_pivoted_qr
+
+    def counted_svd(a, *args, **kwargs):
+        svd_args.append(a)
+        return svd(a, *args, **kwargs)
+
+    def counted_qr(*args, **kwargs):
+        qr_calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(linalg, "rank_pivoted_qr", counted_qr)
+    for inst in corpus[::4]:
+        if inst.report.tangent_dim == 0:
+            continue
+        svd_args.clear()
+        qr_calls.clear()
+        gram = gram_matrix(inst.representation, report=inst.report)
+        assert sum(a is gram.entries for a in svd_args) == 1, inst.name
+        assert qr_calls, inst.name
+        assert gram.smallest_singular_value == float(svd(gram.entries, compute_uv=False)[-1])
 
 
 def test_gauge_transported_gram_agrees(rng, witness_u2):

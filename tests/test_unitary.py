@@ -297,6 +297,29 @@ def test_match_class_equals_linear_sum_assignment(angles, rng):
                 assert ours in optimal and reference in optimal
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_match_class_of_a_stack_is_the_match_of_each_member(n, rng):
+    # near and far members in one (T, N, N) stack and a (2, T, N, N) stack
+    cls = ConjugacyClass(tuple(rng.uniform(0, 2 * np.pi, n)))
+    stack = []
+    for scale in (0.0, 1e-9, 1e-4, 1e-1, np.pi):
+        for _ in range(4):
+            g = haar_unitary(n, rng)
+            moved = np.array(cls.angles) + scale * rng.uniform(-1, 1, n)
+            stack.append(g @ np.diag(np.exp(1j * moved)) @ g.conj().T)
+    stack = np.array(stack)
+    one_by_one = [match_class(u, cls) for u in stack]
+    assert all(type(x) is float for x in one_by_one)
+    # a two-member stack first: code that took a stack for one matrix would
+    # try every permutation of all its eigenvalues
+    assert np.array_equal(match_class(stack[:2], cls), one_by_one[:2])
+    ours = match_class(stack, cls)
+    assert ours.shape == (len(stack),)
+    assert np.array_equal(ours, one_by_one)
+    assert np.array_equal(match_class(stack.reshape(2, -1, n, n), cls),
+                          np.reshape(one_by_one, (2, -1)))
+
+
 def test_wrap_angle_of_an_array_equals_the_scalar_wrap():
     # match_class wraps a whole distance matrix at once; np.mod has the
     # semantics of Python's %, so this is bit for bit the scalar result
