@@ -28,7 +28,6 @@ from .corpus import (
 )
 from .deformation import (
     DeformationState,
-    MatrixSeries,
     build_deformation,
     conjugation_state,
     verify_deformation,
@@ -60,7 +59,6 @@ __all__ = [
     "CorpusInstance",
     "DeformationState",
     "GramMatrix",
-    "MatrixSeries",
     "NearSingularError",
     "NoConvergenceError",
     "NotParabolicError",

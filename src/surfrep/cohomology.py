@@ -15,6 +15,14 @@ restriction u -> u(c_j) is the Fox derivative `fox_matrix(rho, c_j)`, so
 the classes of a whole subspace of cocycles, given by the columns of S,
 are the one product fixed_j^T F(c_j) S per puncture.
 
+The tangent space comes out of a rank decision with a structurally zero
+singular value (the central cokernel), so any roundoff change upstream
+would turn its null-space basis by O(1) inside the same subspace.  The
+reported basis is therefore canonical: B polar(B^T R), R a fixed matrix
+drawn once from `REFERENCE_SEED`, which depends on the subspace alone
+(`_canonical_columns`).  `tangent_direction(rho, k)` and the CLI's
+`deform --direction k` read column k of it.
+
 The reported obstruction space `relative_h2_dim` is the cokernel of the
 restriction H^1 -> sum_j coker_j computed with traceless (su(N))
 coefficients.  The central u(1) summand always contributes one unit to
@@ -34,6 +42,7 @@ is irreducible exactly when that dimension is 1 (the centre u(1)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +57,8 @@ from .unitary import (
 )
 
 PARABOLIC_TOL = 1e-9
+# seed of the fixed reference matrix behind the canonical tangent basis
+REFERENCE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -83,13 +94,12 @@ class Subspace:
 
 def flatten_cochain(rho: Representation, values: np.ndarray) -> np.ndarray:
     """Stack per-generator algebra coordinates into one real vector."""
-    return np.concatenate([flatten_algebra(v) for v in values])
+    return flatten_algebra(np.asarray(values)).reshape(-1)
+
 
 def unflatten_cochain(rho: Representation, vec: np.ndarray) -> np.ndarray:
     n = rho.rank
-    nf = rho.presentation.free_rank
-    vec = np.asarray(vec, dtype=float).reshape(nf, n * n)
-    return np.array([unflatten_algebra(row, n) for row in vec])
+    return unflatten_algebra(np.reshape(vec, (rho.presentation.free_rank, n * n)), n)
 
 
 def _require_nondegenerate(rho: Representation) -> None:
@@ -101,13 +111,9 @@ def _require_nondegenerate(rho: Representation) -> None:
 
 def coboundary_matrix(rho: Representation) -> np.ndarray:
     """Matrix of the coboundary map u(N) -> u(N)^n in algebra coordinates."""
-    pres = rho.presentation
     n2 = rho.rank ** 2
-    blocks = np.empty((pres.free_rank * n2, n2))
-    eye = np.eye(n2)
-    for i in range(pres.free_rank):
-        blocks[i * n2:(i + 1) * n2] = adjoint_matrix(rho.images[i]) - eye
-    return blocks
+    ads = adjoint_matrix(np.array(rho.images[:rho.presentation.free_rank]))
+    return (ads - np.eye(n2)).reshape(-1, n2)
 
 
 def h1_basis(rho: Representation) -> Subspace:
@@ -123,22 +129,19 @@ def h1_basis(rho: Representation) -> Subspace:
 # peripheral restriction
 
 
-def peripheral_fixed_space(rho: Representation, j: int,
-                           coefficients: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of ker(Ad(rho(c_j)) - 1).
+def peripheral_fixed_spaces(rho: Representation,
+                            coefficients: np.ndarray | None = None) -> list:
+    """Orthonormal bases (columns) of ker(Ad(rho(c_j)) - 1), one per puncture.
 
     This fixed space is the orthogonal complement of range(Ad - 1), hence
     a canonical set of representatives for the peripheral cokernel.  With
     `coefficients` (columns spanning a coefficient subspace, e.g. the
     traceless one) the kernel is intersected with that subspace.
     """
-    n2 = rho.rank ** 2
-    a = rho.peripheral_adjoint(j) - np.eye(n2)
+    moved = rho.peripheral_adjoints() - np.eye(rho.rank ** 2)
     if coefficients is None:
-        basis, _ = linalg.nullspace(a)
-        return basis
-    inside, _ = linalg.nullspace(a @ coefficients)
-    return coefficients @ inside
+        return [linalg.nullspace(a)[0] for a in moved]
+    return [coefficients @ linalg.nullspace(a)[0] for a in moved @ coefficients]
 
 
 def _restriction_matrix(rho: Representation, source: np.ndarray,
@@ -151,20 +154,43 @@ def _restriction_matrix(rho: Representation, source: np.ndarray,
     ])
 
 
+@lru_cache(maxsize=64)
+def _reference_frame(ambient: int, dim: int) -> np.ndarray:
+    """The fixed (ambient, dim) matrix R of the canonical basis rule."""
+    out = np.random.default_rng(REFERENCE_SEED).standard_normal((ambient, dim))
+    out.setflags(write=False)
+    return out
+
+
+def _canonical_columns(basis: np.ndarray) -> np.ndarray:
+    """The orthonormal basis of span(basis) that depends on the span alone.
+
+    B polar(B^T R) with R = `_reference_frame`: for any orthogonal O,
+    (B O) polar(O^T B^T R) = B polar(B^T R), and B polar(B^T R) equals
+    P R (R^T P R)^(-1/2) with P = B B^T the projector.  So a roundoff
+    rotation of B inside its span, such as a rank decision with a
+    structurally zero singular value makes, leaves the columns alone.
+    """
+    if basis.shape[1] == 0:
+        return basis
+    u, _, vt = np.linalg.svd(basis.T @ _reference_frame(*basis.shape))
+    return basis @ (u @ vt)
+
+
 def parabolic_tangent_basis(rho: Representation, h1: Subspace | None = None) -> Subspace:
     """Tangent space of the relative character variety at rho.
 
     Orthonormal cocycle representatives (orthogonal to coboundaries) whose
-    peripheral classes all vanish.  `h1` reuses an `h1_basis` already
+    peripheral classes all vanish, in the canonical basis of the tangent
+    subspace (`_canonical_columns`).  `h1` reuses an `h1_basis` already
     computed at rho.
     """
     _require_nondegenerate(rho)
     if h1 is None:
         h1 = h1_basis(rho)
-    fixed = [peripheral_fixed_space(rho, j) for j in range(rho.surface.punctures)]
-    m = _restriction_matrix(rho, h1.basis, fixed)
+    m = _restriction_matrix(rho, h1.basis, peripheral_fixed_spaces(rho))
     null, info = linalg.nullspace(m)
-    return Subspace(h1.basis @ null, info.gap)
+    return Subspace(_canonical_columns(h1.basis @ null), info.gap)
 
 
 def relative_h2(rho: Representation):
@@ -182,11 +208,7 @@ def relative_h2(rho: Representation):
     su = traceless_coordinates(n)
     # traceless values on each free generator in turn
     source = np.kron(np.eye(rho.presentation.free_rank), su)
-    fixed = [
-        peripheral_fixed_space(rho, j, coefficients=su)
-        for j in range(rho.surface.punctures)
-    ]
-    m = _restriction_matrix(rho, source, fixed)
+    m = _restriction_matrix(rho, source, peripheral_fixed_spaces(rho, coefficients=su))
     if m.shape[0] == 0:
         return 0, (float("inf"), 0.0)
     info = linalg.checked_rank(m)

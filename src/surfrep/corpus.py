@@ -22,8 +22,11 @@ from .cohomology import (
     parabolic_tangent_basis,
     unflatten_cochain,
 )
-from .presentation import Representation, SurfaceData, standard_presentation
+from .presentation import Representation, SurfaceData, standard_presentation, word_image
 from .unitary import ConjugacyClass, haar_unitary
+
+# witness draws `smooth_instance` makes before it gives up
+MAX_TRIES = 25
 
 CORPUS_SHAPES = (
     # (genus, rank, punctures)
@@ -51,25 +54,22 @@ def witness_representation(genus: int, rank: int, punctures: int,
     """Random representation whose classes are read off its own images."""
     pres = standard_presentation(genus, punctures)
     images = [haar_unitary(rank, rng) for _ in range(pres.free_rank)]
-    last = np.eye(rank, dtype=complex)
-    for idx, e in pres.last_peripheral_word:
-        last = last @ (images[idx] if e == 1 else images[idx].conj().T)
-    images.append(last)
+    images.append(word_image(images, pres.last_peripheral_word, rank))
     classes = [ConjugacyClass(_angles_of(images[pres.c(j)]))
                for j in range(punctures)]
     surface = SurfaceData(genus, punctures, rank, tuple(classes))
     return Representation(surface, tuple(images))
 
 
-def smooth_instance(genus: int, rank: int, punctures: int, seed: int = 0,
-                    max_tries: int = 25) -> CorpusInstance:
+def smooth_instance(genus: int, rank: int, punctures: int,
+                    seed: int = 0) -> CorpusInstance:
     """Witness instance that certifies as irreducible and unobstructed.
 
     Draws are retried from derived seeds until the certificate holds;
     generic draws pass immediately.
     """
     base = np.random.SeedSequence((genus, rank, punctures, seed))
-    for child in base.spawn(max_tries):
+    for child in base.spawn(MAX_TRIES):
         rho = witness_representation(genus, rank, punctures,
                                      np.random.default_rng(child))
         rho.validate()
@@ -79,7 +79,7 @@ def smooth_instance(genus: int, rank: int, punctures: int, seed: int = 0,
             return CorpusInstance(name, rho, report)
     raise RuntimeError(
         f"no irreducible smooth witness found for genus={genus} "
-        f"rank={rank} punctures={punctures} after {max_tries} draws"
+        f"rank={rank} punctures={punctures} after {MAX_TRIES} draws"
     )
 
 

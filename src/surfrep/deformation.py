@@ -41,7 +41,6 @@ only leave out products that are exactly zero or cut off, and the sums
 keep their order, so a coefficient does not depend on the truncation
 order it was computed at: bit for bit for N >= 2, and up to the last
 bit for N = 1, whose sums BLAS runs as matrix-vector products.
-`MatrixSeries` is the one-series view of the same kernel.
 
 `order_residuals` evaluates every peripheral word in one pass of that
 kernel and returns the residual at every order.  A letter x of a word
@@ -86,7 +85,13 @@ import numpy as np
 from . import linalg
 from .errors import ObstructionFound
 from .pairing import lift_to_cone
-from .presentation import Presentation, Representation, evaluate_word, fox_matrix
+from .presentation import (
+    Presentation,
+    Representation,
+    evaluate_word,
+    fox_matrix,
+    word_image,
+)
 from .unitary import (
     adjoint_matrix,
     flatten_algebra,
@@ -146,7 +151,7 @@ def _exp(s: np.ndarray) -> np.ndarray:
     truncation order.
     """
     if np.any(np.linalg.norm(s[..., 0, :, :], axis=(-2, -1)) > 1e-12):
-        raise ValueError("series_exp requires a vanishing constant term")
+        raise ValueError("series exp requires a vanishing constant term")
     order = s.shape[-3] - 1
     s = s.copy()
     s[..., 0, :, :] = 0.0
@@ -169,7 +174,7 @@ def _log(s: np.ndarray) -> np.ndarray:
     order = s.shape[-3] - 1
     x = s - _identity(order, s.shape[-1])
     if np.any(np.linalg.norm(x[..., 0, :, :], axis=(-2, -1)) > 1e-9):
-        raise ValueError("series_log requires constant term I")
+        raise ValueError("series log requires constant term I")
     x[..., 0, :, :] = 0.0
     acc = power = x
     for m in range(2, order + 1):
@@ -185,80 +190,6 @@ def _horner(coeffs: np.ndarray, t) -> np.ndarray:
     for k in range(len(coeffs) - 2, -1, -1):
         acc = t * acc + coeffs[k]
     return acc
-
-
-class MatrixSeries:
-    """Matrix-valued polynomial truncated at a fixed order in t.
-
-    A view of one series of the stacked kernel: products, `series_exp`
-    and `series_log` call `_cauchy`, `_exp` and `_log`.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1]
-
-    @classmethod
-    def constant(cls, mat: np.ndarray, order: int) -> "MatrixSeries":
-        n = mat.shape[0]
-        coeffs = np.zeros((order + 1, n, n), dtype=complex)
-        coeffs[0] = mat
-        return cls(coeffs)
-
-    @classmethod
-    def zero(cls, n: int, order: int) -> "MatrixSeries":
-        return cls(np.zeros((order + 1, n, n), dtype=complex))
-
-    @classmethod
-    def from_coefficients(cls, mats: np.ndarray, order: int) -> "MatrixSeries":
-        """Series sum_k mats[k-1] t^k with no constant term."""
-        mats = np.asarray(mats, dtype=complex)
-        n = mats.shape[1]
-        coeffs = np.zeros((order + 1, n, n), dtype=complex)
-        top = min(len(mats), order)
-        coeffs[1:top + 1] = mats[:top]
-        return cls(coeffs)
-
-    def __add__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "MatrixSeries":
-        return MatrixSeries(-self.coeffs)
-
-    def scale(self, a: float) -> "MatrixSeries":
-        return MatrixSeries(a * self.coeffs)
-
-    def __matmul__(self, other: "MatrixSeries") -> "MatrixSeries":
-        order = min(self.order, other.order)
-        return MatrixSeries(_cauchy(self.coeffs[:order + 1], other.coeffs[:order + 1]))
-
-    def coefficient(self, k: int) -> np.ndarray:
-        return self.coeffs[k]
-
-    def eval(self, t: float) -> np.ndarray:
-        return _horner(self.coeffs, t)
-
-
-def series_exp(s: MatrixSeries) -> MatrixSeries:
-    """exp of a series with no constant term."""
-    return MatrixSeries(_exp(s.coeffs))
-
-
-def series_log(s: MatrixSeries) -> MatrixSeries:
-    """log of a series with constant term I."""
-    return MatrixSeries(_log(s.coeffs))
 
 
 @lru_cache(maxsize=64)
@@ -328,21 +259,6 @@ def order_residuals(rho: Representation, h: np.ndarray, c: np.ndarray,
     logs = -_log(np.concatenate([prod @ gamma_h[:, None],
                                  _cauchy(exps[2 * nf:2 * nf + r], exps[2 * nf + r:])]))
     return skew_project(np.swapaxes(logs[:r, 1:] - logs[r:, 1:], 0, 1))
-
-
-def _flatten_residuals(res: np.ndarray) -> np.ndarray:
-    return np.concatenate([flatten_algebra(m) for m in res])
-
-
-def _unpack_unknowns(vec: np.ndarray, free_rank: int, punctures: int,
-                     n: int) -> tuple:
-    n2 = n * n
-    h_top = np.array([unflatten_algebra(vec[i * n2:(i + 1) * n2], n)
-                      for i in range(free_rank)])
-    off = free_rank * n2
-    c_top = np.array([unflatten_algebra(vec[off + j * n2:off + (j + 1) * n2], n)
-                      for j in range(punctures)])
-    return h_top, c_top
 
 
 @dataclass(frozen=True)
@@ -428,11 +344,12 @@ def first_order_data(rho: Representation, direction: np.ndarray):
 def matching_matrix(rho: Representation, gamma: np.ndarray | None = None) -> np.ndarray:
     """Linear part of the top-order matching conditions, in closed form.
 
-    Maps the flattened unknowns (h_top, c_top), in the layout read by
-    `_unpack_unknowns`, to the flattened top-order residuals of
-    `order_residuals`; it is the same at every order.  On the word w of
-    puncture j the top coefficient enters H_w through its cocycle
-    extension, so its block is `fox_matrix(rho, w)`; c_top^j enters G_j
+    Maps the flattened unknowns (h_top, c_top), the coordinates of the
+    free_rank + punctures matrices in that order, to the flattened
+    top-order residuals of `order_residuals`; it is the same at every
+    order.  On the word w of puncture j the top coefficient enters H_w
+    through its cocycle extension, so its block is `fox_matrix(rho, w)`;
+    c_top^j enters G_j
     as (Ad(rho(c_j)) - 1) c_top^j, so its block is I - Ad(rho(c_j)).
     `gamma` is `_peripheral_images(rho)`, evaluated here when not given.
     """
@@ -443,24 +360,26 @@ def matching_matrix(rho: Representation, gamma: np.ndarray | None = None) -> np.
     if gamma is None:
         gamma = _peripheral_images(rho)
     a = np.zeros((r * d, (nf + r) * d))
+    moved = np.eye(d) - adjoint_matrix(gamma)
     for j, w in enumerate(words):
         rows = a[j * d:(j + 1) * d]
         rows[:, :nf * d] = fox_matrix(rho, w)
-        rows[:, (nf + j) * d:(nf + j + 1) * d] = np.eye(d) - adjoint_matrix(gamma[j])
+        rows[:, (nf + j) * d:(nf + j + 1) * d] = moved[j]
     return a
 
 
-def _checked_order(res: np.ndarray, order: int, tol: float) -> float:
-    """Norm of one order's residuals; ObstructionFound if it exceeds `tol`."""
-    flat = _flatten_residuals(res)
+def _checked_order(res: np.ndarray, order: int) -> float:
+    """Norm of one order's residuals; ObstructionFound if it exceeds
+    OBSTRUCTION_TOL."""
+    flat = flatten_algebra(res).reshape(-1)
     norm = float(np.linalg.norm(flat))
-    if norm > tol:
+    if norm > OBSTRUCTION_TOL:
         raise ObstructionFound(order, flat, norm)
     return norm
 
 
 def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
-                     tol: float = OBSTRUCTION_TOL, solver=None, gamma=None):
+                     solver=None, gamma=None):
     """Check the top order of a family known to order k, then solve order k+1.
 
     One `order_residuals` call on (h_1..h_k, 0), (c_1..c_k, 0) serves
@@ -475,7 +394,7 @@ def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
     Returns (h_top, c_top, norm), norm being the order-k residual norm,
     or None for k = 1, whose coefficients are the cocycle and its lifts
     rather than a solve.  Raises ObstructionFound when that residual
-    exceeds `tol`.
+    exceeds OBSTRUCTION_TOL.
     """
     pres = rho.presentation
     n = rho.rank
@@ -489,14 +408,14 @@ def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
                           np.concatenate([h, np.zeros((1, nf, n, n), dtype=complex)]),
                           np.concatenate([c, np.zeros((1, r, n, n), dtype=complex)]),
                           gamma)
-    norm = None if k == 1 else _checked_order(res[k - 1], k, tol)
-    x, _ = solver(-_flatten_residuals(res[k]))
-    h_top, c_top = _unpack_unknowns(x, nf, r, n)
-    return h_top, c_top, norm
+    norm = None if k == 1 else _checked_order(res[k - 1], k)
+    x, _ = solver(-flatten_algebra(res[k]).reshape(-1))
+    top = unflatten_algebra(x.reshape(nf + r, n * n), n)
+    return top[:nf], top[nf:], norm
 
 
-def build_deformation(rho: Representation, direction: np.ndarray, order: int,
-                      tol: float = OBSTRUCTION_TOL) -> DeformationState:
+def build_deformation(rho: Representation, direction: np.ndarray,
+                      order: int) -> DeformationState:
     """Solve the matching conditions order by order up to the given order.
 
     The direction must be a parabolic cocycle (values on the free
@@ -521,12 +440,12 @@ def build_deformation(rho: Representation, direction: np.ndarray, order: int,
         rank = linalg.checked_rank(a, rtol=linalg.SOLVE_RTOL)
         solver = linalg.min_norm_solver(a)
         for _ in range(1, order):
-            h_top, c_top, norm = solve_next_order(rho, h, c, tol, solver, gamma)
+            h_top, c_top, norm = solve_next_order(rho, h, c, solver, gamma)
             h = np.concatenate([h, h_top[None]])
             c = np.concatenate([c, c_top[None]])
             if norm is not None:
                 norms.append(norm)
-        norms.append(_checked_order(order_residuals(rho, h, c, gamma)[-1], order, tol))
+        norms.append(_checked_order(order_residuals(rho, h, c, gamma)[-1], order))
     return DeformationState(rho, h, c, tuple(norms), rank)
 
 
@@ -540,19 +459,18 @@ def conjugation_state(rho: Representation, x: np.ndarray,
     every order.  Used as a known-good state in tests.
     """
     pres = rho.presentation
-    n = rho.rank
+    n, nf = rho.rank, pres.free_rank
     x = np.asarray(x, dtype=complex)
-    h = np.zeros((order, pres.free_rank, n, n), dtype=complex)
-    tx = MatrixSeries.from_coefficients(x[None], order)
-    for i in range(pres.free_rank):
-        g = rho.images[i]
-        ad = MatrixSeries.from_coefficients((g @ x @ g.conj().T)[None], order)
-        series = -series_log(series_exp(tx) @ series_exp(-ad))
-        for k in range(1, order + 1):
-            h[k - 1, i] = series.coefficient(k)
+    images = np.array(rho.images[:nf], dtype=complex).reshape(nf, n, n)
+    # one exp over (tx, -t Ad(rho(x_i)) x for every free generator), one log
+    lines = np.zeros((nf + 1, order + 1, n, n), dtype=complex)
+    lines[0, 1] = x
+    lines[1:, 1] = -(images @ x @ images.conj().swapaxes(-1, -2))
+    exps = _exp(lines)
+    series = -_log(_cauchy(np.broadcast_to(exps[0], exps[1:].shape), exps[1:]))
     c = np.zeros((order, pres.punctures, n, n), dtype=complex)
     c[0] = x
-    return DeformationState(rho, h, c)
+    return DeformationState(rho, np.swapaxes(series[:, 1:], 0, 1), c)
 
 
 def check_t_samples(ts) -> list:
@@ -565,16 +483,6 @@ def check_t_samples(ts) -> list:
     if not np.all(np.isfinite(ts)) or min(ts, default=0.0) <= 0 or len(set(ts)) < 2:
         raise ValueError(f"t samples must be finite, positive, two distinct; got {ts}")
     return ts
-
-
-def _word_on_grid(stacks: tuple, w, n: int) -> np.ndarray:
-    """`Representation.evaluate` on every grid point at once: the product
-    along w of the generator stacks of `DeformationState._grid_images`."""
-    out = np.broadcast_to(np.eye(n, dtype=complex), stacks[0].shape)
-    for idx, e in w:
-        m = stacks[idx]
-        out = out @ (m if e == 1 else m.conj().swapaxes(-1, -2))
-    return out
 
 
 def _grid_residuals(state: DeformationState, ts) -> tuple:
@@ -592,11 +500,11 @@ def _grid_residuals(state: DeformationState, ts) -> tuple:
     stacks = state._grid_images(ts)
     eye = np.eye(n)
     relation = [float(np.linalg.norm(m - eye))
-                for m in _word_on_grid(stacks, pres.relation, n)]
+                for m in word_image(stacks, pres.relation, n)]
     per_puncture = [match_class(stacks[pres.c(j)], classes[j]) for j in range(r - 1)]
     # the stored last image is class-exact by construction; measure the
     # free-word product against the class instead
-    per_puncture.append(match_class(_word_on_grid(stacks, pres.last_peripheral_word, n),
+    per_puncture.append(match_class(word_image(stacks, pres.last_peripheral_word, n),
                                     classes[r - 1]))
     return relation, np.array(per_puncture).T.tolist()
 

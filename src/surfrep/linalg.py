@@ -45,13 +45,12 @@ class RankInfo:
         return (self.smallest_kept, self.largest_dropped)
 
 
-def _svd_rank_from_singular_values(s: np.ndarray, rtol: float,
-                                    atol: float = RANK_ATOL) -> RankInfo:
+def _svd_rank_from_singular_values(s: np.ndarray, rtol: float) -> RankInfo:
     if s.size == 0:
         return RankInfo(0, float("inf"), 0.0)
-    if s[0] <= atol:
+    if s[0] <= RANK_ATOL:
         return RankInfo(0, float("inf"), float(s[0]), float(s[-1]))
-    keep = s > max(rtol * s[0], atol)
+    keep = s > max(rtol * s[0], RANK_ATOL)
     rank = int(np.count_nonzero(keep))
     smallest_kept = float(s[rank - 1]) if rank > 0 else float("inf")
     largest_dropped = float(s[rank]) if rank < s.size else 0.0
@@ -103,7 +102,7 @@ def checked_rank(m: np.ndarray, rtol: float = RANK_RTOL) -> RankInfo:
     return info
 
 
-def nullspace(m: np.ndarray, rtol: float = RANK_RTOL):
+def nullspace(m: np.ndarray):
     """Orthonormal basis (columns) of the kernel of m, with rank info."""
     rows, cols = m.shape
     if cols == 0:
@@ -111,11 +110,11 @@ def nullspace(m: np.ndarray, rtol: float = RANK_RTOL):
     if rows == 0:
         return np.eye(cols), RankInfo(0, float("inf"), 0.0)
     _, s, vt = np.linalg.svd(m, full_matrices=True)
-    info = _svd_rank_from_singular_values(s, rtol)
+    info = _svd_rank_from_singular_values(s, RANK_RTOL)
     return vt[info.rank:].T.conj() if np.iscomplexobj(m) else vt[info.rank:].T, info
 
 
-def range_complement(m: np.ndarray, rtol: float = RANK_RTOL):
+def range_complement(m: np.ndarray):
     """Orthonormal basis (columns) of the orthogonal complement of range(m)."""
     rows, cols = m.shape
     if rows == 0:
@@ -123,28 +122,27 @@ def range_complement(m: np.ndarray, rtol: float = RANK_RTOL):
     if cols == 0:
         return np.eye(rows), RankInfo(0, float("inf"), 0.0)
     u, s, _ = np.linalg.svd(m, full_matrices=True)
-    info = _svd_rank_from_singular_values(s, rtol)
+    info = _svd_rank_from_singular_values(s, RANK_RTOL)
     return u[:, info.rank:], info
 
 
-def truncated_svd(a: np.ndarray, rcond: float = SOLVE_RTOL, atol: float = RANK_ATOL):
+def truncated_svd(a: np.ndarray):
     """Thin SVD (u, s, vt) of a, keeping only the singular values above
-    max(rcond * s_max, atol).
+    max(SOLVE_RTOL * s_max, RANK_ATOL).
 
     Without the absolute floor a matrix that is zero up to roundoff would
     keep its noise directions, and a solve along them returns order-one
     garbage.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= atol:
+    if s.size == 0 or s[0] <= RANK_ATOL:
         keep = np.zeros(s.size, dtype=bool)
     else:
-        keep = s > max(rcond * s[0], atol)
+        keep = s > max(SOLVE_RTOL * s[0], RANK_ATOL)
     return u[:, keep], s[keep], vt[keep]
 
 
-def min_norm_solver(a: np.ndarray, rcond: float = SOLVE_RTOL,
-                    atol: float = RANK_ATOL):
+def min_norm_solver(a: np.ndarray):
     """Factor a once for repeated minimum-norm least-squares solves.
 
     Returns a function b -> (x, residual norm of a x - b).  A 2-D b is a
@@ -152,7 +150,7 @@ def min_norm_solver(a: np.ndarray, rcond: float = SOLVE_RTOL,
     is then one norm per column.  Singular values are cut as in
     `truncated_svd`.
     """
-    u, s_kept, vt = truncated_svd(a, rcond, atol)
+    u, s_kept, vt = truncated_svd(a)
     u_t, v = u.T, vt.T
 
     def solve(b: np.ndarray):
@@ -166,12 +164,11 @@ def min_norm_solver(a: np.ndarray, rcond: float = SOLVE_RTOL,
     return solve
 
 
-def min_norm_solve(a: np.ndarray, b: np.ndarray, rcond: float = SOLVE_RTOL,
-                   atol: float = RANK_ATOL):
+def min_norm_solve(a: np.ndarray, b: np.ndarray):
     """Minimum-norm least-squares solution of a x = b and the residual norm.
 
     The package factors once through `min_norm_solver`; this one-shot form
     stays because the benchmark counts its calls by this name
     (`linalg.min_norm_solves`).
     """
-    return min_norm_solver(a, rcond, atol)(b)
+    return min_norm_solver(a)(b)

@@ -51,9 +51,9 @@ its closing letter c_r, and the other terms are known in closed form:
 The peripheral values need no second walk: for j < r the word c_j is a
 free generator, so F(c_j) C is C_{c_j}, the rows of C at c_j, and
 F(c_r) C = F(p_{L-1}^-1) C = -Ad(rho(c_r)) U_{L-1} comes from the end of
-the same sweep.  With S_j the lifts of all columns at puncture j, found
-by one factored solve of (Ad(rho(c_j)) - 1) S_j = F(c_j) C, the Gram
-matrix is
+the same sweep, which is also where `lift_to_cone` takes them from.
+With S_j the lifts of all columns at puncture j, found by one factored
+solve of (Ad(rho(c_j)) - 1) S_j = F(c_j) C, the Gram matrix is
 
     G = ( sum_{k < L-1} U_k^T (U_{k+1} - U_k) - U_{L-1}^T U_{L-1} + H^T H
           - sum_j S_j^T F(c_j) C ) / r.
@@ -79,8 +79,8 @@ from .cohomology import (
     require_smooth_irreducible,
 )
 from .errors import NotParabolicError
-from .presentation import Representation, fox_matrix, fox_steps
-from .unitary import unflatten_algebra
+from .presentation import Representation, fox_steps
+from .unitary import adjoint_matrix, unflatten_algebra
 
 
 def _relation_sweep(rho: Representation, cols: np.ndarray):
@@ -90,13 +90,11 @@ def _relation_sweep(rho: Representation, cols: np.ndarray):
     module docstring and U_{L-1} = F(p_{L-1}) C, C the columns of `cols`.
     """
     d = rho.rank ** 2
-    u = np.zeros((d, cols.shape[1]))
-    total = np.zeros((cols.shape[1], cols.shape[1]))
-    for idx, block in fox_steps(rho, rho.presentation.relation[:-1]):
-        step = block @ cols[idx * d:(idx + 1) * d]
-        total += u.T @ step
-        u += step
-    return total, u
+    gens, blocks = fox_steps(rho, rho.presentation.relation[:-1])
+    steps = blocks @ cols.reshape(-1, d, cols.shape[1])[gens]
+    prefixes = np.cumsum(steps, axis=0)
+    total = np.einsum("kai,kaj->ij", prefixes[:-1], steps[1:])
+    return total, prefixes[-1]
 
 
 def _peripheral_values(rho: Representation, cols: np.ndarray, u_last: np.ndarray):
@@ -109,7 +107,7 @@ def _peripheral_values(rho: Representation, cols: np.ndarray, u_last: np.ndarray
     pres = rho.presentation
     d = rho.rank ** 2
     values = [cols[pres.c(j) * d:(pres.c(j) + 1) * d] for j in range(pres.punctures - 1)]
-    return values + [-rho.peripheral_adjoint(pres.punctures - 1) @ u_last]
+    return values + [-adjoint_matrix(rho.peripheral_image(pres.punctures - 1)) @ u_last]
 
 
 def _cone_lifts(rho: Representation, values):
@@ -121,10 +119,10 @@ def _cone_lifts(rho: Representation, values):
     a parabolic cocycle must miss; NotParabolicError is raised when it is
     not negligible.
     """
-    d = rho.rank ** 2
     lifts = []
+    moved = rho.peripheral_adjoints() - np.eye(rho.rank ** 2)
     for j, vals in enumerate(values):
-        lift, stuck = linalg.min_norm_solver(rho.peripheral_adjoint(j) - np.eye(d))(vals)
+        lift, stuck = linalg.min_norm_solver(moved[j])(vals)
         bad = np.flatnonzero(stuck > PARABOLIC_TOL * np.maximum(1.0, np.linalg.norm(vals, axis=0)))
         if bad.size:
             raise NotParabolicError(
@@ -143,16 +141,12 @@ def lift_to_cone(rho: Representation, values: np.ndarray) -> np.ndarray:
     class-constrained variety.  The minimum-norm solution is returned; any
     other lift gives the same pairing against parabolic cocycles.
 
-    The values u(c_j) come from the Fox matrix of each peripheral word.
-    `_peripheral_values` gives them to roundoff from the relation sweep,
-    but the deformation's first-order conjugators are these lifts, and
-    every deformation coefficient would move by that roundoff.
+    The values u(c_j) come from one relation sweep, as in the Gram matrix.
     """
-    pres = rho.presentation
     cols = flatten_cochain(rho, values)[:, None]
-    lifts = _cone_lifts(rho, [fox_matrix(rho, pres.peripheral_word(j)) @ cols
-                              for j in range(pres.punctures)])
-    return np.array([unflatten_algebra(s[:, 0], rho.rank) for s in lifts])
+    _, u_last = _relation_sweep(rho, cols)
+    lifts = _cone_lifts(rho, _peripheral_values(rho, cols, u_last))
+    return unflatten_algebra(np.array(lifts)[..., 0], rho.rank)
 
 
 def _pairing(rho: Representation, cols: np.ndarray) -> np.ndarray:

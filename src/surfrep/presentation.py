@@ -230,19 +230,12 @@ class Representation:
         free_images = [np.asarray(m, dtype=complex) for m in free_images]
         if len(free_images) != pres.free_rank:
             raise ValueError("one image per free generator required")
-        last = np.eye(surface.rank, dtype=complex)
-        for idx, e in pres.last_peripheral_word:
-            m = free_images[idx]
-            last = last @ (m if e == 1 else m.conj().T)
+        last = word_image(free_images, pres.last_peripheral_word, surface.rank)
         return cls(surface, tuple(free_images) + (last,))
 
     def evaluate(self, w: Word) -> np.ndarray:
         """Product of generator images along a word (inverses by adjoint)."""
-        out = np.eye(self.rank, dtype=complex)
-        for idx, e in w:
-            m = self.images[idx]
-            out = out @ (m if e == 1 else m.conj().T)
-        return out
+        return word_image(self.images, w, self.rank)
 
     def relation_residual(self) -> float:
         pres = self.presentation
@@ -257,18 +250,17 @@ class Representation:
             for j in range(self.surface.punctures)
         ]
 
-    def validate(self, relation_tol: float = RELATION_TOL,
-                 class_tol: float = CLASS_TOL) -> None:
+    def validate(self) -> None:
         n = self.rank
         for name, m in zip(self.presentation.generator_names, self.images):
             err = np.linalg.norm(m.conj().T @ m - np.eye(n))
             if err > 1e-10:
                 raise ValueError(f"image of {name} not unitary: {err:.3e}")
         res = self.relation_residual()
-        if res > relation_tol:
-            raise ValueError(f"relation residual {res:.3e} exceeds {relation_tol:.1e}")
+        if res > RELATION_TOL:
+            raise ValueError(f"relation residual {res:.3e} exceeds {RELATION_TOL:.1e}")
         for j, err in enumerate(self.class_residuals()):
-            if err > class_tol:
+            if err > CLASS_TOL:
                 raise ValueError(
                     f"puncture {j + 1} eigenvalues off by {err:.3e}"
                 )
@@ -283,9 +275,24 @@ class Representation:
     def peripheral_image(self, j: int) -> np.ndarray:
         return self.images[self.presentation.c(j)]
 
-    def peripheral_adjoint(self, j: int) -> np.ndarray:
-        """Matrix of Ad(rho(c_j)) in algebra coordinates."""
-        return adjoint_matrix(self.peripheral_image(j))
+    def peripheral_adjoints(self) -> np.ndarray:
+        """Ad(rho(c_j)) of every puncture in algebra coordinates, one call,
+        shape (punctures, N^2, N^2)."""
+        return adjoint_matrix(np.array(self.images[self.presentation.c(0):]))
+
+
+def word_image(images, w: Word, n: int) -> np.ndarray:
+    """The product of `images` along w from the left, starting at the n x n
+    identity, an inverse letter by the adjoint.
+
+    The one word fold of the package: an entry of `images` may be a stack
+    (..., n, n), and stacks multiply member by member.
+    """
+    out = np.eye(n, dtype=complex)
+    for idx, e in w:
+        m = images[idx]
+        out = out @ (m if e == 1 else m.conj().swapaxes(-1, -2))
+    return out
 
 
 def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
@@ -293,27 +300,35 @@ def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
 
 
 def fox_steps(rho: Representation, w: Word):
-    """The Fox derivative of w in Ad coordinates, one letter at a time.
+    """The Fox derivative of w in Ad coordinates, one block per letter.
 
-    Yields (generator index, block) for each letter of `to_free(w)`: the
+    Returns (generators, blocks) for the letters of `to_free(w)`: the
+    generator index of each letter, and a (letters, N^2, N^2) stack whose
     block is +Ad(prefix) for a letter x and -Ad(prefix x^-1) for an
     inverse letter x^-1, prefix being the image of the letters before it.
     For the k-th letter it is Ad(rho(p)) F(x), p the prefix word, so the
     blocks are the increments of the cocycle restriction along the word:
-    F(p x) = F(p) + Ad(rho(p)) F(x).  This is the only Fox loop of the
-    package; `fox_matrix` sums it per generator and the Gram assembly of
-    `pairing` runs it once along the relation.
+    F(p x) = F(p) + Ad(rho(p)) F(x).  The prefixes are N x N products, and
+    one `adjoint_matrix` call takes all of them.  This is the only Fox
+    walk of the package; `fox_matrix` sums it per generator and the
+    relation sweep of `pairing` runs it once along the relation.
     """
+    letters = rho.presentation.to_free(w)
     n = rho.rank
     prefix = np.eye(n, dtype=complex)
-    for idx, e in rho.presentation.to_free(w):
+    # the prefix whose Ad each block is: before x, or after x^-1
+    frames = np.empty((len(letters), n, n), dtype=complex)
+    for k, (idx, e) in enumerate(letters):
         m = rho.images[idx]
         if e == 1:
-            yield idx, adjoint_matrix(prefix)
+            frames[k] = prefix
             prefix = prefix @ m
         else:
             prefix = prefix @ m.conj().T
-            yield idx, -adjoint_matrix(prefix)
+            frames[k] = prefix
+    gens = np.array([idx for idx, _ in letters], dtype=np.intp)
+    signs = np.array([e for _, e in letters], dtype=float)
+    return gens, signs[:, None, None] * adjoint_matrix(frames)
 
 
 def fox_matrix(rho: Representation, w: Word) -> np.ndarray:
@@ -326,10 +341,10 @@ def fox_matrix(rho: Representation, w: Word) -> np.ndarray:
     generator.
     """
     d = rho.rank ** 2
-    out = np.zeros((d, rho.presentation.free_rank * d))
-    for idx, block in fox_steps(rho, w):
-        out[:, idx * d:(idx + 1) * d] += block
-    return out
+    gens, blocks = fox_steps(rho, w)
+    out = np.zeros((rho.presentation.free_rank, d, d))
+    np.add.at(out, gens, blocks)
+    return out.transpose(1, 0, 2).reshape(d, -1)
 
 
 def extend_cocycle(rho: Representation, values: np.ndarray, w: Word) -> np.ndarray:
@@ -341,5 +356,5 @@ def extend_cocycle(rho: Representation, values: np.ndarray, w: Word) -> np.ndarr
     `fox_matrix` because the benchmark counts its calls by this name
     (`presentation.word_evals`).
     """
-    flat = np.array([flatten_algebra(v) for v in values]).reshape(-1)
+    flat = flatten_algebra(np.asarray(values)).reshape(-1)
     return unflatten_algebra(fox_matrix(rho, w) @ flat, rho.rank)

@@ -58,7 +58,7 @@ from . import linalg
 from .cohomology import is_irreducible
 from .errors import NoConvergenceError
 from .presentation import Representation, SurfaceData
-from .unitary import algebra_basis, cayley, haar_unitary, unitarize
+from .unitary import algebra_basis, cayley, haar_unitary, unflatten_algebra, unitarize
 
 # Levenberg-Marquardt damping mu = lam * res^2: lam starts at _LM_LAMBDA,
 # is divided by _LM_SHRINK after an accepted step and multiplied by
@@ -235,7 +235,7 @@ def _levenberg_marquardt(point: _Point, cfg: SolverConfig):
         rhs = s * (u.T @ -_complex_to_real(point.sweep()[2] - point.layout.eye))
         for _ in range(_LM_RETRIES):
             delta = vt.T @ (rhs / (s * s + lam * res * res))
-            cand = point.step(np.tensordot(delta.reshape(-1, n * n), basis, axes=1))
+            cand = point.step(unflatten_algebra(delta.reshape(-1, n * n), n))
             cand_res = cand.residual()
             if cand_res < res:
                 break

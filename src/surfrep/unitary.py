@@ -5,10 +5,16 @@ N x N matrices.  Everything downstream uses the invariant inner product
 
     B(x, y) = -tr(x y),
 
-which is real, symmetric and positive definite on u(N).  The flattening
-helpers below identify u(N) with R^(N^2) isometrically via a fixed
+which is real, symmetric and positive definite on u(N).  The coordinate
+maps below identify u(N) with R^(N^2) isometrically via a fixed
 orthonormal basis, so that cochain spaces become plain real coordinate
-spaces and conjugation becomes an orthogonal matrix.
+spaces and conjugation becomes an orthogonal matrix.  All three,
+`flatten_algebra`, `unflatten_algebra` and `adjoint_matrix`, take a
+whole stack, (..., N, N) or (..., N^2), in one call, and each is one
+closed form: the coordinates are read off the matrix entries, the
+inverse is one contraction with the basis, and Ad(g) is one Kronecker
+product between two fixed matrices.  A member of a stack comes out bit
+for bit as it does alone, so callers pass a stack wherever they have one.
 
 Matrix-valued results that are skew-Hermitian or unitary by contract are
 re-projected onto the constraint set where drift could otherwise
@@ -30,6 +36,10 @@ TWO_PI = 2.0 * math.pi
 
 # Eigenvalue products closer to 1 than this count as degenerate.
 ANGLE_TOL = 1e-9
+# is_skew_hermitian's relative bound on the Hermitian part
+SKEW_TOL = 1e-12
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def wrap_angle(theta):
@@ -48,13 +58,13 @@ def skew_project(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x - x.conj().swapaxes(-1, -2))
 
 
-def is_skew_hermitian(x: np.ndarray, tol: float = 1e-12) -> bool:
-    """||x + x^dagger|| <= tol * max(1, ||x||) for x, or for every member of a
-    stack; False on non-finite input."""
+def is_skew_hermitian(x: np.ndarray) -> bool:
+    """||x + x^dagger|| <= SKEW_TOL * max(1, ||x||) for x, or for every member
+    of a stack; False on non-finite input."""
     if not np.isfinite(x).all():
         return False
     herm = np.linalg.norm(x + x.conj().swapaxes(-1, -2), axis=(-2, -1))
-    return bool(np.all(herm <= tol * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)))))
+    return bool(np.all(herm <= SKEW_TOL * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)))))
 
 
 def unitarize(u: np.ndarray) -> np.ndarray:
@@ -125,39 +135,77 @@ def algebra_basis(n: int) -> np.ndarray:
         m = np.zeros((n, n), dtype=complex)
         m[k, k] = 1j
         mats.append(m)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for k in range(n):
         for l in range(k + 1, n):
             m = np.zeros((n, n), dtype=complex)
-            m[k, l] = inv_sqrt2
-            m[l, k] = -inv_sqrt2
+            m[k, l] = _INV_SQRT2
+            m[l, k] = -_INV_SQRT2
             mats.append(m)
             m = np.zeros((n, n), dtype=complex)
-            m[k, l] = 1j * inv_sqrt2
-            m[l, k] = 1j * inv_sqrt2
+            m[k, l] = 1j * _INV_SQRT2
+            m[l, k] = 1j * _INV_SQRT2
             mats.append(m)
     out = np.array(mats)
     out.setflags(write=False)
     return out
 
 
+@lru_cache(maxsize=16)
+def _basis_columns(n: int) -> tuple:
+    """E, the (n^2, n^2) matrix whose column a is the row-major vec of
+    basis element a, and its conjugate transpose."""
+    e = algebra_basis(n).reshape(n * n, n * n).T.copy()
+    eh = e.conj().T.copy()
+    for m in (e, eh):
+        m.setflags(write=False)
+    return e, eh
+
+
+@lru_cache(maxsize=16)
+def _entry_positions(n: int) -> np.ndarray:
+    """Row-major positions of the diagonal entries, then of the entries
+    (k, l) and then (l, k) for the pairs k < l in the basis ordering."""
+    k, l = np.triu_indices(n, 1)
+    out = np.concatenate([np.arange(n) * (n + 1), k * n + l, l * n + k])
+    out.setflags(write=False)
+    return out
+
+
 def flatten_algebra(x: np.ndarray) -> np.ndarray:
-    """Coordinates of the skew-Hermitian part of x in the orthonormal basis."""
-    basis = algebra_basis(x.shape[0])
-    # B(e_a, x) = -tr(e_a x); the Hermitian part of x drops out.
-    return -np.real(np.einsum("aij,ji->a", basis, x))
+    """Coordinates of the skew-Hermitian part of x, or of every member of a
+    stack (..., N, N), in the orthonormal basis; shape (..., N^2).
+
+    B(e_a, x) = -tr(e_a x) read off the entries in closed form, so the
+    Hermitian part of x drops out.
+    """
+    n = x.shape[-1]
+    pairs = n * (n - 1) // 2
+    entries = x.reshape(x.shape[:-2] + (n * n,))[..., _entry_positions(n)]
+    upper, lower = entries[..., n:n + pairs], entries[..., n + pairs:]
+    out = np.empty(entries.shape)
+    out[..., :n] = entries[..., :n].imag
+    out[..., n::2] = _INV_SQRT2 * upper.real - _INV_SQRT2 * lower.real
+    out[..., n + 1::2] = _INV_SQRT2 * lower.imag + _INV_SQRT2 * upper.imag
+    return out
 
 
 def unflatten_algebra(v: np.ndarray, n: int) -> np.ndarray:
-    basis = algebra_basis(n)
-    return np.einsum("a,aij->ij", np.asarray(v, dtype=float), basis)
+    """The element of u(n), or stack of them, with coordinates v (..., n^2)."""
+    return np.tensordot(np.asarray(v, dtype=float), algebra_basis(n), axes=1)
 
 
 def adjoint_matrix(g: np.ndarray) -> np.ndarray:
-    """Matrix of Ad(g) on u(N) in the orthonormal basis; orthogonal, real."""
-    basis = algebra_basis(g.shape[0])
-    moved = np.einsum("ij,bjk,kl->bil", g, basis, g.conj().T)
-    return -np.real(np.einsum("aij,bji->ab", basis, moved))
+    """Matrix of Ad(g) on u(N) in the orthonormal basis, for g or for every
+    member of a stack (..., N, N); orthogonal, real, shape (..., N^2, N^2).
+
+    Row-major vec(g x g^dagger) = (g kron conj(g)) vec(x), and the
+    coordinates of y are Re(E^dagger vec(y)) with E the basis columns
+    (`_basis_columns`), so Ad(g) = Re(E^dagger (g kron conj(g)) E).
+    """
+    n = g.shape[-1]
+    e, eh = _basis_columns(n)
+    kron = g[..., :, None, :, None] * g.conj()[..., None, :, None, :]
+    return (eh @ kron.reshape(g.shape[:-2] + (n * n, n * n)) @ e).real
 
 
 @lru_cache(maxsize=16)
@@ -183,23 +231,23 @@ def traceless_coordinates(n: int) -> np.ndarray:
 # conjugacy classes of U(N)
 
 
-def _cluster_angles(angles, tol=ANGLE_TOL):
+def _cluster_angles(angles):
     """Multiplicities of a multiset of angles on the circle."""
     pts = sorted(a % TWO_PI for a in angles)
     if not pts:
         return []
     groups = [[pts[0]]]
     for a in pts[1:]:
-        if a - groups[-1][-1] <= tol:
+        if a - groups[-1][-1] <= ANGLE_TOL:
             groups[-1].append(a)
         else:
             groups.append([a])
-    if len(groups) > 1 and (pts[0] + TWO_PI) - groups[-1][-1] <= tol:
+    if len(groups) > 1 and (pts[0] + TWO_PI) - groups[-1][-1] <= ANGLE_TOL:
         groups[0].extend(groups.pop())
     return [len(g) for g in groups]
 
 
-def property_p_check(angles, tol: float = ANGLE_TOL) -> bool:
+def property_p_check(angles) -> bool:
     """Check that no proper nonempty subset of eigenvalues multiplies to 1.
 
     `angles` are the eigenvalue arguments of a unitary conjugacy class.
@@ -214,7 +262,7 @@ def property_p_check(angles, tol: float = ANGLE_TOL) -> bool:
     for k in range(1, n):
         for subset in combinations(range(n), k):
             total = sum(angles[i] for i in subset)
-            if circle_distance(total) <= tol:
+            if circle_distance(total) <= ANGLE_TOL:
                 return False
     return True
 
@@ -246,16 +294,16 @@ class ConjugacyClass:
         """Diagonal unitary with the recorded eigenvalues."""
         return np.diag(np.exp(1j * np.array(self.angles)))
 
-    def multiplicities(self, tol: float = ANGLE_TOL):
-        return _cluster_angles(self.angles, tol)
+    def multiplicities(self):
+        return _cluster_angles(self.angles)
 
-    def dimension(self, tol: float = ANGLE_TOL) -> int:
+    def dimension(self) -> int:
         """Real dimension of the class, N^2 - sum of squared multiplicities."""
         n = self.size
-        return n * n - sum(m * m for m in self.multiplicities(tol))
+        return n * n - sum(m * m for m in self.multiplicities())
 
-    def property_p(self, tol: float = ANGLE_TOL) -> bool:
-        return property_p_check(self.angles, tol)
+    def property_p(self) -> bool:
+        return property_p_check(self.angles)
 
 
 @lru_cache(maxsize=None)

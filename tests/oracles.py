@@ -25,6 +25,10 @@ package computes in one place:
   and its residuals one t at a time, `reference_grid_residuals` (the
   package instantiates and checks the whole decay-check grid at once).
 
+`MatrixSeries`, with `series_exp` and `series_log`, is the one-series
+view of the package's stacked series kernel (`deformation._cauchy`,
+`_exp` and `_log`) that the per-letter references are written in.
+
 The rest are u(N) and word operations that the checks state their
 properties with: the invariant form, the commutator and the truncated
 Baker-Campbell-Hausdorff series.
@@ -35,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from surfrep import linalg
-from surfrep.deformation import MatrixSeries, series_exp, series_log
+from surfrep.deformation import _cauchy, _exp, _horner, _log
 from surfrep.presentation import (
     Representation,
     evaluate_word,
@@ -144,6 +148,67 @@ def coboundary(rho, x):
 def peripheral_value(rho, values, j):
     """u(c_j), computed over the free basis (a word for the last puncture)."""
     return extend_cocycle(rho, values, rho.presentation.peripheral_word(j))
+
+
+# ---------------------------------------------------------------------------
+# one series of the stacked kernel
+
+
+class MatrixSeries:
+    """Matrix-valued polynomial truncated at a fixed order in t.
+
+    A view of one series of the package's stacked kernel: products,
+    `series_exp` and `series_log` call `_cauchy`, `_exp` and `_log`.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+
+    @property
+    def order(self):
+        return self.coeffs.shape[0] - 1
+
+    @classmethod
+    def constant(cls, mat, order):
+        n = mat.shape[0]
+        coeffs = np.zeros((order + 1, n, n), dtype=complex)
+        coeffs[0] = mat
+        return cls(coeffs)
+
+    @classmethod
+    def from_coefficients(cls, mats, order):
+        """Series sum_k mats[k-1] t^k with no constant term."""
+        mats = np.asarray(mats, dtype=complex)
+        n = mats.shape[1]
+        coeffs = np.zeros((order + 1, n, n), dtype=complex)
+        top = min(len(mats), order)
+        coeffs[1:top + 1] = mats[:top]
+        return cls(coeffs)
+
+    def __neg__(self):
+        return MatrixSeries(-self.coeffs)
+
+    def __matmul__(self, other):
+        order = min(self.order, other.order)
+        return MatrixSeries(_cauchy(self.coeffs[:order + 1], other.coeffs[:order + 1]))
+
+    def coefficient(self, k):
+        return self.coeffs[k]
+
+    def eval(self, t):
+        return _horner(self.coeffs, t)
+
+
+def series_exp(s):
+    """exp of a series with no constant term."""
+    return MatrixSeries(_exp(s.coeffs))
+
+
+def series_log(s):
+    """log of a series with constant term I."""
+    return MatrixSeries(_log(s.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import scipy.linalg
 from surfrep.cohomology import (
     cone_h2_trivial_rank,
     parabolic_tangent_basis,
-    peripheral_fixed_space,
+    peripheral_fixed_spaces,
     relative_h2_dim,
     unflatten_cochain,
 )
@@ -108,8 +108,7 @@ def test_3_symplectic_form_well_defined(corpus):
 
         lifts = lift_to_cone(rho, u)
         moved = lifts.copy()
-        for j in range(rho.surface.punctures):
-            fixed = peripheral_fixed_space(rho, j)
+        for j, fixed in enumerate(peripheral_fixed_spaces(rho)):
             if fixed.shape[1]:
                 moved[j] = moved[j] + unflatten_algebra(fixed[:, 0], rho.rank)
         lifted = pair_with_lifts(rho, u, moved, v)

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import surfrep.cohomology as cohomology
 from surfrep.cohomology import (
     AnalysisReport,
     analyze,
@@ -16,7 +17,7 @@ from surfrep.cohomology import (
     h1_basis,
     is_irreducible,
     parabolic_tangent_basis,
-    peripheral_fixed_space,
+    peripheral_fixed_spaces,
     relative_h2_dim,
     require_smooth_irreducible,
 )
@@ -74,7 +75,7 @@ def test_h1_dimension_abelian():
 
 def test_peripheral_fixed_space_generic_vs_central():
     rho = smooth_instance(1, 2, 1).representation
-    fixed = peripheral_fixed_space(rho, 0)
+    fixed = peripheral_fixed_spaces(rho)[0]
     # generic class: only the two diagonal directions commute
     assert fixed.shape[1] == 2
 
@@ -83,7 +84,7 @@ def test_peripheral_fixed_space_generic_vs_central():
     b = np.diag(np.exp(1j * np.array([2.1, 0.2])))
     rho_c = Representation(central, (a, b, np.eye(2, dtype=complex)))
     # identity peripheral image fixes the whole algebra
-    assert peripheral_fixed_space(rho_c, 0).shape[1] == 4
+    assert peripheral_fixed_spaces(rho_c)[0].shape[1] == 4
 
 
 def test_tangent_dims_u1_grid():
@@ -107,10 +108,56 @@ def test_tangent_vectors_are_parabolic_cocycles(witness_u2):
 
     for k in range(basis.dim):
         values = unflatten_cochain(rho, basis.basis[:, k])
-        for j in range(rho.surface.punctures):
-            fixed = peripheral_fixed_space(rho, j)
+        for j, fixed in enumerate(peripheral_fixed_spaces(rho)):
             vec = flatten_algebra(peripheral_value(rho, values, j))
             assert np.linalg.norm(fixed.T @ vec) < 1e-9
+
+
+def test_tangent_basis_is_canonical_under_roundoff(corpus, monkeypatch):
+    # the restriction matrix has a structurally zero singular value, so a
+    # 1e-15 perturbation rotates its null-space basis by O(1) inside the
+    # tangent subspace; the canonical columns move by roundoff only
+    rng = np.random.default_rng(0)
+    original = cohomology._restriction_matrix
+
+    def perturbed(*args):
+        m = original(*args)
+        return m + 1e-15 * rng.standard_normal(m.shape)
+
+    def raw_and_canonical(rho):
+        with monkeypatch.context() as m:
+            m.setattr(cohomology, "_canonical_columns", lambda b: b)
+            raw = parabolic_tangent_basis(rho).basis
+        return raw, parabolic_tangent_basis(rho).basis
+
+    checked, raw_moves = 0, []
+    for inst in corpus:
+        rho = inst.representation
+        raw, canonical = raw_and_canonical(rho)
+        if canonical.shape[1] == 0:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(cohomology, "_restriction_matrix", perturbed)
+            raw_moved, moved = raw_and_canonical(rho)
+        raw_moves.append(np.abs(raw_moved - raw).max())
+        assert np.abs(moved - canonical).max() <= 1e-12, inst.name
+        checked += 1
+    assert checked == 56
+    # the perturbation is felt: without the rule some bases turn by O(1)
+    assert max(raw_moves) > 0.1
+
+
+def test_canonical_basis_depends_on_the_span_alone(corpus):
+    # B O, O orthogonal, spans what B spans and gives the same basis
+    rng = np.random.default_rng(1)
+    for inst in corpus:
+        basis = inst.report.tangent.basis
+        d = basis.shape[1]
+        if d == 0:
+            continue
+        o, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        turned = cohomology._canonical_columns(basis @ o)
+        assert np.abs(turned - basis).max() <= 1e-12, inst.name
 
 
 def test_relative_h2_zero_at_smooth_points(witness_u2, witness_u1):

@@ -16,14 +16,11 @@ from surfrep.corpus import (
 )
 from surfrep.deformation import (
     DEFAULT_VERIFY_TS,
-    MatrixSeries,
     build_deformation,
     conjugation_state,
     first_order_data,
     matching_matrix,
     order_residuals,
-    series_exp,
-    series_log,
     verify_deformation,
 )
 from surfrep.errors import ObstructionFound
@@ -36,6 +33,7 @@ from surfrep.unitary import (
 )
 
 from oracles import (
+    MatrixSeries,
     adjoint,
     algebra_norm,
     all_pairs_cauchy,
@@ -45,6 +43,8 @@ from oracles import (
     reference_grid_residuals,
     reference_instantiate,
     reference_order_residuals,
+    series_exp,
+    series_log,
     word_coefficients,
 )
 

@@ -14,12 +14,13 @@ import pytest
 
 import surfrep.cohomology as cohomology
 import surfrep.pairing as pairing
+import surfrep.presentation as presentation
 from surfrep import linalg
 from surfrep.cohomology import (
     _restriction_matrix,
     h1_basis,
     parabolic_tangent_basis,
-    peripheral_fixed_space,
+    peripheral_fixed_spaces,
     relative_h2,
     unflatten_cochain,
 )
@@ -134,7 +135,7 @@ def test_restriction_matrix_matches_columnwise_reference(points):
     for rho in points:
         r = rho.surface.punctures
         h1 = h1_basis(rho).basis
-        fixed = [peripheral_fixed_space(rho, j) for j in range(r)]
+        fixed = peripheral_fixed_spaces(rho)
         got = _restriction_matrix(rho, h1, fixed)
         ref = _reference_restriction(rho, h1, fixed)
         assert got.shape == ref.shape
@@ -152,8 +153,7 @@ def test_relative_h2_matches_columnwise_reference(points):
         source = np.zeros((nf * n2, nf * su.shape[1]))
         for i in range(nf):
             source[i * n2:(i + 1) * n2, i * su.shape[1]:(i + 1) * su.shape[1]] = su
-        fixed = [peripheral_fixed_space(rho, j, coefficients=su)
-                 for j in range(rho.surface.punctures)]
+        fixed = peripheral_fixed_spaces(rho, coefficients=su)
         ref = _reference_restriction(rho, source, fixed)
         info = linalg.checked_rank(ref)
         dim, gap = relative_h2(rho)
@@ -164,7 +164,7 @@ def test_relative_h2_matches_columnwise_reference(points):
 def _reference_tangent(rho):
     """Tangent basis from the column-by-column restriction matrix."""
     h1 = h1_basis(rho).basis
-    fixed = [peripheral_fixed_space(rho, j) for j in range(rho.surface.punctures)]
+    fixed = peripheral_fixed_spaces(rho)
     null, _ = linalg.nullspace(_reference_restriction(rho, h1, fixed))
     return h1 @ null
 
@@ -181,7 +181,7 @@ def _reference_gram(rho, cols):
         rs = np.array([ad1 @ flatten_algebra(_fold(rho, u, w2)) for u in cocycles])
         entries += sign * ls @ rs.T
     for j in range(pres.punctures):
-        a = rho.peripheral_adjoint(j) - np.eye(n2)
+        a = adjoint_matrix(rho.peripheral_image(j)) - np.eye(n2)
         vals = np.array([flatten_algebra(_fold(rho, u, pres.peripheral_word(j)))
                          for u in cocycles])
         lifts = np.array([linalg.min_norm_solve(a, v)[0] for v in vals])
@@ -224,6 +224,7 @@ def test_sweep_peripheral_values_match_fox_matrix(points):
 
 
 def test_gram_matrix_walks_the_relation_once(monkeypatch, instances):
+    # and so does lift_to_cone: the relation sweep is the one route for u(c_j)
     walked = []
     original = pairing.fox_steps
 
@@ -232,12 +233,19 @@ def test_gram_matrix_walks_the_relation_once(monkeypatch, instances):
         return original(rho, w)
 
     monkeypatch.setattr(pairing, "fox_steps", counted)
+    monkeypatch.setattr(presentation, "fox_steps", counted)
     for inst in instances:
         if inst.report.tangent_dim == 0:
             continue
+        rho = inst.representation
+        sweep = [len(rho.presentation.relation) - 1]
         walked.clear()
-        gram_matrix(inst.representation, report=inst.report)
-        assert walked == [len(inst.representation.presentation.relation) - 1]
+        gram_matrix(rho, report=inst.report)
+        assert walked == sweep
+        for col in inst.report.tangent.basis.T[:2]:
+            walked.clear()
+            pairing.lift_to_cone(rho, unflatten_cochain(rho, col))
+            assert walked == sweep
 
 
 def test_gram_matrix_rejects_non_parabolic_basis(witness_u2):

@@ -68,6 +68,23 @@ def test_flatten_roundtrip(rng):
     assert v.shape == (9,)
     assert np.allclose(unflatten_algebra(v, 3), x)
     assert np.linalg.norm(v) == pytest.approx(algebra_norm(x))
+    # stacks (k,) and (2, 3) at every rank: each member bit for bit as a
+    # single call, both ways; a Hermitian part drops out of the coordinates
+    for n in (1, 2, 3):
+        for shape in ((4,), (2, 3)):
+            xs = np.array([_random_skew(rng, n) for _ in range(np.prod(shape))])
+            xs = xs.reshape(shape + (n, n))
+            h = rng.standard_normal(xs.shape) + 1j * rng.standard_normal(xs.shape)
+            ys = xs + (h + h.conj().swapaxes(-1, -2))
+            vs = flatten_algebra(ys)
+            assert vs.shape == shape + (n * n,)
+            back = unflatten_algebra(vs, n)
+            assert back.shape == xs.shape
+            for x, y, v, b in zip(xs.reshape(-1, n, n), ys.reshape(-1, n, n),
+                                  vs.reshape(-1, n * n), back.reshape(-1, n, n)):
+                assert np.array_equal(v, flatten_algebra(y))
+                assert np.array_equal(b, unflatten_algebra(v, n))
+                assert np.allclose(b, x, atol=1e-12)
 
 
 def test_invariant_form_ad_invariance(rng):
@@ -91,6 +108,19 @@ def test_adjoint_matrix_is_real_orthogonal(rng):
     x = _random_skew(rng, 3)
     assert np.allclose(unflatten_algebra(ad @ flatten_algebra(x), 3),
                        g @ x @ g.conj().T)
+    # stacks (k,) and (2, 3) at every rank: each member bit for bit as a
+    # single call, and the closed form acts as x -> g x g^dagger
+    for n in (1, 2, 3):
+        for shape in ((5,), (2, 3)):
+            gs = np.array([haar_unitary(n, rng) for _ in range(np.prod(shape))])
+            ads = adjoint_matrix(gs.reshape(shape + (n, n)))
+            assert ads.shape == shape + (n * n, n * n)
+            for g, ad in zip(gs, ads.reshape(-1, n * n, n * n)):
+                assert np.array_equal(ad, adjoint_matrix(g))
+                assert np.allclose(ad @ ad.T, np.eye(n * n), atol=1e-12)
+                x = _random_skew(rng, n)
+                assert np.allclose(unflatten_algebra(ad @ flatten_algebra(x), n),
+                                   g @ x @ g.conj().T, atol=1e-12)
 
 
 def test_mat_exp_matches_scipy(rng):
