@@ -17,7 +17,9 @@ which case the stored point is reused instead of solving again, so the
 commands compose by piping files.
 
 Exit codes: 0 success, 1 invalid input, 2 solver failed to converge,
-3 the point is reducible or not smooth, 4 the deformation is obstructed.
+3 the point is reducible or not smooth, 4 the deformation is obstructed,
+5 the point cannot be certified in double precision (two rank methods
+disagree, or a transform met a near-singular matrix).
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from .cohomology import analyze
 from .corpus import tangent_direction
 from .deformation import DEFAULT_VERIFY_TS, build_deformation, check_t_samples, verify_deformation
 from .errors import (
+    NearSingularError,
     NoConvergenceError,
     NotParabolicError,
     NotSmoothError,
+    NumericalRankError,
     ObstructionFound,
     ReducibleError,
 )
@@ -55,6 +59,7 @@ EXIT_INVALID = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_NOT_SMOOTH_POINT = 3
 EXIT_OBSTRUCTED = 4
+EXIT_UNCERTIFIABLE = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,6 +281,8 @@ def main(argv=None) -> int:
     except ObstructionFound as e:
         return _fail(EXIT_OBSTRUCTED, "ObstructionFound", str(e),
                      order=e.order, residual_norm=e.residual_norm)
+    except (NumericalRankError, NearSingularError) as e:
+        return _fail(EXIT_UNCERTIFIABLE, type(e).__name__, str(e))
     _emit(payload, args.output)
     return EXIT_OK
 

@@ -11,9 +11,10 @@ peripheral restriction: the class of u(c_j) in coker(Ad(rho(c_j)) - 1)
 must vanish for every puncture.  Because Ad is orthogonal for the
 invariant form, that cokernel is canonically the fixed space
 ker(Ad(rho(c_j)) - 1) and the class is an orthogonal projection.  The
-restriction u -> u(c_j) is the Fox derivative `fox_matrix(rho, c_j)`, so
-the classes of a whole subspace of cocycles, given by the columns of S,
-are the one product fixed_j^T F(c_j) S per puncture.
+restriction u -> u(c_j) is the Fox derivative F(c_j), one entry of the
+`peripheral_fox_matrices` stack that `analyze` builds once, so the
+classes of a whole subspace of cocycles, given by the columns of S, are
+the one product fixed_j^T F(c_j) S per puncture.
 
 The tangent space comes out of a rank decision with a structurally zero
 singular value (the central cokernel), so any roundoff change upstream
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotSmoothError, ReducibleError
-from .presentation import Representation, SurfaceData, fox_matrix, standard_presentation
+from .presentation import Representation, SurfaceData, peripheral_fox_matrices
 from .unitary import (
     adjoint_matrix,
     flatten_algebra,
@@ -65,7 +66,7 @@ REFERENCE_SEED = 0
 class Subspace:
     """An orthonormal-basis subspace of a real coordinate space.
 
-    `basis` has shape (ambient_dim, dim) with orthonormal columns.  The
+    `basis` has shape (ambient, dim) with orthonormal columns.  The
     spectral gap of the rank decision that produced it is kept so that
     near-degenerate dimensions are visible rather than silent.
     """
@@ -77,22 +78,12 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ v)
-
 
 # ---------------------------------------------------------------------------
 # cochain coordinates
 
 
-def flatten_cochain(rho: Representation, values: np.ndarray) -> np.ndarray:
+def flatten_cochain(values: np.ndarray) -> np.ndarray:
     """Stack per-generator algebra coordinates into one real vector."""
     return flatten_algebra(np.asarray(values)).reshape(-1)
 
@@ -144,14 +135,10 @@ def peripheral_fixed_spaces(rho: Representation,
     return [coefficients @ linalg.nullspace(a)[0] for a in moved @ coefficients]
 
 
-def _restriction_matrix(rho: Representation, source: np.ndarray,
-                        fixed_bases) -> np.ndarray:
-    """Stacked peripheral-class coordinates of each source column."""
-    pres = rho.presentation
-    return np.vstack([
-        f.T @ fox_matrix(rho, pres.peripheral_word(j)) @ source
-        for j, f in enumerate(fixed_bases)
-    ])
+def _restriction_matrix(fox: np.ndarray, source: np.ndarray, fixed_bases) -> np.ndarray:
+    """Stacked peripheral-class coordinates of each source column; `fox` is
+    the `peripheral_fox_matrices` stack."""
+    return np.vstack([f.T @ fj @ source for f, fj in zip(fixed_bases, fox)])
 
 
 @lru_cache(maxsize=64)
@@ -177,29 +164,32 @@ def _canonical_columns(basis: np.ndarray) -> np.ndarray:
     return basis @ (u @ vt)
 
 
-def parabolic_tangent_basis(rho: Representation, h1: Subspace | None = None) -> Subspace:
+def parabolic_tangent_basis(rho: Representation, h1: Subspace | None = None,
+                            fox: np.ndarray | None = None) -> Subspace:
     """Tangent space of the relative character variety at rho.
 
     Orthonormal cocycle representatives (orthogonal to coboundaries) whose
     peripheral classes all vanish, in the canonical basis of the tangent
-    subspace (`_canonical_columns`).  `h1` reuses an `h1_basis` already
-    computed at rho.
+    subspace (`_canonical_columns`).  `h1` and `fox` reuse an `h1_basis`
+    and a `peripheral_fox_matrices` stack already computed at rho.
     """
     _require_nondegenerate(rho)
     if h1 is None:
         h1 = h1_basis(rho)
-    m = _restriction_matrix(rho, h1.basis, peripheral_fixed_spaces(rho))
+    if fox is None:
+        fox = peripheral_fox_matrices(rho)
+    m = _restriction_matrix(fox, h1.basis, peripheral_fixed_spaces(rho))
     null, info = linalg.nullspace(m)
     return Subspace(_canonical_columns(h1.basis @ null), info.gap)
 
 
-def relative_h2(rho: Representation):
+def relative_h2(rho: Representation, fox: np.ndarray | None = None):
     """Dimension and gap of the obstruction space (traceless coefficients).
 
     Computed as the cokernel of the restriction of traceless-valued
     cocycles to the peripheral fixed spaces; the image of the cocycle
     space equals the image of H^1 because coboundaries restrict to zero
-    classes.
+    classes.  `fox` reuses a `peripheral_fox_matrices` stack at rho.
     """
     _require_nondegenerate(rho)
     n = rho.rank
@@ -208,7 +198,9 @@ def relative_h2(rho: Representation):
     su = traceless_coordinates(n)
     # traceless values on each free generator in turn
     source = np.kron(np.eye(rho.presentation.free_rank), su)
-    m = _restriction_matrix(rho, source, peripheral_fixed_spaces(rho, coefficients=su))
+    if fox is None:
+        fox = peripheral_fox_matrices(rho)
+    m = _restriction_matrix(fox, source, peripheral_fixed_spaces(rho, coefficients=su))
     if m.shape[0] == 0:
         return 0, (float("inf"), 0.0)
     info = linalg.checked_rank(m)
@@ -225,17 +217,16 @@ def cone_h2_trivial_rank(genus: int, punctures: int) -> int:
     With trivial coefficients the peripheral restriction sends a
     homomorphism pi -> R to its values on the c_j, and the value on the
     last peripheral is minus the sum of the others (handle generators
-    cancel in the relation).  The cokernel is one-dimensional for every
-    surface, generated by the tuple dual to the boundary circles.
+    cancel in the relation).  That map is the `peripheral_fox_matrices`
+    stack at the rank-1 representation with identity images, where Ad is
+    1.  Its cokernel is one-dimensional for every surface, generated by
+    the tuple dual to the boundary circles.
     """
-    pres = standard_presentation(genus, punctures)
-    r = punctures
-    m = np.zeros((r, pres.free_rank))
-    for j in range(r):
-        for idx, e in pres.peripheral_word(j):
-            m[j, idx] += e
+    surface = SurfaceData(genus, punctures, 1, ((0.0,),) * punctures)
+    trivial = Representation(surface, (np.eye(1),) * (2 * genus + punctures))
+    m = peripheral_fox_matrices(trivial)[:, 0]
     info = linalg.checked_rank(m) if m.size else linalg.RankInfo(0, float("inf"), 0.0)
-    return r - info.rank
+    return punctures - info.rank
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +293,14 @@ class AnalysisReport:
 def analyze(rho: Representation) -> AnalysisReport:
     """Full diagnostic pass at one representation."""
     h1 = h1_basis(rho)
-    tangent = parabolic_tangent_basis(rho, h1=h1)
+    fox = peripheral_fox_matrices(rho)
+    tangent = parabolic_tangent_basis(rho, h1=h1, fox=fox)
     # rank-nullity on the coboundary map u(N) -> u(N)^n: its kernel, the
     # centralizer, has dimension N^2 - rank and H^1 has n N^2 - rank, so
     # the rank decided once in h1_basis gives both
     n2 = rho.rank ** 2
     z = h1.dim - (rho.presentation.free_rank - 1) * n2
-    h2_dim, h2_gap = relative_h2(rho)
+    h2_dim, h2_gap = relative_h2(rho, fox)
     return AnalysisReport(
         h1_dim=h1.dim,
         tangent_dim=tangent.dim,

@@ -14,12 +14,12 @@ C_j(t) = sum_k c_k^j t^k, which is equivalent to
     H_{c_j}(t) = G_j(t) := -log( exp(C_j) exp(-Ad(rho(c_j)) C_j) ).
 
 Matching coefficients of t^{k+1} gives, for known lower orders, an affine
-system in the unknowns (h_{k+1}, c_{k+1}^j).  Its linear part does not
-depend on the order and is built once, in closed form: on each
-peripheral word it is the cocycle restriction u -> u(w), i.e. the Fox
-derivative of w in Ad coordinates, and on the conjugators it is
--(Ad(rho(c_j)) - 1).  The inhomogeneity collects the bracket terms of the
-lower orders and is the residual at the zero candidate.  A direction
+system in the unknowns (h_{k+1}, c_{k+1}^j).  Its linear part,
+`matching_matrix`, does not depend on the order and is built once, in
+closed form: on h it is the peripheral restriction u -> u(c_j), the
+stack of `peripheral_fox_matrices`, and on the conjugators it is
+-(Ad(rho(c_j)) - 1).  The inhomogeneity collects the bracket terms of
+the lower orders and is the residual at the zero candidate.  A direction
 extends past order k exactly when that inhomogeneity is in the range of
 the linear map; the least-squares residual is the obstruction and is
 reported as such.
@@ -89,7 +89,7 @@ from .presentation import (
     Presentation,
     Representation,
     evaluate_word,
-    fox_matrix,
+    peripheral_fox_matrices,
     word_image,
 )
 from .unitary import (
@@ -284,9 +284,6 @@ class DeformationState:
     def direction(self) -> np.ndarray:
         return self.h[0]
 
-    def holonomy_series(self, i: int) -> np.ndarray:
-        return self.h[:, i]
-
     def instantiate(self, t: float) -> Representation:
         """Evaluate the truncated family at one parameter value."""
         return self.instantiate_grid([t])[0]
@@ -347,25 +344,22 @@ def matching_matrix(rho: Representation, gamma: np.ndarray | None = None) -> np.
     Maps the flattened unknowns (h_top, c_top), the coordinates of the
     free_rank + punctures matrices in that order, to the flattened
     top-order residuals of `order_residuals`; it is the same at every
-    order.  On the word w of puncture j the top coefficient enters H_w
-    through its cocycle extension, so its block is `fox_matrix(rho, w)`;
-    c_top^j enters G_j
-    as (Ad(rho(c_j)) - 1) c_top^j, so its block is I - Ad(rho(c_j)).
+    order.  On the word of puncture j the top coefficient enters H_{c_j}
+    through its cocycle extension, so its block is F(c_j) of
+    `peripheral_fox_matrices`; c_top^j enters G_j as
+    (Ad(rho(c_j)) - 1) c_top^j, so its block is I - Ad(rho(c_j)).
     `gamma` is `_peripheral_images(rho)`, evaluated here when not given.
     """
     pres = rho.presentation
     d = rho.rank ** 2
     nf, r = pres.free_rank, pres.punctures
-    words, _ = _peripheral_slots(pres)
     if gamma is None:
         gamma = _peripheral_images(rho)
-    a = np.zeros((r * d, (nf + r) * d))
-    moved = np.eye(d) - adjoint_matrix(gamma)
-    for j, w in enumerate(words):
-        rows = a[j * d:(j + 1) * d]
-        rows[:, :nf * d] = fox_matrix(rho, w)
-        rows[:, (nf + j) * d:(nf + j + 1) * d] = moved[j]
-    return a
+    a = np.zeros((r, d, nf + r, d))
+    a[:, :, :nf] = peripheral_fox_matrices(rho).reshape(r, d, nf, d)
+    j = np.arange(r)
+    a[j, :, nf + j] = np.eye(d) - adjoint_matrix(gamma)
+    return a.reshape(r * d, -1)
 
 
 def _checked_order(res: np.ndarray, order: int) -> float:

@@ -48,15 +48,17 @@ its closing letter c_r, and the other terms are known in closed form:
     C at the 2g handle generators;
   - the identity term is w(1, 1) = U_0^T U_0 = 0 and drops out.
 
-The peripheral values need no second walk: for j < r the word c_j is a
-free generator, so F(c_j) C is C_{c_j}, the rows of C at c_j, and
-F(c_r) C = F(p_{L-1}^-1) C = -Ad(rho(c_r)) U_{L-1} comes from the end of
-the same sweep, which is also where `lift_to_cone` takes them from.
-With S_j the lifts of all columns at puncture j, found by one factored
-solve of (Ad(rho(c_j)) - 1) S_j = F(c_j) C, the Gram matrix is
+The peripheral values V_j = F(c_j) C come from the same walk, through
+`peripheral_fox_matrices`: V_j = C_{c_j}, the rows of C at c_j, for
+j < r, and V_r = F(p_{L-1}^-1) C = -Ad(rho(p_{L-1}))^T U_{L-1}, so the
+closing term is -V_r^T V_r (Ad is orthogonal).  With S_j the lifts of
+all columns at puncture j, found by one factored solve of
+(Ad(rho(c_j)) - 1) S_j = V_j, the Gram matrix is
 
-    G = ( sum_{k < L-1} U_k^T (U_{k+1} - U_k) - U_{L-1}^T U_{L-1} + H^T H
-          - sum_j S_j^T F(c_j) C ) / r.
+    G = ( sum_{k < L-1} U_k^T (U_{k+1} - U_k) - V_r^T V_r + H^T H
+          - sum_j S_j^T V_j ) / r.
+
+`lift_to_cone` takes its u(c_j) from the same stack.
 
 This block assembly is the only evaluation of the pairing: `gram_matrix`
 applies it to a tangent basis, and `symplectic_form(u, v)` is its entry
@@ -79,35 +81,8 @@ from .cohomology import (
     require_smooth_irreducible,
 )
 from .errors import NotParabolicError
-from .presentation import Representation, fox_steps
-from .unitary import adjoint_matrix, unflatten_algebra
-
-
-def _relation_sweep(rho: Representation, cols: np.ndarray):
-    """One pass of `fox_steps` along the relation without its closing letter.
-
-    Returns the staircase sum sum_{k < L-1} U_k^T (U_{k+1} - U_k) of the
-    module docstring and U_{L-1} = F(p_{L-1}) C, C the columns of `cols`.
-    """
-    d = rho.rank ** 2
-    gens, blocks = fox_steps(rho, rho.presentation.relation[:-1])
-    steps = blocks @ cols.reshape(-1, d, cols.shape[1])[gens]
-    prefixes = np.cumsum(steps, axis=0)
-    total = np.einsum("kai,kaj->ij", prefixes[:-1], steps[1:])
-    return total, prefixes[-1]
-
-
-def _peripheral_values(rho: Representation, cols: np.ndarray, u_last: np.ndarray):
-    """u(c_j) of every column of `cols`, one (N^2, columns) block per puncture.
-
-    `u_last` is U_{L-1} from `_relation_sweep`.  For j < r the value is
-    the block of `cols` at the free generator c_j; over the free basis c_r
-    is p_{L-1}^-1, so F(c_r) C = -Ad(rho(c_r)) U_{L-1}.
-    """
-    pres = rho.presentation
-    d = rho.rank ** 2
-    values = [cols[pres.c(j) * d:(pres.c(j) + 1) * d] for j in range(pres.punctures - 1)]
-    return values + [-adjoint_matrix(rho.peripheral_image(pres.punctures - 1)) @ u_last]
+from .presentation import Representation, fox_steps, peripheral_fox_matrices
+from .unitary import unflatten_algebra
 
 
 def _cone_lifts(rho: Representation, values):
@@ -141,24 +116,27 @@ def lift_to_cone(rho: Representation, values: np.ndarray) -> np.ndarray:
     class-constrained variety.  The minimum-norm solution is returned; any
     other lift gives the same pairing against parabolic cocycles.
 
-    The values u(c_j) come from one relation sweep, as in the Gram matrix.
+    The values u(c_j) come from `peripheral_fox_matrices`, one relation walk.
     """
-    cols = flatten_cochain(rho, values)[:, None]
-    _, u_last = _relation_sweep(rho, cols)
-    lifts = _cone_lifts(rho, _peripheral_values(rho, cols, u_last))
+    cols = flatten_cochain(values)[:, None]
+    lifts = _cone_lifts(rho, peripheral_fox_matrices(rho) @ cols)
     return unflatten_algebra(np.array(lifts)[..., 0], rho.rank)
 
 
 def _pairing(rho: Representation, cols: np.ndarray) -> np.ndarray:
     """The block sum G of the module docstring on the columns of `cols`.
 
-    Entry [k, l] pairs column k, lifted to the cone, with column l.
+    Entry [k, l] pairs column k, lifted to the cone, with column l.  One
+    walk along the relation without c_r serves the staircase and the V_j.
     """
     pres = rho.presentation
-    total, u = _relation_sweep(rho, cols)
-    handles = cols[:2 * pres.genus * rho.rank ** 2]
-    total += handles.T @ handles - u.T @ u
-    values = _peripheral_values(rho, cols, u)
+    d = rho.rank ** 2
+    gens, blocks = fox_steps(rho, pres.relation[:-1])
+    steps = blocks @ cols.reshape(-1, d, cols.shape[1])[gens]
+    total = np.einsum("kai,kaj->ij", np.cumsum(steps, axis=0)[:-1], steps[1:])
+    values = peripheral_fox_matrices(rho, (gens, blocks)) @ cols
+    handles = cols[:2 * pres.genus * d]
+    total += handles.T @ handles - values[-1].T @ values[-1]
     for s, v in zip(_cone_lifts(rho, values), values):
         total -= s.T @ v
     return total / pres.punctures
@@ -173,7 +151,7 @@ def symplectic_form(rho: Representation, u: np.ndarray, v: np.ndarray,
     NotParabolicError when u or v is not a parabolic cocycle.
     """
     require_smooth_irreducible(rho, report)
-    cols = np.column_stack([flatten_cochain(rho, u), flatten_cochain(rho, v)])
+    cols = np.column_stack([flatten_cochain(u), flatten_cochain(v)])
     return float(_pairing(rho, cols)[0, 1])
 
 

@@ -310,8 +310,8 @@ def fox_steps(rho: Representation, w: Word):
     blocks are the increments of the cocycle restriction along the word:
     F(p x) = F(p) + Ad(rho(p)) F(x).  The prefixes are N x N products, and
     one `adjoint_matrix` call takes all of them.  This is the only Fox
-    walk of the package; `fox_matrix` sums it per generator and the
-    relation sweep of `pairing` runs it once along the relation.
+    walk of the package; `peripheral_fox_matrices` takes it along the
+    relation, and `fox_matrix` sums it per generator for any word.
     """
     letters = rho.presentation.to_free(w)
     n = rho.rank
@@ -331,6 +331,15 @@ def fox_steps(rho: Representation, w: Word):
     return gens, signs[:, None, None] * adjoint_matrix(frames)
 
 
+def _fox_sum(rho: Representation, gens: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The blocks of a `fox_steps` walk summed into the columns of their
+    generators: a real (N^2, free_rank * N^2) matrix."""
+    d = rho.rank ** 2
+    out = np.zeros((rho.presentation.free_rank, d, d))
+    np.add.at(out, gens, blocks)
+    return out.transpose(1, 0, 2).reshape(d, -1)
+
+
 def fox_matrix(rho: Representation, w: Word) -> np.ndarray:
     """Matrix of the cocycle restriction u -> u(w) in algebra coordinates.
 
@@ -340,11 +349,30 @@ def fox_matrix(rho: Representation, w: Word) -> np.ndarray:
     so the map does not depend on the stored image of the last peripheral
     generator.
     """
-    d = rho.rank ** 2
-    gens, blocks = fox_steps(rho, w)
-    out = np.zeros((rho.presentation.free_rank, d, d))
-    np.add.at(out, gens, blocks)
-    return out.transpose(1, 0, 2).reshape(d, -1)
+    return _fox_sum(rho, *fox_steps(rho, w))
+
+
+def peripheral_fox_matrices(rho: Representation, walk=None) -> np.ndarray:
+    """Every F(c_j), stacked (punctures, N^2, free_rank * N^2): the one
+    route for the peripheral restriction u -> (u(c_1), ..., u(c_r)).
+
+    For j < r, F(c_j) selects the column block of the free generator c_j.
+    Over the free basis c_r is p^-1, p the relation without c_r, so
+    F(c_r) = -Ad(rho(p))^T F(p): one `fox_steps` walk along p (`walk`, when
+    the caller has taken it) and the Ad of the word product rho(p), never
+    the stored image of c_r.
+    """
+    pres = rho.presentation
+    d, r = rho.rank ** 2, pres.punctures
+    p = pres.relation[:-1]
+    if walk is None:
+        walk = fox_steps(rho, p)
+    out = np.zeros((r, d, pres.free_rank, d))
+    j = np.arange(r - 1)
+    out[j, :, pres.c(j), :] = np.eye(d)
+    out = out.reshape(r, d, -1)
+    out[-1] = -adjoint_matrix(rho.evaluate(p)).T @ _fox_sum(rho, *walk)
+    return out
 
 
 def extend_cocycle(rho: Representation, values: np.ndarray, w: Word) -> np.ndarray:

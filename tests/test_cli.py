@@ -305,3 +305,33 @@ def test_no_convergence_payload_lists_restart_residuals(tmp_path, capsys):
     residuals = json.loads(err)["error"]["restart_residuals"]
     assert len(residuals) == 3
     assert all(r > 1e-10 for r in residuals)
+
+
+def test_rank_disagreement_exits_5_with_payload(tmp_path, capsys, monkeypatch):
+    # SVD and pivoted QR disagreeing means the point cannot be certified in
+    # double precision: exit 5 with a structured payload, not a traceback
+    import surfrep.linalg as linalg
+
+    rho, _ = obstructed_instance()
+    inp = _write(tmp_path, "point.json", point_to_dict(rho))
+    qr = linalg.rank_pivoted_qr
+    monkeypatch.setattr(linalg, "rank_pivoted_qr", lambda m, *a: qr(m, *a) + 1)
+    code, out, err = _run(capsys, ["analyze", "--input", inp])
+    assert code == cli.EXIT_UNCERTIFIABLE == 5
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "NumericalRankError"
+    assert "rank methods disagree" in payload["message"]
+
+
+def test_near_singular_transform_exits_5_with_payload(tmp_path, capsys, monkeypatch):
+    import surfrep.unitary as unitary
+
+    inp = _write(tmp_path, "surf.json", FOUR_PUNCTURE)
+    monkeypatch.setattr(unitary, "is_skew_hermitian", lambda x: False)
+    code, out, err = _run(capsys, ["solve", "--input", inp])
+    assert code == 5
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload == {"type": "NearSingularError",
+                       "message": "Cayley input is not skew-Hermitian"}

@@ -1,18 +1,23 @@
 """The Fox-derivative kernel: the cocycle restriction u -> u(w) in closed form.
 
-Every cocycle restriction in the package (peripheral classes, cone lifts,
-the Gram matrix, the deformation's linear part) goes through
-`fox_steps`: the Gram matrix runs it along the relation, the others sum
-it per generator in `fox_matrix`.  The reference here is the
-letter-by-letter fold of the cocycle rule u(w1 w2) = u(w1) + Ad(rho(w1))
-u(w2) in matrix form, applied to one unit cocycle per column, and the
-Gram matrix summed term by term over the fundamental cycle.
+Every cocycle restriction in the package goes through `fox_steps`.  The
+peripheral restriction u -> (u(c_1), ..., u(c_r)) is the one stack of
+`peripheral_fox_matrices`, built from one walk along the relation without
+its closing letter.  It serves the peripheral classes, the cone lifts,
+the Gram matrix (which shares its walk) and the deformation's linear
+part.  `fox_matrix` sums a walk of any word per generator.  The reference
+here is the letter-by-letter fold of the cocycle rule
+u(w1 w2) = u(w1) + Ad(rho(w1)) u(w2) in matrix form, applied to one unit
+cocycle per column, and the Gram matrix summed term by term over the
+fundamental cycle.
 """
 
 import numpy as np
 import pytest
 
 import surfrep.cohomology as cohomology
+import surfrep.corpus as corpus_module
+import surfrep.deformation as deformation
 import surfrep.pairing as pairing
 import surfrep.presentation as presentation
 from surfrep import linalg
@@ -27,7 +32,13 @@ from surfrep.cohomology import (
 from surfrep.corpus import CORPUS_SHAPES, obstructed_instance, smooth_instance
 from surfrep.errors import NotParabolicError
 from surfrep.pairing import gram_matrix
-from surfrep.presentation import evaluate_word, extend_cocycle, fox_matrix
+from surfrep.presentation import (
+    evaluate_word,
+    extend_cocycle,
+    fox_matrix,
+    fox_steps,
+    peripheral_fox_matrices,
+)
 from surfrep.unitary import (
     adjoint_matrix,
     flatten_algebra,
@@ -136,7 +147,7 @@ def test_restriction_matrix_matches_columnwise_reference(points):
         r = rho.surface.punctures
         h1 = h1_basis(rho).basis
         fixed = peripheral_fixed_spaces(rho)
-        got = _restriction_matrix(rho, h1, fixed)
+        got = _restriction_matrix(peripheral_fox_matrices(rho), h1, fixed)
         ref = _reference_restriction(rho, h1, fixed)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max(initial=0.0) < TOL, rho.surface
@@ -208,19 +219,29 @@ def test_gram_matrix_matches_reference_assembly(instances):
     assert checked == len(instances) - 1   # all but the rigid shape
 
 
-def test_sweep_peripheral_values_match_fox_matrix(points):
-    # u(c_j) is the c_j block of the columns for j < r, and
-    # u(c_r) = -Ad(rho(c_r)) U_{L-1} from the end of the relation sweep
+def test_peripheral_fox_matrices_match_fold(points):
+    # F(c_j) is the c_j block selector for j < r, and F(c_r) =
+    # -Ad(rho(p))^T F(p), p the relation without c_r; the stack taken from
+    # the Gram sweep's walk is the same, and its values on columns are
+    # those of fox_matrix
     rng = np.random.default_rng(5)
     for rho in points:
         pres = rho.presentation
-        cols = rng.standard_normal((pres.free_rank * rho.rank ** 2, 3))
-        _, u_last = pairing._relation_sweep(rho, cols)
-        values = pairing._peripheral_values(rho, cols, u_last)
-        assert len(values) == pres.punctures
-        for j, v in enumerate(values):
-            ref = fox_matrix(rho, pres.peripheral_word(j)) @ cols
-            assert np.abs(v - ref).max() < TOL, (rho.surface, j)
+        d, nf, r = rho.rank ** 2, pres.free_rank, pres.punctures
+        stack = peripheral_fox_matrices(rho)
+        assert stack.shape == (r, d, nf * d)
+        shared = peripheral_fox_matrices(rho, fox_steps(rho, pres.relation[:-1]))
+        assert np.array_equal(shared, stack)
+        cols = rng.standard_normal((nf * d, 3))
+        for j in range(r):
+            word = pres.peripheral_word(j)
+            assert np.abs(stack[j] - _fold_matrix(rho, word)).max() < TOL, (rho.surface, j)
+            ref = fox_matrix(rho, word) @ cols
+            assert np.abs(stack[j] @ cols - ref).max() < TOL, (rho.surface, j)
+        for j in range(r - 1):
+            selector = np.zeros((d, nf, d))
+            selector[:, pres.c(j)] = np.eye(d)
+            assert np.array_equal(stack[j], selector.reshape(d, -1)), (rho.surface, j)
 
 
 def test_gram_matrix_walks_the_relation_once(monkeypatch, instances):
@@ -288,3 +309,42 @@ def test_gram_matrix_reuses_the_reported_tangent_basis(monkeypatch, witness_u2):
     # without a report the gate analyzes once, through the counted names
     gram_matrix(rho)
     assert sorted(calls) == ["h1_basis", "parabolic_tangent_basis"]
+
+
+def test_each_restriction_walks_the_relation_once(monkeypatch, corpus):
+    # analyze and tangent_direction build the peripheral stack once, from
+    # one walk along the relation without c_r; build_deformation walks once
+    # for the cone lifts and once for the matching matrix.  The selectors
+    # F(c_j), j < r, need no walk, so no walk is of a one-letter word.
+    # Over the 60 corpus points and the 28 non-rigid seed-0/1 points that
+    # is 60, 28 and 56 walks, where the per-word Fox matrices took 224, 62
+    # and 90.
+    walked = []
+    original = presentation.fox_steps
+
+    def counted(rho, w):
+        walked.append(len(rho.presentation.to_free(w)))
+        return original(rho, w)
+
+    monkeypatch.setattr(pairing, "fox_steps", counted)
+    monkeypatch.setattr(presentation, "fox_steps", counted)
+    totals = dict.fromkeys(("analyze", "tangent_direction", "build_deformation"), 0)
+
+    def walks(stage, rho, call, per_call):
+        walked.clear()
+        out = call()
+        assert walked == per_call * [len(rho.presentation.relation) - 1], stage
+        assert min(walked) > 1, stage
+        totals[stage] += len(walked)
+        return out
+
+    for inst in corpus:
+        rho = inst.representation
+        walks("analyze", rho, lambda: cohomology.analyze(rho), 1)
+        if inst.report.tangent_dim == 0 or not inst.name.endswith(("_s0", "_s1")):
+            continue
+        direction = walks("tangent_direction", rho,
+                          lambda: corpus_module.tangent_direction(rho, 0), 1)
+        walks("build_deformation", rho,
+              lambda: deformation.build_deformation(rho, direction, order=4), 2)
+    assert totals == {"analyze": 60, "tangent_direction": 28, "build_deformation": 56}

@@ -119,7 +119,7 @@ def test_coboundary_invariance(rng):
             continue
         checked += 1
         cols = report.tangent.basis
-        shifts = [flatten_cochain(rho, coboundary(rho, _random_algebra(rng, rho.rank)))
+        shifts = [flatten_cochain(coboundary(rho, _random_algebra(rng, rho.rank)))
                   for _ in range(cols.shape[1])]
         base = gram_matrix(rho, report=report).entries
         moved = gram_matrix(rho, cols + np.column_stack(shifts), report).entries
