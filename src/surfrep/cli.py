@@ -236,7 +236,8 @@ def _cmd_deform(args) -> dict:
         payload["solver"] = result.to_dict()
     payload["manifest"] = _manifest(
         args, watch,
-        {"order": args.order, "direction": args.direction},
+        {"order": args.order, "direction": args.direction,
+         "direction_file": args.direction_file},
     )
     return payload
 

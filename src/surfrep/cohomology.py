@@ -11,10 +11,11 @@ peripheral restriction: the class of u(c_j) in coker(Ad(rho(c_j)) - 1)
 must vanish for every puncture.  Because Ad is orthogonal for the
 invariant form, that cokernel is canonically the fixed space
 ker(Ad(rho(c_j)) - 1) and the class is an orthogonal projection.  The
-restriction u -> u(c_j) is the Fox derivative F(c_j), one entry of the
-`peripheral_fox_matrices` stack that `analyze` builds once, so the
-classes of a whole subspace of cocycles, given by the columns of S, are
-the one product fixed_j^T F(c_j) S per puncture.
+restriction u -> u(c_j) is the Fox derivative F(c_j).  Both come from
+the point's `Periphery`, which `analyze` builds once and keeps on its
+report for the pairing, so the classes of a whole subspace of cocycles,
+given by the columns of S, are the one product fixed_j^T F(c_j) S per
+puncture.
 
 The tangent space comes out of a rank decision with a structurally zero
 singular value (the central cokernel), so any roundoff change upstream
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotSmoothError, ReducibleError
-from .presentation import Representation, SurfaceData, peripheral_fox_matrices
+from .presentation import Periphery, Representation, SurfaceData, build_periphery
 from .unitary import (
     adjoint_matrix,
     flatten_algebra,
@@ -120,24 +121,9 @@ def h1_basis(rho: Representation) -> Subspace:
 # peripheral restriction
 
 
-def peripheral_fixed_spaces(rho: Representation,
-                            coefficients: np.ndarray | None = None) -> list:
-    """Orthonormal bases (columns) of ker(Ad(rho(c_j)) - 1), one per puncture.
-
-    This fixed space is the orthogonal complement of range(Ad - 1), hence
-    a canonical set of representatives for the peripheral cokernel.  With
-    `coefficients` (columns spanning a coefficient subspace, e.g. the
-    traceless one) the kernel is intersected with that subspace.
-    """
-    moved = rho.peripheral_adjoints() - np.eye(rho.rank ** 2)
-    if coefficients is None:
-        return [linalg.nullspace(a)[0] for a in moved]
-    return [coefficients @ linalg.nullspace(a)[0] for a in moved @ coefficients]
-
-
 def _restriction_matrix(fox: np.ndarray, source: np.ndarray, fixed_bases) -> np.ndarray:
     """Stacked peripheral-class coordinates of each source column; `fox` is
-    the `peripheral_fox_matrices` stack."""
+    the F(c_j) stack of a `Periphery`."""
     return np.vstack([f.T @ fj @ source for f, fj in zip(fixed_bases, fox)])
 
 
@@ -165,31 +151,32 @@ def _canonical_columns(basis: np.ndarray) -> np.ndarray:
 
 
 def parabolic_tangent_basis(rho: Representation, h1: Subspace | None = None,
-                            fox: np.ndarray | None = None) -> Subspace:
+                            periphery: Periphery | None = None) -> Subspace:
     """Tangent space of the relative character variety at rho.
 
     Orthonormal cocycle representatives (orthogonal to coboundaries) whose
     peripheral classes all vanish, in the canonical basis of the tangent
-    subspace (`_canonical_columns`).  `h1` and `fox` reuse an `h1_basis`
-    and a `peripheral_fox_matrices` stack already computed at rho.
+    subspace (`_canonical_columns`).  `h1` and `periphery` reuse an
+    `h1_basis` and a `build_periphery` already computed at rho.
     """
     _require_nondegenerate(rho)
     if h1 is None:
         h1 = h1_basis(rho)
-    if fox is None:
-        fox = peripheral_fox_matrices(rho)
-    m = _restriction_matrix(fox, h1.basis, peripheral_fixed_spaces(rho))
+    if periphery is None:
+        periphery = build_periphery(rho)
+    m = _restriction_matrix(periphery.fox, h1.basis, periphery.fixed)
     null, info = linalg.nullspace(m)
     return Subspace(_canonical_columns(h1.basis @ null), info.gap)
 
 
-def relative_h2(rho: Representation, fox: np.ndarray | None = None):
+def relative_h2(rho: Representation, periphery: Periphery):
     """Dimension and gap of the obstruction space (traceless coefficients).
 
     Computed as the cokernel of the restriction of traceless-valued
-    cocycles to the peripheral fixed spaces; the image of the cocycle
-    space equals the image of H^1 because coboundaries restrict to zero
-    classes.  `fox` reuses a `peripheral_fox_matrices` stack at rho.
+    cocycles to the peripheral fixed spaces, each intersected with the
+    traceless subalgebra; the image of the cocycle space equals the image
+    of H^1 because coboundaries restrict to zero classes.  `periphery` is
+    `build_periphery(rho)`.
     """
     _require_nondegenerate(rho)
     n = rho.rank
@@ -198,9 +185,9 @@ def relative_h2(rho: Representation, fox: np.ndarray | None = None):
     su = traceless_coordinates(n)
     # traceless values on each free generator in turn
     source = np.kron(np.eye(rho.presentation.free_rank), su)
-    if fox is None:
-        fox = peripheral_fox_matrices(rho)
-    m = _restriction_matrix(fox, source, peripheral_fixed_spaces(rho, coefficients=su))
+    moved = (periphery.adjoints - np.eye(n * n)) @ su
+    fixed = [su @ linalg.nullspace(a)[0] for a in moved]
+    m = _restriction_matrix(periphery.fox, source, fixed)
     if m.shape[0] == 0:
         return 0, (float("inf"), 0.0)
     info = linalg.checked_rank(m)
@@ -208,7 +195,7 @@ def relative_h2(rho: Representation, fox: np.ndarray | None = None):
 
 
 def relative_h2_dim(rho: Representation) -> int:
-    return relative_h2(rho)[0]
+    return relative_h2(rho, build_periphery(rho))[0]
 
 
 def cone_h2_trivial_rank(genus: int, punctures: int) -> int:
@@ -217,14 +204,14 @@ def cone_h2_trivial_rank(genus: int, punctures: int) -> int:
     With trivial coefficients the peripheral restriction sends a
     homomorphism pi -> R to its values on the c_j, and the value on the
     last peripheral is minus the sum of the others (handle generators
-    cancel in the relation).  That map is the `peripheral_fox_matrices`
-    stack at the rank-1 representation with identity images, where Ad is
-    1.  Its cokernel is one-dimensional for every surface, generated by
-    the tuple dual to the boundary circles.
+    cancel in the relation).  That map is the F(c_j) stack of the
+    `Periphery` at the rank-1 representation with identity images, where
+    Ad is 1.  Its cokernel is one-dimensional for every surface,
+    generated by the tuple dual to the boundary circles.
     """
     surface = SurfaceData(genus, punctures, 1, ((0.0,),) * punctures)
     trivial = Representation(surface, (np.eye(1),) * (2 * genus + punctures))
-    m = peripheral_fox_matrices(trivial)[:, 0]
+    m = build_periphery(trivial).fox[:, 0]
     info = linalg.checked_rank(m) if m.size else linalg.RankInfo(0, float("inf"), 0.0)
     return punctures - info.rank
 
@@ -274,6 +261,8 @@ class AnalysisReport:
     smooth: bool
     # the certified tangent basis, the default basis of `gram_matrix`
     tangent: Subspace = field(compare=False, repr=False)
+    # the point's peripheral data, which the pairing reuses
+    periphery: Periphery = field(compare=False, repr=False)
     spectral_gaps: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -293,14 +282,14 @@ class AnalysisReport:
 def analyze(rho: Representation) -> AnalysisReport:
     """Full diagnostic pass at one representation."""
     h1 = h1_basis(rho)
-    fox = peripheral_fox_matrices(rho)
-    tangent = parabolic_tangent_basis(rho, h1=h1, fox=fox)
+    periphery = build_periphery(rho)
+    tangent = parabolic_tangent_basis(rho, h1, periphery)
     # rank-nullity on the coboundary map u(N) -> u(N)^n: its kernel, the
     # centralizer, has dimension N^2 - rank and H^1 has n N^2 - rank, so
     # the rank decided once in h1_basis gives both
     n2 = rho.rank ** 2
     z = h1.dim - (rho.presentation.free_rank - 1) * n2
-    h2_dim, h2_gap = relative_h2(rho, fox)
+    h2_dim, h2_gap = relative_h2(rho, periphery)
     return AnalysisReport(
         h1_dim=h1.dim,
         tangent_dim=tangent.dim,
@@ -311,6 +300,7 @@ def analyze(rho: Representation) -> AnalysisReport:
         property_p=tuple(c.property_p() for c in rho.surface.classes),
         smooth=h2_dim == 0,
         tangent=tangent,
+        periphery=periphery,
         spectral_gaps={
             "h1": h1.gap,
             "tangent": tangent.gap,

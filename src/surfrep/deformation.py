@@ -17,9 +17,10 @@ Matching coefficients of t^{k+1} gives, for known lower orders, an affine
 system in the unknowns (h_{k+1}, c_{k+1}^j).  Its linear part,
 `matching_matrix`, does not depend on the order and is built once, in
 closed form: on h it is the peripheral restriction u -> u(c_j), the
-stack of `peripheral_fox_matrices`, and on the conjugators it is
--(Ad(rho(c_j)) - 1).  The inhomogeneity collects the bracket terms of
-the lower orders and is the residual at the zero candidate.  A direction
+F(c_j) stack of the point's `Periphery`, and on the conjugators it is
+-(Ad(rho(c_j)) - 1), from the same record.  The inhomogeneity collects
+the bracket terms of the lower orders and is the residual at the zero
+candidate.  A direction
 extends past order k exactly when that inhomogeneity is in the range of
 the linear map; the least-squares residual is the obstruction and is
 reported as such.
@@ -57,7 +58,8 @@ rows are folded from left to right, one Cauchy product per letter
 position for all punctures at once; the shorter words are padded at
 their end with the identity, whose products are exact.  One stacked log
 then gives H_{c_j} and G_j for every puncture.  The images rho(w_j) of
-the peripheral words depend on rho alone; a build evaluates them once.
+the peripheral words are those of the one `Periphery` a build makes; the
+order-1 lifts and the matching matrix read the same record.
 
 Evaluation schedule: `solve_next_order` on a family known to order k
 makes one `order_residuals` call on (h_1..h_k, 0), (c_1..c_k, 0),
@@ -86,14 +88,13 @@ from . import linalg
 from .errors import ObstructionFound
 from .pairing import lift_to_cone
 from .presentation import (
+    Periphery,
     Presentation,
     Representation,
-    evaluate_word,
-    peripheral_fox_matrices,
+    build_periphery,
     word_image,
 )
 from .unitary import (
-    adjoint_matrix,
     flatten_algebra,
     mat_exp,
     match_class,
@@ -194,51 +195,39 @@ def _horner(coeffs: np.ndarray, t) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _peripheral_slots(pres: Presentation):
-    """The peripheral words over the free basis and their letters as slots.
+    """The letters of the peripheral words over the free basis, as slots.
 
-    Returns (words, slots): `slots` has one row per puncture and one column
-    per letter position, as many as the longest word has letters (at least
-    one).  A letter x is slot x, an inverse letter x^-1 is slot
-    free_rank + x, and slot 2 free_rank, the identity, pads a row at its
-    end.
+    One row per puncture and one column per letter position, as many as
+    the longest word has letters (at least one).  A letter x is slot x, an
+    inverse letter x^-1 is slot free_rank + x, and slot 2 free_rank, the
+    identity, pads a row at its end.
     """
     nf = pres.free_rank
-    words = tuple(pres.to_free(pres.peripheral_word(j)) for j in range(pres.punctures))
+    words = [pres.peripheral_word(j) for j in range(pres.punctures)]
     slots = np.full((pres.punctures, max(1, max(map(len, words)))), 2 * nf)
     for j, w in enumerate(words):
         for p, (idx, e) in enumerate(w):
             slots[j, p] = idx if e == 1 else nf + idx
     slots.setflags(write=False)
-    return words, slots
-
-
-def _peripheral_images(rho: Representation) -> np.ndarray:
-    """rho(w_j) for the peripheral word of every puncture, (punctures, N, N).
-
-    It depends on rho alone, so a build evaluates it once and hands it to
-    `matching_matrix` and to every `order_residuals` call.
-    """
-    words, _ = _peripheral_slots(rho.presentation)
-    return np.array([evaluate_word(rho, w) for w in words])
+    return slots
 
 
 def order_residuals(rho: Representation, h: np.ndarray, c: np.ndarray,
-                    gamma: np.ndarray | None = None) -> np.ndarray:
+                    periphery: Periphery) -> np.ndarray:
     """Coefficients of H_{c_j} - G_j at orders 1..m, one skew matrix per puncture.
 
     `h` is (m, free_rank, N, N), `c` is (m, punctures, N, N); the result
     is (m, punctures, N, N) in the same layout, row k-1 holding order k.
     Zero residual at every order up to m means the truncated family stays
-    in the classes to that order.  `gamma` is `_peripheral_images(rho)`,
-    evaluated here when not given.  Every puncture is done at once, in the
-    stacked layout of the module docstring.
+    in the classes to that order.  The peripheral images are those of
+    `periphery`, `build_periphery(rho)`.  Every puncture is done at once,
+    in the stacked layout of the module docstring.
     """
     pres = rho.presentation
     n, nf, r = rho.rank, pres.free_rank, pres.punctures
     order = len(h)
-    _, slots = _peripheral_slots(pres)
-    if gamma is None:
-        gamma = _peripheral_images(rho)
+    slots = _peripheral_slots(pres)
+    gamma = periphery.images
     gamma_h = gamma.conj().swapaxes(-1, -2)
     hs = np.zeros((nf, order + 1, n, n), dtype=complex)
     hs[:, 1:] = np.swapaxes(h, 0, 1)
@@ -270,6 +259,8 @@ class DeformationState:
     """
 
     rho: Representation
+    # the point's peripheral data, `build_periphery(rho)`
+    periphery: Periphery = field(compare=False, repr=False)
     h: np.ndarray
     c: np.ndarray
     residual_norms: tuple = field(default_factory=tuple)
@@ -298,10 +289,11 @@ class DeformationState:
         generator.
 
         Free generator images come from the exponential form; the last
-        peripheral image is taken in conjugator form, hence lies exactly
-        in its class, so the relation residual of the result measures the
-        truncation error.  One Horner sum over the stacked coefficients
-        and one batched exponential over (t, generator) serve the grid.
+        peripheral image is taken in conjugator form about gamma_r, the
+        word product of the periphery, so it stays in its class and the
+        relation residual of the result measures the truncation error.
+        One Horner sum over the stacked coefficients and one batched
+        exponential over (t, generator) serve the grid.
         """
         rho = self.rho
         pres = rho.presentation
@@ -313,7 +305,7 @@ class DeformationState:
         t = np.asarray(ts, dtype=float).reshape(-1, 1, 1, 1)
         u = mat_exp(skew_project(_horner(coeffs, t)))
         free = u[:, :nf] @ np.array(rho.images[:nf], dtype=complex).reshape(nf, n, n)
-        last = u[:, nf] @ rho.peripheral_image(jlast) @ u[:, nf].conj().swapaxes(-1, -2)
+        last = u[:, nf] @ self.periphery.images[jlast] @ u[:, nf].conj().swapaxes(-1, -2)
         return tuple(free[:, i] for i in range(nf)) + (last,)
 
     def to_dict(self) -> dict:
@@ -332,33 +324,24 @@ class DeformationState:
         }
 
 
-def first_order_data(rho: Representation, direction: np.ndarray):
-    """Order-1 coefficients of the family tangent to a parabolic cocycle."""
-    direction = np.asarray(direction, dtype=complex)
-    return direction, lift_to_cone(rho, direction)
-
-
-def matching_matrix(rho: Representation, gamma: np.ndarray | None = None) -> np.ndarray:
+def matching_matrix(rho: Representation, periphery: Periphery) -> np.ndarray:
     """Linear part of the top-order matching conditions, in closed form.
 
     Maps the flattened unknowns (h_top, c_top), the coordinates of the
     free_rank + punctures matrices in that order, to the flattened
     top-order residuals of `order_residuals`; it is the same at every
     order.  On the word of puncture j the top coefficient enters H_{c_j}
-    through its cocycle extension, so its block is F(c_j) of
-    `peripheral_fox_matrices`; c_top^j enters G_j as
-    (Ad(rho(c_j)) - 1) c_top^j, so its block is I - Ad(rho(c_j)).
-    `gamma` is `_peripheral_images(rho)`, evaluated here when not given.
+    through its cocycle extension, so its block is F(c_j); c_top^j enters
+    G_j as (Ad(rho(c_j)) - 1) c_top^j, so its block is I - Ad(rho(c_j)).
+    Both come from `periphery`, `build_periphery(rho)`.
     """
     pres = rho.presentation
     d = rho.rank ** 2
     nf, r = pres.free_rank, pres.punctures
-    if gamma is None:
-        gamma = _peripheral_images(rho)
     a = np.zeros((r, d, nf + r, d))
-    a[:, :, :nf] = peripheral_fox_matrices(rho).reshape(r, d, nf, d)
+    a[:, :, :nf] = periphery.fox.reshape(r, d, nf, d)
     j = np.arange(r)
-    a[j, :, nf + j] = np.eye(d) - adjoint_matrix(gamma)
+    a[j, :, nf + j] = np.eye(d) - periphery.adjoints
     return a.reshape(r * d, -1)
 
 
@@ -373,17 +356,16 @@ def _checked_order(res: np.ndarray, order: int) -> float:
 
 
 def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
-                     solver=None, gamma=None):
+                     periphery: Periphery, solver):
     """Check the top order of a family known to order k, then solve order k+1.
 
     One `order_residuals` call on (h_1..h_k, 0), (c_1..c_k, 0) serves
     both: its order-k coefficient is the residual of the order solved
     last, and its order-(k+1) coefficient is the inhomogeneity b of the
     order-(k+1) matching conditions, which are affine in the unknown top
-    coefficients with linear part `matching_matrix(rho)`.  The system is
-    solved at minimum norm by `solver`, a `linalg.min_norm_solver` of the
-    matching matrix, factored here when not given; `gamma` is
-    `_peripheral_images(rho)`, likewise.
+    coefficients with linear part `matching_matrix(rho, periphery)`.  The
+    system is solved at minimum norm by `solver`, a
+    `linalg.min_norm_solver` of that matrix.
 
     Returns (h_top, c_top, norm), norm being the order-k residual norm,
     or None for k = 1, whose coefficients are the cocycle and its lifts
@@ -394,14 +376,10 @@ def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
     n = rho.rank
     nf, r = pres.free_rank, pres.punctures
     k = len(h)
-    if gamma is None:
-        gamma = _peripheral_images(rho)
-    if solver is None:
-        solver = linalg.min_norm_solver(matching_matrix(rho, gamma))
     res = order_residuals(rho,
                           np.concatenate([h, np.zeros((1, nf, n, n), dtype=complex)]),
                           np.concatenate([c, np.zeros((1, r, n, n), dtype=complex)]),
-                          gamma)
+                          periphery)
     norm = None if k == 1 else _checked_order(res[k - 1], k)
     x, _ = solver(-flatten_algebra(res[k]).reshape(-1))
     top = unflatten_algebra(x.reshape(nf + r, n * n), n)
@@ -413,34 +391,34 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     """Solve the matching conditions order by order up to the given order.
 
     The direction must be a parabolic cocycle (values on the free
-    generators).  The peripheral images are evaluated, and the matching
-    matrix is built, rank-certified and factored, once for all orders.
-    Each `solve_next_order` checks the order before it; one last
-    `order_residuals` call checks the top order, so an order-K build
-    evaluates the residual series K times.  Raises ObstructionFound at
+    generators).  One `build_periphery` serves the order-1 lifts and every
+    order, and the matching matrix is built, rank-certified and factored
+    once for all orders.  Each `solve_next_order` checks the order before
+    it; one last `order_residuals` call checks the top order, so an order-K
+    build evaluates the residual series K times.  Raises ObstructionFound at
     the first order whose inhomogeneity leaves the range of the linear
     part.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    h1, c1 = first_order_data(rho, direction)
-    h = h1[None]
-    c = c1[None]
+    periphery = build_periphery(rho)
+    direction = np.asarray(direction, dtype=complex)
+    h = direction[None]
+    c = lift_to_cone(rho, direction, periphery)[None]
     norms = []
     rank = None
     if order > 1:
-        gamma = _peripheral_images(rho)
-        a = matching_matrix(rho, gamma)
+        a = matching_matrix(rho, periphery)
         rank = linalg.checked_rank(a, rtol=linalg.SOLVE_RTOL)
         solver = linalg.min_norm_solver(a)
         for _ in range(1, order):
-            h_top, c_top, norm = solve_next_order(rho, h, c, solver, gamma)
+            h_top, c_top, norm = solve_next_order(rho, h, c, periphery, solver)
             h = np.concatenate([h, h_top[None]])
             c = np.concatenate([c, c_top[None]])
             if norm is not None:
                 norms.append(norm)
-        norms.append(_checked_order(order_residuals(rho, h, c, gamma)[-1], order))
-    return DeformationState(rho, h, c, tuple(norms), rank)
+        norms.append(_checked_order(order_residuals(rho, h, c, periphery)[-1], order))
+    return DeformationState(rho, periphery, h, c, tuple(norms), rank)
 
 
 def conjugation_state(rho: Representation, x: np.ndarray,
@@ -464,7 +442,7 @@ def conjugation_state(rho: Representation, x: np.ndarray,
     series = -_log(_cauchy(np.broadcast_to(exps[0], exps[1:].shape), exps[1:]))
     c = np.zeros((order, pres.punctures, n, n), dtype=complex)
     c[0] = x
-    return DeformationState(rho, np.swapaxes(series[:, 1:], 0, 1), c)
+    return DeformationState(rho, build_periphery(rho), np.swapaxes(series[:, 1:], 0, 1), c)
 
 
 def check_t_samples(ts) -> list:

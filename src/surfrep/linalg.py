@@ -126,6 +126,16 @@ def range_complement(m: np.ndarray):
     return u[:, info.rank:], info
 
 
+def kernels_and_pseudoinverses(a: np.ndarray):
+    """Orthonormal kernel bases of a stack of square matrices, ranks decided
+    as in `nullspace`, and the pseudo-inverses over the singular values
+    each decision keeps: one batched SVD, read twice."""
+    u, s, vt = np.linalg.svd(a)
+    ranks = [_svd_rank_from_singular_values(sj, RANK_RTOL).rank for sj in s]
+    pinv = np.array([v[:k].T @ (w[:, :k] / sj[:k]).T for w, sj, v, k in zip(u, s, vt, ranks)])
+    return tuple(v[k:].T for v, k in zip(vt, ranks)), pinv
+
+
 def truncated_svd(a: np.ndarray):
     """Thin SVD (u, s, vt) of a, keeping only the singular values above
     max(SOLVE_RTOL * s_max, RANK_ATOL).

@@ -48,17 +48,19 @@ its closing letter c_r, and the other terms are known in closed form:
     C at the 2g handle generators;
   - the identity term is w(1, 1) = U_0^T U_0 = 0 and drops out.
 
-The peripheral values V_j = F(c_j) C come from the same walk, through
-`peripheral_fox_matrices`: V_j = C_{c_j}, the rows of C at c_j, for
+The walk, and the peripheral values V_j = F(c_j) C built from it, come
+from the point's `Periphery`: V_j = C_{c_j}, the rows of C at c_j, for
 j < r, and V_r = F(p_{L-1}^-1) C = -Ad(rho(p_{L-1}))^T U_{L-1}, so the
-closing term is -V_r^T V_r (Ad is orthogonal).  With S_j the lifts of
-all columns at puncture j, found by one factored solve of
-(Ad(rho(c_j)) - 1) S_j = V_j, the Gram matrix is
+closing term is -V_r^T V_r (Ad is orthogonal).  With S_j = P_j V_j the
+lifts of all columns at puncture j, P_j the record's pseudo-inverse of
+Ad(rho(c_j)) - 1, the Gram matrix is
 
     G = ( sum_{k < L-1} U_k^T (U_{k+1} - U_k) - V_r^T V_r + H^T H
           - sum_j S_j^T V_j ) / r.
 
-`lift_to_cone` takes its u(c_j) from the same stack.
+P_j and the fixed space that refuses a non-parabolic column come from
+the one SVD that decided the tangent space.  `gram_matrix` and
+`symplectic_form` take the record from the `analyze` report.
 
 This block assembly is the only evaluation of the pairing: `gram_matrix`
 applies it to a tangent basis, and `symplectic_form(u, v)` is its entry
@@ -81,34 +83,31 @@ from .cohomology import (
     require_smooth_irreducible,
 )
 from .errors import NotParabolicError
-from .presentation import Representation, fox_steps, peripheral_fox_matrices
+from .presentation import Periphery, Representation, build_periphery
 from .unitary import unflatten_algebra
 
 
-def _cone_lifts(rho: Representation, values):
-    """Minimum-norm lifts of peripheral values, one factored solve per puncture.
+def _cone_lifts(periphery: Periphery, values: np.ndarray) -> np.ndarray:
+    """Minimum-norm lifts of peripheral values, (punctures, N^2, columns).
 
-    `values[j]` holds u(c_j) of many cocycles, one column each.
-    Ad(rho(c_j)) is orthogonal, so the residual of a column's solve is its
-    component in the fixed space ker(Ad(rho(c_j)) - 1), the cokernel that
-    a parabolic cocycle must miss; NotParabolicError is raised when it is
-    not negligible.
+    `values[j]` holds u(c_j) of many cocycles, one column each.  A column's
+    component in the fixed space ker(Ad(rho(c_j)) - 1) is the cokernel
+    class that a parabolic cocycle must miss, and which no lift can meet;
+    NotParabolicError is raised when it is not negligible.
     """
-    lifts = []
-    moved = rho.peripheral_adjoints() - np.eye(rho.rank ** 2)
-    for j, vals in enumerate(values):
-        lift, stuck = linalg.min_norm_solver(moved[j])(vals)
+    for j, (fixed, vals) in enumerate(zip(periphery.fixed, values)):
+        stuck = np.linalg.norm(fixed.T @ vals, axis=0)
         bad = np.flatnonzero(stuck > PARABOLIC_TOL * np.maximum(1.0, np.linalg.norm(vals, axis=0)))
         if bad.size:
             raise NotParabolicError(
                 f"cocycle is not parabolic at puncture {j}: "
                 f"fixed-space component {stuck[bad[0]]:.3e}"
             )
-        lifts.append(lift)
-    return lifts
+    return periphery.pinv @ values
 
 
-def lift_to_cone(rho: Representation, values: np.ndarray) -> np.ndarray:
+def lift_to_cone(rho: Representation, values: np.ndarray,
+                 periphery: Periphery | None = None) -> np.ndarray:
     """Peripheral lifts s_j with (Ad(rho(c_j)) - 1) s_j = u(c_j).
 
     Raises NotParabolicError when some u(c_j) has a component in the fixed
@@ -116,29 +115,30 @@ def lift_to_cone(rho: Representation, values: np.ndarray) -> np.ndarray:
     class-constrained variety.  The minimum-norm solution is returned; any
     other lift gives the same pairing against parabolic cocycles.
 
-    The values u(c_j) come from `peripheral_fox_matrices`, one relation walk.
+    The values u(c_j) and the lifts come from `periphery`, which is
+    `build_periphery(rho)`, built here when not given.
     """
+    if periphery is None:
+        periphery = build_periphery(rho)
     cols = flatten_cochain(values)[:, None]
-    lifts = _cone_lifts(rho, peripheral_fox_matrices(rho) @ cols)
-    return unflatten_algebra(np.array(lifts)[..., 0], rho.rank)
+    return unflatten_algebra(_cone_lifts(periphery, periphery.fox @ cols)[..., 0], rho.rank)
 
 
-def _pairing(rho: Representation, cols: np.ndarray) -> np.ndarray:
+def _pairing(rho: Representation, periphery: Periphery, cols: np.ndarray) -> np.ndarray:
     """The block sum G of the module docstring on the columns of `cols`.
 
-    Entry [k, l] pairs column k, lifted to the cone, with column l.  One
+    Entry [k, l] pairs column k, lifted to the cone, with column l.  The
     walk along the relation without c_r serves the staircase and the V_j.
     """
     pres = rho.presentation
     d = rho.rank ** 2
-    gens, blocks = fox_steps(rho, pres.relation[:-1])
+    gens, blocks = periphery.walk
     steps = blocks @ cols.reshape(-1, d, cols.shape[1])[gens]
     total = np.einsum("kai,kaj->ij", np.cumsum(steps, axis=0)[:-1], steps[1:])
-    values = peripheral_fox_matrices(rho, (gens, blocks)) @ cols
+    values = periphery.fox @ cols
     handles = cols[:2 * pres.genus * d]
     total += handles.T @ handles - values[-1].T @ values[-1]
-    for s, v in zip(_cone_lifts(rho, values), values):
-        total -= s.T @ v
+    total -= np.einsum("jai,jak->ik", _cone_lifts(periphery, values), values)
     return total / pres.punctures
 
 
@@ -150,9 +150,9 @@ def symplectic_form(rho: Representation, u: np.ndarray, v: np.ndarray,
     pairing on the tangent space is not the moduli-space form.  Raises
     NotParabolicError when u or v is not a parabolic cocycle.
     """
-    require_smooth_irreducible(rho, report)
+    report = require_smooth_irreducible(rho, report)
     cols = np.column_stack([flatten_cochain(u), flatten_cochain(v)])
-    return float(_pairing(rho, cols)[0, 1])
+    return float(_pairing(rho, report.periphery, cols)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,8 @@ def gram_matrix(rho: Representation, basis: Subspace | np.ndarray | None = None,
     """Gram matrix of the symplectic form on a tangent basis.
 
     With `basis` omitted the orthonormal parabolic tangent basis that
-    `analyze` certified, `report.tangent`, is used.  Raises
+    `analyze` certified, `report.tangent`, is used, and in every case the
+    report's `Periphery`.  Raises
     NotParabolicError when a column is not a parabolic cocycle.
     """
     report = require_smooth_irreducible(rho, report)
@@ -190,6 +191,6 @@ def gram_matrix(rho: Representation, basis: Subspace | np.ndarray | None = None,
     cols = basis.basis if isinstance(basis, Subspace) else np.asarray(basis, dtype=float)
     if cols.shape[1] == 0:
         return GramMatrix(np.zeros((0, 0)), 0, None, (float("inf"), 0.0))
-    entries = _pairing(rho, cols)
+    entries = _pairing(rho, report.periphery, cols)
     info = linalg.checked_rank(entries)
     return GramMatrix(entries, info.rank, info.smallest_singular_value, info.gap)

@@ -13,6 +13,9 @@ Twisted 1-cochains follow the single convention used everywhere in this
 package:
 
     u(w1 w2) = u(w1) + Ad(rho(w1)) u(w2),      u(x^-1) = -Ad(rho(x))^-1 u(x).
+
+What the punctures contribute at a point is one `Periphery` record, which
+each public entry builds once per call with `build_periphery`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .unitary import (
     ConjugacyClass,
     adjoint_matrix,
@@ -193,8 +197,8 @@ class Representation:
     """Unitary images of all 2g + r generators of a punctured surface group.
 
     Not validated on construction: the solver produces candidates first
-    and certifies them afterwards.  `validate` enforces unitarity, the
-    relation residual and the peripheral class constraints.
+    and certifies them afterwards.  `validate` enforces finite unitary
+    images, the relation residual and the peripheral class constraints.
     """
 
     surface: SurfaceData
@@ -253,6 +257,9 @@ class Representation:
     def validate(self) -> None:
         n = self.rank
         for name, m in zip(self.presentation.generator_names, self.images):
+            # a NaN would fail every comparison below, and so pass them all
+            if not np.isfinite(m).all():
+                raise ValueError(f"image of {name} is not finite")
             err = np.linalg.norm(m.conj().T @ m - np.eye(n))
             if err > 1e-10:
                 raise ValueError(f"image of {name} not unitary: {err:.3e}")
@@ -271,14 +278,6 @@ class Representation:
         return Representation(
             self.surface, tuple(g @ m @ gh for m in self.images)
         )
-
-    def peripheral_image(self, j: int) -> np.ndarray:
-        return self.images[self.presentation.c(j)]
-
-    def peripheral_adjoints(self) -> np.ndarray:
-        """Ad(rho(c_j)) of every puncture in algebra coordinates, one call,
-        shape (punctures, N^2, N^2)."""
-        return adjoint_matrix(np.array(self.images[self.presentation.c(0):]))
 
 
 def word_image(images, w: Word, n: int) -> np.ndarray:
@@ -310,8 +309,8 @@ def fox_steps(rho: Representation, w: Word):
     blocks are the increments of the cocycle restriction along the word:
     F(p x) = F(p) + Ad(rho(p)) F(x).  The prefixes are N x N products, and
     one `adjoint_matrix` call takes all of them.  This is the only Fox
-    walk of the package; `peripheral_fox_matrices` takes it along the
-    relation, and `fox_matrix` sums it per generator for any word.
+    walk of the package; `build_periphery` takes it along the relation,
+    and `fox_matrix` sums it per generator for any word.
     """
     letters = rho.presentation.to_free(w)
     n = rho.rank
@@ -352,27 +351,42 @@ def fox_matrix(rho: Representation, w: Word) -> np.ndarray:
     return _fox_sum(rho, *fox_steps(rho, w))
 
 
-def peripheral_fox_matrices(rho: Representation, walk=None) -> np.ndarray:
-    """Every F(c_j), stacked (punctures, N^2, free_rank * N^2): the one
-    route for the peripheral restriction u -> (u(c_1), ..., u(c_r)).
+@dataclass(frozen=True, eq=False)
+class Periphery:
+    """The peripheral data of one point, built by `build_periphery`."""
 
-    For j < r, F(c_j) selects the column block of the free generator c_j.
+    images: np.ndarray     # gamma_j = rho(w_j), w_j the peripheral word
+    adjoints: np.ndarray   # Ad(gamma_j)
+    walk: tuple            # `fox_steps` along the relation without c_r
+    fox: np.ndarray        # F(c_j), (punctures, N^2, free_rank N^2)
+    fixed: tuple           # orthonormal bases of ker(Ad(gamma_j) - 1)
+    pinv: np.ndarray       # pseudo-inverses of Ad(gamma_j) - 1
+
+
+def build_periphery(rho: Representation) -> Periphery:
+    """The one builder of the peripheral data of rho.
+
+    gamma_j is the image of the free generator c_j for j < r, and gamma_r
+    the word product rho(p^-1), never the stored image of c_r.  For
+    j < r, F(c_j) selects the column block of the free generator c_j.
     Over the free basis c_r is p^-1, p the relation without c_r, so
-    F(c_r) = -Ad(rho(p))^T F(p): one `fox_steps` walk along p (`walk`, when
-    the caller has taken it) and the Ad of the word product rho(p), never
-    the stored image of c_r.
+    F(c_r) = -Ad(gamma_r) F(p): one `fox_steps` walk along p.  One SVD of
+    each Ad(gamma_j) - 1 decides its kernel, and the pseudo-inverse keeps
+    the singular values that decision keeps.
     """
     pres = rho.presentation
     d, r = rho.rank ** 2, pres.punctures
-    p = pres.relation[:-1]
-    if walk is None:
-        walk = fox_steps(rho, p)
-    out = np.zeros((r, d, pres.free_rank, d))
+    images = np.array(rho.images[pres.c(0):pres.free_rank]
+                      + (evaluate_word(rho, pres.last_peripheral_word),))
+    adjoints = adjoint_matrix(images)
+    walk = fox_steps(rho, pres.relation[:-1])
+    fox = np.zeros((r, d, pres.free_rank, d))
     j = np.arange(r - 1)
-    out[j, :, pres.c(j), :] = np.eye(d)
-    out = out.reshape(r, d, -1)
-    out[-1] = -adjoint_matrix(rho.evaluate(p)).T @ _fox_sum(rho, *walk)
-    return out
+    fox[j, :, pres.c(j), :] = np.eye(d)
+    fox = fox.reshape(r, d, -1)
+    fox[-1] = -adjoints[-1] @ _fox_sum(rho, *walk)
+    fixed, pinv = linalg.kernels_and_pseudoinverses(adjoints - np.eye(d))
+    return Periphery(images, adjoints, walk, fox, fixed, pinv)
 
 
 def extend_cocycle(rho: Representation, values: np.ndarray, w: Word) -> np.ndarray:

@@ -54,7 +54,10 @@ def point_to_dict(rho: Representation) -> dict:
 
 def point_from_dict(d: dict) -> Representation:
     surface = SurfaceData.from_dict(d["surface"])
-    images = tuple(decode_matrix(m) for m in d["images"])
+    try:
+        images = tuple(decode_matrix(m) for m in d["images"])
+    except (TypeError, IndexError) as e:
+        raise ValueError(f"images must be matrices of [re, im] pairs: {e}") from e
     return Representation(surface, images)
 
 

@@ -77,8 +77,10 @@ class SolverConfig:
     restarts: int = 8
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("tol, max_iters and restarts must be positive")
+        # not (tol > 0), so that a NaN tol is refused too
+        if not (0 < self.tol < np.inf) or self.max_iters < 1 or self.restarts < 1:
+            raise ValueError("tol must be finite, and tol, max_iters and restarts "
+                             "positive")
 
 
 @dataclass(frozen=True)

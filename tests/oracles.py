@@ -295,9 +295,9 @@ def conjugator_log_series(c_j, gamma, order):
     return -series_log(series_exp(cs) @ series_exp(-ad))
 
 
-def reference_order_residuals(rho, h, c, gamma=None):
+def reference_order_residuals(rho, h, c, periphery=None):
     """`deformation.order_residuals`, one puncture and one letter at a time;
-    the peripheral images are evaluated here whether given or not."""
+    the peripheral images are evaluated here, `periphery` or not."""
     pres = rho.presentation
     order = len(h)
     out = np.empty((order, pres.punctures, rho.rank, rho.rank), dtype=complex)
@@ -322,7 +322,7 @@ def reference_instantiate(state, t):
     jlast = pres.punctures - 1
     ct = MatrixSeries.from_coefficients(state.c[:, jlast], state.order).eval(t)
     u = mat_exp(skew_project(ct))
-    last = u @ rho.peripheral_image(jlast) @ u.conj().T
+    last = u @ evaluate_word(rho, pres.last_peripheral_word) @ u.conj().T
     return Representation(rho.surface, tuple(images) + (last,))
 
 

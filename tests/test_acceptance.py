@@ -11,7 +11,6 @@ import scipy.linalg
 from surfrep.cohomology import (
     cone_h2_trivial_rank,
     parabolic_tangent_basis,
-    peripheral_fixed_spaces,
     relative_h2_dim,
     unflatten_cochain,
 )
@@ -19,7 +18,7 @@ from surfrep.corpus import obstructed_instance, tangent_direction
 from surfrep.deformation import build_deformation, verify_deformation
 from surfrep.errors import NoConvergenceError, ObstructionFound
 from surfrep.pairing import gram_matrix, lift_to_cone, symplectic_form
-from surfrep.presentation import SurfaceData, evaluate_word
+from surfrep.presentation import SurfaceData, build_periphery, evaluate_word
 from surfrep.solver import SolverConfig, solve
 from surfrep.unitary import (
     ConjugacyClass,
@@ -108,7 +107,7 @@ def test_3_symplectic_form_well_defined(corpus):
 
         lifts = lift_to_cone(rho, u)
         moved = lifts.copy()
-        for j, fixed in enumerate(peripheral_fixed_spaces(rho)):
+        for j, fixed in enumerate(build_periphery(rho).fixed):
             if fixed.shape[1]:
                 moved[j] = moved[j] + unflatten_algebra(fixed[:, 0], rho.rank)
         lifted = pair_with_lifts(rho, u, moved, v)

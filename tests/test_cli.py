@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from surfrep import cli
-from surfrep.corpus import obstructed_instance
+from surfrep.corpus import obstructed_instance, smooth_instance, tangent_direction
 from surfrep.deformation import build_deformation
 from surfrep.errors import ObstructionFound
-from surfrep.serialize import encode_values, point_to_dict
+from surfrep.serialize import encode_values, point_from_dict, point_to_dict
 
 HALF_PI = float(np.pi / 2)
 
@@ -81,6 +81,18 @@ def test_commands_compose_by_piping_files(tmp_path, capsys):
     assert doc["deformation"]["order"] == 3
     assert doc["verify"]["passed"] is True
     assert doc["manifest"]["config"]["direction"] == 1
+    assert doc["manifest"]["config"]["direction_file"] is None
+
+    # an explicit direction file overrides --direction; the manifest says so
+    with open(solved) as fh:
+        rho = point_from_dict(json.load(fh))
+    dirf = _write(tmp_path, "dir.json", {"values": encode_values(tangent_direction(rho, 1))})
+    code, out, _ = _run(capsys, ["deform", "--input", solved, "--order", "3",
+                                 "--direction-file", dirf])
+    assert code == 0
+    via_file = json.loads(out)
+    assert via_file["manifest"]["config"]["direction_file"] == dirf
+    assert via_file["deformation"] == doc["deformation"]
 
 
 def test_deform_t_samples_flag(tmp_path, capsys):
@@ -335,3 +347,46 @@ def test_near_singular_transform_exits_5_with_payload(tmp_path, capsys, monkeypa
     payload = json.loads(err)["error"]
     assert payload == {"type": "NearSingularError",
                        "message": "Cayley input is not skew-Hermitian"}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_1_before_solving(tmp_path, capsys, monkeypatch, tol):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran with a non-finite tol")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    inp = _write(tmp_path, "surf.json", FOUR_PUNCTURE)
+    code, out, err = _run(capsys, ["solve", "--input", inp, "--tol", tol,
+                                   "--max-iters", "1"])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "finite" in error["message"]
+
+
+def test_point_with_a_non_finite_image_exits_1(tmp_path, capsys):
+    # a NaN fails every residual comparison, so it must be refused as such
+    # before analyze reaches an SVD
+    point = point_to_dict(smooth_instance(1, 2, 1).representation)
+    point["images"][0][0][0][0] = float("nan")
+    inp = _write(tmp_path, "point.json", point)
+    code, out, err = _run(capsys, ["analyze", "--input", inp])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "not finite" in error["message"]
+
+
+@pytest.mark.parametrize("images", [[["x"]], [[[1.0]]], 3], ids=["string", "short-pair", "number"])
+def test_malformed_images_exit_1_with_payload(tmp_path, capsys, images):
+    point = point_to_dict(smooth_instance(1, 2, 1).representation)
+    point["images"] = images
+    inp = _write(tmp_path, "point.json", point)
+    code, out, err = _run(capsys, ["analyze", "--input", inp])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "images" in error["message"]

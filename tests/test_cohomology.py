@@ -17,13 +17,12 @@ from surfrep.cohomology import (
     h1_basis,
     is_irreducible,
     parabolic_tangent_basis,
-    peripheral_fixed_spaces,
     relative_h2_dim,
     require_smooth_irreducible,
 )
 from surfrep.corpus import smooth_instance, witness_representation
 from surfrep.errors import NotSmoothError, ReducibleError
-from surfrep.presentation import SurfaceData, Representation
+from surfrep.presentation import Representation, SurfaceData, build_periphery
 from surfrep.unitary import ConjugacyClass, haar_unitary, skew_project
 
 from oracles import coboundary, commutant_dimension, peripheral_value
@@ -75,7 +74,7 @@ def test_h1_dimension_abelian():
 
 def test_peripheral_fixed_space_generic_vs_central():
     rho = smooth_instance(1, 2, 1).representation
-    fixed = peripheral_fixed_spaces(rho)[0]
+    fixed = build_periphery(rho).fixed[0]
     # generic class: only the two diagonal directions commute
     assert fixed.shape[1] == 2
 
@@ -84,7 +83,7 @@ def test_peripheral_fixed_space_generic_vs_central():
     b = np.diag(np.exp(1j * np.array([2.1, 0.2])))
     rho_c = Representation(central, (a, b, np.eye(2, dtype=complex)))
     # identity peripheral image fixes the whole algebra
-    assert peripheral_fixed_spaces(rho_c)[0].shape[1] == 4
+    assert build_periphery(rho_c).fixed[0].shape[1] == 4
 
 
 def test_tangent_dims_u1_grid():
@@ -108,7 +107,7 @@ def test_tangent_vectors_are_parabolic_cocycles(witness_u2):
 
     for k in range(basis.dim):
         values = unflatten_cochain(rho, basis.basis[:, k])
-        for j, fixed in enumerate(peripheral_fixed_spaces(rho)):
+        for j, fixed in enumerate(build_periphery(rho).fixed):
             vec = flatten_algebra(peripheral_value(rho, values, j))
             assert np.linalg.norm(fixed.T @ vec) < 1e-9
 
@@ -280,7 +279,8 @@ def test_require_smooth_refusals(obstructed, witness_u2):
         expected_dim=good.expected_dim, relative_h2_dim=1,
         centralizer_dim=good.centralizer_dim, irreducible=True,
         property_p=good.property_p, smooth=False,
-        tangent=good.tangent, spectral_gaps=good.spectral_gaps,
+        tangent=good.tangent, periphery=good.periphery,
+        spectral_gaps=good.spectral_gaps,
     )
     with pytest.raises(NotSmoothError):
         require_smooth_irreducible(witness_u2.representation, doctored)

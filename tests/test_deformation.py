@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import surfrep.deformation as deformation
+import surfrep.presentation as presentation
 from surfrep import linalg
 from surfrep.corpus import (
     CORPUS_SHAPES,
@@ -18,13 +19,13 @@ from surfrep.deformation import (
     DEFAULT_VERIFY_TS,
     build_deformation,
     conjugation_state,
-    first_order_data,
     matching_matrix,
     order_residuals,
     verify_deformation,
 )
 from surfrep.errors import ObstructionFound
-from surfrep.presentation import evaluate_word
+from surfrep.pairing import lift_to_cone
+from surfrep.presentation import build_periphery, evaluate_word
 from surfrep.unitary import (
     flatten_algebra,
     mat_exp,
@@ -99,13 +100,12 @@ def test_series_exp_matches_scalar_expansion():
 def test_first_order_is_the_direction(witness_u2):
     rho = witness_u2.representation
     direction = tangent_direction(rho, 0)
-    h1, lifts = first_order_data(rho, direction)
-    assert np.allclose(h1, direction)
     state = build_deformation(rho, direction, order=1)
     assert np.allclose(state.direction, direction)
+    assert np.array_equal(state.c[0], lift_to_cone(rho, direction))
     assert state.order == 1
     # order-1 matching residual vanishes for a parabolic cocycle
-    res = order_residuals(rho, state.h, state.c)
+    res = order_residuals(rho, state.h, state.c, build_periphery(rho))
     assert max(algebra_norm(m) for m in res) < 1e-10
 
 
@@ -122,7 +122,7 @@ def test_matching_residuals_vanish_through_order(witness_u2, witness_u3):
     for inst in (witness_u2, witness_u3):
         rho = inst.representation
         state = build_deformation(rho, tangent_direction(rho, 0), order=3)
-        res = order_residuals(rho, state.h, state.c)
+        res = order_residuals(rho, state.h, state.c, build_periphery(rho))
         assert max(algebra_norm(m) for m in res) < 1e-8
         assert all(r < 1e-8 for r in state.residual_norms)
 
@@ -163,7 +163,7 @@ def test_conjugation_family_is_exact(witness_u2, rng):
     rho = witness_u2.representation
     x = skew_project(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     state = conjugation_state(rho, x, order=5)
-    res = order_residuals(rho, state.h, state.c)
+    res = order_residuals(rho, state.h, state.c, build_periphery(rho))
     assert max(algebra_norm(m) for m in res) < 1e-12
     # instantiation reproduces the conjugated point up to truncation error
     t = 0.05
@@ -244,9 +244,9 @@ def test_default_ts_cover_two_decades():
 
 # --- the closed-form linear part against finite differences ---------------
 
-def _flat_residual(rho, h, c, h_top, c_top):
+def _flat_residual(rho, h, c, h_top, c_top, periphery):
     res = order_residuals(rho, np.concatenate([h, h_top[None]]),
-                          np.concatenate([c, c_top[None]]))
+                          np.concatenate([c, c_top[None]]), periphery)
     return np.concatenate([flatten_algebra(m) for m in res[-1]])
 
 
@@ -258,17 +258,17 @@ def _unpack(vec, rho):
     return mats[:rho.presentation.free_rank], mats[rho.presentation.free_rank:]
 
 
-def _differenced_system(rho, h, c):
+def _differenced_system(rho, h, c, periphery):
     """The top-order linear part and inhomogeneity, by differencing the residuals."""
     pres = rho.presentation
     n = rho.rank
     zero_h = np.zeros((pres.free_rank, n, n), dtype=complex)
     zero_c = np.zeros((pres.punctures, n, n), dtype=complex)
-    b = _flat_residual(rho, h, c, zero_h, zero_c)
+    b = _flat_residual(rho, h, c, zero_h, zero_c, periphery)
     dim = (pres.free_rank + pres.punctures) * n * n
     a = np.empty((b.size, dim))
     for m in range(dim):
-        a[:, m] = _flat_residual(rho, h, c, *_unpack(np.eye(dim)[m], rho)) - b
+        a[:, m] = _flat_residual(rho, h, c, *_unpack(np.eye(dim)[m], rho), periphery) - b
     return a, b
 
 
@@ -295,22 +295,23 @@ def _non_rigid_points():
 def test_matching_matrix_matches_differenced_jacobian():
     rng = np.random.default_rng(3)
     for rho in _non_rigid_points():
-        a = matching_matrix(rho)
+        periphery = build_periphery(rho)
+        a = matching_matrix(rho, periphery)
         for order in (1, 2, 3):
             h, c = _random_lower_orders(rho, order, rng)
-            reference, _ = _differenced_system(rho, h, c)
+            reference, _ = _differenced_system(rho, h, c, periphery)
             assert np.abs(a - reference).max() < 1e-12, (rho.surface, order)
 
 
 def _reference_build(rho, direction, order):
     """Order-by-order solve with a differenced Jacobian at every order."""
-    h1, c1 = first_order_data(rho, direction)
-    h, c = h1[None], c1[None]
+    periphery = build_periphery(rho)
+    h, c = direction[None], lift_to_cone(rho, direction)[None]
     for k in range(2, order + 1):
-        a, b = _differenced_system(rho, h, c)
+        a, b = _differenced_system(rho, h, c, periphery)
         x, _ = linalg.min_norm_solve(a, -b)
         h_top, c_top = _unpack(x, rho)
-        final = _flat_residual(rho, h, c, h_top, c_top)
+        final = _flat_residual(rho, h, c, h_top, c_top, periphery)
         if np.linalg.norm(final) > deformation.OBSTRUCTION_TOL:
             return h, c, (k, float(np.linalg.norm(final)))
         h = np.concatenate([h, h_top[None]])
@@ -334,20 +335,25 @@ def test_one_residual_evaluation_per_order(witness_u2, monkeypatch):
         calls.append(("solve_next_order", len(args[1])))
         return original_next(*args)
 
+    def counted_periphery(*args):
+        calls.append(("build_periphery", None))
+        return build_periphery(*args)
+
     def counted_word(*args):
         calls.append(("evaluate_word", None))
         return evaluate_word(*args)
 
     monkeypatch.setattr(deformation, "order_residuals", counted_residuals)
     monkeypatch.setattr(deformation, "solve_next_order", counted_next)
-    monkeypatch.setattr(deformation, "evaluate_word", counted_word)
+    monkeypatch.setattr(deformation, "build_periphery", counted_periphery)
+    monkeypatch.setattr(presentation, "evaluate_word", counted_word)
     rho = witness_u2.representation
     direction = tangent_direction(rho, 0)
     for order in (1, 2, 3, 4):
         calls.clear()
         build_deformation(rho, direction, order=order)
-        # the peripheral images are evaluated once per build
-        expected = [("evaluate_word", None)] * rho.surface.punctures if order > 1 else []
+        # one periphery per build, which evaluates the word of c_r once
+        expected = [("build_periphery", None), ("evaluate_word", None)]
         expected += [call for k in range(1, order)
                      for call in (("solve_next_order", k), ("order_residuals", k + 1))]
         if order > 1:
@@ -364,8 +370,9 @@ def test_each_order_check_matches_a_fresh_top_order_evaluation(witness_u1, witne
         rho = inst.representation
         state = build_deformation(rho, tangent_direction(rho, 0), order=5)
         assert len(state.residual_norms) == 4
+        periphery = build_periphery(rho)
         for k, norm in zip(range(2, 6), state.residual_norms):
-            fresh = order_residuals(rho, state.h[:k], state.c[:k])[-1]
+            fresh = order_residuals(rho, state.h[:k], state.c[:k], periphery)[-1]
             fresh_norm = np.linalg.norm(np.concatenate([flatten_algebra(m) for m in fresh]))
             assert abs(norm - fresh_norm) <= 1e-15, (inst.name, k)
 
@@ -384,9 +391,11 @@ def test_obstruction_vector_does_not_depend_on_the_build_order(obstructed):
     for e in raised[1:]:
         assert e.residual_norm == raised[0].residual_norm
         assert np.array_equal(e.residual_vector, raised[0].residual_vector)
-    h1, c1 = first_order_data(rho, direction)
-    h_top, c_top, _ = deformation.solve_next_order(rho, h1[None], c1[None])
-    fresh = order_residuals(rho, np.array([h1, h_top]), np.array([c1, c_top]))[-1]
+    periphery = build_periphery(rho)
+    h1, c1 = direction, lift_to_cone(rho, direction, periphery)
+    solver = linalg.min_norm_solver(matching_matrix(rho, periphery))
+    h_top, c_top, _ = deformation.solve_next_order(rho, h1[None], c1[None], periphery, solver)
+    fresh = order_residuals(rho, np.array([h1, h_top]), np.array([c1, c_top]), periphery)[-1]
     flat = np.concatenate([flatten_algebra(m) for m in fresh])
     assert np.array_equal(raised[0].residual_vector, flat)
     assert raised[0].residual_norm == pytest.approx(1.2707969905351293, rel=1e-12)
@@ -418,7 +427,7 @@ def test_linear_solve_rank_is_certified(witness_u2):
     direction = tangent_direction(rho, 0)
     assert build_deformation(rho, direction, order=1).linear_rank is None
     state = build_deformation(rho, direction, order=3)
-    a = matching_matrix(rho)
+    a = matching_matrix(rho, build_periphery(rho))
     info = state.linear_rank
     assert info == linalg.checked_rank(a, rtol=linalg.SOLVE_RTOL)
     assert 0 < info.rank <= a.shape[0]
@@ -437,9 +446,10 @@ def test_stacked_residuals_equal_reference_bit_for_bit(corpus):
     rng = np.random.default_rng(11)
     for inst in corpus:
         rho = inst.representation
+        periphery = build_periphery(rho)
         for order in (1, 2, 3, 4):
             h, c = _random_lower_orders(rho, order + 1, rng)
-            stacked = order_residuals(rho, h, c)
+            stacked = order_residuals(rho, h, c, periphery)
             assert np.array_equal(stacked, reference_order_residuals(rho, h, c)), \
                 (inst.name, order)
 

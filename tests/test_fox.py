@@ -1,12 +1,13 @@
 """The Fox-derivative kernel: the cocycle restriction u -> u(w) in closed form.
 
 Every cocycle restriction in the package goes through `fox_steps`.  The
-peripheral restriction u -> (u(c_1), ..., u(c_r)) is the one stack of
-`peripheral_fox_matrices`, built from one walk along the relation without
-its closing letter.  It serves the peripheral classes, the cone lifts,
-the Gram matrix (which shares its walk) and the deformation's linear
-part.  `fox_matrix` sums a walk of any word per generator.  The reference
-here is the letter-by-letter fold of the cocycle rule
+peripheral restriction u -> (u(c_1), ..., u(c_r)) is the one stack of the
+point's `Periphery`, built by `build_periphery` from one walk along the
+relation without its closing letter.  The record serves the peripheral
+classes, the cone lifts, the Gram matrix (which shares its walk) and the
+deformation's linear part, and each public entry builds it once.
+`fox_matrix` sums a walk of any word per generator.  The reference here
+is the letter-by-letter fold of the cocycle rule
 u(w1 w2) = u(w1) + Ad(rho(w1)) u(w2) in matrix form, applied to one unit
 cocycle per column, and the Gram matrix summed term by term over the
 fundamental cycle.
@@ -23,9 +24,9 @@ import surfrep.presentation as presentation
 from surfrep import linalg
 from surfrep.cohomology import (
     _restriction_matrix,
+    analyze,
     h1_basis,
     parabolic_tangent_basis,
-    peripheral_fixed_spaces,
     relative_h2,
     unflatten_cochain,
 )
@@ -33,15 +34,17 @@ from surfrep.corpus import CORPUS_SHAPES, obstructed_instance, smooth_instance
 from surfrep.errors import NotParabolicError
 from surfrep.pairing import gram_matrix
 from surfrep.presentation import (
+    Representation,
+    build_periphery,
     evaluate_word,
     extend_cocycle,
     fox_matrix,
     fox_steps,
-    peripheral_fox_matrices,
 )
 from surfrep.unitary import (
     adjoint_matrix,
     flatten_algebra,
+    mat_exp,
     skew_project,
     traceless_coordinates,
 )
@@ -146,9 +149,9 @@ def test_restriction_matrix_matches_columnwise_reference(points):
     for rho in points:
         r = rho.surface.punctures
         h1 = h1_basis(rho).basis
-        fixed = peripheral_fixed_spaces(rho)
-        got = _restriction_matrix(peripheral_fox_matrices(rho), h1, fixed)
-        ref = _reference_restriction(rho, h1, fixed)
+        periphery = build_periphery(rho)
+        got = _restriction_matrix(periphery.fox, h1, periphery.fixed)
+        ref = _reference_restriction(rho, h1, periphery.fixed)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max(initial=0.0) < TOL, rho.surface
 
@@ -164,10 +167,12 @@ def test_relative_h2_matches_columnwise_reference(points):
         source = np.zeros((nf * n2, nf * su.shape[1]))
         for i in range(nf):
             source[i * n2:(i + 1) * n2, i * su.shape[1]:(i + 1) * su.shape[1]] = su
-        fixed = peripheral_fixed_spaces(rho, coefficients=su)
+        # the traceless fixed spaces, from the stored peripheral images
+        fixed = [su @ linalg.nullspace((adjoint_matrix(rho.images[c]) - np.eye(n2)) @ su)[0]
+                 for c in map(rho.presentation.c, range(rho.surface.punctures))]
         ref = _reference_restriction(rho, source, fixed)
         info = linalg.checked_rank(ref)
-        dim, gap = relative_h2(rho)
+        dim, gap = relative_h2(rho, build_periphery(rho))
         assert dim == ref.shape[0] - info.rank, rho.surface
         assert np.abs(np.subtract(gap, info.gap)).max() < TOL, rho.surface
 
@@ -175,7 +180,7 @@ def test_relative_h2_matches_columnwise_reference(points):
 def _reference_tangent(rho):
     """Tangent basis from the column-by-column restriction matrix."""
     h1 = h1_basis(rho).basis
-    fixed = peripheral_fixed_spaces(rho)
+    fixed = build_periphery(rho).fixed
     null, _ = linalg.nullspace(_reference_restriction(rho, h1, fixed))
     return h1 @ null
 
@@ -192,7 +197,7 @@ def _reference_gram(rho, cols):
         rs = np.array([ad1 @ flatten_algebra(_fold(rho, u, w2)) for u in cocycles])
         entries += sign * ls @ rs.T
     for j in range(pres.punctures):
-        a = adjoint_matrix(rho.peripheral_image(j)) - np.eye(n2)
+        a = adjoint_matrix(rho.images[pres.c(j)]) - np.eye(n2)
         vals = np.array([flatten_algebra(_fold(rho, u, pres.peripheral_word(j)))
                          for u in cocycles])
         lifts = np.array([linalg.min_norm_solve(a, v)[0] for v in vals])
@@ -221,17 +226,22 @@ def test_gram_matrix_matches_reference_assembly(instances):
 
 def test_peripheral_fox_matrices_match_fold(points):
     # F(c_j) is the c_j block selector for j < r, and F(c_r) =
-    # -Ad(rho(p))^T F(p), p the relation without c_r; the stack taken from
-    # the Gram sweep's walk is the same, and its values on columns are
-    # those of fox_matrix
+    # -Ad(rho(p))^T F(p), p the relation without c_r; the record's walk is
+    # the Gram sweep's walk and its stack is built from it, and its values
+    # on columns are those of fox_matrix
     rng = np.random.default_rng(5)
     for rho in points:
         pres = rho.presentation
         d, nf, r = rho.rank ** 2, pres.free_rank, pres.punctures
-        stack = peripheral_fox_matrices(rho)
+        periphery = build_periphery(rho)
+        stack = periphery.fox
         assert stack.shape == (r, d, nf * d)
-        shared = peripheral_fox_matrices(rho, fox_steps(rho, pres.relation[:-1]))
-        assert np.array_equal(shared, stack)
+        gens, blocks = fox_steps(rho, pres.relation[:-1])
+        assert np.array_equal(periphery.walk[0], gens)
+        assert np.array_equal(periphery.walk[1], blocks)
+        closing = np.zeros((d, nf, d))
+        np.add.at(closing.transpose(1, 0, 2), gens, blocks)
+        assert np.array_equal(stack[-1], -periphery.adjoints[-1] @ closing.reshape(d, -1))
         cols = rng.standard_normal((nf * d, 3))
         for j in range(r):
             word = pres.peripheral_word(j)
@@ -245,15 +255,16 @@ def test_peripheral_fox_matrices_match_fold(points):
 
 
 def test_gram_matrix_walks_the_relation_once(monkeypatch, instances):
-    # and so does lift_to_cone: the relation sweep is the one route for u(c_j)
+    # analyze walks once, and gram_matrix reuses that walk from the report;
+    # lift_to_cone walks once on its own and not at all with a periphery:
+    # the relation sweep is the one route for u(c_j)
     walked = []
-    original = pairing.fox_steps
+    original = presentation.fox_steps
 
     def counted(rho, w):
         walked.append(len(rho.presentation.to_free(w)))
         return original(rho, w)
 
-    monkeypatch.setattr(pairing, "fox_steps", counted)
     monkeypatch.setattr(presentation, "fox_steps", counted)
     for inst in instances:
         if inst.report.tangent_dim == 0:
@@ -261,12 +272,18 @@ def test_gram_matrix_walks_the_relation_once(monkeypatch, instances):
         rho = inst.representation
         sweep = [len(rho.presentation.relation) - 1]
         walked.clear()
-        gram_matrix(rho, report=inst.report)
+        report = analyze(rho)
         assert walked == sweep
-        for col in inst.report.tangent.basis.T[:2]:
+        walked.clear()
+        gram_matrix(rho, report=report)
+        assert walked == []
+        for col in report.tangent.basis.T[:2]:
             walked.clear()
             pairing.lift_to_cone(rho, unflatten_cochain(rho, col))
             assert walked == sweep
+            walked.clear()
+            pairing.lift_to_cone(rho, unflatten_cochain(rho, col), report.periphery)
+            assert walked == []
 
 
 def test_gram_matrix_rejects_non_parabolic_basis(witness_u2):
@@ -312,13 +329,13 @@ def test_gram_matrix_reuses_the_reported_tangent_basis(monkeypatch, witness_u2):
 
 
 def test_each_restriction_walks_the_relation_once(monkeypatch, corpus):
-    # analyze and tangent_direction build the peripheral stack once, from
-    # one walk along the relation without c_r; build_deformation walks once
-    # for the cone lifts and once for the matching matrix.  The selectors
-    # F(c_j), j < r, need no walk, so no walk is of a one-letter word.
-    # Over the 60 corpus points and the 28 non-rigid seed-0/1 points that
-    # is 60, 28 and 56 walks, where the per-word Fox matrices took 224, 62
-    # and 90.
+    # analyze, tangent_direction and build_deformation each build one
+    # periphery, from one walk along the relation without c_r; in
+    # build_deformation it serves the cone lifts, the matching matrix and
+    # every residual.  The selectors F(c_j), j < r, need no walk, so no
+    # walk is of a one-letter word.  Over the 60 corpus points and the 28
+    # non-rigid seed-0/1 points that is 60, 28 and 28 walks, where the
+    # per-word Fox matrices took 224, 62 and 90.
     walked = []
     original = presentation.fox_steps
 
@@ -326,7 +343,6 @@ def test_each_restriction_walks_the_relation_once(monkeypatch, corpus):
         walked.append(len(rho.presentation.to_free(w)))
         return original(rho, w)
 
-    monkeypatch.setattr(pairing, "fox_steps", counted)
     monkeypatch.setattr(presentation, "fox_steps", counted)
     totals = dict.fromkeys(("analyze", "tangent_direction", "build_deformation"), 0)
 
@@ -346,5 +362,95 @@ def test_each_restriction_walks_the_relation_once(monkeypatch, corpus):
         direction = walks("tangent_direction", rho,
                           lambda: corpus_module.tangent_direction(rho, 0), 1)
         walks("build_deformation", rho,
-              lambda: deformation.build_deformation(rho, direction, order=4), 2)
-    assert totals == {"analyze": 60, "tangent_direction": 28, "build_deformation": 56}
+              lambda: deformation.build_deformation(rho, direction, order=4), 1)
+    assert totals == {"analyze": 60, "tangent_direction": 28, "build_deformation": 28}
+
+
+def test_the_stored_last_image_is_never_read(instances):
+    # conjugate the stored image of c_r by exp(eps X), eps = 1e-9: the
+    # point still validates, and since gamma_r is the word product of the
+    # free images, the tangent basis, the Gram matrix, the lifts and the
+    # order-4 family are those of the unperturbed point
+    rng = np.random.default_rng(9)
+    checked = 0
+    for inst in instances:
+        rho = inst.representation
+        if inst.report.tangent_dim == 0:
+            continue
+        n = rho.rank
+        x = skew_project(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        g = mat_exp(1e-9 * x / np.linalg.norm(x))
+        images = rho.images[:-1] + (g @ rho.images[-1] @ g.conj().T,)
+        moved = Representation(rho.surface, images)
+        moved.validate()
+        outputs = []
+        for point in (rho, moved):
+            report = analyze(point)
+            direction = corpus_module.tangent_direction(point, 0)
+            state = deformation.build_deformation(point, direction, order=4)
+            outputs.append((report.tangent.basis, gram_matrix(point, report=report).entries,
+                            pairing.lift_to_cone(point, direction), state.h, state.c))
+            assert report == inst.report, inst.name
+        for ours, ref in zip(*outputs):
+            assert np.abs(ours - ref).max() <= 1e-12, inst.name
+        if n > 1:
+            assert np.abs(moved.images[-1] - rho.images[-1]).max() > 1e-11, inst.name
+            checked += 1
+    assert checked == 8   # the non-rigid shapes of rank 2 and 3
+
+
+def test_one_periphery_per_entry(monkeypatch, instances):
+    # analyze + gram_matrix(report=...) and build_deformation each walk the
+    # relation once, take Ad of the stack of gamma_j once and factor each
+    # Ad(gamma_j) - 1 by one SVD, shared by its fixed space and its lifts
+    walks, stacks, factored = [], [], []
+    gamma, targets = None, []      # of the point under test, read late
+    original_walk = presentation.fox_steps
+    original_svd = np.linalg.svd
+
+    def counted_walk(rho, w):
+        walks.append(w)
+        return original_walk(rho, w)
+
+    def counted_ad(original):
+        def ad(g):
+            if g.shape == gamma.shape and np.array_equal(g, gamma):
+                stacks.append(g.shape)
+            return original(g)
+        return ad
+
+    def counted_svd(a, *args, **kwargs):
+        members = np.asarray(a).reshape((-1,) + np.shape(a)[-2:])
+        for j, target in enumerate(targets):
+            factored.extend(j for m in members
+                            if m.shape == target.shape and np.array_equal(m, target))
+        return original_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(presentation, "fox_steps", counted_walk)
+    for module in (presentation, cohomology, pairing, deformation):
+        if hasattr(module, "adjoint_matrix"):
+            monkeypatch.setattr(module, "adjoint_matrix", counted_ad(module.adjoint_matrix))
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    checked = 0
+    for inst in instances:
+        rho = inst.representation
+        if inst.report.tangent_dim == 0:
+            continue
+        pres = rho.presentation
+        r, d = pres.punctures, rho.rank ** 2
+        gamma = np.array([evaluate_word(rho, pres.peripheral_word(j)) for j in range(r)])
+        targets = list(adjoint_matrix(gamma) - np.eye(d)) if rho.rank > 1 else []
+        per_puncture = list(range(r)) if rho.rank > 1 else []
+        direction = corpus_module.tangent_direction(rho, 0)
+        entries = (lambda: gram_matrix(rho, report=analyze(rho)),
+                   lambda: deformation.build_deformation(rho, direction, order=4))
+        for entry in entries:
+            walks.clear()
+            stacks.clear()
+            factored.clear()
+            entry()
+            assert walks == [pres.relation[:-1]], inst.name
+            assert stacks == [gamma.shape], inst.name
+            assert sorted(factored) == per_puncture, inst.name
+        checked += rho.rank > 1
+    assert checked == 8

@@ -7,7 +7,6 @@ from surfrep import linalg
 from surfrep.cohomology import (
     flatten_cochain,
     parabolic_tangent_basis,
-    peripheral_fixed_spaces,
     unflatten_cochain,
 )
 from surfrep.corpus import CORPUS_SHAPES, smooth_instance, witness_representation
@@ -18,7 +17,7 @@ from surfrep.pairing import (
     lift_to_cone,
     symplectic_form,
 )
-from surfrep.presentation import standard_presentation
+from surfrep.presentation import build_periphery, standard_presentation
 from surfrep.unitary import (
     adjoint_matrix,
     flatten_algebra,
@@ -81,7 +80,7 @@ def test_lifts_satisfy_defining_equation(witness_u2):
     u = _tangent_cocycles(rho)[0]
     lifts = lift_to_cone(rho, u)
     for j in range(rho.surface.punctures):
-        ad = adjoint_matrix(rho.peripheral_image(j))
+        ad = adjoint_matrix(rho.images[rho.presentation.c(j)])
         lhs = ad @ flatten_algebra(lifts[j]) - flatten_algebra(lifts[j])
         rhs = flatten_algebra(peripheral_value(rho, u, j))
         assert np.linalg.norm(lhs - rhs) < 1e-9
@@ -134,7 +133,7 @@ def test_lift_independence(witness_u2):
     lifts = lift_to_cone(rho, u)
     base = pair_with_lifts(rho, u, lifts, v)
     shifted = lifts.copy()
-    for j, fixed in enumerate(peripheral_fixed_spaces(rho)):
+    for j, fixed in enumerate(build_periphery(rho).fixed):
         if fixed.shape[1]:
             shifted[j] = shifted[j] + 0.7 * unflatten_algebra(fixed[:, 0], rho.rank)
     assert abs(pair_with_lifts(rho, u, shifted, v) - base) < 1e-9

@@ -118,6 +118,13 @@ def test_config_validation():
         SolverConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_config_refuses_a_non_finite_tol(tol):
+    # nan <= 0 is false, so a bare sign check would let NaN through
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(tol=tol)
+
+
 def test_degenerate_surface_rejected():
     surface = SurfaceData(0, 1, 2, (ConjugacyClass((0.3, 1.1)),))
     with pytest.raises(ValueError):
