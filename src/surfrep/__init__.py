@@ -33,6 +33,7 @@ from .deformation import (
     verify_deformation,
 )
 from .errors import (
+    DimensionMismatchError,
     NearSingularError,
     NoConvergenceError,
     NotParabolicError,
@@ -58,6 +59,7 @@ __all__ = [
     "ConjugacyClass",
     "CorpusInstance",
     "DeformationState",
+    "DimensionMismatchError",
     "GramMatrix",
     "NearSingularError",
     "NoConvergenceError",

@@ -19,7 +19,8 @@ commands compose by piping files.
 Exit codes: 0 success, 1 invalid input, 2 solver failed to converge,
 3 the point is reducible or not smooth, 4 the deformation is obstructed,
 5 the point cannot be certified in double precision (two rank methods
-disagree, or a transform met a near-singular matrix).
+disagree, a transform met a near-singular matrix, or a smooth irreducible
+point's tangent dimension is not the expected one).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .cohomology import analyze
 from .corpus import tangent_direction
 from .deformation import DEFAULT_VERIFY_TS, build_deformation, check_t_samples, verify_deformation
 from .errors import (
+    DimensionMismatchError,
     NearSingularError,
     NoConvergenceError,
     NotParabolicError,
@@ -220,6 +222,8 @@ def _cmd_deform(args) -> dict:
     watch = Stopwatch()
     if args.order < 1:
         raise ValueError("--order must be at least 1")
+    if args.direction < 0:
+        raise ValueError("--direction must be non-negative")
     ts = (DEFAULT_VERIFY_TS if args.t_samples is None
           else check_t_samples(args.t_samples.split(",")))
     surface, rho = _load_input(args.input)
@@ -284,6 +288,9 @@ def main(argv=None) -> int:
                      order=e.order, residual_norm=e.residual_norm)
     except (NumericalRankError, NearSingularError) as e:
         return _fail(EXIT_UNCERTIFIABLE, type(e).__name__, str(e))
+    except DimensionMismatchError as e:
+        return _fail(EXIT_UNCERTIFIABLE, "DimensionMismatchError", str(e),
+                     tangent_dim=e.tangent_dim, expected_dim=e.expected_dim)
     _emit(payload, args.output)
     return EXIT_OK
 

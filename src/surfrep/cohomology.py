@@ -32,7 +32,9 @@ the full cokernel, for every representation, by the same mechanism that
 makes the trivial-coefficient count below equal 1; no order-by-order
 obstruction ever lands there because all the nonlinear terms of the
 deformation system are iterated brackets, hence traceless.  Splitting the
-center off gives the criterion that actually detects smooth points.
+center off gives the criterion that actually detects smooth points.  The
+count takes the central direction out of the `Periphery`'s fixed spaces
+in closed form (`_without_center`) instead of deciding them again.
 
 Irreducibility is read off the centralizer, the kernel of the coboundary
 map.  A unitary image is closed under adjoints, so its complex commutant
@@ -49,10 +51,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import NotSmoothError, ReducibleError
+from .errors import DimensionMismatchError, NotSmoothError, ReducibleError
 from .presentation import Periphery, Representation, SurfaceData, build_periphery
 from .unitary import (
     adjoint_matrix,
+    center_direction,
     flatten_algebra,
     traceless_coordinates,
     unflatten_algebra,
@@ -112,9 +115,8 @@ def h1_basis(rho: Representation) -> Subspace:
     """Orthonormal representatives of H^1: the coboundary-orthogonal cocycles."""
     _require_nondegenerate(rho)
     d0 = coboundary_matrix(rho)
-    info = linalg.checked_rank(d0)
-    comp, _ = linalg.range_complement(d0)
-    return Subspace(comp, info.gap)
+    comp, info = linalg.range_complement(d0)
+    return Subspace(comp, linalg.cross_checked(d0, info).gap)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +171,15 @@ def parabolic_tangent_basis(rho: Representation, h1: Subspace | None = None,
     return Subspace(_canonical_columns(h1.basis @ null), info.gap)
 
 
+def _without_center(fixed: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the part of span(fixed) orthogonal to the
+    unit vector c0 it holds: `fixed` times columns 2..k of the Householder
+    reflection sending fixed^T c0 to a multiple of e_1."""
+    v = fixed.T @ c0
+    v[0] += np.copysign(np.linalg.norm(v), v[0])
+    return fixed @ (np.eye(v.size) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
+
+
 def relative_h2(rho: Representation, periphery: Periphery):
     """Dimension and gap of the obstruction space (traceless coefficients).
 
@@ -180,16 +191,10 @@ def relative_h2(rho: Representation, periphery: Periphery):
     """
     _require_nondegenerate(rho)
     n = rho.rank
-    if n == 1:
-        return 0, (float("inf"), 0.0)
-    su = traceless_coordinates(n)
     # traceless values on each free generator in turn
-    source = np.kron(np.eye(rho.presentation.free_rank), su)
-    moved = (periphery.adjoints - np.eye(n * n)) @ su
-    fixed = [su @ linalg.nullspace(a)[0] for a in moved]
+    source = np.kron(np.eye(rho.presentation.free_rank), traceless_coordinates(n))
+    fixed = [_without_center(f, center_direction(n)) for f in periphery.fixed]
     m = _restriction_matrix(periphery.fox, source, fixed)
-    if m.shape[0] == 0:
-        return 0, (float("inf"), 0.0)
     info = linalg.checked_rank(m)
     return m.shape[0] - info.rank, info.gap
 
@@ -212,8 +217,7 @@ def cone_h2_trivial_rank(genus: int, punctures: int) -> int:
     surface = SurfaceData(genus, punctures, 1, ((0.0,),) * punctures)
     trivial = Representation(surface, (np.eye(1),) * (2 * genus + punctures))
     m = build_periphery(trivial).fox[:, 0]
-    info = linalg.checked_rank(m) if m.size else linalg.RankInfo(0, float("inf"), 0.0)
-    return punctures - info.rank
+    return punctures - linalg.checked_rank(m).rank
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +315,10 @@ def analyze(rho: Representation) -> AnalysisReport:
 
 def require_smooth_irreducible(rho: Representation,
                                report: AnalysisReport | None = None) -> AnalysisReport:
-    """Gate used by the pairing: refuse reducible or non-smooth points."""
+    """Gate used by the pairing: refuse reducible or non-smooth points, and
+    smooth irreducible ones whose tangent dimension is not the expected one
+    (DimensionMismatchError), where the rank decisions contradict the
+    dimension count."""
     if report is None:
         report = analyze(rho)
     if not report.irreducible:
@@ -320,4 +327,6 @@ def require_smooth_irreducible(rho: Representation,
         raise NotSmoothError(
             f"obstruction space has dimension {report.relative_h2_dim}"
         )
+    if report.tangent_dim != report.expected_dim:
+        raise DimensionMismatchError(report.tangent_dim, report.expected_dim)
     return report

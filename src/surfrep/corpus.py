@@ -119,8 +119,13 @@ def obstructed_instance():
 
 
 def tangent_direction(rho: Representation, index: int = 0) -> np.ndarray:
-    """A column of the orthonormal tangent basis, as cocycle values."""
+    """Column `index` of the orthonormal tangent basis, as cocycle values.
+
+    Raises ValueError unless 0 <= index < the tangent dimension, so a
+    rigid point, whose tangent space is zero, has no direction at all.
+    """
     basis = parabolic_tangent_basis(rho)
-    if basis.dim == 0:
-        raise ValueError("the tangent space at this point is zero")
-    return unflatten_cochain(rho, basis.basis[:, index % basis.dim])
+    if not 0 <= index < basis.dim:
+        raise ValueError(f"direction {index} is outside [0, {basis.dim}): "
+                         f"the tangent space has dimension {basis.dim}")
+    return unflatten_cochain(rho, basis.basis[:, index])

@@ -364,8 +364,8 @@ def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
     last, and its order-(k+1) coefficient is the inhomogeneity b of the
     order-(k+1) matching conditions, which are affine in the unknown top
     coefficients with linear part `matching_matrix(rho, periphery)`.  The
-    system is solved at minimum norm by `solver`, a
-    `linalg.min_norm_solver` of that matrix.
+    system is solved at minimum norm by `solver`, the solve function that
+    `linalg.min_norm_solver` returns for that matrix.
 
     Returns (h_top, c_top, norm), norm being the order-k residual norm,
     or None for k = 1, whose coefficients are the cocycle and its lifts
@@ -408,9 +408,7 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     norms = []
     rank = None
     if order > 1:
-        a = matching_matrix(rho, periphery)
-        rank = linalg.checked_rank(a, rtol=linalg.SOLVE_RTOL)
-        solver = linalg.min_norm_solver(a)
+        solver, rank = linalg.min_norm_solver(matching_matrix(rho, periphery))
         for _ in range(1, order):
             h_top, c_top, norm = solve_next_order(rho, h, c, periphery, solver)
             h = np.concatenate([h, h_top[None]])

@@ -13,6 +13,19 @@ class NumericalRankError(SurfrepError):
     """Two independent rank methods disagreed on a matrix."""
 
 
+class DimensionMismatchError(SurfrepError):
+    """A smooth irreducible point whose certified tangent dimension is not
+    the expected dimension; both numbers are carried."""
+
+    def __init__(self, tangent_dim, expected_dim):
+        super().__init__(
+            f"tangent dimension {tangent_dim} differs from the expected "
+            f"dimension {expected_dim}"
+        )
+        self.tangent_dim = tangent_dim
+        self.expected_dim = expected_dim
+
+
 class NotParabolicError(SurfrepError):
     """A cocycle has a nonzero class in some peripheral cokernel."""
 

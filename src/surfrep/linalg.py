@@ -4,8 +4,9 @@ Every dimension reported by the package comes through here, so that a
 rank is never an implicit side effect of a solver: the singular value
 threshold is relative (1e-9 of the largest singular value) with an
 absolute floor, and each decision records the gap between the smallest
-kept and the largest dropped singular value.  A second, independent
-method cross-checks every SVD rank: a numpy column-pivoted QR
+kept and the largest dropped singular value.  One SVD per decided
+matrix gives its basis, solve and gap; one function turns singular values
+into a rank.  Column-pivoted QR cross-checks that rank on the same matrix
 (Businger-Golub pivoting, Numer. Math. 7, 1965, in the modified
 Gram-Schmidt form whose R factor is backward stable, Bjorck, BIT 7,
 1967).  Disagreement raises instead of guessing.
@@ -90,9 +91,9 @@ def rank_pivoted_qr(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return min(a.shape)
 
 
-def checked_rank(m: np.ndarray, rtol: float = RANK_RTOL) -> RankInfo:
-    """Rank by SVD, cross-checked against column-pivoted QR."""
-    info = rank_svd(m, rtol)
+def cross_checked(m: np.ndarray, info: RankInfo, rtol: float = RANK_RTOL) -> RankInfo:
+    """`info`, an SVD rank decision on m at rtol, once column-pivoted QR
+    agrees with its rank; NumericalRankError otherwise."""
     qr_rank = rank_pivoted_qr(m, rtol)
     if qr_rank != info.rank:
         raise NumericalRankError(
@@ -102,13 +103,13 @@ def checked_rank(m: np.ndarray, rtol: float = RANK_RTOL) -> RankInfo:
     return info
 
 
+def checked_rank(m: np.ndarray, rtol: float = RANK_RTOL) -> RankInfo:
+    """Rank by SVD, cross-checked against column-pivoted QR."""
+    return cross_checked(m, rank_svd(m, rtol), rtol)
+
+
 def nullspace(m: np.ndarray):
     """Orthonormal basis (columns) of the kernel of m, with rank info."""
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0)), RankInfo(0, float("inf"), 0.0)
-    if rows == 0:
-        return np.eye(cols), RankInfo(0, float("inf"), 0.0)
     _, s, vt = np.linalg.svd(m, full_matrices=True)
     info = _svd_rank_from_singular_values(s, RANK_RTOL)
     return vt[info.rank:].T.conj() if np.iscomplexobj(m) else vt[info.rank:].T, info
@@ -116,11 +117,6 @@ def nullspace(m: np.ndarray):
 
 def range_complement(m: np.ndarray):
     """Orthonormal basis (columns) of the orthogonal complement of range(m)."""
-    rows, cols = m.shape
-    if rows == 0:
-        return np.zeros((0, 0)), RankInfo(0, float("inf"), 0.0)
-    if cols == 0:
-        return np.eye(rows), RankInfo(0, float("inf"), 0.0)
     u, s, _ = np.linalg.svd(m, full_matrices=True)
     info = _svd_rank_from_singular_values(s, RANK_RTOL)
     return u[:, info.rank:], info
@@ -137,30 +133,29 @@ def kernels_and_pseudoinverses(a: np.ndarray):
 
 
 def truncated_svd(a: np.ndarray):
-    """Thin SVD (u, s, vt) of a, keeping only the singular values above
-    max(SOLVE_RTOL * s_max, RANK_ATOL).
+    """Thin SVD (u, s, vt) of a, keeping only the singular values that the
+    rank decision at `SOLVE_RTOL` keeps, and that decision.
 
     Without the absolute floor a matrix that is zero up to roundoff would
     keep its noise directions, and a solve along them returns order-one
     garbage.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= RANK_ATOL:
-        keep = np.zeros(s.size, dtype=bool)
-    else:
-        keep = s > max(SOLVE_RTOL * s[0], RANK_ATOL)
-    return u[:, keep], s[keep], vt[keep]
+    info = _svd_rank_from_singular_values(s, SOLVE_RTOL)
+    keep = np.arange(s.size) < info.rank  # a mask, not a slice: contiguous copies
+    return u[:, keep], s[keep], vt[keep], info
 
 
 def min_norm_solver(a: np.ndarray):
     """Factor a once for repeated minimum-norm least-squares solves.
 
-    Returns a function b -> (x, residual norm of a x - b).  A 2-D b is a
-    matrix of right-hand sides, solved column by column, and the residual
-    is then one norm per column.  Singular values are cut as in
-    `truncated_svd`.
+    Returns (solve, info): solve maps b -> (x, residual norm of a x - b),
+    a 2-D b being a matrix of right-hand sides solved column by column
+    with one residual each; info is the rank decision of the singular
+    value cut of `truncated_svd`, cross-checked by pivoted QR.
     """
-    u, s_kept, vt = truncated_svd(a)
+    u, s_kept, vt, info = truncated_svd(a)
+    cross_checked(a, info, SOLVE_RTOL)
     u_t, v = u.T, vt.T
 
     def solve(b: np.ndarray):
@@ -171,7 +166,7 @@ def min_norm_solver(a: np.ndarray):
         x = v @ ((u_t @ b) / s_kept[:, None])
         return x, np.linalg.norm(a @ x - b, axis=0)
 
-    return solve
+    return solve, info
 
 
 def min_norm_solve(a: np.ndarray, b: np.ndarray):
@@ -181,4 +176,4 @@ def min_norm_solve(a: np.ndarray, b: np.ndarray):
     stays because the benchmark counts its calls by this name
     (`linalg.min_norm_solves`).
     """
-    return min_norm_solver(a)(b)
+    return min_norm_solver(a)[0](b)

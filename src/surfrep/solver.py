@@ -231,7 +231,7 @@ def _levenberg_marquardt(point: _Point, cfg: SolverConfig):
         history.append(res)
         if res <= 1e-14:
             break
-        u, s, vt = linalg.truncated_svd(_jacobian(point, basis))
+        u, s, vt, _ = linalg.truncated_svd(_jacobian(point, basis))
         if s.size == 0:
             break  # the Jacobian is zero: no step moves E
         rhs = s * (u.T @ -_complex_to_real(point.sweep()[2] - point.layout.eye))

@@ -111,8 +111,9 @@ def test_deform_t_samples_flag(tmp_path, capsys):
     ["--t-samples", "nan,0.01"], ["--t-samples", "inf,0.01"],
     ["--t-samples", "0.5"], ["--t-samples", "0.1,0.1"],
     ["--t-samples", "0,0.01"], ["--t-samples", "0.1,-0.2"],
-    ["--t-samples", "0.1,x"], ["--order", "0"],
-], ids=["nan", "inf", "single", "repeated", "zero", "negative", "word", "order-0"])
+    ["--t-samples", "0.1,x"], ["--order", "0"], ["--direction", "-1"],
+], ids=["nan", "inf", "single", "repeated", "zero", "negative", "word", "order-0",
+        "direction-negative"])
 def test_bad_deform_flags_exit_1_before_solving(tmp_path, capsys, monkeypatch, flags):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve ran before the flags were checked")
@@ -347,6 +348,37 @@ def test_near_singular_transform_exits_5_with_payload(tmp_path, capsys, monkeypa
     payload = json.loads(err)["error"]
     assert payload == {"type": "NearSingularError",
                        "message": "Cayley input is not skew-Hermitian"}
+
+
+def test_direction_outside_the_tangent_basis_exits_1(tmp_path, capsys):
+    # a column index past the tangent dimension is refused, not wrapped
+    rho = smooth_instance(1, 2, 1).representation
+    inp = _write(tmp_path, "point.json", point_to_dict(rho))
+    code, out, err = _run(capsys, ["deform", "--input", inp, "--direction", "99"])
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "ValueError"
+    assert "direction 99 is outside [0, 4)" in payload["message"]
+
+
+def test_dimension_mismatch_exits_5_with_both_numbers(tmp_path, capsys):
+    # genus 1, rank 2, class angles pi +- d/2: at d = 1e-8 the tangent
+    # decision gives 3 where a smooth irreducible point must have 4
+    def symplectic(d):
+        surface = {"genus": 1, "punctures": 1, "rank": 2,
+                   "classes": [[np.pi + d / 2, np.pi - d / 2]]}
+        return _run(capsys, ["symplectic", "--input", _write(tmp_path, "surf.json", surface)])
+
+    code, out, err = symplectic(1e-8)
+    assert code == cli.EXIT_UNCERTIFIABLE == 5
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "DimensionMismatchError"
+    assert (payload["tangent_dim"], payload["expected_dim"]) == (3, 4)
+    code, out, _ = symplectic(1e-3)
+    assert code == 0
+    assert json.loads(out)["analysis"]["tangent_dim"] == 4
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

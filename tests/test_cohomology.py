@@ -17,12 +17,14 @@ from surfrep.cohomology import (
     h1_basis,
     is_irreducible,
     parabolic_tangent_basis,
+    relative_h2,
     relative_h2_dim,
     require_smooth_irreducible,
 )
 from surfrep.corpus import smooth_instance, witness_representation
 from surfrep.errors import NotSmoothError, ReducibleError
 from surfrep.presentation import Representation, SurfaceData, build_periphery
+from surfrep.solver import SolverConfig, solve
 from surfrep.unitary import ConjugacyClass, haar_unitary, skew_project
 
 from oracles import coboundary, commutant_dimension, peripheral_value
@@ -167,6 +169,20 @@ def test_relative_h2_zero_at_smooth_points(witness_u2, witness_u1):
 def test_relative_h2_positive_at_obstructed_point(obstructed):
     rho, _ = obstructed
     assert relative_h2_dim(rho) == 1
+
+
+def test_relative_h2_on_a_degenerating_class():
+    # genus 1, rank 2, class angles pi +- d/2: as d shrinks the lifts grow
+    # like 1/d, yet the obstruction count stays 0 with nothing dropped,
+    # because the central direction leaves each fixed space exactly, not
+    # by a cut on rows of roundoff
+    for d in (1e-3, 1e-8, 1e-11, 1e-13):
+        surface = SurfaceData(1, 1, 2, (ConjugacyClass((np.pi + d / 2, np.pi - d / 2)),))
+        rho = solve(surface, SolverConfig(seed=0)).representation
+        dim, (kept, dropped) = relative_h2(rho, build_periphery(rho))
+        assert dim == 0, d
+        assert dropped == 0.0, d
+        assert kept > 1e-3, d
 
 
 def test_cone_h2_trivial_rank_grid():

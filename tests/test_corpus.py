@@ -65,7 +65,10 @@ def test_tangent_direction_indexing(witness_u2):
     d1 = tangent_direction(rho, 1)
     assert not np.allclose(d0, d1)
     dim = parabolic_tangent_basis(rho).dim
-    assert np.allclose(tangent_direction(rho, dim), d0)
+    # an index outside [0, dim) is refused, not wrapped
+    for index in (dim, -1, 99):
+        with pytest.raises(ValueError, match="outside"):
+            tangent_direction(rho, index)
 
 
 def test_tangent_direction_rejects_rigid_points():

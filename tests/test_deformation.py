@@ -393,7 +393,7 @@ def test_obstruction_vector_does_not_depend_on_the_build_order(obstructed):
         assert np.array_equal(e.residual_vector, raised[0].residual_vector)
     periphery = build_periphery(rho)
     h1, c1 = direction, lift_to_cone(rho, direction, periphery)
-    solver = linalg.min_norm_solver(matching_matrix(rho, periphery))
+    solver, _ = linalg.min_norm_solver(matching_matrix(rho, periphery))
     h_top, c_top, _ = deformation.solve_next_order(rho, h1[None], c1[None], periphery, solver)
     fresh = order_residuals(rho, np.array([h1, h_top]), np.array([c1, c_top]), periphery)[-1]
     flat = np.concatenate([flatten_algebra(m) for m in fresh])

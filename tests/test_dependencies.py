@@ -8,6 +8,9 @@ interpreter and inspects that interpreter's sys.modules.
 Every top-level function and class of the package has a caller in the
 package or its scripts, or is public (in `surfrep.__all__`): code that
 only the tests use lives in the tests.
+
+Rank decisions live in `surfrep.linalg`: outside it, an SVD is called
+only by the named factorizations that decide no rank.
 """
 
 import ast
@@ -87,3 +90,34 @@ def test_every_package_definition_has_a_caller():
     root = Path(surfrep.__file__).resolve().parent
     dead = _unreferenced_definitions([root, root.parents[1] / "scripts"])
     assert dead - set(surfrep.__all__) - _BENCHMARK_COUNTED == set()
+
+
+# SVDs outside linalg that decide no rank: a polar projection, the fixed
+# basis of su(N), and the polar factor of the canonical tangent basis
+_SVD_WITHOUT_RANK = {"unitary.unitarize", "unitary.traceless_coordinates",
+                     "cohomology._canonical_columns"}
+
+
+def _svd_callers(root):
+    """module.function of every top-level function that calls an `svd`."""
+    callers = set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            calls = [n for n in ast.walk(stmt) if isinstance(n, ast.Call)
+                     and isinstance(n.func, ast.Attribute) and n.func.attr == "svd"]
+            if calls:
+                callers.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    return callers
+
+
+def test_svd_is_called_only_where_ranks_are_decided():
+    root = Path(surfrep.__file__).resolve().parent
+    callers = _svd_callers(root)
+    assert {c for c in callers if not c.startswith("linalg.")} == _SVD_WITHOUT_RANK
+    assert "linalg.nullspace" in callers
+    # no other name for numpy's svd is brought in
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                assert "svd" not in {a.name for a in node.names}, path.name

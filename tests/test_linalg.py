@@ -7,18 +7,19 @@ import pytest
 import scipy.linalg
 
 from surfrep import linalg
-from surfrep.cohomology import analyze
+from surfrep.cohomology import analyze, coboundary_matrix, relative_h2
 from surfrep.corpus import (
     CORPUS_SHAPES,
     obstructed_instance,
     smooth_instance,
     tangent_direction,
 )
-from surfrep.deformation import build_deformation
+from surfrep.deformation import build_deformation, matching_matrix
 from surfrep.errors import ObstructionFound
 from surfrep.linalg import (
     RANK_ATOL,
     RANK_RTOL,
+    RankInfo,
     checked_rank,
     min_norm_solve,
     min_norm_solver,
@@ -28,6 +29,8 @@ from surfrep.linalg import (
     rank_svd,
 )
 from surfrep.pairing import gram_matrix
+from surfrep.presentation import build_periphery
+from surfrep.unitary import traceless_coordinates
 
 
 def _random_rank_deficient(rng, rows, cols, rank):
@@ -94,7 +97,7 @@ def test_min_norm_solution_is_orthogonal_to_kernel(rng):
 
 def test_factored_solver_reuses_one_factorisation(rng):
     a = _random_rank_deficient(rng, 6, 8, 4)
-    solve = min_norm_solver(a)
+    solve, _ = min_norm_solver(a)
     for _ in range(3):
         b = rng.standard_normal(6)
         x, res = solve(b)
@@ -109,7 +112,7 @@ def test_factored_solver_takes_a_matrix_of_right_hand_sides(rng):
     full = rng.standard_normal((6, 4))
     deficient = _random_rank_deficient(rng, 6, 5, 3)
     for a, rank in ((full, 4), (deficient, 3)):
-        solve = min_norm_solver(a)
+        solve, _ = min_norm_solver(a)
         for k in (1, 2, rank, 5):
             b = rng.standard_normal((6, k))
             x, res = solve(b)
@@ -150,6 +153,18 @@ def test_tiny_but_meaningful_values_survive_above_floor():
 def test_empty_shapes():
     ns, _ = nullspace(np.zeros((0, 3)))
     assert ns.shape == (3, 3)
+    ns, info = nullspace(np.zeros((3, 0)))
+    assert ns.shape == (0, 0)
+    assert info == RankInfo(0, float("inf"), 0.0)
+    comp, info = range_complement(np.zeros((0, 3)))
+    assert comp.shape == (0, 0)
+    assert info == RankInfo(0, float("inf"), 0.0)
+    comp, info = range_complement(np.zeros((3, 0)))
+    assert np.array_equal(comp, np.eye(3))
+    assert info == RankInfo(0, float("inf"), 0.0)
+    # rank 1: no traceless coefficients, so an empty restriction matrix
+    rho = smooth_instance(1, 1, 2).representation
+    assert relative_h2(rho, build_periphery(rho)) == (0, (float("inf"), 0.0))
     x, res = min_norm_solve(np.zeros((3, 0)), np.ones(3))
     assert x.shape == (0,)
     assert res == pytest.approx(np.sqrt(3.0))
@@ -244,3 +259,37 @@ def test_pivoted_qr_rejects_non_finite_input(bad):
         rank_pivoted_qr(m)
     with pytest.raises(ValueError):
         rank_pivoted_qr(m.astype(complex))
+
+
+def test_each_rank_decision_factors_its_matrix_once(monkeypatch):
+    # the basis, solve and gap of a decision read the SVD that decided it:
+    # analyze factors the coboundary matrix once, build_deformation the
+    # matching matrix once, and the obstruction count reads the periphery's
+    # fixed spaces instead of factoring each (Ad(gamma_j) - 1) su again
+    targets, factored = {}, []
+    original_svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        a = np.asarray(a)
+        factored.extend(name for name, target in targets.items()
+                        if a.shape == target.shape and np.array_equal(a, target))
+        return original_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for shape in CORPUS_SHAPES:
+        rho = smooth_instance(*shape, seed=0).representation
+        periphery = build_periphery(rho)
+        d = rho.rank ** 2
+        moved = (periphery.adjoints - np.eye(d)) @ traceless_coordinates(rho.rank)
+        targets = {"coboundary": coboundary_matrix(rho),
+                   **{f"moved {j}": m for j, m in enumerate(moved)}}
+        factored.clear()
+        report = analyze(rho)
+        assert factored == ["coboundary"], shape
+        if report.tangent_dim == 0:
+            continue
+        direction = tangent_direction(rho, 0)
+        targets = {"matching": matching_matrix(rho, periphery)}
+        factored.clear()
+        build_deformation(rho, direction, order=4)
+        assert factored == ["matching"], shape
