@@ -16,6 +16,15 @@ or a previously emitted output containing "surface" and "images", in
 which case the stored point is reused instead of solving again, so the
 commands compose by piping files.
 
+Every document has one layout (`_document`): the point ("surface",
+"images"), the command's own sections, "solver" when the command solved,
+and the run "manifest" (command, input, config, seed, tool_version,
+timings).  The sections are "analysis", "relation_residual" and
+"class_residuals" for solve, "analysis" for analyze, "analysis" and
+"gram" for symplectic, "deformation" and "verify" for deform.  Bad solver
+flags (--tol, --restarts, --max-iters) are refused before any work, on a
+saved point too.
+
 Exit codes: 0 success, 1 invalid input, 2 solver failed to converge,
 3 the point is reducible or not smooth, 4 the deformation is obstructed,
 5 the point cannot be certified in double precision (two rank methods
@@ -46,7 +55,6 @@ from .errors import (
 from .pairing import gram_matrix
 from .presentation import SurfaceData
 from .serialize import (
-    RunManifest,
     Stopwatch,
     TOOL_VERSION,
     canonical_json,
@@ -74,8 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="surfrep", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, help_text in (
+        ("solve", "find and certify a representation"),
+        ("analyze", "dimension and smoothness report"),
+        ("symplectic", "Gram matrix on the tangent basis"),
+        ("deform", "order-by-order deformation"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True,
                        help="JSON file: surface data or a saved point")
         p.add_argument("--output", default=None,
@@ -86,17 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=8)
         p.add_argument("--max-iters", type=int, default=500)
 
-    p_solve = sub.add_parser("solve", help="find and certify a representation")
-    common(p_solve)
-
-    p_analyze = sub.add_parser("analyze", help="dimension and smoothness report")
-    common(p_analyze)
-
-    p_sym = sub.add_parser("symplectic", help="Gram matrix on the tangent basis")
-    common(p_sym)
-
-    p_def = sub.add_parser("deform", help="order-by-order deformation")
-    common(p_def)
+    p_def = sub.choices["deform"]
     p_def.add_argument("--order", type=int, default=4,
                        help="truncation order of the family")
     p_def.add_argument("--direction", type=int, default=0,
@@ -121,26 +124,12 @@ def _load_input(path: str):
     return SurfaceData.from_dict(data), None
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-        restarts=args.restarts,
-    )
-
-
-def _solve_missing(args, surface: SurfaceData, rho):
+def _point(config: SolverConfig, surface: SurfaceData, rho):
     """The point and the solve result, solving only when no point was given."""
     if rho is not None:
         return rho, None
-    result = solve(surface, _solver_config(args))
+    result = solve(surface, config)
     return result.representation, result
-
-
-def _obtain_point(args):
-    """The input point, solving when only a surface was given."""
-    return _solve_missing(args, *_load_input(args.input))
 
 
 def _load_direction(path: str, surface: SurfaceData):
@@ -162,64 +151,54 @@ def _load_direction(path: str, surface: SurfaceData):
     return direction
 
 
-def _manifest(args, watch: Stopwatch, extra_config=None) -> dict:
-    config = dataclasses.asdict(_solver_config(args))
-    if extra_config:
-        config.update(extra_config)
-    return RunManifest(
-        command=args.command,
-        input={"path": args.input},
-        config=config,
-        seed=args.seed,
-        timings=watch.timings(),
-    ).to_dict()
+def _document(args, config: SolverConfig, watch: Stopwatch, rho, result,
+              sections: dict, extra_config=None) -> dict:
+    """The output of every command: the point, the command's sections, the
+    solve result when the command solved, and the run manifest."""
+    document = {**point_to_dict(rho), **sections}
+    if result is not None:
+        document["solver"] = result.to_dict()
+    document["manifest"] = {
+        "command": args.command,
+        "input": {"path": args.input},
+        "config": {**dataclasses.asdict(config), **(extra_config or {})},
+        "seed": args.seed,
+        "tool_version": TOOL_VERSION,
+        "timings": watch.timings(),
+    }
+    return document
 
 
-def _cmd_solve(args) -> dict:
-    watch = Stopwatch()
-    rho, result = _obtain_point(args)
+def _cmd_solve(args, config, watch) -> dict:
+    rho, result = _point(config, *_load_input(args.input))
     report = analyze(rho)
     if not report.irreducible:
         raise ReducibleError(
             "every converged restart gave a reducible representation"
         )
-    payload = point_to_dict(rho)
-    payload["analysis"] = report.to_dict()
-    payload["relation_residual"] = rho.relation_residual()
-    payload["class_residuals"] = [float(x) for x in rho.class_residuals()]
-    if result is not None:
-        payload["solver"] = result.to_dict()
-    payload["manifest"] = _manifest(args, watch)
-    return payload
+    return _document(args, config, watch, rho, result, {
+        "analysis": report.to_dict(),
+        "relation_residual": rho.relation_residual(),
+        "class_residuals": [float(x) for x in rho.class_residuals()],
+    })
 
 
-def _cmd_analyze(args) -> dict:
-    watch = Stopwatch()
-    rho, result = _obtain_point(args)
-    payload = point_to_dict(rho)
-    payload["analysis"] = analyze(rho).to_dict()
-    if result is not None:
-        payload["solver"] = result.to_dict()
-    payload["manifest"] = _manifest(args, watch)
-    return payload
+def _cmd_analyze(args, config, watch) -> dict:
+    rho, result = _point(config, *_load_input(args.input))
+    return _document(args, config, watch, rho, result,
+                     {"analysis": analyze(rho).to_dict()})
 
 
-def _cmd_symplectic(args) -> dict:
-    watch = Stopwatch()
-    rho, result = _obtain_point(args)
+def _cmd_symplectic(args, config, watch) -> dict:
+    rho, result = _point(config, *_load_input(args.input))
     report = analyze(rho)
-    gram = gram_matrix(rho, report=report)
-    payload = point_to_dict(rho)
-    payload["analysis"] = report.to_dict()
-    payload["gram"] = gram.to_dict()
-    if result is not None:
-        payload["solver"] = result.to_dict()
-    payload["manifest"] = _manifest(args, watch)
-    return payload
+    return _document(args, config, watch, rho, result, {
+        "analysis": report.to_dict(),
+        "gram": gram_matrix(rho, report=report).to_dict(),
+    })
 
 
-def _cmd_deform(args) -> dict:
-    watch = Stopwatch()
+def _cmd_deform(args, config, watch) -> dict:
     if args.order < 1:
         raise ValueError("--order must be at least 1")
     if args.direction < 0:
@@ -229,21 +208,16 @@ def _cmd_deform(args) -> dict:
     surface, rho = _load_input(args.input)
     direction = (None if args.direction_file is None
                  else _load_direction(args.direction_file, surface))
-    rho, result = _solve_missing(args, surface, rho)
+    rho, result = _point(config, surface, rho)
     if direction is None:
         direction = tangent_direction(rho, args.direction)
     state = build_deformation(rho, direction, args.order)
-    payload = point_to_dict(rho)
-    payload["deformation"] = state.to_dict()
-    payload["verify"] = verify_deformation(state, ts)
-    if result is not None:
-        payload["solver"] = result.to_dict()
-    payload["manifest"] = _manifest(
-        args, watch,
+    return _document(
+        args, config, watch, rho, result,
+        {"deformation": state.to_dict(), "verify": verify_deformation(state, ts)},
         {"order": args.order, "direction": args.direction,
          "direction_file": args.direction_file},
     )
-    return payload
 
 
 _COMMANDS = {
@@ -273,7 +247,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = _COMMANDS[args.command](args)
+        watch = Stopwatch()
+        # solver flags are refused before any work, saved point or not
+        config = SolverConfig(max_iters=args.max_iters, tol=args.tol,
+                              seed=args.seed, restarts=args.restarts)
+        payload = _COMMANDS[args.command](args, config, watch)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         return _fail(EXIT_INVALID, type(e).__name__, str(e))
     except NotParabolicError as e:

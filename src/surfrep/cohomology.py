@@ -35,6 +35,12 @@ deformation system are iterated brackets, hence traceless.  Splitting the
 center off gives the criterion that actually detects smooth points.  The
 count takes the central direction out of the `Periphery`'s fixed spaces
 in closed form (`_without_center`) instead of deciding them again.
+A second route gives the same number: Poincare-Lefschetz duality on the
+surface with boundary gives H^2(pi, boundary; su(N)) = H_0(pi; su(N)),
+the coinvariants, and the invariant form identifies the coinvariants
+with the invariants, the centralizer in su(N).  So `relative_h2_dim` is
+`centralizer_dim - 1`.  The tests check that identity; `relative_h2`
+stays the computed certificate, with its own gap.
 
 Irreducibility is read off the centralizer, the kernel of the coboundary
 map.  A unitary image is closed under adjoints, so its complex commutant

@@ -49,8 +49,6 @@ class RankInfo:
 def _svd_rank_from_singular_values(s: np.ndarray, rtol: float) -> RankInfo:
     if s.size == 0:
         return RankInfo(0, float("inf"), 0.0)
-    if s[0] <= RANK_ATOL:
-        return RankInfo(0, float("inf"), float(s[0]), float(s[-1]))
     keep = s > max(rtol * s[0], RANK_ATOL)
     rank = int(np.count_nonzero(keep))
     smallest_kept = float(s[rank - 1]) if rank > 0 else float("inf")
@@ -59,8 +57,6 @@ def _svd_rank_from_singular_values(s: np.ndarray, rtol: float) -> RankInfo:
 
 
 def rank_svd(m: np.ndarray, rtol: float = RANK_RTOL) -> RankInfo:
-    if m.size == 0:
-        return RankInfo(0, float("inf"), 0.0)
     s = np.linalg.svd(m, compute_uv=False)
     return _svd_rank_from_singular_values(s, rtol)
 

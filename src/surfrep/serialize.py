@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,28 +84,6 @@ def _sanitize(obj):
 def canonical_json(payload: dict) -> str:
     return json.dumps(_sanitize(payload), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every command output."""
-
-    command: str
-    input: dict
-    config: dict
-    seed: int
-    tool_version: str = TOOL_VERSION
-    timings: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input,
-            "config": self.config,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "timings": self.timings,
-        }
 
 
 class Stopwatch:

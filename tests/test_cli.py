@@ -383,18 +383,55 @@ def test_dimension_mismatch_exits_5_with_both_numbers(tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tol_exits_1_before_solving(tmp_path, capsys, monkeypatch, tol):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve ran with a non-finite tol")
+    # bad solver flags are refused before any work, on a saved point too
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran with a non-finite tol")
 
-    monkeypatch.setattr(cli, "solve", no_solve)
-    inp = _write(tmp_path, "surf.json", FOUR_PUNCTURE)
-    code, out, err = _run(capsys, ["solve", "--input", inp, "--tol", tol,
-                                   "--max-iters", "1"])
-    assert code == 1
-    assert out == ""
-    error = json.loads(err)["error"]
-    assert error["type"] == "ValueError"
-    assert "finite" in error["message"]
+    for name in ("solve", "analyze", "tangent_direction"):
+        monkeypatch.setattr(cli, name, no_work)
+    surface = _write(tmp_path, "surf.json", FOUR_PUNCTURE)
+    point = _write(tmp_path, "point.json",
+                   point_to_dict(smooth_instance(1, 2, 1).representation))
+    for command in ("solve", "analyze", "symplectic", "deform"):
+        for inp in (surface, point):
+            code, out, err = _run(capsys, [command, "--input", inp, "--tol", tol,
+                                           "--max-iters", "1"])
+            assert code == 1, (command, inp)
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "ValueError"
+            assert "finite" in error["message"]
+
+
+_EVERY_DOCUMENT = {"surface", "images", "manifest"}
+_SECTIONS = {
+    "solve": {"analysis", "relation_residual", "class_residuals"},
+    "analyze": {"analysis"},
+    "symplectic": {"analysis", "gram"},
+    "deform": {"deformation", "verify"},
+}
+
+
+def test_document_layout(tmp_path, capsys):
+    # every command writes the point, its own sections, "solver" when it
+    # solved, and the run manifest, from a surface and from a saved point
+    surface = _write(tmp_path, "surf.json", FOUR_PUNCTURE)
+    point = str(tmp_path / "point.json")
+    assert cli.main(["solve", "--input", surface, "--output", point]) == 0
+    for command, sections in _SECTIONS.items():
+        for inp, solved in ((surface, True), (point, False)):
+            code, out, _ = _run(capsys, [command, "--input", inp])
+            assert code == 0, (command, inp)
+            doc = json.loads(out)
+            assert set(doc) == _EVERY_DOCUMENT | sections | ({"solver"} if solved else set())
+            manifest = doc["manifest"]
+            assert set(manifest) == {"command", "input", "config", "seed",
+                                     "tool_version", "timings"}
+            assert manifest["command"] == command
+            assert manifest["input"] == {"path": inp}
+            assert manifest["tool_version"] == cli.TOOL_VERSION
+            assert set(manifest["timings"]) == {"seconds"}
+            assert manifest["timings"]["seconds"] >= 0.0
 
 
 def test_point_with_a_non_finite_image_exits_1(tmp_path, capsys):

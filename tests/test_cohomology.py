@@ -231,19 +231,26 @@ def test_block_sums_have_one_centralizer_dimension_per_block(ranks, genus, punct
     rho.validate()
     report = analyze(rho)
     assert report.centralizer_dim == len(ranks) == centralizer_dimension(rho)
+    assert report.relative_h2_dim == report.centralizer_dim - 1
     assert not report.irreducible
     assert not is_irreducible(rho)
     assert commutant_dimension(rho) == len(ranks)
 
 
 def test_commutant_oracle_agrees_on_the_corpus(corpus, obstructed):
+    # the obstruction count by a second route: relative H^2 with su(N)
+    # coefficients is the centralizer less the centre (module docstring)
     for inst in corpus:
         rho = inst.representation
         assert commutant_dimension(rho) == centralizer_dimension(rho) == 1, inst.name
-        assert analyze(rho).centralizer_dim == 1, inst.name
+        report = analyze(rho)
+        assert report.centralizer_dim == 1, inst.name
+        assert report.relative_h2_dim == report.centralizer_dim - 1 == 0, inst.name
     rho, _ = obstructed
     assert commutant_dimension(rho) == centralizer_dimension(rho) == 2
-    assert analyze(rho).centralizer_dim == 2
+    report = analyze(rho)
+    assert report.centralizer_dim == 2
+    assert report.relative_h2_dim == report.centralizer_dim - 1 == 1
 
 
 def test_expected_dimension_values():

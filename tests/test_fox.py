@@ -13,6 +13,8 @@ cocycle per column, and the Gram matrix summed term by term over the
 fundamental cycle.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -420,7 +422,8 @@ def test_one_periphery_per_entry(monkeypatch, instances):
         return ad
 
     def counted_svd(a, *args, **kwargs):
-        members = np.asarray(a).reshape((-1,) + np.shape(a)[-2:])
+        a = np.asarray(a)
+        members = a.reshape((math.prod(a.shape[:-2]),) + a.shape[-2:])
         for j, target in enumerate(targets):
             factored.extend(j for m in members
                             if m.shape == target.shape and np.array_equal(m, target))

@@ -60,7 +60,8 @@ def test_roundoff_zero_matrix_has_rank_zero(rng):
     q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
     noise = q @ np.diag([3e-15, 1e-15, 4e-16, 1e-16, 0.0]) @ q.T
     info = checked_rank(noise)
-    assert info.rank == 0
+    s = np.linalg.svd(noise, compute_uv=False)
+    assert info == RankInfo(0, float("inf"), float(s[0]), float(s[-1]))
     ns, _ = nullspace(noise)
     assert ns.shape == (5, 5)
     comp, _ = range_complement(noise)
@@ -151,6 +152,8 @@ def test_tiny_but_meaningful_values_survive_above_floor():
 
 
 def test_empty_shapes():
+    for shape in [(0, 0), (0, 3), (3, 0)]:
+        assert checked_rank(np.zeros(shape)) == RankInfo(0, float("inf"), 0.0)
     ns, _ = nullspace(np.zeros((0, 3)))
     assert ns.shape == (3, 3)
     ns, info = nullspace(np.zeros((3, 0)))

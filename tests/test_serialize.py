@@ -1,4 +1,4 @@
-"""JSON wire format: matrix encoding, canonical text, run manifests."""
+"""JSON wire format: matrix encoding and canonical text."""
 
 import json
 
@@ -7,9 +7,6 @@ import pytest
 
 from surfrep.corpus import witness_representation
 from surfrep.serialize import (
-    RunManifest,
-    Stopwatch,
-    TOOL_VERSION,
     canonical_json,
     decode_matrix,
     decode_values,
@@ -73,14 +70,3 @@ def test_numpy_scalars_are_cast():
         "i": np.int64(3), "f": np.float64(0.5), "b": np.bool_(True),
     }))
     assert doc == {"i": 3, "f": 0.5, "b": True}
-
-
-def test_manifest_layout():
-    watch = Stopwatch()
-    manifest = RunManifest(command="solve", input="in.json",
-                           config={"seed": 0}, seed=0,
-                           timings=watch.timings())
-    d = manifest.to_dict()
-    assert d["tool_version"] == TOOL_VERSION
-    assert d["command"] == "solve"
-    assert d["timings"]["seconds"] >= 0.0
