@@ -233,8 +233,8 @@ def cone_h2_trivial_rank(genus: int, punctures: int) -> int:
 def centralizer_dimension(rho: Representation) -> int:
     """Real dimension of the centralizer of the image inside u(N)."""
     _require_nondegenerate(rho)
-    null, _ = linalg.nullspace(coboundary_matrix(rho))
-    return null.shape[1]
+    m = coboundary_matrix(rho)
+    return m.shape[1] - linalg.rank_svd(m).rank
 
 
 def is_irreducible(rho: Representation) -> bool:

@@ -53,7 +53,7 @@ def witness_representation(genus: int, rank: int, punctures: int,
                            rng) -> Representation:
     """Random representation whose classes are read off its own images."""
     pres = standard_presentation(genus, punctures)
-    images = [haar_unitary(rank, rng) for _ in range(pres.free_rank)]
+    images = list(haar_unitary(rank, rng, pres.free_rank))
     images.append(word_image(images, pres.last_peripheral_word, rank))
     classes = [ConjugacyClass(_angles_of(images[pres.c(j)]))
                for j in range(punctures)]

@@ -61,29 +61,37 @@ def rank_svd(m: np.ndarray, rtol: float = RANK_RTOL) -> RankInfo:
     return _svd_rank_from_singular_values(s, rtol)
 
 
+def norms_along(a: np.ndarray, axis) -> np.ndarray:
+    """2-norms of a along `axis` (Frobenius norms for two axes): the sum
+    that `np.linalg.norm(a, axis=axis)` takes, so the same bits, without
+    its dispatch.  conj() of a real array is the array itself."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
+
+
 def rank_pivoted_qr(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
     """Rank by column-pivoted modified Gram-Schmidt QR.
 
     Each step takes the column of largest remaining norm (recomputed,
     not downdated) as the next |r_kk| and projects it out of every
     column.  The rank is the number of steps before the largest remaining
-    norm falls to max(rtol * |r_00|, RANK_ATOL) or below.
+    norm falls to max(rtol * |r_00|, RANK_ATOL) or below; the norms are
+    `norms_along(a, 0)`.
     """
     a = np.array(m, dtype=complex if np.iscomplexobj(m) else float)
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     if a.size == 0:
         return 0
-    norms = np.linalg.norm(a, axis=0)
+    norms = norms_along(a, 0)
     threshold = max(rtol * norms.max(), RANK_ATOL)
     for k in range(min(a.shape)):
-        j = int(np.argmax(norms))
+        j = int(norms.argmax())
         if norms[j] <= threshold:
             return k
         q = a[:, j] / norms[j]
         a -= q[:, None] * (q.conj() @ a)
         a[:, j] = 0.0
-        norms = np.linalg.norm(a, axis=0)
+        norms = norms_along(a, 0)
     return min(a.shape)
 
 

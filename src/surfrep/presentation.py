@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class Presentation:
         names += [f"c{j + 1}" for j in range(self.punctures)]
         return names
 
-    @property
+    @cached_property
     def relation(self) -> Word:
         """The relator [a_1,b_1]...[a_g,b_g] c_1...c_r."""
         w = []
@@ -90,7 +90,7 @@ class Presentation:
         w += [(self.c(j), 1) for j in range(self.punctures)]
         return tuple(w)
 
-    @property
+    @cached_property
     def last_peripheral_word(self) -> Word:
         """c_r as a word over the free basis, from the relation."""
         return word_inverse(self.relation[:-1])

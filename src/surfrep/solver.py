@@ -21,8 +21,23 @@ moves its letter M_k by eps (a_k xi M_k + b_k M_k xi), with
 and (1, -1) for a peripheral c_j = Q_j Lambda_j Q_j^dagger moved by its
 frame.  So the Jacobian of E (Fox's free derivative of the relation,
 Ann. Math. 57, 1953) sends the direction xi of a variable to the sum over
-its letters of L_k (a_k xi M_k + b_k M_k xi) R_k; all letters are done in
-one batched product, and an owner matrix sums them onto the variables.
+its letters of L_k (a_k xi M_k + b_k M_k xi) R_k, and an owner matrix sums
+the letters onto the variables.
+
+Each term is computed to the bit as the product it stands for.  Every
+element xi of `algebra_basis(N)` has at most one nonzero entry per row and
+per column, so each entry of xi M_k and of M_k xi is a single product, and
+a gather times a coefficient (`unitary.basis_times`, `unitary.times_basis`)
+rounds exactly as the matrix product does.  Only the products that
+(a_k, b_k) keep are formed: xi M_k for a handle, -M_k xi for an inverse
+handle, xi M_k - M_k xi for a peripheral.  The factor R_k is applied once
+per letter, to the blocks L_k dM_k of all N^2 directions stacked on top of
+each other: each row of a product comes from that row of the left factor
+alone, so stacking left factors leaves every bit of the per-block products
+as it was.  Stacking right factors side by side, or transposing, changes
+the BLAS summation and so the bits; L_k dM_k therefore stays one product
+per block.  `tests/test_solver_reference.py` holds the per-letter,
+per-direction products this replaces and compares solves bit for bit.
 
 Every step is a damped Gauss-Newton (Levenberg-Marquardt) step on the
 manifold, from the first iterate on.  At each point one SVD of the
@@ -57,8 +72,16 @@ import numpy as np
 from . import linalg
 from .cohomology import is_irreducible
 from .errors import NoConvergenceError
-from .presentation import Representation, SurfaceData
-from .unitary import algebra_basis, cayley, haar_unitary, unflatten_algebra, unitarize
+from .presentation import Representation, SurfaceData, _integer_field
+from .unitary import (
+    algebra_basis,
+    basis_times,
+    cayley,
+    haar_unitary,
+    times_basis,
+    unflatten_algebra,
+    unitarize,
+)
 
 # Levenberg-Marquardt damping mu = lam * res^2: lam starts at _LM_LAMBDA,
 # is divided by _LM_SHRINK after an accepted step and multiplied by
@@ -77,10 +100,15 @@ class SolverConfig:
     restarts: int = 8
 
     def __post_init__(self):
+        # integral floats such as 2.0 pass as ints; 2.5, True or NaN do not
+        for name, least in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
+            value = _integer_field(name, getattr(self, name))
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+            object.__setattr__(self, name, value)
         # not (tol > 0), so that a NaN tol is refused too
-        if not (0 < self.tol < np.inf) or self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("tol must be finite, and tol, max_iters and restarts "
-                             "positive")
+        if isinstance(self.tol, bool) or not (0 < self.tol < np.inf):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -107,12 +135,13 @@ class _Layout:
 
     The class representatives Lambda_j, stacked, and the relation's letter
     layout: letter k is `pool[gather[k]]` of the pool concat(handles,
-    handles^H, peripherals), it belongs to variable `owner[:, k]`, and its
+    handles^H, peripherals) and belongs to variable `owner[:, k]`.  Its
     coefficients (a_k, b_k) are (1, 0) for a handle, (0, -1) for an inverse
-    handle and (1, -1) for a peripheral (see the module docstring).
+    handle and (1, -1) for a peripheral (see the module docstring): `left`
+    lists the letters with a_k = 1, `right` those with b_k = -1.
     """
 
-    __slots__ = ("surface", "nh", "eye", "lambdas", "gather", "a", "b", "owner")
+    __slots__ = ("surface", "nh", "eye", "lambdas", "gather", "left", "right", "owner")
 
     def __init__(self, surface: SurfaceData):
         nh = 2 * surface.genus
@@ -124,9 +153,8 @@ class _Layout:
         # pool index: idx for a handle, nh + idx for an inverse handle or a
         # peripheral; variable index: idx (handles first, then frames)
         self.gather = np.array([idx + nh * (e == -1 or idx >= nh) for idx, e in relation])
-        coef = [(1.0, -1.0) if idx >= nh else (1.0, 0.0) if e == 1 else (0.0, -1.0)
-                for idx, e in relation]
-        self.a, self.b = np.array(coef).T.reshape(2, -1, 1, 1)
+        self.left = np.array([k for k, (_, e) in enumerate(relation) if e == 1])
+        self.right = np.array([k for k, (idx, e) in enumerate(relation) if e == -1 or idx >= nh])
         self.owner = np.zeros((nh + surface.punctures, len(relation)), dtype=complex)
         self.owner[[idx for idx, _ in relation], np.arange(len(relation))] = 1.0
 
@@ -157,9 +185,7 @@ class _Point:
 
     @classmethod
     def random(cls, surface: SurfaceData, rng, layout: _Layout | None = None) -> "_Point":
-        n = surface.rank
-        stack = np.array([haar_unitary(n, rng)
-                          for _ in range(2 * surface.genus + surface.punctures)])
+        stack = haar_unitary(surface.rank, rng, 2 * surface.genus + surface.punctures)
         return cls(layout or _Layout(surface), stack)
 
     def peripherals(self) -> np.ndarray:
@@ -209,13 +235,16 @@ def _complex_to_real(m: np.ndarray) -> np.ndarray:
 
 
 def _jacobian(point: _Point, basis: np.ndarray) -> np.ndarray:
-    """Real Jacobian of E at the point, one column per (variable, basis) pair."""
+    """Real Jacobian of E at the point, one column per (variable, basis) pair;
+    `basis` is `algebra_basis(N)`, its N^2 elements the directions xi."""
     letters, prefixes, _ = point.sweep()
     lay = point.layout
-    m = letters[:, None]
-    dm = lay.a[:, None] * (basis @ m) + lay.b[:, None] * (m @ basis)
-    de = lay.owner_sum(prefixes[:, None] @ dm @ point.suffixes()[:, None])
-    de = de.reshape(-1, basis.shape[0])
+    nl, nb, n = len(letters), basis.shape[0], letters.shape[-1]
+    dm = np.zeros((nl, nb, n, n), dtype=complex)
+    dm[lay.left] = basis_times(letters[lay.left])
+    dm[lay.right] -= times_basis(letters[lay.right])
+    tall = (prefixes[:, None] @ dm).reshape(nl, nb * n, n) @ point.suffixes()
+    de = lay.owner_sum(tall).reshape(-1, nb)
     return np.concatenate([de.real, de.imag], axis=1).T
 
 

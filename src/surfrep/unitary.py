@@ -31,6 +31,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import NearSingularError
+from .linalg import norms_along
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,8 +64,8 @@ def is_skew_hermitian(x: np.ndarray) -> bool:
     of a stack; False on non-finite input."""
     if not np.isfinite(x).all():
         return False
-    herm = np.linalg.norm(x + x.conj().swapaxes(-1, -2), axis=(-2, -1))
-    return bool(np.all(herm <= SKEW_TOL * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)))))
+    herm = norms_along(x + x.conj().swapaxes(-1, -2), (-2, -1))
+    return bool((herm <= SKEW_TOL * np.maximum(1.0, norms_along(x, (-2, -1)))).all())
 
 
 def unitarize(u: np.ndarray) -> np.ndarray:
@@ -109,13 +110,24 @@ def cayley(x: np.ndarray) -> np.ndarray:
     return sol.conj().swapaxes(-1, -2)
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed element of U(n) (QR of a complex Gaussian, phases fixed)."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+def haar_unitary(n: int, rng: np.random.Generator, k: int | None = None) -> np.ndarray:
+    """Haar-distributed element of U(n) (QR of a complex Gaussian, phases
+    fixed), or with `k` a (k, n, n) stack of k independent ones.
+
+    The k Gaussians come from one `standard_normal((k, 2, n, n))` draw,
+    real then imaginary part of each member in turn, which is the order in
+    which k single draws consume the generator; one batched QR and one
+    phase fix follow.  So member i is bit for bit the i-th of k single
+    draws from the same generator state, and a single draw is the stack
+    of one.
+    """
+    g = rng.standard_normal((1 if k is None else k, 2, n, n))
+    z = (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[np.abs(d) < 1e-300] = 1.0
-    return q * (d / np.abs(d))
+    q = q * (d / np.abs(d))[:, None, :]
+    return q[0] if k is None else q
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +183,46 @@ def _entry_positions(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _basis_gathers(n: int) -> tuple:
+    """Every basis element has at most one nonzero entry per row and per
+    column.  For element a, row i holds row_coef[a, i] in column
+    row_at[a, i] and column j holds col_coef[a, j] in row col_at[a, j];
+    an empty row or column has coefficient 0."""
+    basis = algebra_basis(n)
+    row_at = np.argmax(basis != 0, axis=2)
+    col_at = np.argmax(basis != 0, axis=1)
+    row_coef = np.take_along_axis(basis, row_at[:, :, None], axis=2)[:, :, 0, None]
+    col_coef = np.take_along_axis(basis, col_at[:, None, :], axis=1)
+    out = (row_at, row_coef, col_at, col_coef)
+    for m in out:
+        m.setflags(write=False)
+    return out
+
+
+def basis_times(m: np.ndarray) -> np.ndarray:
+    """algebra_basis(n) @ m for each member of a stack (..., n, n); shape
+    (..., n^2, n, n).
+
+    Entry (i, j) of e_a m is the single product row_coef[a, i] m[row_at[a, i], j]
+    (`_basis_gathers`), so a gather times the coefficient gives it.  Every
+    coefficient is purely real or purely imaginary, so each part of the
+    complex product has one exactly zero term and rounds once, as in the
+    matrix product, with or without fused multiply-add: the two agree bit
+    for bit, except that an empty row may hold -0.0 where the matrix
+    product holds 0.0.
+    """
+    row_at, row_coef, _, _ = _basis_gathers(m.shape[-1])
+    return row_coef * np.take(m, row_at, axis=-2)
+
+
+def times_basis(m: np.ndarray) -> np.ndarray:
+    """m @ algebra_basis(n) for each member of a stack (..., n, n); shape
+    (..., n^2, n, n), in closed form as in `basis_times`."""
+    _, _, col_at, col_coef = _basis_gathers(m.shape[-1])
+    return np.take(m, col_at, axis=-1).swapaxes(-3, -2) * col_coef
+
+
 def flatten_algebra(x: np.ndarray) -> np.ndarray:
     """Coordinates of the skew-Hermitian part of x, or of every member of a
     stack (..., N, N), in the orthonormal basis; shape (..., N^2).
@@ -190,8 +242,14 @@ def flatten_algebra(x: np.ndarray) -> np.ndarray:
 
 
 def unflatten_algebra(v: np.ndarray, n: int) -> np.ndarray:
-    """The element of u(n), or stack of them, with coordinates v (..., n^2)."""
-    return np.tensordot(np.asarray(v, dtype=float), algebra_basis(n), axes=1)
+    """The element of u(n), or stack of them, with coordinates v (..., n^2).
+
+    One product of the rows of v with the (n^2, n^2) matrix whose row a is
+    basis element a, which is the product `tensordot` forms.
+    """
+    v = np.asarray(v, dtype=float)
+    flat = np.dot(v.reshape(-1, n * n), algebra_basis(n).reshape(n * n, n * n))
+    return flat.reshape(v.shape[:-1] + (n, n))
 
 
 def adjoint_matrix(g: np.ndarray) -> np.ndarray:

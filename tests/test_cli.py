@@ -403,6 +403,27 @@ def test_non_finite_tol_exits_1_before_solving(tmp_path, capsys, monkeypatch, to
             assert "finite" in error["message"]
 
 
+def test_negative_seed_exits_1_before_any_work(tmp_path, capsys, monkeypatch):
+    # before, analyze on a saved point wrote "seed: -1" into its manifest
+    # and solve died in numpy with a message naming no field
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran with a negative seed")
+
+    for name in ("solve", "analyze", "tangent_direction"):
+        monkeypatch.setattr(cli, name, no_work)
+    surface = _write(tmp_path, "surf.json", FOUR_PUNCTURE)
+    point = _write(tmp_path, "point.json",
+                   point_to_dict(smooth_instance(1, 2, 1).representation))
+    for command in ("solve", "analyze", "symplectic", "deform"):
+        for inp in (surface, point):
+            code, out, err = _run(capsys, [command, "--input", inp, "--seed", "-1"])
+            assert code == 1, (command, inp)
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "ValueError"
+            assert "seed" in error["message"]
+
+
 _EVERY_DOCUMENT = {"surface", "images", "manifest"}
 _SECTIONS = {
     "solve": {"analysis", "relation_residual", "class_residuals"},

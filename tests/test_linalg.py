@@ -227,6 +227,42 @@ def test_pivoted_qr_rank_matches_lapack_on_complex_input():
         assert rank_pivoted_qr(m, linalg.SOLVE_RTOL) == _scipy_qr_rank(m, linalg.SOLVE_RTOL)
 
 
+def test_norms_along_are_numpys_norms_bit_for_bit(rng):
+    for shape, axis in [((7, 5), 0), ((7, 5), 1), ((4, 3, 3), (-2, -1)), ((3, 3), (-2, -1)),
+                        ((0, 4), 0)]:
+        for m in (rng.standard_normal(shape),
+                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+            ours, ref = linalg.norms_along(m, axis), np.linalg.norm(m, axis=axis)
+            assert ours.shape == ref.shape
+            assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_pivoted_qr_rank_agrees_with_svd_around_the_cut(complex_entries):
+    # singular values 1 down to 1e-6, then one at 10x and one at 0.1x the
+    # cut (1e-9 when the largest is 1): the QR rank must keep the first and
+    # drop the second, as the SVD rank does
+    rng = np.random.default_rng(31 + complex_entries)
+    cut = max(RANK_RTOL, RANK_ATOL)
+
+    def frame(n, k):
+        z = rng.standard_normal((n, k))
+        if complex_entries:
+            z = z + 1j * rng.standard_normal((n, k))
+        return np.linalg.qr(z)[0]
+
+    for rows, cols in [(6, 6), (9, 4), (4, 9), (12, 8), (8, 12)]:
+        k = min(rows, cols)
+        for rank in range(1, k - 1):
+            s = np.concatenate([np.logspace(0, -6, rank), [10 * cut, 0.1 * cut],
+                                np.zeros(k - rank - 2)])
+            m = (frame(rows, k) * s) @ frame(cols, k).conj().T
+            assert rank_svd(m).rank == rank + 1
+            assert rank_pivoted_qr(m) == rank + 1, (rows, cols, rank)
+            if not complex_entries:
+                assert rank_pivoted_qr(m.astype(complex)) == rank + 1
+
+
 def test_pivoted_qr_rank_matches_lapack_on_every_certified_matrix(monkeypatch):
     # every matrix checked_rank certifies in analyze, gram_matrix and a
     # second-order deformation on the seed-0 and seed-1 corpus points, and

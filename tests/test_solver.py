@@ -118,6 +118,24 @@ def test_config_validation():
         SolverConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_iters", 2.5), ("restarts", 1.5), ("seed", 0.5), ("max_iters", float("nan")),
+    ("max_iters", True), ("restarts", True), ("seed", True), ("seed", False),
+    ("seed", -1), ("max_iters", -3), ("restarts", 0), ("tol", True),
+])
+def test_config_refuses_a_bad_integer_field_by_name(field, value):
+    # before, 2.5 or 1.5 died later with a TypeError, True meant 1 and a
+    # negative seed reached numpy
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_config_takes_integral_floats_as_ints():
+    cfg = SolverConfig(max_iters=3.0, restarts=2.0, seed=0.0)
+    assert [(type(v), v) for v in (cfg.max_iters, cfg.restarts, cfg.seed)] == [
+        (int, 3), (int, 2), (int, 0)]
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_config_refuses_a_non_finite_tol(tol):
     # nan <= 0 is false, so a bare sign check would let NaN through

@@ -183,7 +183,7 @@ def _ref_solve(surface, cfg):
     return fallback, rejected
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("shape", CORPUS_SHAPES, ids=lambda s: "g{}_n{}_r{}".format(*s))
 def test_solve_matches_reference_bit_for_bit(shape, seed):
     surface = smooth_instance(*shape, seed=seed).representation.surface

@@ -12,7 +12,9 @@ from surfrep.errors import NearSingularError
 from surfrep.unitary import (
     ConjugacyClass,
     adjoint_matrix,
+    SKEW_TOL,
     algebra_basis,
+    basis_times,
     cayley,
     circle_distance,
     flatten_algebra,
@@ -22,6 +24,7 @@ from surfrep.unitary import (
     mat_exp,
     property_p_check,
     skew_project,
+    times_basis,
     unflatten_algebra,
     wrap_angle,
 )
@@ -49,6 +52,22 @@ def test_skew_project_is_idempotent_projection(rng):
     # orthogonal projection for the real trace form
     h = z - x
     assert abs(np.real(np.trace(x.conj().T @ h))) < 1e-12
+
+
+def test_skew_check_keeps_its_bound(rng):
+    # ||x + x^dagger|| <= SKEW_TOL * max(1, ||x||), member by member, on
+    # both sides of the bound and of ||x|| = 1
+    for scale in (1e-3, 1.0, 1e3):
+        x = _random_skew(rng, 3, scale)
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        herm = (z + z.conj().T) / np.linalg.norm(2 * (z + z.conj().T))
+        for ratio in (0.5, 0.9, 1.1, 2.0):
+            y = x + ratio * SKEW_TOL * max(1.0, np.linalg.norm(x)) * herm
+            expected = (np.linalg.norm(y + y.conj().T)
+                        <= SKEW_TOL * max(1.0, np.linalg.norm(y)))
+            assert expected == (ratio < 1)
+            assert is_skew_hermitian(y) == expected
+            assert is_skew_hermitian(np.array([x, y])) == expected
 
 
 def test_algebra_basis_is_orthonormal():
@@ -85,6 +104,34 @@ def test_flatten_roundtrip(rng):
                 assert np.array_equal(v, flatten_algebra(y))
                 assert np.array_equal(b, unflatten_algebra(v, n))
                 assert np.allclose(b, x, atol=1e-12)
+
+
+def test_unflatten_is_the_tensordot_bit_for_bit(rng):
+    for n in (1, 2, 3):
+        basis = algebra_basis(n)
+        for shape in [(n * n,), (1, n * n), (5, n * n), (2, 3, n * n), (0, n * n)]:
+            for _ in range(20):
+                v = rng.standard_normal(shape)
+                ours, ref = unflatten_algebra(v, n), np.tensordot(v, basis, axes=1)
+                assert ours.shape == ref.shape
+                assert ours.tobytes() == ref.tobytes()
+
+
+def test_basis_has_at_most_one_entry_per_row_and_column():
+    for n in (1, 2, 3, 4):
+        nonzero = algebra_basis(n) != 0
+        assert nonzero.sum(axis=-1).max() <= 1
+        assert nonzero.sum(axis=-2).max() <= 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_products_in_closed_form_are_the_matrix_products(n, rng):
+    basis = algebra_basis(n)
+    for shape in [(), (1,), (6,), (2, 3)]:
+        for _ in range(20):
+            m = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+            assert np.array_equal(basis_times(m), basis @ m[..., None, :, :])
+            assert np.array_equal(times_basis(m), m[..., None, :, :] @ basis)
 
 
 def test_invariant_form_ad_invariance(rng):
@@ -213,6 +260,28 @@ def test_haar_unitarity_and_moment():
         # E tr U = 0, E |tr U|^2 = 1 for Haar measure
         assert abs(traces.mean()) < 0.1
         assert abs(np.mean(np.abs(traces) ** 2) - 1.0) < 0.15
+
+
+def _textbook_haar(n, rng):
+    """QR of (X + iY)/sqrt(2) from two (n, n) draws, R's diagonal made positive."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_haar_draw_is_the_sequential_draws(n):
+    for k in range(1, 9):
+        stacked_rng, single_rng, textbook_rng = (np.random.default_rng(100 + k) for _ in range(3))
+        stacked = haar_unitary(n, stacked_rng, k)
+        singles = [haar_unitary(n, single_rng) for _ in range(k)]
+        textbook = [_textbook_haar(n, textbook_rng) for _ in range(k)]
+        assert stacked.shape == (k, n, n) and singles[0].shape == (n, n)
+        for a, b, c in zip(stacked, singles, textbook):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+        # the generator is left where k single draws leave it
+        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 def test_haar_is_seed_deterministic():
