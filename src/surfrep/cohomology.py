@@ -186,6 +186,15 @@ def _without_center(fixed: np.ndarray, c0: np.ndarray) -> np.ndarray:
     return fixed @ (np.eye(v.size) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
 
 
+@lru_cache(maxsize=64)
+def _traceless_source(free_rank: int, n: int) -> np.ndarray:
+    """Traceless values on each free generator in turn, read-only: the
+    block-diagonal kron(I_free_rank, traceless_coordinates(n))."""
+    out = np.kron(np.eye(free_rank), traceless_coordinates(n))
+    out.setflags(write=False)
+    return out
+
+
 def relative_h2(rho: Representation, periphery: Periphery):
     """Dimension and gap of the obstruction space (traceless coefficients).
 
@@ -197,10 +206,8 @@ def relative_h2(rho: Representation, periphery: Periphery):
     """
     _require_nondegenerate(rho)
     n = rho.rank
-    # traceless values on each free generator in turn
-    source = np.kron(np.eye(rho.presentation.free_rank), traceless_coordinates(n))
     fixed = [_without_center(f, center_direction(n)) for f in periphery.fixed]
-    m = _restriction_matrix(periphery.fox, source, fixed)
+    m = _restriction_matrix(periphery.fox, _traceless_source(rho.presentation.free_rank, n), fixed)
     info = linalg.checked_rank(m)
     return m.shape[0] - info.rank, info.gap
 

@@ -65,13 +65,15 @@ def smooth_instance(genus: int, rank: int, punctures: int,
                     seed: int = 0) -> CorpusInstance:
     """Witness instance that certifies as irreducible and unobstructed.
 
-    Draws are retried from derived seeds until the certificate holds;
-    generic draws pass immediately.
+    Draws are retried from derived seeds until the certificate holds, at
+    most `MAX_TRIES` of them; generic draws pass immediately.  Draw k takes
+    its child seed of SeedSequence((genus, rank, punctures, seed)) when it
+    starts: the child that `spawn(k + 1)[k]` would give.
     """
     base = np.random.SeedSequence((genus, rank, punctures, seed))
-    for child in base.spawn(MAX_TRIES):
+    for _ in range(MAX_TRIES):
         rho = witness_representation(genus, rank, punctures,
-                                     np.random.default_rng(child))
+                                     np.random.default_rng(base.spawn(1)[0]))
         rho.validate()
         report = analyze(rho)
         if report.irreducible and report.smooth:

@@ -5,8 +5,9 @@ rank is never an implicit side effect of a solver: the singular value
 threshold is relative (1e-9 of the largest singular value) with an
 absolute floor, and each decision records the gap between the smallest
 kept and the largest dropped singular value.  One SVD per decided
-matrix gives its basis, solve and gap; one function turns singular values
-into a rank.  Column-pivoted QR cross-checks that rank on the same matrix
+matrix gives its basis, solve and gap; one function (`_kept`) decides
+which singular values a rank keeps, for one matrix or a stack.
+Column-pivoted QR cross-checks that rank on the same matrix
 (Businger-Golub pivoting, Numer. Math. 7, 1965, in the modified
 Gram-Schmidt form whose R factor is backward stable, Bjorck, BIT 7,
 1967).  Disagreement raises instead of guessing.
@@ -46,11 +47,16 @@ class RankInfo:
         return (self.smallest_kept, self.largest_dropped)
 
 
+def _kept(s: np.ndarray, rtol: float) -> np.ndarray:
+    """Which singular values a rank decision keeps, along the last axis of
+    descending s: those above max(rtol * s_0, RANK_ATOL)."""
+    return s > np.maximum(rtol * s[..., :1], RANK_ATOL)
+
+
 def _svd_rank_from_singular_values(s: np.ndarray, rtol: float) -> RankInfo:
     if s.size == 0:
         return RankInfo(0, float("inf"), 0.0)
-    keep = s > max(rtol * s[0], RANK_ATOL)
-    rank = int(np.count_nonzero(keep))
+    rank = int(np.count_nonzero(_kept(s, rtol)))
     smallest_kept = float(s[rank - 1]) if rank > 0 else float("inf")
     largest_dropped = float(s[rank]) if rank < s.size else 0.0
     return RankInfo(rank, smallest_kept, largest_dropped, float(s[-1]))
@@ -129,10 +135,15 @@ def range_complement(m: np.ndarray):
 def kernels_and_pseudoinverses(a: np.ndarray):
     """Orthonormal kernel bases of a stack of square matrices, ranks decided
     as in `nullspace`, and the pseudo-inverses over the singular values
-    each decision keeps: one batched SVD, read twice."""
+    each decision keeps: one batched SVD, read twice.
+
+    The pseudo-inverses are one stacked product V^T (U / s')^T, s' the
+    singular values with the dropped ones set to inf, so a dropped column
+    of U divides to zero."""
     u, s, vt = np.linalg.svd(a)
-    ranks = [_svd_rank_from_singular_values(sj, RANK_RTOL).rank for sj in s]
-    pinv = np.array([v[:k].T @ (w[:, :k] / sj[:k]).T for w, sj, v, k in zip(u, s, vt, ranks)])
+    keep = _kept(s, RANK_RTOL)
+    pinv = vt.swapaxes(-1, -2) @ (u / np.where(keep, s, np.inf)[:, None, :]).swapaxes(-1, -2)
+    ranks = np.count_nonzero(keep, axis=1)
     return tuple(v[k:].T for v, k in zip(vt, ranks)), pinv
 
 

@@ -96,8 +96,8 @@ def _cone_lifts(periphery: Periphery, values: np.ndarray) -> np.ndarray:
     NotParabolicError is raised when it is not negligible.
     """
     for j, (fixed, vals) in enumerate(zip(periphery.fixed, values)):
-        stuck = np.linalg.norm(fixed.T @ vals, axis=0)
-        bad = np.flatnonzero(stuck > PARABOLIC_TOL * np.maximum(1.0, np.linalg.norm(vals, axis=0)))
+        stuck = linalg.norms_along(fixed.T @ vals, 0)
+        bad = np.flatnonzero(stuck > PARABOLIC_TOL * np.maximum(1.0, linalg.norms_along(vals, 0)))
         if bad.size:
             raise NotParabolicError(
                 f"cocycle is not parabolic at puncture {j}: "

@@ -56,23 +56,25 @@ A restart stops at res <= 1e-14, when no singular value survives the cut
 (no step can move E) or no damping lowers the residual, or after
 `max_iters` steps.
 
-Restarts draw independent starting points from deterministic child seeds,
-so a given (surface, config) pair always produces the same output.  The
-first converged irreducible point wins; if every converged restart is
-reducible the first of those is returned and callers decide whether that
-is acceptable.
+Restarts draw independent starting points from deterministic child seeds
+of SeedSequence(seed): restart k draws its child when it starts, the child
+that `spawn(k + 1)[k]` would give, so a given (surface, config) pair always
+produces the same output.  The first converged irreducible point wins; if
+every converged restart is reducible the first of those is returned and
+callers decide whether that is acceptable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .cohomology import is_irreducible
 from .errors import NoConvergenceError
-from .presentation import Representation, SurfaceData, _integer_field
+from .presentation import Presentation, Representation, SurfaceData, _integer_field
 from .unitary import (
     algebra_basis,
     basis_times,
@@ -130,33 +132,43 @@ class SolveResult:
         }
 
 
-class _Layout:
-    """What every point of one solve shares.
+@lru_cache(maxsize=64)
+def _relation_layout(pres: Presentation):
+    """The relation's letter layout, read-only: (gather, left, right, owner).
 
-    The class representatives Lambda_j, stacked, and the relation's letter
-    layout: letter k is `pool[gather[k]]` of the pool concat(handles,
-    handles^H, peripherals) and belongs to variable `owner[:, k]`.  Its
-    coefficients (a_k, b_k) are (1, 0) for a handle, (0, -1) for an inverse
-    handle and (1, -1) for a peripheral (see the module docstring): `left`
-    lists the letters with a_k = 1, `right` those with b_k = -1.
+    Letter k is `pool[gather[k]]` of the pool concat(handles, handles^H,
+    peripherals) and belongs to variable `owner[:, k]`.  Its coefficients
+    (a_k, b_k) are (1, 0) for a handle, (0, -1) for an inverse handle and
+    (1, -1) for a peripheral (see the module docstring): `left` lists the
+    letters with a_k = 1, `right` those with b_k = -1.
     """
+    nh = 2 * pres.genus
+    relation = pres.relation
+    # pool index: idx for a handle, nh + idx for an inverse handle or a
+    # peripheral; variable index: idx (handles first, then frames)
+    gather = np.array([idx + nh * (e == -1 or idx >= nh) for idx, e in relation])
+    left = np.array([k for k, (_, e) in enumerate(relation) if e == 1])
+    right = np.array([k for k, (idx, e) in enumerate(relation) if e == -1 or idx >= nh])
+    owner = np.zeros((nh + pres.punctures, len(relation)), dtype=complex)
+    owner[[idx for idx, _ in relation], np.arange(len(relation))] = 1.0
+    for arr in (gather, left, right, owner):
+        arr.setflags(write=False)
+    return gather, left, right, owner
+
+
+class _Layout:
+    """What every point of one solve shares: the class representatives
+    Lambda_j, stacked, and the relation layout of its shape
+    (`_relation_layout`)."""
 
     __slots__ = ("surface", "nh", "eye", "lambdas", "gather", "left", "right", "owner")
 
     def __init__(self, surface: SurfaceData):
-        nh = 2 * surface.genus
-        relation = surface.presentation.relation
         self.surface = surface
-        self.nh = nh
+        self.nh = 2 * surface.genus
         self.eye = np.eye(surface.rank)
         self.lambdas = np.array([c.representative() for c in surface.classes])
-        # pool index: idx for a handle, nh + idx for an inverse handle or a
-        # peripheral; variable index: idx (handles first, then frames)
-        self.gather = np.array([idx + nh * (e == -1 or idx >= nh) for idx, e in relation])
-        self.left = np.array([k for k, (_, e) in enumerate(relation) if e == 1])
-        self.right = np.array([k for k, (idx, e) in enumerate(relation) if e == -1 or idx >= nh])
-        self.owner = np.zeros((nh + surface.punctures, len(relation)), dtype=complex)
-        self.owner[[idx for idx, _ in relation], np.arange(len(relation))] = 1.0
+        self.gather, self.left, self.right, self.owner = _relation_layout(surface.presentation)
 
     def owner_sum(self, per_letter: np.ndarray) -> np.ndarray:
         """Sum per-letter terms onto their variables, leading axis L -> 2g + r.
@@ -290,14 +302,14 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     cfg = config or SolverConfig()
     if surface.presentation.free_rank == 0:
         raise ValueError("degenerate surface (genus 0, one puncture) has no moduli")
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    seeds = np.random.SeedSequence(cfg.seed)
     layout = _Layout(surface)
     fallback = None
     best_res = np.inf
     best_history = ()
     residuals = []
     for attempt in range(cfg.restarts):
-        rng = np.random.default_rng(children[attempt])
+        rng = np.random.default_rng(seeds.spawn(1)[0])
         point = _Point.random(surface, rng, layout)
         point, res, history = _levenberg_marquardt(point, cfg)
         residuals.append(res)

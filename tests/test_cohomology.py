@@ -25,7 +25,7 @@ from surfrep.corpus import smooth_instance, witness_representation
 from surfrep.errors import NotSmoothError, ReducibleError
 from surfrep.presentation import Representation, SurfaceData, build_periphery
 from surfrep.solver import SolverConfig, solve
-from surfrep.unitary import ConjugacyClass, haar_unitary, skew_project
+from surfrep.unitary import ConjugacyClass, haar_unitary, skew_project, traceless_coordinates
 
 from oracles import coboundary, commutant_dimension, peripheral_value
 
@@ -315,3 +315,12 @@ def test_subspace_projector(witness_u2):
     p = basis.basis @ basis.basis.T
     assert np.allclose(p @ p, p, atol=1e-10)
     assert np.allclose(p @ basis.basis, basis.basis, atol=1e-10)
+
+
+def test_relative_h2_source_is_one_read_only_table_per_shape():
+    for free_rank, n in [(1, 1), (3, 2), (4, 3)]:
+        source = cohomology._traceless_source(free_rank, n)
+        assert source is cohomology._traceless_source(free_rank, n)
+        assert not source.flags.writeable
+        ref = np.kron(np.eye(free_rank), traceless_coordinates(n))
+        assert source.shape == ref.shape and source.tobytes() == ref.tobytes()

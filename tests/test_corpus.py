@@ -1,11 +1,16 @@
 """The standing instance set and the constructed obstructed point."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import surfrep.corpus as corpus_module
 from surfrep.cohomology import parabolic_tangent_basis, relative_h2_dim
 from surfrep.corpus import (
     CORPUS_SHAPES,
+    MAX_TRIES,
     obstructed_instance,
     smooth_instance,
     tangent_direction,
@@ -75,3 +80,45 @@ def test_tangent_direction_rejects_rigid_points():
     inst = smooth_instance(0, 2, 3)
     with pytest.raises(ValueError):
         tangent_direction(inst.representation, 0)
+
+
+def _witness_draws(genus, rank, punctures, seed):
+    """Every draw `smooth_instance` may make, from children spawned up front."""
+    children = np.random.SeedSequence((genus, rank, punctures, seed)).spawn(MAX_TRIES)
+    return [witness_representation(genus, rank, punctures, np.random.default_rng(c))
+            for c in children]
+
+
+def _same_images(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a.images, b.images))
+
+
+def test_smooth_instance_takes_the_draw_after_rejected_ones(monkeypatch):
+    analyze, analyzed = corpus_module.analyze, []
+
+    def reject_first_two(rho):
+        analyzed.append(rho)
+        report = analyze(rho)
+        return report if len(analyzed) > 2 else dataclasses.replace(report, smooth=False)
+
+    monkeypatch.setattr(corpus_module, "analyze", reject_first_two)
+    inst = smooth_instance(1, 2, 2, seed=3)
+    draws = _witness_draws(1, 2, 2, 3)
+    assert len(analyzed) == 3
+    assert all(_same_images(rho, ref) for rho, ref in zip(analyzed, draws))
+    assert _same_images(inst.representation, draws[2])
+    assert not _same_images(draws[2], draws[0]) and not _same_images(draws[2], draws[1])
+
+
+def test_smooth_instance_gives_up_after_max_tries_draws(monkeypatch):
+    analyzed = []
+
+    def reject(rho):
+        analyzed.append(rho)
+        return SimpleNamespace(irreducible=False, smooth=False)
+
+    monkeypatch.setattr(corpus_module, "analyze", reject)
+    with pytest.raises(RuntimeError, match=f"after {MAX_TRIES} draws"):
+        smooth_instance(1, 2, 2, seed=3)
+    assert len(analyzed) == MAX_TRIES
+    assert all(_same_images(rho, ref) for rho, ref in zip(analyzed, _witness_draws(1, 2, 2, 3)))

@@ -11,6 +11,9 @@ only the tests use lives in the tests.
 
 Rank decisions live in `surfrep.linalg`: outside it, an SVD is called
 only by the named factorizations that decide no rank.
+
+Child seeds are spawned one at a time, when the attempt that needs one
+starts: no batch of seeds is spawned up front and mostly thrown away.
 """
 
 import ast
@@ -121,3 +124,18 @@ def test_svd_is_called_only_where_ranks_are_decided():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                 assert "svd" not in {a.name for a in node.names}, path.name
+
+
+def test_every_spawn_draws_one_child():
+    root = Path(surfrep.__file__).resolve().parent
+    spawns = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "spawn"):
+                spawns.append((path.name, node.lineno, node))
+    assert spawns
+    for name, line, call in spawns:
+        one = (len(call.args) == 1 and not call.keywords
+               and isinstance(call.args[0], ast.Constant) and call.args[0].value == 1)
+        assert one, f"{name}:{line} spawns more than one child at once"

@@ -29,8 +29,8 @@ from surfrep.linalg import (
     rank_svd,
 )
 from surfrep.pairing import gram_matrix
-from surfrep.presentation import build_periphery
-from surfrep.unitary import traceless_coordinates
+from surfrep.presentation import Representation, SurfaceData, build_periphery
+from surfrep.unitary import ConjugacyClass, traceless_coordinates
 
 
 def _random_rank_deficient(rng, rows, cols, rank):
@@ -332,3 +332,29 @@ def test_each_rank_decision_factors_its_matrix_once(monkeypatch):
         factored.clear()
         build_deformation(rho, direction, order=4)
         assert factored == ["matching"], shape
+
+
+def _per_puncture_kernels_and_pseudoinverses(a):
+    """The per-puncture form that `kernels_and_pseudoinverses` stacks: one
+    rank decision and one (N^2, k) x (k, N^2) product per matrix."""
+    u, s, vt = np.linalg.svd(a)
+    ranks = [linalg._svd_rank_from_singular_values(sj, RANK_RTOL).rank for sj in s]
+    pinv = np.array([v[:k].T @ (w[:, :k] / sj[:k]).T for w, sj, v, k in zip(u, s, vt, ranks)])
+    return tuple(v[k:].T for v, k in zip(vt, ranks)), pinv
+
+
+def test_stacked_pseudoinverses_equal_the_per_puncture_form_bit_for_bit(corpus, obstructed):
+    # identity images: every Ad(gamma_j) - 1 is zero, of rank 0
+    identity = Representation(SurfaceData(1, 2, 2, (ConjugacyClass((0.0, 0.0)),) * 2),
+                              (np.eye(2),) * 4)
+    points = [inst.representation for inst in corpus] + [obstructed[0], identity]
+    for rho in points:
+        a = build_periphery(rho).adjoints - np.eye(rho.rank ** 2)
+        fixed, pinv = linalg.kernels_and_pseudoinverses(a)
+        ref_fixed, ref_pinv = _per_puncture_kernels_and_pseudoinverses(a)
+        assert pinv.shape == ref_pinv.shape and pinv.tobytes() == ref_pinv.tobytes()
+        assert len(fixed) == len(ref_fixed)
+        for ours, ref in zip(fixed, ref_fixed):
+            assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+        if rho is identity:
+            assert all(f.shape == (4, 4) for f in fixed) and not pinv.any()

@@ -5,7 +5,14 @@ import pytest
 
 from surfrep.errors import NoConvergenceError
 from surfrep.presentation import SurfaceData
-from surfrep.solver import SolverConfig, _jacobian, _Point, solve
+from surfrep.solver import (
+    SolverConfig,
+    _jacobian,
+    _Layout,
+    _levenberg_marquardt,
+    _Point,
+    solve,
+)
 from surfrep.unitary import ConjugacyClass, algebra_basis
 
 HALF_PI = np.pi / 2
@@ -195,3 +202,28 @@ def test_zero_jacobian_stops_each_restart_without_a_step(monkeypatch):
         after.append(point.residual())
     assert exc.value.restart_residuals == tuple(after)
     assert exc.value.history == (before[int(np.argmin(after))],)
+
+
+def test_restarts_past_the_first_use_their_own_children_in_order():
+    # one step brings no restart to tolerance, so every restart runs and
+    # reports; their starts differ, so a skipped or reordered child shows
+    cfg = SolverConfig(seed=5, restarts=4, max_iters=1)
+    with pytest.raises(NoConvergenceError) as exc:
+        solve(FOUR_PUNCTURE, cfg)
+    expected = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
+        point = _Point.random(FOUR_PUNCTURE, np.random.default_rng(child))
+        expected.append(_levenberg_marquardt(point, cfg)[1])
+    assert len(set(expected)) == cfg.restarts
+    assert exc.value.restart_residuals == tuple(expected)
+
+
+def test_relation_layout_is_one_read_only_table_per_shape():
+    other = SurfaceData(0, 4, 2, (ConjugacyClass((0.3, -1.1)),) * 3
+                        + (ConjugacyClass((0.4, 0.4)),))
+    ours, theirs = _Layout(FOUR_PUNCTURE), _Layout(other)
+    assert not np.array_equal(ours.lambdas, theirs.lambdas)
+    for name in ("gather", "left", "right", "owner"):
+        table = getattr(ours, name)
+        assert table is getattr(theirs, name), name
+        assert not table.flags.writeable, name
