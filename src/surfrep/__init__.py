@@ -11,12 +11,10 @@ from .cohomology import (
     Subspace,
     analyze,
     centralizer_dimension,
-    cone_h2_trivial_rank,
     expected_dimension,
     h1_basis,
     is_irreducible,
     parabolic_tangent_basis,
-    relative_h2_dim,
 )
 from .corpus import (
     CorpusInstance,
@@ -29,7 +27,6 @@ from .corpus import (
 from .deformation import (
     DeformationState,
     build_deformation,
-    conjugation_state,
     verify_deformation,
 )
 from .errors import (
@@ -79,8 +76,6 @@ __all__ = [
     "build_corpus",
     "build_deformation",
     "centralizer_dimension",
-    "cone_h2_trivial_rank",
-    "conjugation_state",
     "expected_dimension",
     "gram_matrix",
     "h1_basis",
@@ -88,7 +83,6 @@ __all__ = [
     "lift_to_cone",
     "obstructed_instance",
     "parabolic_tangent_basis",
-    "relative_h2_dim",
     "smooth_instance",
     "solve",
     "symplectic_form",

@@ -63,6 +63,7 @@ from .serialize import (
     point_to_dict,
 )
 from .solver import SolverConfig, solve
+from .unitary import is_skew_hermitian
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -133,8 +134,8 @@ def _point(config: SolverConfig, surface: SurfaceData, rho):
 
 
 def _load_direction(path: str, surface: SurfaceData):
-    """The cocycle values of a --direction-file, one N x N matrix per free
-    generator of the surface."""
+    """The cocycle values of a --direction-file, one finite skew-Hermitian
+    N x N matrix per free generator of the surface."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "values" not in data:
@@ -148,6 +149,8 @@ def _load_direction(path: str, surface: SurfaceData):
     if direction.shape != want:
         raise ValueError(f"direction must give one {n}x{n} value per free generator: "
                          f"shape {want}, got {direction.shape}")
+    if not is_skew_hermitian(direction):
+        raise ValueError("direction values must be finite and skew-Hermitian")
     return direction
 
 
@@ -173,9 +176,8 @@ def _cmd_solve(args, config, watch) -> dict:
     rho, result = _point(config, *_load_input(args.input))
     report = analyze(rho)
     if not report.irreducible:
-        raise ReducibleError(
-            "every converged restart gave a reducible representation"
-        )
+        raise ReducibleError("every converged restart gave a reducible representation"
+                             if result is not None else "the saved point is reducible")
     return _document(args, config, watch, rho, result, {
         "analysis": report.to_dict(),
         "relation_residual": rho.relation_residual(),

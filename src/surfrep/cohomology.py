@@ -29,7 +29,8 @@ The reported obstruction space `relative_h2_dim` is the cokernel of the
 restriction H^1 -> sum_j coker_j computed with traceless (su(N))
 coefficients.  The central u(1) summand always contributes one unit to
 the full cokernel, for every representation, by the same mechanism that
-makes the trivial-coefficient count below equal 1; no order-by-order
+makes the trivial-coefficient cokernel one-dimensional on every surface
+(the boundary circles sum to zero in H_1); no order-by-order
 obstruction ever lands there because all the nonlinear terms of the
 deformation system are iterated brackets, hence traceless.  Splitting the
 center off gives the criterion that actually detects smooth points.  The
@@ -210,27 +211,6 @@ def relative_h2(rho: Representation, periphery: Periphery):
     m = _restriction_matrix(periphery.fox, _traceless_source(rho.presentation.free_rank, n), fixed)
     info = linalg.checked_rank(m)
     return m.shape[0] - info.rank, info.gap
-
-
-def relative_h2_dim(rho: Representation) -> int:
-    return relative_h2(rho, build_periphery(rho))[0]
-
-
-def cone_h2_trivial_rank(genus: int, punctures: int) -> int:
-    """Rank of the degree-2 relative cohomology with trivial real coefficients.
-
-    With trivial coefficients the peripheral restriction sends a
-    homomorphism pi -> R to its values on the c_j, and the value on the
-    last peripheral is minus the sum of the others (handle generators
-    cancel in the relation).  That map is the F(c_j) stack of the
-    `Periphery` at the rank-1 representation with identity images, where
-    Ad is 1.  Its cokernel is one-dimensional for every surface,
-    generated by the tuple dual to the boundary circles.
-    """
-    surface = SurfaceData(genus, punctures, 1, ((0.0,),) * punctures)
-    trivial = Representation(surface, (np.eye(1),) * (2 * genus + punctures))
-    m = build_periphery(trivial).fox[:, 0]
-    return punctures - linalg.checked_rank(m).rank
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,7 @@ from .presentation import (
 )
 from .unitary import (
     flatten_algebra,
+    is_skew_hermitian,
     mat_exp,
     match_class,
     skew_project,
@@ -259,8 +260,6 @@ class DeformationState:
     """
 
     rho: Representation
-    # the point's peripheral data, `build_periphery(rho)`
-    periphery: Periphery = field(compare=False, repr=False)
     h: np.ndarray
     c: np.ndarray
     residual_norms: tuple = field(default_factory=tuple)
@@ -271,18 +270,9 @@ class DeformationState:
     def order(self) -> int:
         return self.h.shape[0]
 
-    @property
-    def direction(self) -> np.ndarray:
-        return self.h[0]
-
     def instantiate(self, t: float) -> Representation:
         """Evaluate the truncated family at one parameter value."""
-        return self.instantiate_grid([t])[0]
-
-    def instantiate_grid(self, ts) -> list:
-        """Evaluate the truncated family at every parameter value of `ts`."""
-        surface = self.rho.surface
-        return [Representation(surface, images) for images in zip(*self._grid_images(ts))]
+        return Representation(self.rho.surface, tuple(m[0] for m in self._grid_images([t])))
 
     def _grid_images(self, ts) -> tuple:
         """The images of the family on the grid, one (T, N, N) stack per
@@ -290,8 +280,9 @@ class DeformationState:
 
         Free generator images come from the exponential form; the last
         peripheral image is taken in conjugator form about gamma_r, the
-        word product of the periphery, so it stays in its class and the
-        relation residual of the result measures the truncation error.
+        word product rho(p^-1) as in `build_periphery`, never the stored
+        image of c_r, so it stays in its class and the relation residual
+        of the result measures the truncation error.
         One Horner sum over the stacked coefficients and one batched
         exponential over (t, generator) serve the grid.
         """
@@ -305,7 +296,8 @@ class DeformationState:
         t = np.asarray(ts, dtype=float).reshape(-1, 1, 1, 1)
         u = mat_exp(skew_project(_horner(coeffs, t)))
         free = u[:, :nf] @ np.array(rho.images[:nf], dtype=complex).reshape(nf, n, n)
-        last = u[:, nf] @ self.periphery.images[jlast] @ u[:, nf].conj().swapaxes(-1, -2)
+        gamma_r = word_image(rho.images, pres.last_peripheral_word, n)
+        last = u[:, nf] @ gamma_r @ u[:, nf].conj().swapaxes(-1, -2)
         return tuple(free[:, i] for i in range(nf)) + (last,)
 
     def to_dict(self) -> dict:
@@ -391,18 +383,22 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     """Solve the matching conditions order by order up to the given order.
 
     The direction must be a parabolic cocycle (values on the free
-    generators).  One `build_periphery` serves the order-1 lifts and every
-    order, and the matching matrix is built, rank-certified and factored
-    once for all orders.  Each `solve_next_order` checks the order before
-    it; one last `order_residuals` call checks the top order, so an order-K
-    build evaluates the residual series K times.  Raises ObstructionFound at
-    the first order whose inhomogeneity leaves the range of the linear
-    part.
+    generators), every value finite and skew-Hermitian, or ValueError: the
+    residuals see only the skew part, so a Hermitian part would ride along
+    in h_1 unchecked.  One `build_periphery` serves the order-1 lifts and
+    every order, and the matching matrix is built, rank-certified and
+    factored once for all orders.  Each `solve_next_order` checks the
+    order before it; one last `order_residuals` call checks the top order,
+    so an order-K build evaluates the residual series K times.  Raises
+    ObstructionFound at the first order whose inhomogeneity leaves the
+    range of the linear part.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    periphery = build_periphery(rho)
     direction = np.asarray(direction, dtype=complex)
+    if not is_skew_hermitian(direction):
+        raise ValueError("direction values must be finite and skew-Hermitian")
+    periphery = build_periphery(rho)
     h = direction[None]
     c = lift_to_cone(rho, direction, periphery)[None]
     norms = []
@@ -416,31 +412,7 @@ def build_deformation(rho: Representation, direction: np.ndarray,
             if norm is not None:
                 norms.append(norm)
         norms.append(_checked_order(order_residuals(rho, h, c, periphery)[-1], order))
-    return DeformationState(rho, periphery, h, c, tuple(norms), rank)
-
-
-def conjugation_state(rho: Representation, x: np.ndarray,
-                      order: int) -> DeformationState:
-    """The family exp(tx) rho exp(-tx) in deformation coordinates.
-
-    Closed form: C_j(t) = t x for every puncture, and on a word w the
-    series is H_w = -log(exp(tx) exp(-t Ad(rho(w)) x)), so h_1 is the
-    coboundary of x and the family satisfies the matching conditions at
-    every order.  Used as a known-good state in tests.
-    """
-    pres = rho.presentation
-    n, nf = rho.rank, pres.free_rank
-    x = np.asarray(x, dtype=complex)
-    images = np.array(rho.images[:nf], dtype=complex).reshape(nf, n, n)
-    # one exp over (tx, -t Ad(rho(x_i)) x for every free generator), one log
-    lines = np.zeros((nf + 1, order + 1, n, n), dtype=complex)
-    lines[0, 1] = x
-    lines[1:, 1] = -(images @ x @ images.conj().swapaxes(-1, -2))
-    exps = _exp(lines)
-    series = -_log(_cauchy(np.broadcast_to(exps[0], exps[1:].shape), exps[1:]))
-    c = np.zeros((order, pres.punctures, n, n), dtype=complex)
-    c[0] = x
-    return DeformationState(rho, build_periphery(rho), np.swapaxes(series[:, 1:], 0, 1), c)
+    return DeformationState(rho, h, c, tuple(norms), rank)
 
 
 def check_t_samples(ts) -> list:

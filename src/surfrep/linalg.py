@@ -119,10 +119,11 @@ def checked_rank(m: np.ndarray, rtol: float = RANK_RTOL) -> RankInfo:
 
 
 def nullspace(m: np.ndarray):
-    """Orthonormal basis (columns) of the kernel of m, with rank info."""
+    """Orthonormal basis (columns) of the kernel of a real matrix m, with
+    rank info."""
     _, s, vt = np.linalg.svd(m, full_matrices=True)
     info = _svd_rank_from_singular_values(s, RANK_RTOL)
-    return vt[info.rank:].T.conj() if np.iscomplexobj(m) else vt[info.rank:].T, info
+    return vt[info.rank:].T, info
 
 
 def range_complement(m: np.ndarray):
@@ -164,22 +165,17 @@ def truncated_svd(a: np.ndarray):
 def min_norm_solver(a: np.ndarray):
     """Factor a once for repeated minimum-norm least-squares solves.
 
-    Returns (solve, info): solve maps b -> (x, residual norm of a x - b),
-    a 2-D b being a matrix of right-hand sides solved column by column
-    with one residual each; info is the rank decision of the singular
-    value cut of `truncated_svd`, cross-checked by pivoted QR.
+    Returns (solve, info): solve maps a vector b -> (x, residual norm of
+    a x - b); info is the rank decision of the singular value cut of
+    `truncated_svd`, cross-checked by pivoted QR.
     """
     u, s_kept, vt, info = truncated_svd(a)
     cross_checked(a, info, SOLVE_RTOL)
     u_t, v = u.T, vt.T
 
     def solve(b: np.ndarray):
-        b = np.asarray(b)
-        if b.ndim == 1:
-            x = v @ ((u_t @ b) / s_kept)
-            return x, float(np.linalg.norm(a @ x - b))
-        x = v @ ((u_t @ b) / s_kept[:, None])
-        return x, np.linalg.norm(a @ x - b, axis=0)
+        x = v @ ((u_t @ b) / s_kept)
+        return x, float(np.linalg.norm(a @ x - b))
 
     return solve, info
 

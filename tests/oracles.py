@@ -25,6 +25,11 @@ package computes in one place:
   and its residuals one t at a time, `reference_grid_residuals` (the
   package instantiates and checks the whole decay-check grid at once).
 
+Two closed forms serve as known answers: `conjugation_state`, the family
+exp(tx) rho exp(-tx), which satisfies the matching conditions at every
+order, and `cone_h2_trivial_rank`, the trivial-coefficient cokernel
+count, which is 1 on every surface.
+
 `MatrixSeries`, with `series_exp` and `series_log`, is the one-series
 view of the package's stacked series kernel (`deformation._cauchy`,
 `_exp` and `_log`) that the per-letter references are written in.
@@ -39,9 +44,11 @@ from functools import lru_cache
 import numpy as np
 
 from surfrep import linalg
-from surfrep.deformation import _cauchy, _exp, _horner, _log
+from surfrep.deformation import DeformationState, _cauchy, _exp, _horner, _log
 from surfrep.presentation import (
     Representation,
+    SurfaceData,
+    build_periphery,
     evaluate_word,
     extend_cocycle,
     standard_presentation,
@@ -343,6 +350,29 @@ def reference_grid_residuals(state, ts):
     return relation, classes
 
 
+def conjugation_state(rho, x, order):
+    """The family exp(tx) rho exp(-tx) in deformation coordinates.
+
+    Closed form: C_j(t) = t x for every puncture, and on a word w the
+    series is H_w = -log(exp(tx) exp(-t Ad(rho(w)) x)), so h_1 is the
+    coboundary of x and the family satisfies the matching conditions at
+    every order.
+    """
+    pres = rho.presentation
+    n, nf = rho.rank, pres.free_rank
+    x = np.asarray(x, dtype=complex)
+    images = np.array(rho.images[:nf], dtype=complex).reshape(nf, n, n)
+    # one exp over (tx, -t Ad(rho(x_i)) x for every free generator), one log
+    lines = np.zeros((nf + 1, order + 1, n, n), dtype=complex)
+    lines[0, 1] = x
+    lines[1:, 1] = -(images @ x @ images.conj().swapaxes(-1, -2))
+    exps = _exp(lines)
+    series = -_log(_cauchy(np.broadcast_to(exps[0], exps[1:].shape), exps[1:]))
+    c = np.zeros((order, pres.punctures, n, n), dtype=complex)
+    c[0] = x
+    return DeformationState(rho, np.swapaxes(series[:, 1:], 0, 1), c)
+
+
 def word_coefficients(rho, h, w):
     """All coefficients h_k(w), k = 1 .. len(h), of the induced word series."""
     order = len(h)
@@ -408,6 +438,23 @@ def pair_with_lifts(rho, u, lifts, v):
     return total / pres.punctures
 
 
+def cone_h2_trivial_rank(genus, punctures):
+    """Rank of the degree-2 relative cohomology with trivial real coefficients.
+
+    With trivial coefficients the peripheral restriction sends a
+    homomorphism pi -> R to its values on the c_j, and the value on the
+    last peripheral is minus the sum of the others (handle generators
+    cancel in the relation).  That map is the F(c_j) stack of the
+    `Periphery` at the rank-1 representation with identity images, where
+    Ad is 1.  Its cokernel is one-dimensional for every surface,
+    generated by the tuple dual to the boundary circles.
+    """
+    surface = SurfaceData(genus, punctures, 1, ((0.0,),) * punctures)
+    trivial = Representation(surface, (np.eye(1),) * (2 * genus + punctures))
+    m = build_periphery(trivial).fox[:, 0]
+    return punctures - linalg.checked_rank(m).rank
+
+
 # ---------------------------------------------------------------------------
 # irreducibility
 
@@ -421,5 +468,5 @@ def commutant_dimension(rho):
     eye = np.eye(rho.rank, dtype=complex)
     blocks = [np.kron(eye, u.T) - np.kron(u, eye)
               for u in rho.images[:rho.presentation.free_rank]]
-    null, _ = linalg.nullspace(np.vstack(blocks))
-    return null.shape[1]
+    a = np.vstack(blocks)
+    return a.shape[1] - linalg.rank_svd(a).rank

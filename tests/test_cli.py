@@ -10,6 +10,7 @@ from surfrep.corpus import obstructed_instance, smooth_instance, tangent_directi
 from surfrep.deformation import build_deformation
 from surfrep.errors import ObstructionFound
 from surfrep.serialize import encode_values, point_from_dict, point_to_dict
+from surfrep.solver import SolveResult
 
 HALF_PI = float(np.pi / 2)
 
@@ -128,6 +129,8 @@ def test_bad_deform_flags_exit_1_before_solving(tmp_path, capsys, monkeypatch, f
 
 # a 2x2 identity as [re, im] pairs; the 4-punctured sphere has free rank 3
 _IDENTITY = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+# a 2x2 zero but for one NaN entry
+_NAN = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
 
 @pytest.mark.parametrize("content,kind", [
@@ -136,7 +139,10 @@ _IDENTITY = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     (json.dumps({"values": [_IDENTITY] * 2}), "ValueError"),
     (json.dumps([_IDENTITY] * 3), "ValueError"),
     (json.dumps({"values": [[1.0, 2.0]] * 3}), "ValueError"),
-], ids=["missing", "malformed", "wrong-length", "not-an-object", "not-matrices"])
+    (json.dumps({"values": [_IDENTITY] * 3}), "ValueError"),
+    (json.dumps({"values": [_NAN] * 3}), "ValueError"),
+], ids=["missing", "malformed", "wrong-length", "not-an-object", "not-matrices",
+        "hermitian", "nan"])
 def test_bad_direction_file_exits_1_before_solving(tmp_path, capsys, monkeypatch,
                                                    content, kind):
     def no_solve(*args, **kwargs):
@@ -151,6 +157,21 @@ def test_bad_direction_file_exits_1_before_solving(tmp_path, capsys, monkeypatch
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["type"] == kind
+
+
+def test_direction_with_a_hermitian_part_exits_1(tmp_path, capsys):
+    # the residuals and verify see only the skew part of a direction, so a
+    # Hermitian part would ride along in deformation.h[0] unchecked
+    rho = smooth_instance(0, 2, 4).representation
+    direction = tangent_direction(rho, 0) + 0.3 * np.eye(2)
+    inp = _write(tmp_path, "point.json", point_to_dict(rho))
+    dirf = _write(tmp_path, "dir.json", {"values": encode_values(direction)})
+    code, out, err = _run(capsys, ["deform", "--input", inp, "--direction-file", dirf])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "skew-Hermitian" in error["message"]
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):
@@ -225,6 +246,22 @@ def test_reducible_point_exits_3(tmp_path, capsys):
     code, _, err = _run(capsys, ["symplectic", "--input", inp])
     assert code == 3
     assert json.loads(err)["error"]["type"] == "ReducibleError"
+
+
+def test_reducible_message_tells_a_saved_point_from_a_solve(tmp_path, capsys, monkeypatch):
+    rho, _ = obstructed_instance()
+    inp = _write(tmp_path, "point.json", point_to_dict(rho))
+    code, _, err = _run(capsys, ["solve", "--input", inp])
+    assert code == 3
+    assert json.loads(err)["error"]["message"] == "the saved point is reducible"
+    # a surface input whose solve converges to that reducible point
+    result = SolveResult(rho, 0.0, 0, 0, False, ())
+    monkeypatch.setattr(cli, "solve", lambda surface, config: result)
+    inp = _write(tmp_path, "surface.json", rho.surface.to_dict())
+    code, _, err = _run(capsys, ["solve", "--input", inp])
+    assert code == 3
+    assert (json.loads(err)["error"]["message"]
+            == "every converged restart gave a reducible representation")
 
 
 def test_obstructed_deformation_exits_4(tmp_path, capsys):

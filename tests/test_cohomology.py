@@ -12,13 +12,11 @@ from surfrep.cohomology import (
     analyze,
     centralizer_dimension,
     coboundary_matrix,
-    cone_h2_trivial_rank,
     expected_dimension,
     h1_basis,
     is_irreducible,
     parabolic_tangent_basis,
     relative_h2,
-    relative_h2_dim,
     require_smooth_irreducible,
 )
 from surfrep.corpus import smooth_instance, witness_representation
@@ -27,7 +25,7 @@ from surfrep.presentation import Representation, SurfaceData, build_periphery
 from surfrep.solver import SolverConfig, solve
 from surfrep.unitary import ConjugacyClass, haar_unitary, skew_project, traceless_coordinates
 
-from oracles import coboundary, commutant_dimension, peripheral_value
+from oracles import coboundary, commutant_dimension, cone_h2_trivial_rank, peripheral_value
 
 
 def _witness(genus, rank, punctures, seed=0):
@@ -162,13 +160,13 @@ def test_canonical_basis_depends_on_the_span_alone(corpus):
 
 
 def test_relative_h2_zero_at_smooth_points(witness_u2, witness_u1):
-    assert relative_h2_dim(witness_u2.representation) == 0
-    assert relative_h2_dim(witness_u1.representation) == 0
+    assert analyze(witness_u2.representation).relative_h2_dim == 0
+    assert analyze(witness_u1.representation).relative_h2_dim == 0
 
 
 def test_relative_h2_positive_at_obstructed_point(obstructed):
     rho, _ = obstructed
-    assert relative_h2_dim(rho) == 1
+    assert analyze(rho).relative_h2_dim == 1
 
 
 def test_relative_h2_on_a_degenerating_class():
@@ -267,7 +265,7 @@ def test_dims_are_gauge_invariant(rng, witness_u2):
     conj = rho.gauge(haar_unitary(2, rng))
     assert h1_basis(conj).dim == h1_basis(rho).dim
     assert parabolic_tangent_basis(conj).dim == parabolic_tangent_basis(rho).dim
-    assert relative_h2_dim(conj) == relative_h2_dim(rho)
+    assert analyze(conj).relative_h2_dim == analyze(rho).relative_h2_dim
 
 
 def test_report_schema(witness_u2):

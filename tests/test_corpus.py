@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import surfrep.corpus as corpus_module
-from surfrep.cohomology import parabolic_tangent_basis, relative_h2_dim
+from surfrep.cohomology import analyze, parabolic_tangent_basis
 from surfrep.corpus import (
     CORPUS_SHAPES,
     MAX_TRIES,
@@ -58,7 +58,7 @@ def test_corpus_coverage(corpus):
 def test_obstructed_instance_invariants(obstructed):
     rho, direction = obstructed
     rho.validate()
-    assert relative_h2_dim(rho) == 1
+    assert analyze(rho).relative_h2_dim == 1
     basis = parabolic_tangent_basis(rho)
     assert basis.dim == 2
     assert direction.shape == (rho.presentation.free_rank, 2, 2)

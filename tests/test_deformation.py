@@ -18,7 +18,6 @@ from surfrep.corpus import (
 from surfrep.deformation import (
     DEFAULT_VERIFY_TS,
     build_deformation,
-    conjugation_state,
     matching_matrix,
     order_residuals,
     verify_deformation,
@@ -41,6 +40,7 @@ from oracles import (
     all_pairs_exp,
     all_pairs_log,
     bracket,
+    conjugation_state,
     reference_grid_residuals,
     reference_instantiate,
     reference_order_residuals,
@@ -101,7 +101,7 @@ def test_first_order_is_the_direction(witness_u2):
     rho = witness_u2.representation
     direction = tangent_direction(rho, 0)
     state = build_deformation(rho, direction, order=1)
-    assert np.allclose(state.direction, direction)
+    assert np.allclose(state.h[0], direction)
     assert np.array_equal(state.c[0], lift_to_cone(rho, direction))
     assert state.order == 1
     # order-1 matching residual vanishes for a parabolic cocycle
@@ -171,6 +171,18 @@ def test_conjugation_family_is_exact(witness_u2, rng):
     g = mat_exp(t * x)
     for img, ref in zip(rep.images, rho.gauge(g).images):
         assert np.linalg.norm(img - ref) < 1e-7
+
+
+@pytest.mark.parametrize("bad", ["hermitian", "nan"])
+def test_direction_must_be_finite_and_skew_hermitian(witness_u2, bad):
+    rho = witness_u2.representation
+    direction = tangent_direction(rho, 0).copy()
+    if bad == "hermitian":
+        direction[0] += 0.3 * np.eye(2)
+    else:
+        direction[0, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        build_deformation(rho, direction, order=2)
 
 
 def test_verify_slopes_match_truncation_order(witness_u2):

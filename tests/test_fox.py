@@ -371,8 +371,9 @@ def test_each_restriction_walks_the_relation_once(monkeypatch, corpus):
 def test_the_stored_last_image_is_never_read(instances):
     # conjugate the stored image of c_r by exp(eps X), eps = 1e-9: the
     # point still validates, and since gamma_r is the word product of the
-    # free images, the tangent basis, the Gram matrix, the lifts and the
-    # order-4 family are those of the unperturbed point
+    # free images, the tangent basis, the Gram matrix, the lifts, the
+    # order-4 family, its instantiation and its verify residuals are those
+    # of the unperturbed point
     rng = np.random.default_rng(9)
     checked = 0
     for inst in instances:
@@ -390,8 +391,12 @@ def test_the_stored_last_image_is_never_read(instances):
             report = analyze(point)
             direction = corpus_module.tangent_direction(point, 0)
             state = deformation.build_deformation(point, direction, order=4)
+            verify = deformation.verify_deformation(state)
             outputs.append((report.tangent.basis, gram_matrix(point, report=report).entries,
-                            pairing.lift_to_cone(point, direction), state.h, state.c))
+                            pairing.lift_to_cone(point, direction), state.h, state.c,
+                            np.array(state.instantiate(0.05).images),
+                            np.array(verify["relation_residuals"]),
+                            np.array(verify["class_residuals"])))
             assert report == inst.report, inst.name
         for ours, ref in zip(*outputs):
             assert np.abs(ours - ref).max() <= 1e-12, inst.name

@@ -107,26 +107,6 @@ def test_factored_solver_reuses_one_factorisation(rng):
         assert res == res_ref
 
 
-def test_factored_solver_takes_a_matrix_of_right_hand_sides(rng):
-    # each column solved as lstsq solves it, one residual per column; the
-    # column count equal to the rank is the case a misplaced division hid
-    full = rng.standard_normal((6, 4))
-    deficient = _random_rank_deficient(rng, 6, 5, 3)
-    for a, rank in ((full, 4), (deficient, 3)):
-        solve, _ = min_norm_solver(a)
-        for k in (1, 2, rank, 5):
-            b = rng.standard_normal((6, k))
-            x, res = solve(b)
-            ref = np.linalg.lstsq(a, b, rcond=None)[0]
-            assert x.shape == ref.shape
-            assert np.abs(x - ref).max() < 1e-12
-            assert res.shape == (k,)
-            assert np.abs(res - np.linalg.norm(a @ ref - b, axis=0)).max() < 1e-12
-            for i in range(k):
-                xi, ri = solve(b[:, i])
-                assert np.abs(xi - x[:, i]).max() < 1e-12
-                assert ri == pytest.approx(res[i], abs=1e-12)
-
 def test_nullspace_annihilates(rng):
     a = _random_rank_deficient(rng, 6, 8, 4)
     ns, info = nullspace(a)
