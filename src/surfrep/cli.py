@@ -39,6 +39,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from .cohomology import analyze
 from .corpus import tangent_direction
 from .deformation import DEFAULT_VERIFY_TS, build_deformation, check_t_samples, verify_deformation
@@ -213,7 +215,10 @@ def _cmd_deform(args, config, watch) -> dict:
     rho, result = _point(config, surface, rho)
     if direction is None:
         direction = tangent_direction(rho, args.direction)
-    state = build_deformation(rho, direction, args.order)
+    # a residual that overflows is refused by its own ValueError; numpy's
+    # overflow warnings would put text before the JSON error on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = build_deformation(rho, direction, args.order)
     return _document(
         args, config, watch, rho, result,
         {"deformation": state.to_dict(), "verify": verify_deformation(state, ts)},

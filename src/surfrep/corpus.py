@@ -22,7 +22,13 @@ from .cohomology import (
     parabolic_tangent_basis,
     unflatten_cochain,
 )
-from .presentation import Representation, SurfaceData, standard_presentation, word_image
+from .presentation import (
+    Representation,
+    SurfaceData,
+    _integer_field,
+    standard_presentation,
+    word_image,
+)
 from .unitary import ConjugacyClass, haar_unitary
 
 # witness draws `smooth_instance` makes before it gives up
@@ -123,9 +129,11 @@ def obstructed_instance():
 def tangent_direction(rho: Representation, index: int = 0) -> np.ndarray:
     """Column `index` of the orthonormal tangent basis, as cocycle values.
 
-    Raises ValueError unless 0 <= index < the tangent dimension, so a
-    rigid point, whose tangent space is zero, has no direction at all.
+    Raises ValueError unless `index` is an integer (0.0 passes, True does
+    not) with 0 <= index < the tangent dimension, so a rigid point, whose
+    tangent space is zero, has no direction at all.
     """
+    index = _integer_field("index", index)
     basis = parabolic_tangent_basis(rho)
     if not 0 <= index < basis.dim:
         raise ValueError(f"direction {index} is outside [0, {basis.dim}): "

@@ -43,6 +43,16 @@ keep their order, so a coefficient does not depend on the truncation
 order it was computed at: bit for bit for N >= 2, and up to the last
 bit for N = 1, whose sums BLAS runs as matrix-vector products.
 
+The kernel's index tables are cached per shape, read-only and shared by
+every call: `_cauchy_pairs(order, va, vb)`, the pairs of a product and
+the 0/1 matrix that sums them, `_identity(order, n)`, the constant series
+I, and `_peripheral_slots(presentation)`, the letters of the peripheral
+words.  They, the `ndarray.take` gathers, the in-place sums of `_exp`
+and the one preallocated exponent stack of `order_residuals` spare
+allocations and numpy calls only: every product and sum is the one
+described above, in the same order, so the coefficients are the same
+bits as with fresh tables and separate arrays.
+
 `order_residuals` evaluates every peripheral word in one pass of that
 kernel and returns the residual at every order.  A letter x of a word
 over the free basis contributes the series exp(-H_x) rho(x), an inverse
@@ -79,6 +89,7 @@ each puncture's (T, N, N) stack in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -91,6 +102,7 @@ from .presentation import (
     Periphery,
     Presentation,
     Representation,
+    _integer_field,
     build_periphery,
     word_image,
 )
@@ -133,15 +145,17 @@ def _cauchy(a: np.ndarray, b: np.ndarray, va: int = 0, vb: int = 0) -> np.ndarra
     """
     k1, n = a.shape[-3], a.shape[-1]
     i, j, mask = _cauchy_pairs(k1 - 1, va, vb)
-    products = np.take(a, i, axis=-3) @ np.take(b, j, axis=-3)
+    products = a.take(i, axis=-3) @ b.take(j, axis=-3)
     out = mask @ products.reshape(products.shape[:-3] + (i.size, n * n))
     return out.reshape(out.shape[:-2] + (k1, n, n))
 
 
+@lru_cache(maxsize=64)
 def _identity(order: int, n: int) -> np.ndarray:
-    """The constant series I."""
+    """The constant series I, read-only."""
     out = np.zeros((order + 1, n, n), dtype=complex)
     out[0] = np.eye(n)
+    out.setflags(write=False)
     return out
 
 
@@ -152,7 +166,7 @@ def _exp(s: np.ndarray) -> np.ndarray:
     valuation 1, the m-th term valuation m, and the sum stops at the
     truncation order.
     """
-    if np.any(np.linalg.norm(s[..., 0, :, :], axis=(-2, -1)) > 1e-12):
+    if (linalg.norms_along(s[..., 0, :, :], (-2, -1)) > 1e-12).any():
         raise ValueError("series exp requires a vanishing constant term")
     order = s.shape[-3] - 1
     s = s.copy()
@@ -162,7 +176,7 @@ def _exp(s: np.ndarray) -> np.ndarray:
     term = s
     for m in range(2, order + 1):
         term = (1.0 / m) * _cauchy(term, s, m - 1, 1)
-        acc = acc + term
+        acc += term
     return acc
 
 
@@ -175,7 +189,7 @@ def _log(s: np.ndarray) -> np.ndarray:
     """
     order = s.shape[-3] - 1
     x = s - _identity(order, s.shape[-1])
-    if np.any(np.linalg.norm(x[..., 0, :, :], axis=(-2, -1)) > 1e-9):
+    if (linalg.norms_along(x[..., 0, :, :], (-2, -1)) > 1e-9).any():
         raise ValueError("series log requires constant term I")
     x[..., 0, :, :] = 0.0
     acc = power = x
@@ -230,12 +244,15 @@ def order_residuals(rho: Representation, h: np.ndarray, c: np.ndarray,
     slots = _peripheral_slots(pres)
     gamma = periphery.images
     gamma_h = gamma.conj().swapaxes(-1, -2)
-    hs = np.zeros((nf, order + 1, n, n), dtype=complex)
-    hs[:, 1:] = np.swapaxes(h, 0, 1)
-    cs = np.zeros((r, order + 1, n, n), dtype=complex)
-    cs[:, 1:] = np.swapaxes(c, 0, 1)
-    ad = gamma[:, None] @ cs @ gamma_h[:, None]
-    exps = _exp(np.concatenate([-hs, hs, cs, -ad]))
+    # the exponents -H_x, +H_x, C_j and -Ad(rho(c_j)) C_j, stacked
+    exponents = np.zeros((2 * (nf + r), order + 1, n, n), dtype=complex)
+    h_powers = np.swapaxes(h, 0, 1)
+    exponents[:nf, 1:] = -h_powers
+    exponents[nf:2 * nf, 1:] = h_powers
+    exponents[2 * nf:2 * nf + r, 1:] = np.swapaxes(c, 0, 1)
+    np.negative(gamma[:, None] @ exponents[2 * nf:2 * nf + r] @ gamma_h[:, None],
+                out=exponents[2 * nf + r:])
+    exps = _exp(exponents)
     # a product with a constant series is one matrix product per power
     images = np.array(rho.images[:nf], dtype=complex).reshape(nf, 1, n, n)
     table = np.concatenate([exps[:nf] @ images,
@@ -338,10 +355,18 @@ def matching_matrix(rho: Representation, periphery: Periphery) -> np.ndarray:
 
 
 def _checked_order(res: np.ndarray, order: int) -> float:
-    """Norm of one order's residuals; ObstructionFound if it exceeds
-    OBSTRUCTION_TOL."""
+    """Norm of one order's residuals; ValueError if it is not finite,
+    ObstructionFound if it exceeds OBSTRUCTION_TOL.
+
+    A finite direction gives a non-finite norm only when the series
+    overflow double precision: that says nothing about an obstruction,
+    and NaN would pass the tolerance test.
+    """
     flat = flatten_algebra(res).reshape(-1)
     norm = float(np.linalg.norm(flat))
+    if not math.isfinite(norm):
+        raise ValueError(f"the residual at order {order} is not finite ({norm}): "
+                         "the direction is too large for double precision")
     if norm > OBSTRUCTION_TOL:
         raise ObstructionFound(order, flat, norm)
     return norm
@@ -362,7 +387,7 @@ def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
     Returns (h_top, c_top, norm), norm being the order-k residual norm,
     or None for k = 1, whose coefficients are the cocycle and its lifts
     rather than a solve.  Raises ObstructionFound when that residual
-    exceeds OBSTRUCTION_TOL.
+    exceeds OBSTRUCTION_TOL, and ValueError when it is not finite.
     """
     pres = rho.presentation
     n = rho.rank
@@ -391,8 +416,11 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     order before it; one last `order_residuals` call checks the top order,
     so an order-K build evaluates the residual series K times.  Raises
     ObstructionFound at the first order whose inhomogeneity leaves the
-    range of the linear part.
+    range of the linear part, and ValueError at the first order whose
+    residual is not finite.  `order` is an integer (2.0 passes, True and
+    1.5 do not).
     """
+    order = _integer_field("order", order)
     if order < 1:
         raise ValueError("order must be at least 1")
     direction = np.asarray(direction, dtype=complex)

@@ -174,6 +174,21 @@ def test_direction_with_a_hermitian_part_exits_1(tmp_path, capsys):
     assert "skew-Hermitian" in error["message"]
 
 
+def test_direction_too_large_for_the_residuals_exits_1(tmp_path, capsys):
+    # the order-2 residual is NaN.  numpy's overflow warnings, errors
+    # under this suite's warning filter, must not reach stderr either
+    rho = smooth_instance(1, 2, 1).representation
+    inp = _write(tmp_path, "point.json", point_to_dict(rho))
+    dirf = _write(tmp_path, "dir.json",
+                  {"values": encode_values(1e120 * tangent_direction(rho, 0))})
+    code, out, err = _run(capsys, ["deform", "--input", inp, "--direction-file", dirf])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "order 2 is not finite" in error["message"]
+
+
 def test_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -76,6 +76,17 @@ def test_tangent_direction_indexing(witness_u2):
             tangent_direction(rho, index)
 
 
+@pytest.mark.parametrize("index", [True, 0.5], ids=["bool", "fraction"])
+def test_tangent_direction_index_must_be_an_integer(witness_u2, index):
+    with pytest.raises(ValueError, match="index must be an integer"):
+        tangent_direction(witness_u2.representation, index)
+
+
+def test_tangent_direction_takes_an_integral_float_index(witness_u2):
+    rho = witness_u2.representation
+    assert np.array_equal(tangent_direction(rho, 1.0), tangent_direction(rho, 1))
+
+
 def test_tangent_direction_rejects_rigid_points():
     inst = smooth_instance(0, 2, 3)
     with pytest.raises(ValueError):

@@ -185,6 +185,36 @@ def test_direction_must_be_finite_and_skew_hermitian(witness_u2, bad):
         build_deformation(rho, direction, order=2)
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e120], ids=["inf", "nan"])
+def test_a_residual_that_overflows_is_refused_not_obstructed(witness_u2, scale):
+    # at 1e100 the order-2 residual norm overflows to inf, at 1e120 the
+    # residual itself is NaN: neither is an obstruction, and NaN would
+    # pass the tolerance test
+    rho = witness_u2.representation
+    direction = scale * tangent_direction(rho, 0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="order 2 is not finite") as exc:
+        build_deformation(rho, direction, order=4)
+    assert exc.type is ValueError
+
+
+@pytest.mark.parametrize("order", [True, 1.5], ids=["bool", "fraction"])
+def test_order_must_be_an_integer(witness_u2, order):
+    rho = witness_u2.representation
+    with pytest.raises(ValueError, match="order must be an integer"):
+        build_deformation(rho, tangent_direction(rho, 0), order=order)
+
+
+def test_an_integral_float_order_builds_that_order(witness_u2):
+    rho = witness_u2.representation
+    direction = tangent_direction(rho, 0)
+    state = build_deformation(rho, direction, order=2.0)
+    ref = build_deformation(rho, direction, order=2)
+    assert state.order == 2
+    assert np.array_equal(state.h, ref.h) and np.array_equal(state.c, ref.c)
+    assert state.residual_norms == ref.residual_norms
+
+
 def test_verify_slopes_match_truncation_order(witness_u2):
     rho = witness_u2.representation
     direction = tangent_direction(rho, 0)
@@ -579,3 +609,30 @@ def test_exp_drops_a_constant_term_below_its_refusal_threshold(rng):
     tiny[1, 0, 0, 1] = 2e-12
     with pytest.raises(ValueError):
         deformation._exp(tiny)
+
+
+def test_identity_series_is_one_read_only_table():
+    eye = deformation._identity(4, 2)
+    assert deformation._identity(4, 2) is eye
+    assert np.array_equal(eye[0], np.eye(2)) and not eye[1:].any()
+    with pytest.raises(ValueError, match="read-only"):
+        eye[1, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_exp_and_log_leave_their_input_alone(rng, order):
+    # _exp accumulates in place and both kernels drop the roundoff of the
+    # constant term: each must do so on memory of its own, never on the
+    # stack it was given or on the cached identity
+    s = np.array([_random_series(rng, 2, order, with_constant=np.zeros((2, 2))).coeffs
+                  for _ in range(3)])
+    s[:, 0, 0, 1] = 1e-13
+    u = deformation._exp(s.copy())
+    u[:, 0, 1, 0] += 1e-11
+    eye = deformation._identity(order, 2)
+    for kernel, arg in ((deformation._exp, s), (deformation._log, u)):
+        before = arg.tobytes()
+        out = kernel(arg)
+        assert arg.tobytes() == before
+        assert not np.shares_memory(out, arg)
+        assert not np.shares_memory(out, eye)

@@ -14,16 +14,24 @@ only by the named factorizations that decide no rank.
 
 Child seeds are spawned one at a time, when the attempt that needs one
 starts: no batch of seeds is spawned up front and mostly thrown away.
+
+Every array an `lru_cache` function returns is read-only: the cache hands
+the same object to every caller, so one caller writing into it would
+change what all later callers read.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import surfrep
+from surfrep.presentation import standard_presentation
 
 _PIPELINE = r"""
 import json, sys, tempfile
@@ -143,3 +151,52 @@ def test_every_spawn_draws_one_child():
         one = (len(call.args) == 1 and not call.keywords
                and isinstance(call.args[0], ast.Constant) and call.args[0].value == 1)
         assert one, f"{name}:{line} spawns more than one child at once"
+
+
+# One call of every lru_cache function of the package, by module.name.
+_CACHED_CALLS = {
+    "cohomology._reference_frame": (4, 2),
+    "cohomology._traceless_source": (2, 2),
+    "deformation._cauchy_pairs": (4, 1, 1),
+    "deformation._identity": (4, 2),
+    "deformation._peripheral_slots": (standard_presentation(1, 2),),
+    "presentation.standard_presentation": (1, 2),
+    "solver._relation_layout": (standard_presentation(1, 2),),
+    "unitary._basis_columns": (2,),
+    "unitary._basis_gathers": (2,),
+    "unitary._entry_positions": (2,),
+    "unitary._permutation_table": (3,),
+    "unitary.algebra_basis": (2,),
+    "unitary.center_direction": (2,),
+    "unitary.traceless_coordinates": (2,),
+}
+# Caches of values that are not arrays: a Presentation is frozen.
+_CACHES_WITHOUT_ARRAYS = {"presentation.standard_presentation"}
+
+
+def _cached_functions(root):
+    """module.name of every top-level function decorated with lru_cache."""
+    out = set()
+    for path in sorted(root.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            decorators = getattr(stmt, "decorator_list", [])
+            targets = [d.func if isinstance(d, ast.Call) else d for d in decorators]
+            if any(getattr(t, "id", getattr(t, "attr", None)) == "lru_cache" for t in targets):
+                out.add(f"{path.stem}.{stmt.name}")
+    return out
+
+
+def test_cached_arrays_are_read_only():
+    root = Path(surfrep.__file__).resolve().parent
+    assert _cached_functions(root) == set(_CACHED_CALLS)
+    for name, args in _CACHED_CALLS.items():
+        module, func = name.split(".")
+        value = getattr(importlib.import_module(f"surfrep.{module}"), func)(*args)
+        arrays = [v for v in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(v, np.ndarray)]
+        if name in _CACHES_WITHOUT_ARRAYS:
+            assert not arrays, name
+            continue
+        assert arrays, name
+        # frozen with setflags(write=False) or flags.writeable = False
+        assert not any(a.flags.writeable for a in arrays), f"{name} returns a writable array"
