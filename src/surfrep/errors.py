@@ -30,10 +30,6 @@ class NotParabolicError(SurfrepError):
     """A cocycle has a nonzero class in some peripheral cokernel."""
 
 
-class NotSmoothError(SurfrepError):
-    """The point fails the vanishing test for the obstruction space."""
-
-
 class ReducibleError(SurfrepError):
     """The representation has a commutant larger than the scalars."""
 

@@ -266,25 +266,6 @@ def adjoint_matrix(g: np.ndarray) -> np.ndarray:
     return (eh @ kron.reshape(g.shape[:-2] + (n * n, n * n)) @ e).real
 
 
-@lru_cache(maxsize=16)
-def center_direction(n: int) -> np.ndarray:
-    """Unit coordinate vector of the central direction i I / sqrt(n)."""
-    v = flatten_algebra(1j * np.eye(n) / math.sqrt(n))
-    v.setflags(write=False)
-    return v
-
-
-@lru_cache(maxsize=16)
-def traceless_coordinates(n: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the traceless subalgebra su(n) in coordinates."""
-    c0 = center_direction(n)
-    # nullspace of the 1 x n^2 row c0^T
-    _, _, vt = np.linalg.svd(c0[None, :], full_matrices=True)
-    out = vt[1:].T.copy()
-    out.setflags(write=False)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # conjugacy classes of U(N)
 

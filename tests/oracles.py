@@ -9,6 +9,9 @@ package computes in one place:
   `pairing._pairing`);
 - the complex commutant of the image, `commutant_dimension` (the package
   reads irreducibility off the u(N) centralizer);
+- the obstruction count as the SVD cokernel of the traceless peripheral
+  restriction, `relative_h2` (the package reads it off the centralizer
+  by duality, `cohomology` module docstring);
 - a coboundary built from matrices, `coboundary` (the package only needs
   the matrix of the coboundary map);
 - the truncated series product over all (K+1)^2 pairs of coefficients,
@@ -39,11 +42,13 @@ properties with: the invariant form, the commutator and the truncated
 Baker-Campbell-Hausdorff series.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from surfrep import linalg
+from surfrep.cohomology import _require_nondegenerate, _restriction_matrix
 from surfrep.deformation import DeformationState, _cauchy, _exp, _horner, _log
 from surfrep.presentation import (
     Representation,
@@ -53,7 +58,7 @@ from surfrep.presentation import (
     extend_cocycle,
     standard_presentation,
 )
-from surfrep.unitary import mat_exp, match_class, skew_project
+from surfrep.unitary import flatten_algebra, mat_exp, match_class, skew_project
 
 
 # ---------------------------------------------------------------------------
@@ -470,3 +475,51 @@ def commutant_dimension(rho):
               for u in rho.images[:rho.presentation.free_rank]]
     a = np.vstack(blocks)
     return a.shape[1] - linalg.rank_svd(a).rank
+
+
+# ---------------------------------------------------------------------------
+# obstruction count
+
+
+def center_direction(n):
+    """Unit coordinate vector of the central direction i I / sqrt(n)."""
+    return flatten_algebra(1j * np.eye(n) / math.sqrt(n))
+
+
+def traceless_coordinates(n):
+    """Orthonormal basis (columns) of the traceless subalgebra su(n) in coordinates."""
+    # nullspace of the 1 x n^2 row c0^T
+    _, _, vt = np.linalg.svd(center_direction(n)[None, :], full_matrices=True)
+    return vt[1:].T
+
+
+def _without_center(fixed, c0):
+    """Orthonormal columns spanning the part of span(fixed) orthogonal to the
+    unit vector c0 it holds: `fixed` times columns 2..k of the Householder
+    reflection sending fixed^T c0 to a multiple of e_1."""
+    v = fixed.T @ c0
+    v[0] += np.copysign(np.linalg.norm(v), v[0])
+    return fixed @ (np.eye(v.size) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
+
+
+def _traceless_source(free_rank, n):
+    """Traceless values on each free generator in turn: the block-diagonal
+    kron(I_free_rank, traceless_coordinates(n))."""
+    return np.kron(np.eye(free_rank), traceless_coordinates(n))
+
+
+def relative_h2(rho, periphery):
+    """Dimension and gap of the obstruction space (traceless coefficients).
+
+    Computed as the cokernel of the restriction of traceless-valued
+    cocycles to the peripheral fixed spaces, each intersected with the
+    traceless subalgebra; the image of the cocycle space equals the image
+    of H^1 because coboundaries restrict to zero classes.  `periphery` is
+    `build_periphery(rho)`.
+    """
+    _require_nondegenerate(rho)
+    n = rho.rank
+    fixed = [_without_center(f, center_direction(n)) for f in periphery.fixed]
+    m = _restriction_matrix(periphery.fox, _traceless_source(rho.presentation.free_rank, n), fixed)
+    info = linalg.checked_rank(m)
+    return m.shape[0] - info.rank, info.gap

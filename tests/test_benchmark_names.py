@@ -46,11 +46,23 @@ def test_the_harness_names_functions():
     assert len(names) >= 20
 
 
+# Harness names whose function left surfrep on purpose, each with its
+# reason; the metric reads 0 until the harness drops the name too.
+_RETIRED = {
+    # the obstruction count is read off the centralizer by duality; the
+    # SVD of the cokernel is the tests' oracle (tests/oracles.py)
+    "cohomology.relative_h2",
+}
+
+
 @pytest.mark.parametrize("name", _harness_function_names())
 def test_each_harness_name_is_a_traced_surfrep_function(name):
     layer, attr = name.split(".")
     module = importlib.import_module(f"surfrep.{layer}")
     obj = getattr(module, attr, None)
+    if name in _RETIRED:
+        assert obj is None, f"{name} is retired but still in surfrep"
+        return
     assert obj is not None, f"{name} is gone from surfrep"
     # what the tracer wraps: public, callable, defined in that module
     assert not attr.startswith("_") and callable(obj) and not isinstance(obj, type)

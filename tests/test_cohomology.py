@@ -1,5 +1,7 @@
 """Twisted cohomology: tangent spaces, obstruction space, diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,16 +18,21 @@ from surfrep.cohomology import (
     h1_basis,
     is_irreducible,
     parabolic_tangent_basis,
-    relative_h2,
     require_smooth_irreducible,
 )
 from surfrep.corpus import smooth_instance, witness_representation
-from surfrep.errors import NotSmoothError, ReducibleError
+from surfrep.errors import DimensionMismatchError, ReducibleError
 from surfrep.presentation import Representation, SurfaceData, build_periphery
 from surfrep.solver import SolverConfig, solve
-from surfrep.unitary import ConjugacyClass, haar_unitary, skew_project, traceless_coordinates
+from surfrep.unitary import ConjugacyClass, haar_unitary, skew_project
 
-from oracles import coboundary, commutant_dimension, cone_h2_trivial_rank, peripheral_value
+from oracles import (
+    coboundary,
+    commutant_dimension,
+    cone_h2_trivial_rank,
+    peripheral_value,
+    relative_h2,
+)
 
 
 def _witness(genus, rank, punctures, seed=0):
@@ -164,21 +171,27 @@ def test_relative_h2_zero_at_smooth_points(witness_u2, witness_u1):
     assert analyze(witness_u1.representation).relative_h2_dim == 0
 
 
+def _svd_count(rho):
+    """The obstruction count of the SVD oracle, the cokernel itself."""
+    return relative_h2(rho, build_periphery(rho))[0]
+
+
 def test_relative_h2_positive_at_obstructed_point(obstructed):
     rho, _ = obstructed
-    assert analyze(rho).relative_h2_dim == 1
+    assert analyze(rho).relative_h2_dim == _svd_count(rho) == 1
 
 
 def test_relative_h2_on_a_degenerating_class():
     # genus 1, rank 2, class angles pi +- d/2: as d shrinks the lifts grow
     # like 1/d, yet the obstruction count stays 0 with nothing dropped,
     # because the central direction leaves each fixed space exactly, not
-    # by a cut on rows of roundoff
+    # by a cut on rows of roundoff; the count read off the centralizer
+    # agrees with the oracle's SVD all the way down
     for d in (1e-3, 1e-8, 1e-11, 1e-13):
         surface = SurfaceData(1, 1, 2, (ConjugacyClass((np.pi + d / 2, np.pi - d / 2)),))
         rho = solve(surface, SolverConfig(seed=0)).representation
         dim, (kept, dropped) = relative_h2(rho, build_periphery(rho))
-        assert dim == 0, d
+        assert analyze(rho).relative_h2_dim == dim == 0, d
         assert dropped == 0.0, d
         assert kept > 1e-3, d
 
@@ -229,26 +242,26 @@ def test_block_sums_have_one_centralizer_dimension_per_block(ranks, genus, punct
     rho.validate()
     report = analyze(rho)
     assert report.centralizer_dim == len(ranks) == centralizer_dimension(rho)
-    assert report.relative_h2_dim == report.centralizer_dim - 1
+    assert report.relative_h2_dim == _svd_count(rho) == len(ranks) - 1
     assert not report.irreducible
     assert not is_irreducible(rho)
     assert commutant_dimension(rho) == len(ranks)
 
 
 def test_commutant_oracle_agrees_on_the_corpus(corpus, obstructed):
-    # the obstruction count by a second route: relative H^2 with su(N)
-    # coefficients is the centralizer less the centre (module docstring)
+    # the obstruction count by duality, the centralizer less the centre
+    # (module docstring), against the oracle's SVD of the cokernel
     for inst in corpus:
         rho = inst.representation
         assert commutant_dimension(rho) == centralizer_dimension(rho) == 1, inst.name
         report = analyze(rho)
         assert report.centralizer_dim == 1, inst.name
-        assert report.relative_h2_dim == report.centralizer_dim - 1 == 0, inst.name
+        assert report.relative_h2_dim == _svd_count(rho) == 0, inst.name
     rho, _ = obstructed
     assert commutant_dimension(rho) == centralizer_dimension(rho) == 2
     report = analyze(rho)
     assert report.centralizer_dim == 2
-    assert report.relative_h2_dim == report.centralizer_dim - 1 == 1
+    assert report.relative_h2_dim == _svd_count(rho) == 1
 
 
 def test_expected_dimension_values():
@@ -276,7 +289,7 @@ def test_report_schema(witness_u2):
         "spectral_gaps",
     }
     assert isinstance(d["property_p"], list)
-    assert set(d["spectral_gaps"]) == {"h1", "tangent", "relative_h2"}
+    assert set(d["spectral_gaps"]) == {"h1", "tangent"}
     assert d["smooth"] is True and d["irreducible"] is True
 
 
@@ -293,19 +306,23 @@ def test_require_smooth_refusals(obstructed, witness_u2):
     rho, _ = obstructed
     with pytest.raises(ReducibleError):
         require_smooth_irreducible(rho)
-    # irreducible but flagged non-smooth: refusal must name smoothness
+    # irreducible, but the tangent dimension contradicts the count
     good = witness_u2.report
-    doctored = AnalysisReport(
-        h1_dim=good.h1_dim, tangent_dim=good.tangent_dim,
-        expected_dim=good.expected_dim, relative_h2_dim=1,
-        centralizer_dim=good.centralizer_dim, irreducible=True,
-        property_p=good.property_p, smooth=False,
-        tangent=good.tangent, periphery=good.periphery,
-        spectral_gaps=good.spectral_gaps,
-    )
-    with pytest.raises(NotSmoothError):
+    doctored = dataclasses.replace(good, expected_dim=good.expected_dim + 1)
+    with pytest.raises(DimensionMismatchError):
         require_smooth_irreducible(witness_u2.representation, doctored)
     assert require_smooth_irreducible(witness_u2.representation) is not None
+
+
+def test_report_flags_are_read_off_the_centralizer(witness_u2):
+    # a report holds no count or flag that could contradict its centralizer
+    good = witness_u2.report
+    assert not {"relative_h2_dim", "irreducible", "smooth"} & {
+        f.name for f in dataclasses.fields(AnalysisReport)}
+    reducible = dataclasses.replace(good, centralizer_dim=3)
+    assert reducible.relative_h2_dim == 2
+    assert not reducible.irreducible and not reducible.smooth
+    assert (good.relative_h2_dim, good.irreducible, good.smooth) == (0, True, True)
 
 
 def test_subspace_projector(witness_u2):
@@ -313,12 +330,3 @@ def test_subspace_projector(witness_u2):
     p = basis.basis @ basis.basis.T
     assert np.allclose(p @ p, p, atol=1e-10)
     assert np.allclose(p @ basis.basis, basis.basis, atol=1e-10)
-
-
-def test_relative_h2_source_is_one_read_only_table_per_shape():
-    for free_rank, n in [(1, 1), (3, 2), (4, 3)]:
-        source = cohomology._traceless_source(free_rank, n)
-        assert source is cohomology._traceless_source(free_rank, n)
-        assert not source.flags.writeable
-        ref = np.kron(np.eye(free_rank), traceless_coordinates(n))
-        assert source.shape == ref.shape and source.tobytes() == ref.tobytes()

@@ -110,7 +110,7 @@ def test_smooth_instance_takes_the_draw_after_rejected_ones(monkeypatch):
     def reject_first_two(rho):
         analyzed.append(rho)
         report = analyze(rho)
-        return report if len(analyzed) > 2 else dataclasses.replace(report, smooth=False)
+        return report if len(analyzed) > 2 else dataclasses.replace(report, centralizer_dim=2)
 
     monkeypatch.setattr(corpus_module, "analyze", reject_first_two)
     inst = smooth_instance(1, 2, 2, seed=3)

@@ -107,10 +107,9 @@ def test_every_package_definition_has_a_caller():
     assert dead == _BENCHMARK_COUNTED | _PUBLIC_WITHOUT_CALLER
 
 
-# SVDs outside linalg that decide no rank: a polar projection, the fixed
-# basis of su(N), and the polar factor of the canonical tangent basis
-_SVD_WITHOUT_RANK = {"unitary.unitarize", "unitary.traceless_coordinates",
-                     "cohomology._canonical_columns"}
+# SVDs outside linalg that decide no rank: a polar projection and the
+# polar factor of the canonical tangent basis
+_SVD_WITHOUT_RANK = {"unitary.unitarize", "cohomology._canonical_columns"}
 
 
 def _svd_callers(root):
@@ -156,7 +155,6 @@ def test_every_spawn_draws_one_child():
 # One call of every lru_cache function of the package, by module.name.
 _CACHED_CALLS = {
     "cohomology._reference_frame": (4, 2),
-    "cohomology._traceless_source": (2, 2),
     "deformation._cauchy_pairs": (4, 1, 1),
     "deformation._identity": (4, 2),
     "deformation._peripheral_slots": (standard_presentation(1, 2),),
@@ -167,8 +165,6 @@ _CACHED_CALLS = {
     "unitary._entry_positions": (2,),
     "unitary._permutation_table": (3,),
     "unitary.algebra_basis": (2,),
-    "unitary.center_direction": (2,),
-    "unitary.traceless_coordinates": (2,),
 }
 # Caches of values that are not arrays: a Presentation is frozen.
 _CACHES_WITHOUT_ARRAYS = {"presentation.standard_presentation"}

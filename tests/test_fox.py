@@ -29,7 +29,6 @@ from surfrep.cohomology import (
     analyze,
     h1_basis,
     parabolic_tangent_basis,
-    relative_h2,
     unflatten_cochain,
 )
 from surfrep.corpus import CORPUS_SHAPES, obstructed_instance, smooth_instance
@@ -48,10 +47,9 @@ from surfrep.unitary import (
     flatten_algebra,
     mat_exp,
     skew_project,
-    traceless_coordinates,
 )
 
-from oracles import staircase_terms
+from oracles import relative_h2, staircase_terms, traceless_coordinates
 
 TOL = 1e-12
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from surfrep import linalg
-from surfrep.cohomology import analyze, coboundary_matrix, relative_h2
+from surfrep.cohomology import analyze, coboundary_matrix
 from surfrep.corpus import (
     CORPUS_SHAPES,
     obstructed_instance,
@@ -30,7 +30,9 @@ from surfrep.linalg import (
 )
 from surfrep.pairing import gram_matrix
 from surfrep.presentation import Representation, SurfaceData, build_periphery
-from surfrep.unitary import ConjugacyClass, traceless_coordinates
+from surfrep.unitary import ConjugacyClass
+
+from oracles import relative_h2, traceless_coordinates
 
 
 def _random_rank_deficient(rng, rows, cols, rank):
@@ -283,8 +285,8 @@ def test_pivoted_qr_rejects_non_finite_input(bad):
 def test_each_rank_decision_factors_its_matrix_once(monkeypatch):
     # the basis, solve and gap of a decision read the SVD that decided it:
     # analyze factors the coboundary matrix once, build_deformation the
-    # matching matrix once, and the obstruction count reads the periphery's
-    # fixed spaces instead of factoring each (Ad(gamma_j) - 1) su again
+    # matching matrix once, and the obstruction count is read off the
+    # centralizer, so no (Ad(gamma_j) - 1) su is factored at all
     targets, factored = {}, []
     original_svd = np.linalg.svd
 
