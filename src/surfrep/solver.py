@@ -59,9 +59,23 @@ A restart stops at res <= 1e-14, when no singular value survives the cut
 Restarts draw independent starting points from deterministic child seeds
 of SeedSequence(seed): restart k draws its child when it starts, the child
 that `spawn(k + 1)[k]` would give, so a given (surface, config) pair always
-produces the same output.  The first converged irreducible point wins; if
-every converged restart is reducible the first of those is returned and
-callers decide whether that is acceptable.
+produces the same output.  The draw is a Haar point.  For genus >= 1 and
+N >= 2 its first handle pair is then replaced by one that solves the
+relation in closed form (`_goto_start`), since every element of SU(N) is
+a commutator (Goto, "A theorem on compact semi-simple groups", J. Math.
+Soc. Japan 1, 1949).  With rest = [a_2, b_2] ... [a_g, b_g] c_1 ... c_r
+and T = rest^dagger = V diag(d) V^dagger (V from `eig`, made unitary by
+QR), put x_1 = 1, x_i = x_{i-1} d_i, a_1 = V diag(x) V^dagger and
+b_1 = V S V^dagger with S the cyclic shift S e_i = e_{i+1}.  Then
+[a_1, b_1] = V diag(x_i / x_{i-1}) V^dagger, which is T exactly when
+det T = 1, that is when the class angles sum to 0 mod 2 pi; otherwise the
+point is only a start.  Levenberg-Marquardt runs from the completed point
+as from any other: it stops at once when the residual is already at most
+1e-14 and polishes otherwise, and `tol` decides convergence.  At N = 1
+every commutator is 1, so there is nothing to complete, and genus 0 has
+no handle pair: both start from the raw draw.  The first converged
+irreducible point wins; if every converged restart is reducible the first
+of those is returned and callers decide whether that is acceptable.
 """
 
 from __future__ import annotations
@@ -291,13 +305,36 @@ def _levenberg_marquardt(point: _Point, cfg: SolverConfig):
     return point, point.residual(), history
 
 
+def _goto_start(point: _Point) -> _Point:
+    """The point with (a_1, b_1) replaced by a pair whose commutator is
+    rest^dagger, so the relation holds when the class angles sum to 0
+    mod 2 pi (Goto's construction, module docstring).  Genus 0 and N = 1
+    points come back as they are."""
+    lay = point.layout
+    if lay.nh == 0 or lay.surface.rank == 1:
+        return point
+    # the letters after [a_1, b_1]: rest, whose inverse the pair must make
+    d, v = np.linalg.eig(point.suffixes()[3].conj().T)
+    v = np.linalg.qr(v)[0]
+    x = np.concatenate([[1.0], np.cumprod(d[1:])])
+    stack = point.stack.copy()
+    stack[0] = (v * x) @ v.conj().T
+    stack[1] = np.roll(v, -1, axis=1) @ v.conj().T
+    return _Point(lay, stack)
+
+
 def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResult:
     """Find a representation with the prescribed peripheral classes.
 
-    Runs deterministic restarts; each takes Levenberg-Marquardt steps from
-    a fresh random point.  Returns the first irreducible converged point, or
-    the first converged point if every restart lands on a reducible one.
-    Raises NoConvergenceError when no restart reaches the tolerance.
+    Runs deterministic restarts; each draws a Haar point and takes
+    Levenberg-Marquardt steps from it.  For genus >= 1 and N >= 2 the
+    draw's (a_1, b_1) is first replaced by Goto's commutator pair for the
+    rest of the relation (module docstring; Goto, J. Math. Soc. Japan 1,
+    1949), which solves the relation exactly when the class angles sum to
+    0 mod 2 pi, so Levenberg-Marquardt only certifies or polishes it.
+    Returns the first irreducible converged point, or the first converged
+    point if every restart lands on a reducible one.  Raises
+    NoConvergenceError when no restart reaches the tolerance.
     """
     cfg = config or SolverConfig()
     if surface.presentation.free_rank == 0:
@@ -310,7 +347,7 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     residuals = []
     for attempt in range(cfg.restarts):
         rng = np.random.default_rng(seeds.spawn(1)[0])
-        point = _Point.random(surface, rng, layout)
+        point = _goto_start(_Point.random(surface, rng, layout))
         point, res, history = _levenberg_marquardt(point, cfg)
         residuals.append(res)
         if res < best_res:

@@ -263,6 +263,20 @@ def test_reducible_point_exits_3(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "ReducibleError"
 
 
+@pytest.mark.parametrize("genus,code", [(1, 3), (2, 0)])
+def test_identity_class_solve_exit_code(tmp_path, capsys, genus, code):
+    # rank 2, identity class: on the torus only commuting pairs meet the
+    # relation, so every converged restart is reducible; genus 2 has
+    # irreducible points
+    inp = _write(tmp_path, "surface.json", {
+        "genus": genus, "punctures": 1, "rank": 2, "classes": [[0.0, 0.0]],
+    })
+    got, _, err = _run(capsys, ["solve", "--input", inp])
+    assert got == code
+    if code == 3:
+        assert json.loads(err)["error"]["type"] == "ReducibleError"
+
+
 def test_reducible_message_tells_a_saved_point_from_a_solve(tmp_path, capsys, monkeypatch):
     rho, _ = obstructed_instance()
     inp = _write(tmp_path, "point.json", point_to_dict(rho))

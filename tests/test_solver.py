@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from surfrep.cohomology import analyze
+from surfrep.corpus import CORPUS_SHAPES, smooth_instance
 from surfrep.errors import NoConvergenceError
 from surfrep.presentation import SurfaceData
 from surfrep.solver import (
     SolverConfig,
+    _goto_start,
     _jacobian,
     _Layout,
     _levenberg_marquardt,
@@ -157,8 +160,6 @@ def test_degenerate_surface_rejected():
 
 
 def test_solved_points_certify_smooth_irreducible():
-    from surfrep.cohomology import analyze
-
     result = solve(FOUR_PUNCTURE, SolverConfig(seed=0))
     report = analyze(result.representation)
     assert report.irreducible
@@ -227,3 +228,104 @@ def test_relation_layout_is_one_read_only_table_per_shape():
         table = getattr(ours, name)
         assert table is getattr(theirs, name), name
         assert not table.flags.writeable, name
+
+
+def _commutator(a, b):
+    return a @ b @ a.conj().T @ b.conj().T
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_goto_pair_makes_the_rest_inverse_exactly(genus, rank):
+    # c_1 carries a seeded class with angles summing to 0, so T = rest^H
+    # lies in SU(N); the completed pair must be unitary with [a_1, b_1] = T
+    rng = np.random.default_rng(17 + rank)
+    for _ in range(10):
+        angles = rng.uniform(0, 2 * np.pi, rank)
+        angles[-1] -= angles.sum()
+        surface = SurfaceData(genus, 1, rank, (ConjugacyClass(tuple(angles)),))
+        raw = _Point.random(surface, rng)
+        target = raw.suffixes()[3].conj().T
+        assert abs(np.linalg.det(target) - 1) <= 1e-13
+        done = _goto_start(raw)
+        a, b = done.stack[0], done.stack[1]
+        eye = np.eye(rank)
+        assert np.linalg.norm(_commutator(a, b) - target) <= 1e-13
+        assert np.linalg.norm(a @ a.conj().T - eye) <= 1e-13
+        assert np.linalg.norm(b @ b.conj().T - eye) <= 1e-13
+        # the rest of the draw is kept as it was
+        assert np.array_equal(done.stack[2:], raw.stack[2:])
+        assert done.residual() <= 1e-13
+
+
+@pytest.mark.parametrize("theta", [0.7, 2.0, 2 * np.pi / 3])
+def test_goto_start_with_a_repeated_eigenvalue_converges(theta):
+    # T = c_1^H is conjugate to diag(w, w, w^-2), w = exp(i theta): eig
+    # returns a nearly degenerate basis that QR must make unitary; at
+    # theta = 2 pi / 3 all three eigenvalues coincide and T is central
+    surface = SurfaceData(1, 1, 3, (ConjugacyClass((-theta, -theta, 2 * theta)),))
+    for seed in range(4):
+        result = solve(surface, SolverConfig(seed=seed))
+        assert result.residual <= SolverConfig().tol
+        assert result.irreducible
+        assert max(result.representation.class_residuals()) < 1e-12
+
+
+@pytest.mark.parametrize("genus,rank,punctures", [(1, 1, 1), (2, 1, 3), (0, 2, 4), (0, 3, 3)])
+def test_goto_start_leaves_rank_one_and_genus_zero_draws_alone(genus, rank, punctures):
+    surface = smooth_instance(genus, rank, punctures).representation.surface
+    raw = _Point.random(surface, np.random.default_rng(3))
+    stack = raw.stack.copy()
+    assert np.array_equal(_goto_start(raw).stack, stack)
+
+
+def test_corpus_solves_at_genus_one_and_up_need_no_step():
+    # every witness surface of genus >= 1 and rank >= 2 meets the
+    # determinant condition, so Goto's pair solves restart 0 outright and
+    # LM records the start's residual and stops
+    shapes = [s for s in CORPUS_SHAPES if s[0] >= 1 and s[1] >= 2]
+    assert len(shapes) == 5
+    for shape in shapes:
+        for seed in range(4):
+            surface = smooth_instance(*shape, seed=seed).representation.surface
+            result = solve(surface, SolverConfig(seed=seed))
+            assert result.restart_index == 0
+            assert len(result.history) == 1
+            assert result.residual <= 1e-14
+            assert result.irreducible
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("punctures", [1, 2, 3])
+def test_every_class_tuple_with_trivial_determinant_is_met_at_genus_one_and_up(
+        genus, rank, punctures):
+    # every element of SU(N) is a commutator (Goto, 1949), so for genus >= 1
+    # the determinant condition alone decides existence: seeded random
+    # classes whose angles sum to 0 mod 2 pi must always be met
+    rng = np.random.default_rng((genus, rank, punctures))
+    for seed in range(2):
+        angles = rng.uniform(0, 2 * np.pi, (punctures, rank))
+        angles[-1, -1] -= angles.sum()
+        surface = SurfaceData(genus, punctures, rank,
+                              tuple(ConjugacyClass(tuple(a)) for a in angles))
+        result = solve(surface, SolverConfig(seed=seed))
+        assert result.restart_index == 0
+        assert result.irreducible
+        report = analyze(result.representation)
+        assert report.irreducible
+        assert report.tangent_dim == report.expected_dim
+
+
+def test_identity_class_keeps_its_reducible_and_irreducible_answers():
+    # genus 1, rank 2, identity class: T = I, Goto's pair is a = I and so
+    # commutes with b; only commuting pairs exist, so the solve converges
+    # to a reducible fallback.  At genus 2 the other handle makes T generic.
+    identity = (ConjugacyClass((0.0, 0.0)),)
+    torus = solve(SurfaceData(1, 1, 2, identity), SolverConfig(seed=0))
+    assert torus.residual <= SolverConfig().tol
+    assert not torus.irreducible
+    genus_two = solve(SurfaceData(2, 1, 2, identity), SolverConfig(seed=0))
+    assert genus_two.residual <= SolverConfig().tol
+    assert genus_two.restart_index == 0
+    assert genus_two.irreducible

@@ -6,6 +6,11 @@ earlier per-letter code: a point held as lists of matrices and the
 Jacobian as a loop over variables x basis x letters, driven by the same
 Levenberg-Marquardt loop.  Every matrix product is taken in the same
 order in both, so solves must agree bit for bit.
+
+For genus >= 1 and N >= 2 `solve` completes each start with Goto's
+commutator pair and then rarely takes a step, so the reference restart
+loop applies the same completion, and the two LM loops are also compared
+from raw Haar starts on every corpus shape, where they do take steps.
 """
 
 import numpy as np
@@ -21,7 +26,9 @@ from surfrep.solver import (
     _LM_RETRIES,
     _LM_SHRINK,
     SolverConfig,
+    _goto_start,
     _jacobian,
+    _levenberg_marquardt,
     _Point,
     solve,
 )
@@ -167,7 +174,7 @@ def _ref_solve(surface, cfg):
     fallback = None
     rejected = 0
     for attempt in range(cfg.restarts):
-        start = _Point.random(surface, np.random.default_rng(children[attempt]))
+        start = _goto_start(_Point.random(surface, np.random.default_rng(children[attempt])))
         nh = 2 * surface.genus
         point = _RefPoint(surface, start.stack[:nh], start.stack[nh:])
         point, res, history, restart_rejected = _ref_levenberg_marquardt(point, cfg)
@@ -198,6 +205,26 @@ def test_solve_matches_reference_bit_for_bit(shape, seed):
     assert result.restart_index == restart_index
     assert result.residual == res
     assert result.irreducible == irreducible
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("shape", CORPUS_SHAPES, ids=lambda s: "g{}_n{}_r{}".format(*s))
+def test_levenberg_marquardt_matches_reference_from_raw_starts(shape, seed):
+    # the raw Haar draw, without Goto's completion: LM has to search here
+    # at every rank >= 2, genus >= 1 included
+    surface = smooth_instance(*shape, seed=seed).representation.surface
+    cfg = SolverConfig(seed=seed)
+    start = _Point.random(surface, np.random.default_rng(seed))
+    nh = 2 * surface.genus
+    ref = _RefPoint(surface, start.stack[:nh], start.stack[nh:])
+    point, res, history = _levenberg_marquardt(start, cfg)
+    ref, ref_res, ref_history, _ = _ref_levenberg_marquardt(ref, cfg)
+    for ours, theirs in zip(point.representation().images, ref.representation().images):
+        assert np.array_equal(ours, theirs)
+    assert history == list(ref_history)
+    assert res == ref_res
+    if surface.rank >= 2:
+        assert len(history) > 1
 
 
 def test_comparison_covers_rejected_steps():
