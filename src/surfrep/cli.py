@@ -270,7 +270,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_NOT_SMOOTH_POINT, "ReducibleError", str(e))
     except ObstructionFound as e:
         return _fail(EXIT_OBSTRUCTED, "ObstructionFound", str(e),
-                     order=e.order, residual_norm=e.residual_norm)
+                     order=e.order, residual_norm=e.residual_norm,
+                     relative_norm=e.relative_norm)
     except (NumericalRankError, NearSingularError) as e:
         return _fail(EXIT_UNCERTIFIABLE, type(e).__name__, str(e))
     except DimensionMismatchError as e:

@@ -23,7 +23,11 @@ the bracket terms of the lower orders and is the residual at the zero
 candidate.  A direction
 extends past order k exactly when that inhomogeneity is in the range of
 the linear map; the least-squares residual is the obstruction and is
-reported as such.
+reported as such.  It is judged relative to the inhomogeneity b_k it
+leaves over: an order is obstructed when its residual exceeds
+OBSTRUCTION_TOL * max(1, ||b_k||), so that scaling the direction, which
+scales order k by the k-th power, scales the roundoff and the bound
+together.
 
 Series are stored stacked: an array of shape (..., K+1, N, N) holds one
 series truncated at order K per index of its leading axes, axis -3 runs
@@ -75,10 +79,10 @@ Evaluation schedule: `solve_next_order` on a family known to order k
 makes one `order_residuals` call on (h_1..h_k, 0), (c_1..c_k, 0),
 truncated at k+1.  Its order-k coefficient checks the order solved last
 (order 1, the cocycle and its lifts, is not a solve and is not checked),
-and its order-(k+1) coefficient is the inhomogeneity of the next solve.
-One last call checks the top order, so an order-K build evaluates the
-full nonlinear residual K times, and every solved order is checked by
-such an evaluation.
+and its order-(k+1) coefficient is the inhomogeneity of the next solve,
+whose norm the next check takes as its scale.  One last call checks the
+top order, so an order-K build evaluates the full nonlinear residual K
+times, and every solved order is checked by such an evaluation.
 
 `verify_deformation` instantiates the whole parameter grid the same
 way: a Horner sum over the stacked coefficients, then one batched
@@ -354,9 +358,10 @@ def matching_matrix(rho: Representation, periphery: Periphery) -> np.ndarray:
     return a.reshape(r * d, -1)
 
 
-def _checked_order(res: np.ndarray, order: int) -> float:
-    """Norm of one order's residuals; ValueError if it is not finite,
-    ObstructionFound if it exceeds OBSTRUCTION_TOL.
+def _checked_order(res: np.ndarray, order: int, scale: float) -> float:
+    """Norm of one order's residuals; ValueError if it or `scale`, the norm
+    of that order's inhomogeneity, is not finite; ObstructionFound if it
+    exceeds OBSTRUCTION_TOL * max(1, scale).
 
     A finite direction gives a non-finite norm only when the series
     overflow double precision: that says nothing about an obstruction,
@@ -364,16 +369,18 @@ def _checked_order(res: np.ndarray, order: int) -> float:
     """
     flat = flatten_algebra(res).reshape(-1)
     norm = float(np.linalg.norm(flat))
-    if not math.isfinite(norm):
-        raise ValueError(f"the residual at order {order} is not finite ({norm}): "
-                         "the direction is too large for double precision")
-    if norm > OBSTRUCTION_TOL:
-        raise ObstructionFound(order, flat, norm)
+    if not (math.isfinite(norm) and math.isfinite(scale)):
+        raise ValueError(f"the residual at order {order} is not finite ({norm}, "
+                         f"inhomogeneity {scale}): the direction is too large "
+                         "for double precision")
+    relative = norm / max(1.0, scale)
+    if relative > OBSTRUCTION_TOL:
+        raise ObstructionFound(order, flat, norm, relative)
     return norm
 
 
 def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
-                     periphery: Periphery, solver):
+                     periphery: Periphery, solver, scale: float = 0.0):
     """Check the top order of a family known to order k, then solve order k+1.
 
     One `order_residuals` call on (h_1..h_k, 0), (c_1..c_k, 0) serves
@@ -384,10 +391,13 @@ def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
     system is solved at minimum norm by `solver`, the solve function that
     `linalg.min_norm_solver` returns for that matrix.
 
-    Returns (h_top, c_top, norm), norm being the order-k residual norm,
-    or None for k = 1, whose coefficients are the cocycle and its lifts
-    rather than a solve.  Raises ObstructionFound when that residual
-    exceeds OBSTRUCTION_TOL, and ValueError when it is not finite.
+    `scale` is the norm of the order-k inhomogeneity, which the call on
+    order k-1 returned.  Returns (h_top, c_top, norm, next_scale), norm
+    being the order-k residual norm, or None for k = 1, whose coefficients
+    are the cocycle and its lifts rather than a solve, and next_scale the
+    norm of b.  Raises ObstructionFound when that residual exceeds
+    OBSTRUCTION_TOL * max(1, scale), and ValueError when it or `scale` is
+    not finite.
     """
     pres = rho.presentation
     n = rho.rank
@@ -397,10 +407,11 @@ def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
                           np.concatenate([h, np.zeros((1, nf, n, n), dtype=complex)]),
                           np.concatenate([c, np.zeros((1, r, n, n), dtype=complex)]),
                           periphery)
-    norm = None if k == 1 else _checked_order(res[k - 1], k)
-    x, _ = solver(-flatten_algebra(res[k]).reshape(-1))
+    norm = None if k == 1 else _checked_order(res[k - 1], k, scale)
+    b = flatten_algebra(res[k]).reshape(-1)
+    x, _ = solver(-b)
     top = unflatten_algebra(x.reshape(nf + r, n * n), n)
-    return top[:nf], top[nf:], norm
+    return top[:nf], top[nf:], norm, float(np.linalg.norm(b))
 
 
 def build_deformation(rho: Representation, direction: np.ndarray,
@@ -416,8 +427,9 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     order before it; one last `order_residuals` call checks the top order,
     so an order-K build evaluates the residual series K times.  Raises
     ObstructionFound at the first order whose inhomogeneity leaves the
-    range of the linear part, and ValueError at the first order whose
-    residual is not finite.  `order` is an integer (2.0 passes, True and
+    range of the linear part by more than OBSTRUCTION_TOL of its norm (or
+    of 1, when smaller), and ValueError at the first order whose residual
+    is not finite.  `order` is an integer (2.0 passes, True and
     1.5 do not).
     """
     order = _integer_field("order", order)
@@ -433,13 +445,16 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     rank = None
     if order > 1:
         solver, rank = linalg.min_norm_solver(matching_matrix(rho, periphery))
+        scale = 0.0
         for _ in range(1, order):
-            h_top, c_top, norm = solve_next_order(rho, h, c, periphery, solver)
+            h_top, c_top, norm, scale = solve_next_order(rho, h, c, periphery, solver,
+                                                         scale)
             h = np.concatenate([h, h_top[None]])
             c = np.concatenate([c, c_top[None]])
             if norm is not None:
                 norms.append(norm)
-        norms.append(_checked_order(order_residuals(rho, h, c, periphery)[-1], order))
+        top = order_residuals(rho, h, c, periphery)[-1]
+        norms.append(_checked_order(top, order, scale))
     return DeformationState(rho, h, c, tuple(norms), rank)
 
 

@@ -51,14 +51,17 @@ class ObstructionFound(SurfrepError):
     """Raised when the order-by-order deformation system is inconsistent.
 
     Carries the least-squares residual vector, which represents the
-    obstruction class numerically.
+    obstruction class numerically, its norm, and `relative_norm`, that
+    norm over max(1, norm of the order's inhomogeneity): the number the
+    obstruction tolerance judges.
     """
 
-    def __init__(self, order, residual_vector, residual_norm):
+    def __init__(self, order, residual_vector, residual_norm, relative_norm):
         super().__init__(
             f"deformation obstructed at order {order}: "
-            f"residual {residual_norm:.3e}"
+            f"residual {residual_norm:.3e} (relative {relative_norm:.3e})"
         )
         self.order = order
         self.residual_vector = residual_vector
         self.residual_norm = residual_norm
+        self.relative_norm = relative_norm

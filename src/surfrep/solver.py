@@ -69,17 +69,47 @@ QR), put x_1 = 1, x_i = x_{i-1} d_i, a_1 = V diag(x) V^dagger and
 b_1 = V S V^dagger with S the cyclic shift S e_i = e_{i+1}.  Then
 [a_1, b_1] = V diag(x_i / x_{i-1}) V^dagger, which is T exactly when
 det T = 1, that is when the class angles sum to 0 mod 2 pi; otherwise the
-point is only a start.  Levenberg-Marquardt runs from the completed point
-as from any other: it stops at once when the residual is already at most
-1e-14 and polishes otherwise, and `tol` decides convergence.  At N = 1
-every commutator is 1, so there is nothing to complete, and genus 0 has
-no handle pair: both start from the raw draw.  The first converged
+point is only a start.
+
+At genus 0 and N = 2 the relation c_1 ... c_r = I asks for a closed
+polygon in SU(2) = S^3, and its bending coordinates, the half-angles
+sigma_k of the partial products P_k = s_1 ... s_k, are known in closed
+form from the classes (Jeffrey and Weitsman, Comm. Math. Phys. 150, 1992),
+so `_polygon_start` completes the draw's frames.  Write c_j = e^(i phi_j)
+s_j with phi_j = (alpha_j + beta_j) / 2 and s_j in SU(2) of half-angle
+theta_j = |alpha_j - beta_j| / 2.  The relation then reads
+s_1 ... s_r = eps I with eps = e^(-i sum phi_j), which is +-1 exactly when
+the class angles sum to 0 mod 2 pi, so P_(r-1) must have half-angle
+theta_r if eps = 1 and pi - theta_r if eps = -1.  By the spherical
+triangle inequality, P_(k-1) of half-angle sigma times s_k can have any
+half-angle in [|sigma - theta_k|, min(sigma + theta_k, 2 pi - sigma -
+theta_k)], so the reachable interval of each sigma_k is walked forward in
+closed form (`_reach`); the chain is chosen backward, each sigma_k the
+midpoint of the part of its interval from which sigma_(k+1) is reached,
+so no triangle is degenerate where the classes leave room and the point
+is irreducible.  The axis of s_k is placed on the cone about P_(k-1)'s
+axis on which tr(P_(k-1) s_k) = 2 cos sigma_k (spherical law of
+cosines), at the twist of its drawn axis about P_(k-1)'s;
+s_r = eps P_(r-1)^-1 closes the polygon.  Frame 1 stays the draw's, and
+each other frame is read off its axis m, Q sigma_z Q^dagger = m . sigma,
+in closed form (no `eig`, no SVD).  The reachable intervals are exactly
+the half-angles the partial products can take, so the chain closes
+exactly when a point exists: it is the rank-2 genus-0 existence test (in
+closed form, Biswas, Int. J. Math. 9, 1998).  When the angle sum or the
+closing half-angle misses by more than ANGLE_TOL, the draw is the start.
+
+Levenberg-Marquardt runs from the completed point as from any other: it
+stops at once when the residual is already at most 1e-14 and polishes
+otherwise, and `tol` decides convergence.  At N = 1 every commutator is
+1, so there is nothing to complete, and genus-0 N = 3 starts have no
+closed form here: both start from the raw draw.  The first converged
 irreducible point wins; if every converged restart is reducible the first
 of those is returned and callers decide whether that is acceptable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,9 +120,11 @@ from .cohomology import is_irreducible
 from .errors import NoConvergenceError
 from .presentation import Presentation, Representation, SurfaceData, _integer_field
 from .unitary import (
+    ANGLE_TOL,
     algebra_basis,
     basis_times,
     cayley,
+    circle_distance,
     haar_unitary,
     times_basis,
     unflatten_algebra,
@@ -308,11 +340,8 @@ def _levenberg_marquardt(point: _Point, cfg: SolverConfig):
 def _goto_start(point: _Point) -> _Point:
     """The point with (a_1, b_1) replaced by a pair whose commutator is
     rest^dagger, so the relation holds when the class angles sum to 0
-    mod 2 pi (Goto's construction, module docstring).  Genus 0 and N = 1
-    points come back as they are."""
+    mod 2 pi (Goto's construction, module docstring); genus >= 1, N >= 2."""
     lay = point.layout
-    if lay.nh == 0 or lay.surface.rank == 1:
-        return point
     # the letters after [a_1, b_1]: rest, whose inverse the pair must make
     d, v = np.linalg.eig(point.suffixes()[3].conj().T)
     v = np.linalg.qr(v)[0]
@@ -323,6 +352,130 @@ def _goto_start(point: _Point) -> _Point:
     return _Point(lay, stack)
 
 
+def _reach(lo: float, hi: float, t: float) -> tuple:
+    """The interval of half-angles of g h in SU(2), for g of half-angle in
+    [lo, hi] and h of half-angle t: the union over s in [lo, hi] of
+    [|s - t|, min(s + t, 2 pi - s - t)] (spherical triangle inequality)."""
+    low = lo - t if t < lo else max(t - hi, 0.0)
+    if hi + t <= math.pi:
+        return low, hi + t
+    if lo + t >= math.pi:
+        return low, 2 * math.pi - lo - t
+    return low, math.pi
+
+
+def _half_angle_chain(theta: list, tau: float):
+    """Half-angles sigma[k] of the partial products s_1 ... s_(k+1),
+    k = 0 .. r - 2, closing at tau, or None when tau is out of reach.
+
+    The reachable interval of each sigma_k is walked forward by `_reach`;
+    the chain is then chosen backward, each sigma_k the midpoint of what
+    sigma_(k+1) allows in its interval (the triangle inequality is
+    symmetric, so that is `_reach` from sigma_(k+1)).  sigma_0 is theta_0
+    and is not chosen.
+    """
+    r = len(theta)
+    reach = [(theta[0], theta[0])]
+    for t in theta[1:-1]:
+        reach.append(_reach(*reach[-1], t))
+    lo, hi = reach[-1]
+    if not lo - ANGLE_TOL <= tau <= hi + ANGLE_TOL:
+        return None
+    sigma = [theta[0]] * (r - 1)
+    sigma[-1] = min(max(tau, lo), hi)
+    for k in range(r - 3, 0, -1):
+        a, b = _reach(sigma[k + 1], sigma[k + 1], theta[k + 1])
+        sigma[k] = 0.5 * (max(a, reach[k][0]) + min(b, reach[k][1]))
+    return sigma
+
+
+def _frame(m: list) -> list:
+    """The unitary Q, as nested lists, with Q sigma_z Q^dagger = m . sigma
+    for a unit axis m = (x, y, z): first column the +1 eigenvector of
+    m . sigma, (1 + z, x + iy) or (x - iy, 1 - z) normalized, whichever is
+    longer."""
+    x, y, z = m
+    scale = math.sqrt(2 * (1 + abs(z)))
+    if z >= 0:
+        u0, u1 = (1 + z) / scale, complex(x, y) / scale
+    else:
+        u0, u1 = complex(x, -y) / scale, (1 - z) / scale
+    return [[u0, -u1.conjugate()], [u1, u0.conjugate()]]
+
+
+def _su2_times(p: tuple, q: tuple) -> tuple:
+    """The product of SU(2) elements held as (w, v) for w I + i v . sigma:
+    (w_p w_q - v_p . v_q, w_p v_q + w_q v_p - v_p x v_q)."""
+    (pw, (a, b, c)), (qw, (x, y, z)) = p, q
+    return (pw * qw - (a * x + b * y + c * z),
+            [pw * x + qw * a - (b * z - c * y),
+             pw * y + qw * b - (c * x - a * z),
+             pw * z + qw * c - (a * y - b * x)])
+
+
+def _polygon_start(point: _Point) -> _Point:
+    """The genus-0, N = 2 point with frames 2..r read off a closed
+    spherical polygon of the classes (module docstring); frame 1 and the
+    twists come from the draw.  The point comes back as it is when the
+    angle sum is not 0 mod 2 pi or the chain cannot close."""
+    classes = point.layout.surface.classes
+    total = sum(sum(c.angles) for c in classes)
+    if circle_distance(total) > ANGLE_TOL:
+        return point
+    eps = 1.0 if math.cos(total / 2) > 0 else -1.0
+    # c_j = exp(i phi_j) s_j, s_j of signed half-angle half_j about its axis
+    half = [(c.angles[0] - c.angles[1]) / 2 for c in classes]
+    theta = [abs(h) for h in half]
+    sigma = _half_angle_chain(theta, theta[-1] if eps > 0 else math.pi - theta[-1])
+    if sigma is None:
+        return point
+    # the drawn axes Q sigma_z Q^dagger = 2 q q^dagger - I, q the first column
+    drawn = []
+    for q0, q1 in point.stack[:, :, 0].tolist():
+        w = 2 * q1 * q0.conjugate()
+        drawn.append([w.real, w.imag, abs(q0) ** 2 - abs(q1) ** 2])
+    # the running product P = s_1 ... s_k, an SU(2) element cos a I +
+    # i sin a (n . sigma) held as (cos a, sin a n), starts from the drawn c_1
+    pw, pv = math.cos(half[0]), [math.sin(half[0]) * x for x in drawn[0]]
+    axes = []
+    for k in range(1, len(classes) - 1):
+        u = drawn[k]
+        sin_p = math.hypot(*pv)
+        n = [x / sin_p for x in pv] if sin_p else u
+        ct, st = math.cos(theta[k]), math.sin(theta[k])
+        # the cone about n on which tr(P s_k) = 2 cos sigma_k (spherical
+        # law of cosines), at the drawn axis's twist about n
+        denom = sin_p * st
+        cg = min(1.0, max(-1.0, (pw * ct - math.cos(sigma[k])) / denom)) if denom else 1.0
+        sg = math.sqrt(1.0 - cg * cg)
+        un = sum(a * b for a, b in zip(u, n))
+        perp = [a - un * b for a, b in zip(u, n)]
+        norm = math.hypot(*perp)
+        m = [cg * b + (sg * a / norm if norm else 0.0) for a, b in zip(perp, n)]
+        axes.append(m if half[k] >= 0 else [-x for x in m])
+        pw, pv = _su2_times((pw, pv), (ct, [st * x for x in m]))
+    # s_r = eps P^-1 = (eps pw, -eps pv) closes the polygon
+    sin_p = math.hypot(*pv)
+    sign = -eps if half[-1] >= 0 else eps
+    axes.append([sign * x / sin_p for x in pv] if sin_p else drawn[-1])
+    stack = point.stack.copy()
+    stack[1:] = [_frame(m) for m in axes]
+    return _Point(point.layout, stack)
+
+
+def _exact_start(point: _Point) -> _Point:
+    """The draw completed to a start that solves the relation where a
+    closed form is known: Goto's pair at genus >= 1 (`_goto_start`), the
+    closed polygon at genus 0 and N = 2 (`_polygon_start`).  N = 1 and
+    genus-0 N = 3 draws come back as they are."""
+    surface = point.layout.surface
+    if surface.rank == 1:
+        return point
+    if surface.genus:
+        return _goto_start(point)
+    return _polygon_start(point) if surface.rank == 2 else point
+
+
 def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResult:
     """Find a representation with the prescribed peripheral classes.
 
@@ -331,7 +484,12 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     draw's (a_1, b_1) is first replaced by Goto's commutator pair for the
     rest of the relation (module docstring; Goto, J. Math. Soc. Japan 1,
     1949), which solves the relation exactly when the class angles sum to
-    0 mod 2 pi, so Levenberg-Marquardt only certifies or polishes it.
+    0 mod 2 pi.  At genus 0 and N = 2 the frames are completed to a closed
+    spherical polygon of the classes, its bending half-angles chosen by the
+    spherical triangle inequality (module docstring; Jeffrey and Weitsman,
+    Comm. Math. Phys. 150, 1992), which solves the relation exactly
+    whenever a point exists.  Levenberg-Marquardt then only certifies or
+    polishes the start.
     Returns the first irreducible converged point, or the first converged
     point if every restart lands on a reducible one.  Raises
     NoConvergenceError when no restart reaches the tolerance.
@@ -347,7 +505,7 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     residuals = []
     for attempt in range(cfg.restarts):
         rng = np.random.default_rng(seeds.spawn(1)[0])
-        point = _goto_start(_Point.random(surface, rng, layout))
+        point = _exact_start(_Point.random(surface, rng, layout))
         point, res, history = _levenberg_marquardt(point, cfg)
         residuals.append(res)
         if res < best_res:

@@ -255,6 +255,26 @@ def test_infeasible_surface_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "NoConvergenceError"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("punctures,classes", [
+    (4, [[HALF_PI, -HALF_PI]] * 3 + [[HALF_PI, 0.5 - HALF_PI]]),
+    (3, [[0.1, -0.1], [0.1, -0.1], [3.0, -3.0]]),
+], ids=["angle-sum", "triangle"])
+def test_unmet_sphere_solve_exits_2(tmp_path, capsys, punctures, classes):
+    # no closed polygon: the genus-0 rank-2 start stays the draw, every
+    # restart runs and the solver gives up with each restart's residual
+    inp = _write(tmp_path, "bad.json", {
+        "genus": 0, "punctures": punctures, "rank": 2, "classes": classes,
+    })
+    code, out, err = _run(capsys, ["solve", "--input", inp])
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "NoConvergenceError"
+    assert len(payload["restart_residuals"]) == 8
+    assert all(r > 1e-10 for r in payload["restart_residuals"])
+
+
 def test_reducible_point_exits_3(tmp_path, capsys):
     rho, _ = obstructed_instance()
     inp = _write(tmp_path, "point.json", point_to_dict(rho))
@@ -318,6 +338,7 @@ def test_obstruction_payload_carries_order_and_residual_norm(tmp_path, capsys):
     payload = json.loads(err)["error"]
     assert payload["order"] == exc.value.order == 2
     assert payload["residual_norm"] == exc.value.residual_norm > 1.0
+    assert payload["relative_norm"] == exc.value.relative_norm > 0.5
 
 
 def test_deform_output_reports_the_linear_rank(tmp_path, capsys):
@@ -406,7 +427,10 @@ def test_rank_disagreement_exits_5_with_payload(tmp_path, capsys, monkeypatch):
 def test_near_singular_transform_exits_5_with_payload(tmp_path, capsys, monkeypatch):
     import surfrep.unitary as unitary
 
-    inp = _write(tmp_path, "surf.json", FOUR_PUNCTURE)
+    # the README sphere's start is exact and takes no Cayley step; the
+    # genus-0 rank-3 witness surface has no closed-form start and steps
+    surface = smooth_instance(0, 3, 3).representation.surface
+    inp = _write(tmp_path, "surf.json", surface.to_dict())
     monkeypatch.setattr(unitary, "is_skew_hermitian", lambda x: False)
     code, out, err = _run(capsys, ["solve", "--input", inp])
     assert code == 5

@@ -259,6 +259,55 @@ def test_obstruction_is_raised_with_order_and_residual(obstructed):
     assert np.asarray(exc.value.residual_vector).size > 0
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e20, 1e60])
+def test_a_scaled_direction_is_not_obstructed_by_its_roundoff(witness_u2, scale):
+    # scaling the direction by s scales order k by s^k, roundoff included:
+    # at s = 1e60 the order-2 residual is 4.8e104, yet 5.8e-16 of the
+    # order-2 inhomogeneity, and an absolute test called it an obstruction
+    # (at 1e4 already, with 6.5e-8)
+    rho = witness_u2.representation
+    direction = scale * tangent_direction(rho, 0)
+    unscaled = build_deformation(rho, tangent_direction(rho, 0), order=2).residual_norms
+    state = build_deformation(rho, direction, order=2)
+    assert state.order == 2
+    assert state.residual_norms[0] > deformation.OBSTRUCTION_TOL
+    assert state.residual_norms[0] / scale ** 2 == pytest.approx(unscaled[0], rel=0.5)
+    if scale < 1e60:
+        assert build_deformation(rho, direction, order=4).order == 4
+    else:
+        # order 3's norms overflow double precision: refused, not obstructed
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="order 3 is not finite"):
+            build_deformation(rho, direction, order=4)
+
+
+def test_obstruction_is_judged_relative_to_its_inhomogeneity(obstructed):
+    # the obstructed instance stops at order 2 whatever the rule: its
+    # residual is 0.65 of the order-2 inhomogeneity, bit for bit the
+    # residual of the least-squares solution
+    rho, direction = obstructed
+    with pytest.raises(ObstructionFound) as exc:
+        build_deformation(rho, direction, order=4)
+    periphery = build_periphery(rho)
+    h1, c1 = direction, lift_to_cone(rho, direction, periphery)
+    zero = np.zeros_like(h1)
+    b = order_residuals(rho, np.array([h1, zero]), np.array([c1, np.zeros_like(c1)]),
+                        periphery)[-1]
+    b_norm = np.linalg.norm(flatten_algebra(b).reshape(-1))
+    assert b_norm > 1
+    assert exc.value.order == 2
+    assert exc.value.relative_norm == exc.value.residual_norm / b_norm
+    assert exc.value.relative_norm == pytest.approx(0.6459082665150225, rel=1e-12)
+    assert exc.value.residual_norm == pytest.approx(1.2707969905351293, rel=1e-12)
+    solver, _ = linalg.min_norm_solver(matching_matrix(rho, periphery))
+    h_top, c_top, _, scale = deformation.solve_next_order(rho, h1[None], c1[None],
+                                                          periphery, solver)
+    assert scale == b_norm
+    fresh = order_residuals(rho, np.array([h1, h_top]), np.array([c1, c_top]),
+                            periphery)[-1]
+    assert np.array_equal(exc.value.residual_vector, flatten_algebra(fresh).reshape(-1))
+
+
 def test_obstructed_point_first_order_still_works(obstructed):
     # the linear family exists, it just decays at its own order, not faster
     rho, direction = obstructed
@@ -436,7 +485,7 @@ def test_obstruction_vector_does_not_depend_on_the_build_order(obstructed):
     periphery = build_periphery(rho)
     h1, c1 = direction, lift_to_cone(rho, direction, periphery)
     solver, _ = linalg.min_norm_solver(matching_matrix(rho, periphery))
-    h_top, c_top, _ = deformation.solve_next_order(rho, h1[None], c1[None], periphery, solver)
+    h_top, c_top, _, _ = deformation.solve_next_order(rho, h1[None], c1[None], periphery, solver)
     fresh = order_residuals(rho, np.array([h1, h_top]), np.array([c1, c_top]), periphery)[-1]
     flat = np.concatenate([flatten_algebra(m) for m in fresh])
     assert np.array_equal(raised[0].residual_vector, flat)

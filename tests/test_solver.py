@@ -3,20 +3,23 @@
 import numpy as np
 import pytest
 
-from surfrep.cohomology import analyze
+from surfrep.cohomology import analyze, is_irreducible
 from surfrep.corpus import CORPUS_SHAPES, smooth_instance
 from surfrep.errors import NoConvergenceError
 from surfrep.presentation import SurfaceData
 from surfrep.solver import (
     SolverConfig,
+    _exact_start,
     _goto_start,
     _jacobian,
     _Layout,
     _levenberg_marquardt,
     _Point,
+    _polygon_start,
+    _reach,
     solve,
 )
-from surfrep.unitary import ConjugacyClass, algebra_basis
+from surfrep.unitary import ConjugacyClass, algebra_basis, haar_unitary
 
 HALF_PI = np.pi / 2
 
@@ -207,13 +210,16 @@ def test_zero_jacobian_stops_each_restart_without_a_step(monkeypatch):
 
 def test_restarts_past_the_first_use_their_own_children_in_order():
     # one step brings no restart to tolerance, so every restart runs and
-    # reports; their starts differ, so a skipped or reordered child shows
+    # reports; their starts differ, so a skipped or reordered child shows.
+    # The README sphere's starts are exact; the genus-0 rank-3 witness
+    # surface starts from the raw draw and has to step.
+    surface = smooth_instance(0, 3, 3).representation.surface
     cfg = SolverConfig(seed=5, restarts=4, max_iters=1)
     with pytest.raises(NoConvergenceError) as exc:
-        solve(FOUR_PUNCTURE, cfg)
+        solve(surface, cfg)
     expected = []
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-        point = _Point.random(FOUR_PUNCTURE, np.random.default_rng(child))
+        point = _Point.random(surface, np.random.default_rng(child))
         expected.append(_levenberg_marquardt(point, cfg)[1])
     assert len(set(expected)) == cfg.restarts
     assert exc.value.restart_residuals == tuple(expected)
@@ -273,10 +279,18 @@ def test_goto_start_with_a_repeated_eigenvalue_converges(theta):
 
 @pytest.mark.parametrize("genus,rank,punctures", [(1, 1, 1), (2, 1, 3), (0, 2, 4), (0, 3, 3)])
 def test_goto_start_leaves_rank_one_and_genus_zero_draws_alone(genus, rank, punctures):
+    # rank-1 and genus-0 rank-3 draws are the start as they are; a genus-0
+    # rank-2 draw is completed to the closed polygon of its classes
     surface = smooth_instance(genus, rank, punctures).representation.surface
     raw = _Point.random(surface, np.random.default_rng(3))
     stack = raw.stack.copy()
-    assert np.array_equal(_goto_start(raw).stack, stack)
+    start = _exact_start(raw)
+    if (genus, rank) == (0, 2):
+        assert start.residual() <= 1e-13 < raw.residual()
+        assert np.array_equal(start.stack[0], stack[0])
+        assert np.array_equal(raw.stack, stack)
+    else:
+        assert np.array_equal(start.stack, stack)
 
 
 def test_corpus_solves_at_genus_one_and_up_need_no_step():
@@ -329,3 +343,141 @@ def test_identity_class_keeps_its_reducible_and_irreducible_answers():
     assert genus_two.residual <= SolverConfig().tol
     assert genus_two.restart_index == 0
     assert genus_two.irreducible
+
+
+def _closed_sphere(peripherals):
+    """The genus-0 rank-2 surface whose classes are those of the given
+    images and of the inverse of their product, so that a point exists."""
+    product = np.eye(2)
+    for m in peripherals:
+        product = product @ m
+    images = list(peripherals) + [product.conj().T]
+    return SurfaceData(0, len(images), 2, tuple(
+        ConjugacyClass(tuple(np.angle(np.linalg.eigvals(m)))) for m in images))
+
+
+def _special_unitaries(rng, k):
+    u = haar_unitary(2, rng, k)
+    return u / np.sqrt(np.linalg.det(u))[:, None, None]
+
+
+def _assert_closed_polygon(surface, raw):
+    start = _polygon_start(raw)
+    frames = start.stack
+    gram = frames @ frames.conj().swapaxes(-1, -2)
+    assert np.linalg.norm(gram - np.eye(2), axis=(1, 2)).max() <= 1e-13
+    assert start.residual() <= 1e-13
+    # the first frame is the draw's; the others are read off the polygon
+    assert np.array_equal(frames[0], raw.stack[0])
+    assert not np.array_equal(frames[1:], raw.stack[1:])
+    return start
+
+
+def test_reach_is_the_set_of_product_half_angles():
+    # g of half-angle s in [lo, hi] and h of half-angle t with axes at
+    # cosine c: g h has cos(half-angle) = cos s cos t - sin s sin t c.  c = -1
+    # and c = 1 give the bounds, every c in between lands inside them
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        lo, hi = np.sort(rng.uniform(0, np.pi, 2))
+        if rng.random() < 0.25:
+            hi = lo
+        t = rng.uniform(0, np.pi)
+        low, high = _reach(lo, hi, t)
+        s = np.concatenate([np.linspace(lo, hi, 20001), rng.uniform(lo, hi, 2000)])
+        c = np.concatenate([np.tile([-1.0, 1.0], 10001)[:20001], rng.uniform(-1, 1, 2000)])
+        half = np.arccos(np.clip(np.cos(s) * np.cos(t) - np.sin(s) * np.sin(t) * c, -1, 1))
+        assert low - 1e-12 <= half.min() <= low + 1e-3
+        assert high - 1e-3 <= half.max() <= high + 1e-12
+
+
+@pytest.mark.parametrize("punctures", [3, 4, 5, 6])
+def test_polygon_start_closes_the_relation_exactly(punctures):
+    # seeded random classes read off a closed product: the angles sum to 0
+    # mod 2 pi and the chain of half-angles closes
+    rng = np.random.default_rng(40 + punctures)
+    for _ in range(10):
+        surface = _closed_sphere(haar_unitary(2, rng, punctures - 1))
+        start = _assert_closed_polygon(surface, _Point.random(surface, rng))
+        assert is_irreducible(start.representation())
+
+
+def _central_first(rng):
+    return _closed_sphere([np.exp(0.5j) * np.eye(2), *haar_unitary(2, rng, 2)])
+
+
+def _central_middle(rng):
+    u = haar_unitary(2, rng, 2)
+    return _closed_sphere([u[0], np.exp(-1.2j) * np.eye(2), u[1]])
+
+
+@pytest.mark.parametrize("build,sign", [
+    (_central_first, None),
+    (_central_middle, None),
+    (lambda rng: FOUR_PUNCTURE, 1.0),
+    (lambda rng: _closed_sphere(_special_unitaries(rng, 2)), -1.0),
+    (lambda rng: _closed_sphere(_special_unitaries(rng, 4)), -1.0),
+], ids=["theta0-first", "theta0-middle", "readme", "eps-1-r3", "eps-1-r5"])
+def test_polygon_start_edge_cases(build, sign):
+    # a central class has theta = 0 (its axis is free and, first, makes
+    # P_1 = I); the README classes have theta = pi / 2; an odd number of
+    # SU(2) classes, whose angles (a, 2 pi - a) give phi = pi each, has
+    # eps = exp(-i sum phi) = -1, so P_(r-1) must have half-angle pi - theta_r
+    rng = np.random.default_rng(12)
+    for seed in range(4):
+        surface = build(rng)
+        angles = np.array([c.angles for c in surface.classes])
+        if sign is not None:
+            assert np.sign(np.cos(angles.sum() / 2)) == sign
+        else:
+            assert np.isclose(np.ptp(angles, axis=1), 0).any()
+        _assert_closed_polygon(surface, _Point.random(surface, rng))
+        result = solve(surface, SolverConfig(seed=seed))
+        assert result.restart_index == 0
+        assert len(result.history) <= 2
+        assert result.irreducible
+
+
+def test_corpus_solves_at_genus_zero_rank_two_need_at_most_one_step():
+    # the witness classes close a spherical polygon, so restart 0's start
+    # meets the relation to roundoff and LM certifies it, polishing at most once
+    shapes = [s for s in CORPUS_SHAPES if s[0] == 0 and s[1] == 2]
+    assert len(shapes) == 3
+    for shape in shapes:
+        for seed in range(4):
+            surface = smooth_instance(*shape, seed=seed).representation.surface
+            result = solve(surface, SolverConfig(seed=seed))
+            assert result.restart_index == 0
+            assert len(result.history) <= 2
+            assert result.irreducible
+            report = analyze(result.representation)
+            assert report.irreducible
+            assert report.tangent_dim == report.expected_dim
+
+
+UNMET_SPHERES = {
+    # the angles sum to 0.5, not 0 mod 2 pi
+    "angle-sum": SurfaceData(0, 4, 2, (ConjugacyClass((HALF_PI, -HALF_PI)),) * 3
+                             + (ConjugacyClass((HALF_PI, 0.5 - HALF_PI)),)),
+    # half-angles 0.1, 0.1, 3.0 break the spherical triangle inequality
+    "triangle": SurfaceData(0, 3, 2, (ConjugacyClass((0.1, -0.1)),) * 2
+                            + (ConjugacyClass((3.0, -3.0)),)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(UNMET_SPHERES))
+def test_unmet_sphere_keeps_its_draw_and_gives_up(name):
+    # no polygon closes, so the draw stays the start, untouched, and the
+    # solver gives up as before; an arccos or sqrt domain warning fails here
+    surface = UNMET_SPHERES[name]
+    raw = _Point.random(surface, np.random.default_rng(0))
+    stack = raw.stack.copy()
+    assert np.array_equal(_exact_start(raw).stack, stack)
+    cfg = SolverConfig()
+    with pytest.raises(NoConvergenceError) as exc:
+        solve(surface, cfg)
+    residuals = exc.value.restart_residuals
+    assert len(residuals) == cfg.restarts
+    assert all(r > cfg.tol for r in residuals)
+    assert min(residuals) == exc.value.best_residual

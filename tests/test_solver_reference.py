@@ -7,10 +7,11 @@ Jacobian as a loop over variables x basis x letters, driven by the same
 Levenberg-Marquardt loop.  Every matrix product is taken in the same
 order in both, so solves must agree bit for bit.
 
-For genus >= 1 and N >= 2 `solve` completes each start with Goto's
-commutator pair and then rarely takes a step, so the reference restart
-loop applies the same completion, and the two LM loops are also compared
-from raw Haar starts on every corpus shape, where they do take steps.
+For N >= 2 at genus >= 1 and for N = 2 at genus 0 `solve` completes each
+start in closed form (Goto's commutator pair, the closed polygon of the
+classes) and then rarely takes a step, so the reference restart loop
+applies the same completion, and the two LM loops are also compared from
+raw Haar starts on every corpus shape, where they do take steps.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from surfrep.solver import (
     _LM_RETRIES,
     _LM_SHRINK,
     SolverConfig,
-    _goto_start,
+    _exact_start,
     _jacobian,
     _levenberg_marquardt,
     _Point,
@@ -174,7 +175,7 @@ def _ref_solve(surface, cfg):
     fallback = None
     rejected = 0
     for attempt in range(cfg.restarts):
-        start = _goto_start(_Point.random(surface, np.random.default_rng(children[attempt])))
+        start = _exact_start(_Point.random(surface, np.random.default_rng(children[attempt])))
         nh = 2 * surface.genus
         point = _RefPoint(surface, start.stack[:nh], start.stack[nh:])
         point, res, history, restart_rejected = _ref_levenberg_marquardt(point, cfg)
@@ -210,8 +211,8 @@ def test_solve_matches_reference_bit_for_bit(shape, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("shape", CORPUS_SHAPES, ids=lambda s: "g{}_n{}_r{}".format(*s))
 def test_levenberg_marquardt_matches_reference_from_raw_starts(shape, seed):
-    # the raw Haar draw, without Goto's completion: LM has to search here
-    # at every rank >= 2, genus >= 1 included
+    # the raw Haar draw, without the closed-form completion: LM has to
+    # search here at every rank >= 2
     surface = smooth_instance(*shape, seed=seed).representation.surface
     cfg = SolverConfig(seed=seed)
     start = _Point.random(surface, np.random.default_rng(seed))
