@@ -368,7 +368,7 @@ def _checked_order(res: np.ndarray, order: int, scale: float) -> float:
     and NaN would pass the tolerance test.
     """
     flat = flatten_algebra(res).reshape(-1)
-    norm = float(np.linalg.norm(flat))
+    norm = linalg.scaled_norm(flat)
     if not (math.isfinite(norm) and math.isfinite(scale)):
         raise ValueError(f"the residual at order {order} is not finite ({norm}, "
                          f"inhomogeneity {scale}): the direction is too large "
@@ -411,7 +411,7 @@ def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
     b = flatten_algebra(res[k]).reshape(-1)
     x, _ = solver(-b)
     top = unflatten_algebra(x.reshape(nf + r, n * n), n)
-    return top[:nf], top[nf:], norm, float(np.linalg.norm(b))
+    return top[:nf], top[nf:], norm, linalg.scaled_norm(b)
 
 
 def build_deformation(rho: Representation, direction: np.ndarray,

@@ -22,6 +22,7 @@ value would keep all of it.  Anything below the floor is noise here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,25 @@ def norms_along(a: np.ndarray, axis) -> np.ndarray:
     that `np.linalg.norm(a, axis=axis)` takes, so the same bits, without
     its dispatch.  conj() of a real array is the array itself."""
     return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
+
+
+def scaled_norm(x: np.ndarray) -> float:
+    """The 2-norm of a real vector, which overflows only when the norm does.
+
+    `np.linalg.norm` takes sqrt(x . x), and the squares overflow once an
+    entry passes about 1e154.  Past 2^500 this takes 2^e ||x / 2^e||
+    instead, with 2^(e-1) <= max |x| < 2^e.  Scaling by a power of two is
+    exact, so both branches give the bits of `np.linalg.norm` wherever
+    that does not overflow.
+    """
+    top = float(np.abs(x).max())
+    if top < 2.0 ** 500:
+        return math.sqrt(x.dot(x))
+    if not math.isfinite(top):
+        return top  # NaN if an entry is NaN, else inf
+    e = math.frexp(top)[1]
+    y = np.ldexp(x, -e)
+    return float(np.ldexp(math.sqrt(y.dot(y)), e))
 
 
 def rank_pivoted_qr(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
@@ -175,7 +195,7 @@ def min_norm_solver(a: np.ndarray):
 
     def solve(b: np.ndarray):
         x = v @ ((u_t @ b) / s_kept)
-        return x, float(np.linalg.norm(a @ x - b))
+        return x, scaled_norm(a @ x - b)
 
     return solve, info
 

@@ -12,32 +12,21 @@ A point is one (2g + r, N, N) stack: the handle images, then the frames.
 The relation's letters are gathered from concat(handles, handles^H,
 peripherals) by an index built once per solve, and each point computes
 its relation sweep (letters M_k, prefixes L_k, product E) once and keeps
-it: an accepted candidate hands it on to the next Jacobian.  Suffixes R_k
-are built only for accepted points.
+it: an accepted candidate hands it on to the next Jacobian.
 
 Left multiplication of a variable by exp(eps xi), xi skew-Hermitian,
 moves its letter M_k by eps (a_k xi M_k + b_k M_k xi), with
 (a_k, b_k) = (1, 0) for a handle x, (0, -1) for an inverse handle x^-1
 and (1, -1) for a peripheral c_j = Q_j Lambda_j Q_j^dagger moved by its
-frame.  So the Jacobian of E (Fox's free derivative of the relation,
-Ann. Math. 57, 1953) sends the direction xi of a variable to the sum over
-its letters of L_k (a_k xi M_k + b_k M_k xi) R_k, and an owner matrix sums
-the letters onto the variables.
+frame.  With E = L_k M_k R_k and L_(k+1) = L_k M_k the two terms are
 
-Each term is computed to the bit as the product it stands for.  Every
-element xi of `algebra_basis(N)` has at most one nonzero entry per row and
-per column, so each entry of xi M_k and of M_k xi is a single product, and
-a gather times a coefficient (`unitary.basis_times`, `unitary.times_basis`)
-rounds exactly as the matrix product does.  Only the products that
-(a_k, b_k) keep are formed: xi M_k for a handle, -M_k xi for an inverse
-handle, xi M_k - M_k xi for a peripheral.  The factor R_k is applied once
-per letter, to the blocks L_k dM_k of all N^2 directions stacked on top of
-each other: each row of a product comes from that row of the left factor
-alone, so stacking left factors leaves every bit of the per-block products
-as it was.  Stacking right factors side by side, or transposing, changes
-the BLAS summation and so the bits; L_k dM_k therefore stays one product
-per block.  `tests/test_solver_reference.py` holds the per-letter,
-per-direction products this replaces and compares solves bit for bit.
+    L_k xi M_k R_k = Ad(L_k) xi . E,     L_k M_k xi R_k = Ad(L_(k+1)) xi . E,
+
+so the Jacobian of E is Fox's free derivative of the relation (Ann. Math.
+57, 1953) in the Ad coordinates of `presentation.fox_steps`, followed by
+right multiplication with E: J = (eta -> eta E, realified) o
+sum_k (a_k Ad(L_k) + b_k Ad(L_(k+1))), each letter's block summed onto its
+variable.  One `adjoint_matrix` call takes the prefixes and E.
 
 Every step is a damped Gauss-Newton (Levenberg-Marquardt) step on the
 manifold, from the first iterate on.  At each point one SVD of the
@@ -121,12 +110,11 @@ from .errors import NoConvergenceError
 from .presentation import Presentation, Representation, SurfaceData, _integer_field
 from .unitary import (
     ANGLE_TOL,
+    adjoint_matrix,
     algebra_basis,
-    basis_times,
     cayley,
     circle_distance,
     haar_unitary,
-    times_basis,
     unflatten_algebra,
     unitarize,
 )
@@ -180,26 +168,24 @@ class SolveResult:
 
 @lru_cache(maxsize=64)
 def _relation_layout(pres: Presentation):
-    """The relation's letter layout, read-only: (gather, left, right, owner).
+    """The relation's letter layout, read-only: (gather, owner, a, b).
 
     Letter k is `pool[gather[k]]` of the pool concat(handles, handles^H,
-    peripherals) and belongs to variable `owner[:, k]`.  Its coefficients
-    (a_k, b_k) are (1, 0) for a handle, (0, -1) for an inverse handle and
-    (1, -1) for a peripheral (see the module docstring): `left` lists the
-    letters with a_k = 1, `right` those with b_k = -1.
+    peripherals) and belongs to variable `owner[k]` (handles first, then
+    frames).  Its coefficients (a[k], b[k]) are (1, 0) for a handle,
+    (0, -1) for an inverse handle and (1, -1) for a peripheral (see the
+    module docstring), shaped (letters, 1, 1) to scale a stack of blocks.
     """
     nh = 2 * pres.genus
     relation = pres.relation
-    # pool index: idx for a handle, nh + idx for an inverse handle or a
-    # peripheral; variable index: idx (handles first, then frames)
+    # pool index: idx for a handle, nh + idx for an inverse handle or a peripheral
     gather = np.array([idx + nh * (e == -1 or idx >= nh) for idx, e in relation])
-    left = np.array([k for k, (_, e) in enumerate(relation) if e == 1])
-    right = np.array([k for k, (idx, e) in enumerate(relation) if e == -1 or idx >= nh])
-    owner = np.zeros((nh + pres.punctures, len(relation)), dtype=complex)
-    owner[[idx for idx, _ in relation], np.arange(len(relation))] = 1.0
-    for arr in (gather, left, right, owner):
+    owner = np.array([idx for idx, _ in relation])
+    a = np.array([1.0 if e == 1 else 0.0 for _, e in relation])[:, None, None]
+    b = np.array([-1.0 if e == -1 or idx >= nh else 0.0 for idx, e in relation])[:, None, None]
+    for arr in (gather, owner, a, b):
         arr.setflags(write=False)
-    return gather, left, right, owner
+    return gather, owner, a, b
 
 
 class _Layout:
@@ -207,23 +193,14 @@ class _Layout:
     Lambda_j, stacked, and the relation layout of its shape
     (`_relation_layout`)."""
 
-    __slots__ = ("surface", "nh", "eye", "lambdas", "gather", "left", "right", "owner")
+    __slots__ = ("surface", "nh", "eye", "lambdas", "gather", "owner", "a", "b")
 
     def __init__(self, surface: SurfaceData):
         self.surface = surface
         self.nh = 2 * surface.genus
         self.eye = np.eye(surface.rank)
         self.lambdas = np.array([c.representative() for c in surface.classes])
-        self.gather, self.left, self.right, self.owner = _relation_layout(surface.presentation)
-
-    def owner_sum(self, per_letter: np.ndarray) -> np.ndarray:
-        """Sum per-letter terms onto their variables, leading axis L -> 2g + r.
-
-        Each variable occurs at most twice in the relation, so the sum is
-        the same in every order, bit for bit.
-        """
-        shape = per_letter.shape
-        return (self.owner @ per_letter.reshape(shape[0], -1)).reshape((-1,) + shape[1:])
+        self.gather, self.owner, self.a, self.b = _relation_layout(surface.presentation)
 
 
 class _Point:
@@ -263,15 +240,6 @@ class _Point:
             self._sweep = letters, prefixes, prefixes[-1] @ letters[-1]
         return self._sweep
 
-    def suffixes(self) -> np.ndarray:
-        """Products of the letters after each position, I at the last."""
-        letters = self.sweep()[0]
-        suffixes = np.empty_like(letters)
-        suffixes[-1] = self.layout.eye
-        for k in range(len(letters) - 2, -1, -1):
-            np.matmul(letters[k + 1], suffixes[k + 1], out=suffixes[k])
-        return suffixes
-
     def residual(self) -> float:
         return float(np.linalg.norm(self.sweep()[2] - self.layout.eye))
 
@@ -292,25 +260,27 @@ def _complex_to_real(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m.real.ravel(), m.imag.ravel()])
 
 
-def _jacobian(point: _Point, basis: np.ndarray) -> np.ndarray:
-    """Real Jacobian of E at the point, one column per (variable, basis) pair;
-    `basis` is `algebra_basis(N)`, its N^2 elements the directions xi."""
-    letters, prefixes, _ = point.sweep()
+def _jacobian(point: _Point) -> np.ndarray:
+    """Real Jacobian of E at the point, one column per (variable, basis
+    element) pair: the Fox derivative of the relation in Ad coordinates,
+    then eta -> eta E, realified (module docstring)."""
+    _, prefixes, e = point.sweep()
     lay = point.layout
-    nl, nb, n = len(letters), basis.shape[0], letters.shape[-1]
-    dm = np.zeros((nl, nb, n, n), dtype=complex)
-    dm[lay.left] = basis_times(letters[lay.left])
-    dm[lay.right] -= times_basis(letters[lay.right])
-    tall = (prefixes[:, None] @ dm).reshape(nl, nb * n, n) @ point.suffixes()
-    de = lay.owner_sum(tall).reshape(-1, nb)
-    return np.concatenate([de.real, de.imag], axis=1).T
+    n = e.shape[-1]
+    d = n * n
+    ad = adjoint_matrix(np.concatenate([prefixes, e[None]]))
+    fox = np.zeros((len(point.stack), d, d))
+    np.add.at(fox, lay.owner, lay.a * ad[:-1] + lay.b * ad[1:])
+    # column i of eta -> eta E, realified, is basis element i times E
+    times_e = (algebra_basis(n) @ e).reshape(d, d)
+    realified = np.concatenate([times_e.real, times_e.imag], axis=1).T
+    return realified @ fox.transpose(1, 0, 2).reshape(d, -1)
 
 
 def _levenberg_marquardt(point: _Point, cfg: SolverConfig):
     """Damped Gauss-Newton steps from the start; returns the point, its
     residual and the residual before each step."""
     n = point.layout.surface.rank
-    basis = algebra_basis(n)
     lam = _LM_LAMBDA
     history = []
     res = point.residual()
@@ -318,7 +288,7 @@ def _levenberg_marquardt(point: _Point, cfg: SolverConfig):
         history.append(res)
         if res <= 1e-14:
             break
-        u, s, vt, _ = linalg.truncated_svd(_jacobian(point, basis))
+        u, s, vt, _ = linalg.truncated_svd(_jacobian(point))
         if s.size == 0:
             break  # the Jacobian is zero: no step moves E
         rhs = s * (u.T @ -_complex_to_real(point.sweep()[2] - point.layout.eye))
@@ -342,8 +312,12 @@ def _goto_start(point: _Point) -> _Point:
     rest^dagger, so the relation holds when the class angles sum to 0
     mod 2 pi (Goto's construction, module docstring); genus >= 1, N >= 2."""
     lay = point.layout
-    # the letters after [a_1, b_1]: rest, whose inverse the pair must make
-    d, v = np.linalg.eig(point.suffixes()[3].conj().T)
+    # the letters after [a_1, b_1], folded from the right: rest, whose
+    # inverse the pair must make
+    rest = lay.eye
+    for m in point.sweep()[0][:3:-1]:
+        rest = m @ rest
+    d, v = np.linalg.eig(rest.conj().T)
     v = np.linalg.qr(v)[0]
     x = np.concatenate([[1.0], np.cumprod(d[1:])])
     stack = point.stack.copy()

@@ -183,46 +183,6 @@ def _entry_positions(n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _basis_gathers(n: int) -> tuple:
-    """Every basis element has at most one nonzero entry per row and per
-    column.  For element a, row i holds row_coef[a, i] in column
-    row_at[a, i] and column j holds col_coef[a, j] in row col_at[a, j];
-    an empty row or column has coefficient 0."""
-    basis = algebra_basis(n)
-    row_at = np.argmax(basis != 0, axis=2)
-    col_at = np.argmax(basis != 0, axis=1)
-    row_coef = np.take_along_axis(basis, row_at[:, :, None], axis=2)[:, :, 0, None]
-    col_coef = np.take_along_axis(basis, col_at[:, None, :], axis=1)
-    out = (row_at, row_coef, col_at, col_coef)
-    for m in out:
-        m.setflags(write=False)
-    return out
-
-
-def basis_times(m: np.ndarray) -> np.ndarray:
-    """algebra_basis(n) @ m for each member of a stack (..., n, n); shape
-    (..., n^2, n, n).
-
-    Entry (i, j) of e_a m is the single product row_coef[a, i] m[row_at[a, i], j]
-    (`_basis_gathers`), so a gather times the coefficient gives it.  Every
-    coefficient is purely real or purely imaginary, so each part of the
-    complex product has one exactly zero term and rounds once, as in the
-    matrix product, with or without fused multiply-add: the two agree bit
-    for bit, except that an empty row may hold -0.0 where the matrix
-    product holds 0.0.
-    """
-    row_at, row_coef, _, _ = _basis_gathers(m.shape[-1])
-    return row_coef * np.take(m, row_at, axis=-2)
-
-
-def times_basis(m: np.ndarray) -> np.ndarray:
-    """m @ algebra_basis(n) for each member of a stack (..., n, n); shape
-    (..., n^2, n, n), in closed form as in `basis_times`."""
-    _, _, col_at, col_coef = _basis_gathers(m.shape[-1])
-    return np.take(m, col_at, axis=-1).swapaxes(-3, -2) * col_coef
-
-
 def flatten_algebra(x: np.ndarray) -> np.ndarray:
     """Coordinates of the skew-Hermitian part of x, or of every member of a
     stack (..., N, N), in the orthonormal basis; shape (..., N^2).

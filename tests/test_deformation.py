@@ -185,15 +185,16 @@ def test_direction_must_be_finite_and_skew_hermitian(witness_u2, bad):
         build_deformation(rho, direction, order=2)
 
 
-@pytest.mark.parametrize("scale", [1e100, 1e120], ids=["inf", "nan"])
-def test_a_residual_that_overflows_is_refused_not_obstructed(witness_u2, scale):
-    # at 1e100 the order-2 residual norm overflows to inf, at 1e120 the
-    # residual itself is NaN: neither is an obstruction, and NaN would
-    # pass the tolerance test
+@pytest.mark.parametrize("scale,order", [(1e100, 3), (1e120, 2)], ids=["order-3", "nan"])
+def test_a_residual_that_overflows_is_refused_not_obstructed(witness_u2, scale, order):
+    # the series products overflow: at 1e100 the order-3 residual is NaN
+    # (the order-2 residual norm, 1e184, is finite), at 1e120 already the
+    # order-2 residual.  That is no obstruction, and NaN would pass the
+    # tolerance test
     rho = witness_u2.representation
     direction = scale * tangent_direction(rho, 0)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="order 2 is not finite") as exc:
+            pytest.raises(ValueError, match=f"order {order} is not finite") as exc:
         build_deformation(rho, direction, order=4)
     assert exc.type is ValueError
 
@@ -259,12 +260,15 @@ def test_obstruction_is_raised_with_order_and_residual(obstructed):
     assert np.asarray(exc.value.residual_vector).size > 0
 
 
-@pytest.mark.parametrize("scale", [1e4, 1e20, 1e60])
+@pytest.mark.parametrize("scale", [1e4, 1e20, 1e40, 1e60])
 def test_a_scaled_direction_is_not_obstructed_by_its_roundoff(witness_u2, scale):
     # scaling the direction by s scales order k by s^k, roundoff included:
     # at s = 1e60 the order-2 residual is 4.8e104, yet 5.8e-16 of the
     # order-2 inhomogeneity, and an absolute test called it an obstruction
-    # (at 1e4 already, with 6.5e-8)
+    # (at 1e4 already, with 6.5e-8).  From order 4 at 1e40 on, the
+    # inhomogeneity norms pass 1e154, where a sum of squares overflows while
+    # every entry is finite; the scaled norms do not, and no overflow
+    # warning is raised
     rho = witness_u2.representation
     direction = scale * tangent_direction(rho, 0)
     unscaled = build_deformation(rho, tangent_direction(rho, 0), order=2).residual_norms
@@ -272,13 +276,15 @@ def test_a_scaled_direction_is_not_obstructed_by_its_roundoff(witness_u2, scale)
     assert state.order == 2
     assert state.residual_norms[0] > deformation.OBSTRUCTION_TOL
     assert state.residual_norms[0] / scale ** 2 == pytest.approx(unscaled[0], rel=0.5)
-    if scale < 1e60:
-        assert build_deformation(rho, direction, order=4).order == 4
-    else:
-        # order 3's norms overflow double precision: refused, not obstructed
-        with np.errstate(over="ignore"), \
-                pytest.raises(ValueError, match="order 3 is not finite"):
-            build_deformation(rho, direction, order=4)
+    # to order 4 the build is the unscaled one with h_k and c_k scaled by s^k
+    unit = build_deformation(rho, tangent_direction(rho, 0), order=4)
+    state = build_deformation(rho, direction, order=4)
+    assert state.order == 4
+    powers = scale ** np.arange(1, 5)[:, None, None, None]
+    for ours, theirs in ((state.h, unit.h), (state.c, unit.c)):
+        assert np.abs(ours / powers - theirs).max() <= 1e-9 * np.abs(theirs).max()
+    for k, norm in enumerate(state.residual_norms, start=2):
+        assert norm / scale ** k <= deformation.OBSTRUCTION_TOL
 
 
 def test_obstruction_is_judged_relative_to_its_inhomogeneity(obstructed):

@@ -18,10 +18,16 @@ starts: no batch of seeds is spawned up front and mostly thrown away.
 Every array an `lru_cache` function returns is read-only: the cache hands
 the same object to every caller, so one caller writing into it would
 change what all later callers read.
+
+Every name that the tests and scripts import from the package exists: a
+test module whose import fails is a collection error, and a suite run
+with --continue-on-collection-errors would drop its tests from the count
+without failing any.
 """
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -161,7 +167,6 @@ _CACHED_CALLS = {
     "presentation.standard_presentation": (1, 2),
     "solver._relation_layout": (standard_presentation(1, 2),),
     "unitary._basis_columns": (2,),
-    "unitary._basis_gathers": (2,),
     "unitary._entry_positions": (2,),
     "unitary._permutation_table": (3,),
     "unitary.algebra_basis": (2,),
@@ -196,3 +201,30 @@ def test_cached_arrays_are_read_only():
         assert arrays, name
         # frozen with setflags(write=False) or flags.writeable = False
         assert not any(a.flags.writeable for a in arrays), f"{name} returns a writable array"
+
+
+def _package_imports(roots):
+    """(path, line, module, name) of every `from surfrep... import name`
+    in the Python files under `roots`."""
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if (isinstance(node, ast.ImportFrom) and node.level == 0
+                        and (node.module or "").split(".")[0] == "surfrep"):
+                    for alias in node.names:
+                        yield path.name, node.lineno, node.module, alias.name
+
+
+def test_every_name_imported_from_the_package_exists():
+    repo = Path(__file__).resolve().parents[1]
+    imports = list(_package_imports([repo / "tests", repo / "scripts"]))
+    assert imports
+    missing = []
+    for name, line, module, imported in imports:
+        parent = importlib.import_module(module)
+        # a submodule is an attribute of its package only once imported
+        submodule = (hasattr(parent, "__path__")
+                     and importlib.util.find_spec(f"{module}.{imported}") is not None)
+        if not (hasattr(parent, imported) or submodule):
+            missing.append(f"{name}:{line}: {module}.{imported}")
+    assert missing == []

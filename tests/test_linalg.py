@@ -219,6 +219,21 @@ def test_norms_along_are_numpys_norms_bit_for_bit(rng):
             assert ours.tobytes() == ref.tobytes()
 
 
+def test_scaled_norm_is_numpys_norm_until_the_norm_overflows(rng):
+    # powers of two scale exactly, so the scaled branch keeps numpy's bits
+    # until numpy's sum of squares overflows; past that only the scaled
+    # branch stays finite, and it overflows only with the norm itself
+    for size in (1, 7, 48):
+        x = rng.standard_normal(size)
+        for scale in (0.0, 1e-200, 1.0, 1e150, 2.0 ** 500, 1e153):
+            assert linalg.scaled_norm(scale * x) == np.linalg.norm(scale * x)
+        big = 1e300 * x
+        assert linalg.scaled_norm(big) == pytest.approx(1e300 * np.linalg.norm(x), rel=1e-15)
+    assert linalg.scaled_norm(np.array([1e308, 1e308])) == pytest.approx(np.sqrt(2) * 1e308)
+    assert linalg.scaled_norm(np.array([1.0, np.inf])) == np.inf
+    assert np.isnan(linalg.scaled_norm(np.array([np.inf, np.nan])))
+
+
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
 def test_pivoted_qr_rank_agrees_with_svd_around_the_cut(complex_entries):
     # singular values 1 down to 1e-6, then one at 10x and one at 0.1x the

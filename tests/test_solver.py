@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from surfrep import linalg, solver
 from surfrep.cohomology import analyze, is_irreducible
 from surfrep.corpus import CORPUS_SHAPES, smooth_instance
 from surfrep.errors import NoConvergenceError
@@ -98,13 +99,45 @@ def test_jacobian_matches_finite_differences():
     for surface in surfaces:
         basis = algebra_basis(surface.rank)
         point = _Point.random(surface, rng)
-        jac = _jacobian(point, basis)
+        jac = _jacobian(point)
         assert jac.shape == (2 * surface.rank ** 2, point.stack.shape[0] * len(basis))
         for col in range(jac.shape[1]):
             dirs = np.zeros_like(point.stack)
             dirs[col // len(basis)] = basis[col % len(basis)]
             fd = (e_vector(point.step(h * dirs)) - e_vector(point.step(-h * dirs))) / (2 * h)
             assert np.abs(fd - jac[:, col]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("shape", CORPUS_SHAPES, ids=lambda s: "g{}_n{}_r{}".format(*s))
+def test_the_chart_kernel_gives_the_tangent_dimension(shape, monkeypatch):
+    # at a solution the kernel of J is the Zariski tangent space of the
+    # chart (Weil, Ann. Math. 80, 1964).  It holds the gauge directions,
+    # N^2 - centralizer_dim of them, and each frame's stabilizer, sum m^2
+    # over the multiplicities of its class, and the rest is H^1
+    finals = []
+    lm = solver._levenberg_marquardt
+
+    def recorded(point, cfg):
+        out = lm(point, cfg)
+        finals.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver, "_levenberg_marquardt", recorded)
+    surface = smooth_instance(*shape, seed=0).representation.surface
+    result = solve(surface, SolverConfig(seed=0))
+    jac = _jacobian(finals[result.restart_index])
+    info = linalg.rank_svd(jac)
+    report = analyze(result.representation)
+    n = surface.rank
+    stabilizers = sum(m * m for c in surface.classes for m in c.multiplicities())
+    nullity = jac.shape[1] - info.rank
+    assert nullity - (n * n - report.centralizer_dim) - stabilizers == report.tangent_dim
+    # J maps onto the tangent space of the coset det E = const, and its
+    # rank decision has a wide gap: kept values of order one, dropped ones
+    # at roundoff
+    assert info.rank == n * n - 1
+    assert info.smallest_kept >= 0.5
+    assert info.largest_dropped <= 1e-13
 
 
 def test_history_is_monotone():
@@ -230,7 +263,7 @@ def test_relation_layout_is_one_read_only_table_per_shape():
                         + (ConjugacyClass((0.4, 0.4)),))
     ours, theirs = _Layout(FOUR_PUNCTURE), _Layout(other)
     assert not np.array_equal(ours.lambdas, theirs.lambdas)
-    for name in ("gather", "left", "right", "owner"):
+    for name in ("gather", "owner", "a", "b"):
         table = getattr(ours, name)
         assert table is getattr(theirs, name), name
         assert not table.flags.writeable, name
@@ -251,7 +284,8 @@ def test_goto_pair_makes_the_rest_inverse_exactly(genus, rank):
         angles[-1] -= angles.sum()
         surface = SurfaceData(genus, 1, rank, (ConjugacyClass(tuple(angles)),))
         raw = _Point.random(surface, rng)
-        target = raw.suffixes()[3].conj().T
+        # rest, the letters after [a_1, b_1]
+        target = np.linalg.multi_dot(list(raw.sweep()[0][4:]) + [np.eye(rank)]).conj().T
         assert abs(np.linalg.det(target) - 1) <= 1e-13
         done = _goto_start(raw)
         a, b = done.stack[0], done.stack[1]

@@ -14,7 +14,6 @@ from surfrep.unitary import (
     adjoint_matrix,
     SKEW_TOL,
     algebra_basis,
-    basis_times,
     cayley,
     circle_distance,
     flatten_algebra,
@@ -24,7 +23,6 @@ from surfrep.unitary import (
     mat_exp,
     property_p_check,
     skew_project,
-    times_basis,
     unflatten_algebra,
     wrap_angle,
 )
@@ -122,16 +120,6 @@ def test_basis_has_at_most_one_entry_per_row_and_column():
         nonzero = algebra_basis(n) != 0
         assert nonzero.sum(axis=-1).max() <= 1
         assert nonzero.sum(axis=-2).max() <= 1
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_basis_products_in_closed_form_are_the_matrix_products(n, rng):
-    basis = algebra_basis(n)
-    for shape in [(), (1,), (6,), (2, 3)]:
-        for _ in range(20):
-            m = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
-            assert np.array_equal(basis_times(m), basis @ m[..., None, :, :])
-            assert np.array_equal(times_basis(m), m[..., None, :, :] @ basis)
 
 
 def test_invariant_form_ad_invariance(rng):
