@@ -409,8 +409,7 @@ def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
                           periphery)
     norm = None if k == 1 else _checked_order(res[k - 1], k, scale)
     b = flatten_algebra(res[k]).reshape(-1)
-    x, _ = solver(-b)
-    top = unflatten_algebra(x.reshape(nf + r, n * n), n)
+    top = unflatten_algebra(solver(-b).reshape(nf + r, n * n), n)
     return top[:nf], top[nf:], norm, linalg.scaled_norm(b)
 
 

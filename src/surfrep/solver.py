@@ -87,20 +87,53 @@ exactly when a point exists: it is the rank-2 genus-0 existence test (in
 closed form, Biswas, Int. J. Math. 9, 1998).  When the angle sum or the
 closing half-angle misses by more than ANGLE_TOL, the draw is the start.
 
+At genus 0 and N = 3 `_triangle_start` keeps the draw's frames of c_1 ...
+c_(r-2) and closes the last triangle P c_(r-1) c_r = I, P = c_1 ... c_(r-2).
+Write P = W diag(a) W^dagger (W is c_1's drawn frame when r = 3, and from
+`eig`, made unitary by QR, when r >= 4) and c_(r-1) = W V diag(b) V^dagger
+W^dagger.  A unitary 3 x 3 M with det M = delta has the characteristic
+polynomial x^3 - e_1 x^2 + delta conj(e_1) x - delta, so when the class
+angles sum to 0 mod 2 pi the class of M = diag(a) V diag(b) V^dagger, which
+must be that of c_r^-1, is decided by tr M = a^T S b alone, with
+S_ij = |V_ij|^2.  The doubly stochastic S with a^T S b = tr(Lambda_r^dagger)
+form a polygon in a plane (two real linear equations on four free
+entries), and such an S is unistochastic exactly when the numbers
+sqrt(S_1j S_2j) form a triangle (Jarlskog and Stora, Phys. Lett. B 208,
+1988; Dunkl and Zyczkowski, J. Math. Phys. 50, 2009): when its slack
+16 area^2 = 4 p_1 p_2 - (p_3 - p_1 - p_2)^2, p_j = S_1j S_2j (Heron), is
+not negative.  `_unistochastic` takes the S of largest slack that a
+vectorised search finds over parallel lines across the polygon; along
+each line the slack is a quartic, and the best line's maximum is
+polished by Newton steps.  Positive slack keeps every entry of S positive
+and the triangle from being flat.  V follows in closed form
+(`_unistochastic_unitary`): row 1 is sqrt(S_1j), row 2 sqrt(S_2j)
+e^(i phi_j) with the phases that close the triangle, row 3 the conjugate
+cross product of rows 1 and 2.  The frame of c_(r-1) is W V, and the frame
+of c_r is W times the eigenvectors of M^dagger (`eig`, made unitary by QR),
+paired with the order of c_r's class angles.  The angle sum misses 0 by
+roundoff, and that miss is put on c_(r-1)'s eigenvalues, where it stays
+roundoff, rather than on c_r's, where the gaps of the class would
+amplify it.  When the angle sum misses by more than ANGLE_TOL, a class
+in the triangle is scalar (the trace no longer depends on S) or no S of
+positive slack meets the trace, the draw is the start; for r >= 4 the
+next restart draws another P.
+
 Levenberg-Marquardt runs from the completed point as from any other: it
 stops at once when the residual is already at most 1e-14 and polishes
 otherwise, and `tol` decides convergence.  At N = 1 every commutator is
-1, so there is nothing to complete, and genus-0 N = 3 starts have no
-closed form here: both start from the raw draw.  The first converged
-irreducible point wins; if every converged restart is reducible the first
-of those is returned and callers decide whether that is acceptable.
+1, so there is nothing to complete: the raw draw is the start.  The first
+converged irreducible point wins; if every converged restart is reducible
+the first of those is returned and callers decide whether that is
+acceptable.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -110,6 +143,7 @@ from .errors import NoConvergenceError
 from .presentation import Presentation, Representation, SurfaceData, _integer_field
 from .unitary import (
     ANGLE_TOL,
+    _permutation_table,
     adjoint_matrix,
     algebra_basis,
     cayley,
@@ -127,6 +161,18 @@ _LM_SHRINK = 3.0
 _LM_GROW = 10.0
 _LM_RETRIES = 12
 
+# The doubly stochastic 3 x 3 matrices S, row-major: vec(S) = 1/3 + _DOUBLY x
+# with x = (S_11, S_12, S_21, S_22) - 1/3 (row and column sums 1).
+_DOUBLY = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 0, 0],
+                    [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -1, -1],
+                    [-1, 0, -1, 0], [0, -1, 0, -1], [1, 1, 1, 1]], dtype=float)
+# the pairs of entries of S, as two index arrays
+_ENTRY_PAIRS = tuple(np.array(list(combinations(range(9), 2))).T)
+# `_unistochastic`'s search: lines across the polygon (at these fractions
+# of its extent), nodes on each line and Newton steps from the best node
+_LINE_FRACTIONS = (np.arange(48) + 0.5) / 48
+_NODES = np.arange(17) / 16
+_TRIANGLE_NEWTON = 3
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -387,14 +433,22 @@ def _su2_times(p: tuple, q: tuple) -> tuple:
              pw * z + qw * c - (a * y - b * x)])
 
 
+def _determinant_angle(classes) -> float | None:
+    """The sum of the class angles, or None when it is not 0 mod 2 pi to
+    within ANGLE_TOL: the determinant of the relation, which every point
+    must meet."""
+    total = sum(sum(c.angles) for c in classes)
+    return None if circle_distance(total) > ANGLE_TOL else total
+
+
 def _polygon_start(point: _Point) -> _Point:
     """The genus-0, N = 2 point with frames 2..r read off a closed
     spherical polygon of the classes (module docstring); frame 1 and the
     twists come from the draw.  The point comes back as it is when the
     angle sum is not 0 mod 2 pi or the chain cannot close."""
     classes = point.layout.surface.classes
-    total = sum(sum(c.angles) for c in classes)
-    if circle_distance(total) > ANGLE_TOL:
+    total = _determinant_angle(classes)
+    if total is None:
         return point
     eps = 1.0 if math.cos(total / 2) > 0 else -1.0
     # c_j = exp(i phi_j) s_j, s_j of signed half-angle half_j about its axis
@@ -437,17 +491,167 @@ def _polygon_start(point: _Point) -> _Point:
     return _Point(point.layout, stack)
 
 
+def _triangle_slack(s: np.ndarray) -> np.ndarray:
+    """16 times the squared area of the triangle with sides sqrt(S_1j S_2j),
+    for the rows s[..., :3] and s[..., 3:6] of a row-major S:
+    4 p_1 p_2 - (p_3 - p_1 - p_2)^2 with p_j = S_1j S_2j (Heron).  On a
+    doubly stochastic S it is the same for every pair of rows or columns,
+    and it is positive exactly when the triangle closes and is not flat."""
+    p = s[..., :3] * s[..., 3:6]
+    q = p[..., 2] - p[..., 0] - p[..., 1]
+    return 4 * p[..., 0] * p[..., 1] - q * q
+
+
+def _unistochastic(a: np.ndarray, b: np.ndarray, trace: complex) -> np.ndarray | None:
+    """A 3 x 3 unistochastic S with a^T S b = trace, at the largest
+    triangle slack that the search finds, or None (module docstring).
+
+    The doubly stochastic S with a^T S b = trace form a polygon in a plane
+    (two real equations on four free entries).  Parallel lines across the
+    polygon are searched at once; along each, the slack is a quartic,
+    maximised by Newton steps from the best of a few nodes.
+    """
+    # a^T S b = sum(a) sum(b) / 3 + sum_k g_k x_k over x = (S_11, S_12, S_21,
+    # S_22) - 1/3, with g = (alpha_i beta_j) for alpha_i = a_i - a_3 and
+    # beta_j = b_j - b_3.  Solve it for the pivot pair (c, d) of x whose
+    # coefficients are furthest from parallel: g_c x_c + g_d x_d = z has
+    # x_c = -Im(conj(g_d) z) / D, x_d = Im(conj(g_c) z) / D with
+    # D = Im(conj(g_c) g_d)
+    (a1, a2, a3), (b1, b2, b3) = a.tolist(), b.tolist()
+    g = [(a1 - a3) * (b1 - b3), (a1 - a3) * (b2 - b3),
+         (a2 - a3) * (b1 - b3), (a2 - a3) * (b2 - b3)]
+    dets = {(c, d): (g[c].conjugate() * g[d]).imag
+            for c, d in combinations(range(4), 2)}
+    (c, d), det = max(dets.items(), key=lambda item: abs(item[1]))
+    if abs(det) <= 1e-12 * sum(abs(z) ** 2 for z in g):
+        return None  # a scalar class: the trace does not move with S
+    free = [k for k in range(4) if k not in (c, d)]
+    # x0 meets the trace; the two free coordinates span the plane
+    x = np.zeros((4, 3))
+    x[free, [1, 2]] = 1.0
+    for col, z in enumerate([trace - (a1 + a2 + a3) * (b1 + b2 + b3) / 3,
+                             -g[free[0]], -g[free[1]]]):
+        x[c, col] = -(g[d].conjugate() * z).imag / det
+        x[d, col] = (g[c].conjugate() * z).imag / det
+    # S = s0 + t y over the plane y in R^2, row-major
+    affine = _DOUBLY @ x
+    s0, t = affine[:, 0] + 1 / 3, affine[:, 1:]
+    # the polygon's vertices, where two entries of S vanish; a parallel
+    # pair gives y = 0, which widens nothing when it is inside
+    i, j = _ENTRY_PAIRS
+    cross = t[i, 0] * t[j, 1] - t[i, 1] * t[j, 0]
+    y = (np.array([s0[j] * t[i, 1] - s0[i] * t[j, 1], s0[i] * t[j, 0] - s0[j] * t[i, 0]])
+         / np.where(cross == 0, np.inf, cross))
+    inside = (s0[:, None] + t @ y >= -1e-12).all(axis=0)
+    if not inside.any():
+        return None
+    lo_u, hi_u = y[0, inside].min(), y[0, inside].max()
+    u = lo_u + (hi_u - lo_u) * _LINE_FRACTIONS
+    # each line's chord [lo, hi] in y_1, and rows 1 and 2 of S at the
+    # nodes lo + s (hi - lo) on it, 0 <= s <= 1
+    start = s0 + u[:, None] * t[:, 0]
+    tw = t[:, 1]
+    bound = -start / np.where(tw == 0, 1.0, tw)
+    lo = np.where(tw > 0, bound, -np.inf).max(axis=1)
+    span = np.maximum(np.where(tw < 0, bound, np.inf).min(axis=1) - lo, 0.0)
+    rows = ((start + lo[:, None] * tw)[:, None, :6]
+            + _NODES[:, None] * (span[:, None] * tw[:6])[:, None, :])
+    slack = _triangle_slack(rows)
+    k, node = np.unravel_index(slack.argmax(), slack.shape)
+    # along the best line the slack is a quartic in s: with row entries
+    # x_j + s dx_j and y_j + s dy_j, p_j and q are quadratics, and the
+    # slack 4 p_1 p_2 - q^2.  Newton steps from its best node are kept
+    # only if they climb
+    x, y = rows[k, 0].reshape(2, 3).tolist()
+    dx, dy = (rows[k, -1] - rows[k, 0]).reshape(2, 3).tolist()
+    p = [(x[j] * y[j], x[j] * dy[j] + dx[j] * y[j], dx[j] * dy[j]) for j in range(3)]
+    q = [p[2][n] - p[0][n] - p[1][n] for n in range(3)]
+    _, c1, c2, c3, c4 = [sum(4 * p[0][i] * p[1][n - i] - q[i] * q[n - i]
+                             for i in range(max(0, n - 2), min(n, 2) + 1))
+                         for n in range(5)]
+    pos = float(_NODES[node])
+    for _ in range(_TRIANGLE_NEWTON):
+        curve = 2 * c2 + pos * (6 * c3 + 12 * c4 * pos)
+        if curve >= 0:
+            break
+        slope = c1 + pos * (2 * c2 + pos * (3 * c3 + 4 * c4 * pos))
+        pos = min(1.0, max(0.0, pos - slope / curve))
+    best = s0 + t @ [u[k], lo[k] + pos * span[k]]
+    if _triangle_slack(best) < slack[k, node]:
+        best = s0 + t @ [u[k], lo[k] + _NODES[node] * span[k]]
+    return best.reshape(3, 3) if _triangle_slack(best) > 0 else None
+
+
+def _unistochastic_unitary(s: np.ndarray) -> np.ndarray:
+    """A unitary V with |V_ij|^2 = S_ij for a 3 x 3 S of positive slack:
+    row 1 sqrt(S_1j), row 2 sqrt(S_2j) e^(i phi_j) with the phases that
+    close the triangle sum_j sqrt(S_1j S_2j) e^(i phi_j) = 0, row 3 the
+    conjugate cross product of rows 1 and 2."""
+    (s11, s12, s13), (s21, s22, s23) = s[0].tolist(), s[1].tolist()
+    p1, p2, p3 = s11 * s21, s12 * s22, s13 * s23
+    # the triangle's sides z_j = sqrt(p_j) e^(i phi_j): z_1 on the real
+    # axis, z_2 turned by pi less the angle between sides 1 and 2 (law of
+    # cosines, its sine from the slack), and z_3 closing it
+    z1 = math.sqrt(p1)
+    z2 = complex(p3 - p1 - p2, math.sqrt(_triangle_slack(s.ravel()))) / (2 * z1)
+    first = [math.sqrt(s11), math.sqrt(s12), math.sqrt(s13)]
+    x, y, z = first
+    u, v, w = z1 / x, z2 / y, (-z1 - z2) / z
+    return np.array([first, [u, v, w],
+                     [(y * w - z * v).conjugate(), (z * u - x * w).conjugate(),
+                      (x * v - y * u).conjugate()]])
+
+
+def _triangle_start(point: _Point) -> _Point:
+    """The genus-0, N = 3 point whose last two frames close the triangle
+    P c_(r-1) c_r = I, P = c_1 ... c_(r-2) from the draw (module
+    docstring).  The point comes back as it is when the angle sum is not
+    0 mod 2 pi, a class of the triangle is scalar, or no unistochastic
+    matrix of positive slack meets the trace."""
+    lay = point.layout
+    if _determinant_angle(lay.surface.classes) is None:
+        return point
+    # P = W diag(a) W^H; for r = 3 that is c_1 in its drawn frame
+    if len(point.stack) == 3:
+        w, a = point.stack[0], lay.lambdas[0].diagonal()
+    else:
+        a, w = np.linalg.eig(point.sweep()[1][-2])
+        w = np.linalg.qr(w)[0]
+    b, last = lay.lambdas[-2].diagonal(), lay.lambdas[-1].diagonal()
+    # the angle sum misses 0 by roundoff: put that miss on c_(r-1)'s
+    # eigenvalues, where it stays roundoff, not on c_r's, which the
+    # eigenvalue gaps of the class would amplify
+    b = b * np.exp(-1j * cmath.phase(np.prod(a) * np.prod(b) * np.prod(last)) / 3)
+    s = _unistochastic(a, b, last.conj().sum())
+    if s is None:
+        return point
+    v = _unistochastic_unitary(s)
+    # c_r = (P c_(r-1))^-1 = W m^H W^H; its frame pairs m^H's eigenvalues
+    # with the order of the class angles
+    m = (a[:, None] * v * b) @ v.conj().T
+    e, frame = np.linalg.eig(m.conj().T)
+    perms = _permutation_table(3)
+    order = perms[np.abs(e[perms] - last).sum(axis=1).argmin()]
+    stack = point.stack.copy()
+    stack[-2] = w @ v
+    stack[-1] = w @ np.linalg.qr(frame[:, order])[0]
+    return _Point(lay, stack)
+
+
 def _exact_start(point: _Point) -> _Point:
     """The draw completed to a start that solves the relation where a
     closed form is known: Goto's pair at genus >= 1 (`_goto_start`), the
-    closed polygon at genus 0 and N = 2 (`_polygon_start`).  N = 1 and
-    genus-0 N = 3 draws come back as they are."""
+    closed polygon at genus 0 and N = 2 (`_polygon_start`) and the closed
+    last triangle at genus 0 and N = 3 (`_triangle_start`).  N = 1 draws,
+    and genus-0 draws of N > 3, come back as they are."""
     surface = point.layout.surface
     if surface.rank == 1:
         return point
     if surface.genus:
         return _goto_start(point)
-    return _polygon_start(point) if surface.rank == 2 else point
+    if surface.rank == 2:
+        return _polygon_start(point)
+    return _triangle_start(point) if surface.rank == 3 else point
 
 
 def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResult:
@@ -462,8 +666,11 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     spherical polygon of the classes, its bending half-angles chosen by the
     spherical triangle inequality (module docstring; Jeffrey and Weitsman,
     Comm. Math. Phys. 150, 1992), which solves the relation exactly
-    whenever a point exists.  Levenberg-Marquardt then only certifies or
-    polishes the start.
+    whenever a point exists.  At genus 0 and N = 3 the last two frames
+    close the triangle that the draw's product of the other classes leaves,
+    through a unistochastic matrix of the largest triangle slack found
+    (module docstring; Jarlskog and Stora, Phys. Lett. B 208, 1988).
+    Levenberg-Marquardt then only certifies or polishes the start.
     Returns the first irreducible converged point, or the first converged
     point if every restart lands on a reducible one.  Raises
     NoConvergenceError when no restart reaches the tolerance.

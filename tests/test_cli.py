@@ -425,10 +425,13 @@ def test_rank_disagreement_exits_5_with_payload(tmp_path, capsys, monkeypatch):
 
 
 def test_near_singular_transform_exits_5_with_payload(tmp_path, capsys, monkeypatch):
+    import surfrep.solver as solver
     import surfrep.unitary as unitary
 
-    # the README sphere's start is exact and takes no Cayley step; the
-    # genus-0 rank-3 witness surface has no closed-form start and steps
+    # every corpus start is exact and takes no Cayley step, so the solve
+    # starts from the raw draw here (the identity in place of
+    # `_exact_start`) and has to step
+    monkeypatch.setattr(solver, "_exact_start", lambda point: point)
     surface = smooth_instance(0, 3, 3).representation.surface
     inp = _write(tmp_path, "surf.json", surface.to_dict())
     monkeypatch.setattr(unitary, "is_skew_hermitian", lambda x: False)

@@ -103,10 +103,7 @@ def test_factored_solver_reuses_one_factorisation(rng):
     solve, _ = min_norm_solver(a)
     for _ in range(3):
         b = rng.standard_normal(6)
-        x, res = solve(b)
-        x_ref, res_ref = min_norm_solve(a, b)
-        assert np.array_equal(x, x_ref)
-        assert res == res_ref
+        assert np.array_equal(solve(b), min_norm_solve(a, b)[0])
 
 
 def test_nullspace_annihilates(rng):

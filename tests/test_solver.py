@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from surfrep import linalg, solver
 from surfrep.cohomology import analyze, is_irreducible
 from surfrep.corpus import CORPUS_SHAPES, smooth_instance
 from surfrep.errors import NoConvergenceError
+from surfrep.pairing import gram_matrix
 from surfrep.presentation import SurfaceData
 from surfrep.solver import (
     SolverConfig,
@@ -18,6 +20,7 @@ from surfrep.solver import (
     _Point,
     _polygon_start,
     _reach,
+    _triangle_start,
     solve,
 )
 from surfrep.unitary import ConjugacyClass, algebra_basis, haar_unitary
@@ -241,11 +244,13 @@ def test_zero_jacobian_stops_each_restart_without_a_step(monkeypatch):
     assert exc.value.history == (before[int(np.argmin(after))],)
 
 
-def test_restarts_past_the_first_use_their_own_children_in_order():
+def test_restarts_past_the_first_use_their_own_children_in_order(monkeypatch):
     # one step brings no restart to tolerance, so every restart runs and
     # reports; their starts differ, so a skipped or reordered child shows.
-    # The README sphere's starts are exact; the genus-0 rank-3 witness
-    # surface starts from the raw draw and has to step.
+    # Every corpus start is exact and would converge at restart 0, so the
+    # restarts start from the raw draw here (the identity in place of
+    # `_exact_start`) and have to step
+    monkeypatch.setattr(solver, "_exact_start", lambda point: point)
     surface = smooth_instance(0, 3, 3).representation.surface
     cfg = SolverConfig(seed=5, restarts=4, max_iters=1)
     with pytest.raises(NoConvergenceError) as exc:
@@ -313,13 +318,15 @@ def test_goto_start_with_a_repeated_eigenvalue_converges(theta):
 
 @pytest.mark.parametrize("genus,rank,punctures", [(1, 1, 1), (2, 1, 3), (0, 2, 4), (0, 3, 3)])
 def test_goto_start_leaves_rank_one_and_genus_zero_draws_alone(genus, rank, punctures):
-    # rank-1 and genus-0 rank-3 draws are the start as they are; a genus-0
-    # rank-2 draw is completed to the closed polygon of its classes
+    # rank-1 draws are the start as they are; a genus-0 rank-2 draw is
+    # completed to the closed polygon of its classes and a genus-0 rank-3
+    # draw to the closed last triangle, both keeping the draw's first frame
+    # and leaving the draw itself untouched
     surface = smooth_instance(genus, rank, punctures).representation.surface
     raw = _Point.random(surface, np.random.default_rng(3))
     stack = raw.stack.copy()
     start = _exact_start(raw)
-    if (genus, rank) == (0, 2):
+    if genus == 0:
         assert start.residual() <= 1e-13 < raw.residual()
         assert np.array_equal(start.stack[0], stack[0])
         assert np.array_equal(raw.stack, stack)
@@ -327,20 +334,21 @@ def test_goto_start_leaves_rank_one_and_genus_zero_draws_alone(genus, rank, punc
         assert np.array_equal(start.stack, stack)
 
 
-def test_corpus_solves_at_genus_one_and_up_need_no_step():
-    # every witness surface of genus >= 1 and rank >= 2 meets the
-    # determinant condition, so Goto's pair solves restart 0 outright and
-    # LM records the start's residual and stops
-    shapes = [s for s in CORPUS_SHAPES if s[0] >= 1 and s[1] >= 2]
-    assert len(shapes) == 5
+def test_corpus_solves_at_rank_two_and_up_need_no_step():
+    # every witness surface of rank >= 2 meets the determinant condition and
+    # its classes leave room for a point, so the exact start (Goto's pair,
+    # the closed polygon or the closed last triangle) solves restart 0
+    # outright and LM records the start's residual and stops
+    shapes = [s for s in CORPUS_SHAPES if s[1] >= 2]
+    assert len(shapes) == 9
     for shape in shapes:
         for seed in range(4):
             surface = smooth_instance(*shape, seed=seed).representation.surface
             result = solve(surface, SolverConfig(seed=seed))
-            assert result.restart_index == 0
-            assert len(result.history) == 1
-            assert result.residual <= 1e-14
-            assert result.irreducible
+            assert result.restart_index == 0, (shape, seed)
+            assert len(result.history) == 1, (shape, seed)
+            assert result.residual <= 1e-14, (shape, seed)
+            assert result.irreducible, (shape, seed)
 
 
 @pytest.mark.parametrize("genus", [1, 2])
@@ -515,3 +523,187 @@ def test_unmet_sphere_keeps_its_draw_and_gives_up(name):
     assert len(residuals) == cfg.restarts
     assert all(r > cfg.tol for r in residuals)
     assert min(residuals) == exc.value.best_residual
+
+
+def _closed_triple(peripherals):
+    """The genus-0 rank-3 surface whose classes are those of the given
+    images and of the inverse of their product, so that a point exists."""
+    product = np.linalg.multi_dot([np.eye(3), *peripherals])
+    images = list(peripherals) + [product.conj().T]
+    return SurfaceData(0, len(images), 3, tuple(
+        ConjugacyClass(tuple(np.angle(np.linalg.eigvals(m)))) for m in images))
+
+
+def _slack(s):
+    """16 area^2 of the triangle with sides sqrt(S_1j S_2j) (Heron)."""
+    p = s[0] * s[1]
+    return 4 * p[0] * p[1] - (p[2] - p[0] - p[1]) ** 2
+
+
+def _largest_slack(a, b, trace, points=301):
+    """The largest slack over the doubly stochastic S with a^T S b = trace,
+    on a dense grid of the plane of those S (the oracle of the search)."""
+    d = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    # S = J/3 + D X D^T, X real 2 x 2, and a^T S b = sum a sum b / 3 + alpha^T X beta
+    g = np.outer(d.T @ a, d.T @ b).ravel()
+    gm = np.array([g.real, g.imag])
+    rhs = trace - a.sum() * b.sum() / 3
+    x0 = np.linalg.lstsq(gm, [rhs.real, rhs.imag], rcond=None)[0]
+    plane = scipy.linalg.null_space(gm)
+    grid = np.linspace(-1.1, 1.1, points)
+    y = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    x = (x0 + y @ plane.T).reshape(-1, 2, 2)
+    s = 1 / 3 + np.einsum("ik,nkl,jl->nij", d, x, d)
+    inside = (s >= 0).all(axis=(1, 2))
+    return _slack(s[inside].transpose(1, 2, 0)).max()
+
+
+def _assert_closed_triangle(raw):
+    start = _triangle_start(raw)
+    frames = start.stack
+    gram = frames @ frames.conj().swapaxes(-1, -2)
+    assert np.linalg.norm(gram - np.eye(3), axis=(1, 2)).max() <= 1e-13
+    assert start.residual() <= 1e-13
+    # the frames of c_1 .. c_(r-2) are the draw's; the last two close the triangle
+    assert np.array_equal(frames[:-2], raw.stack[:-2])
+    assert not np.array_equal(frames[-2:], raw.stack[-2:])
+    assert is_irreducible(start.representation())
+    return start
+
+
+@pytest.mark.parametrize("punctures", [3, 4, 5])
+def test_triangle_start_closes_the_relation_exactly(punctures):
+    # seeded random classes read off a closed product.  At r = 3 the
+    # triangle (c_1, c_2, c_3) always closes; for r >= 4 the draw's
+    # P = c_1 ... c_(r-2) may leave no room for the last two classes, and
+    # then the draw comes back untouched for LM and the next restart
+    rng = np.random.default_rng(60 + punctures)
+    closed = 0
+    for _ in range(20):
+        surface = _closed_triple(haar_unitary(3, rng, punctures - 1))
+        raw = _Point.random(surface, rng)
+        stack = raw.stack.copy()
+        if _triangle_start(raw) is raw:
+            assert np.array_equal(raw.stack, stack)
+            continue
+        _assert_closed_triangle(raw)
+        closed += 1
+    assert closed == 20 if punctures == 3 else closed >= 15
+
+
+def test_triangle_start_takes_the_largest_slack():
+    # |Q_1^H Q_2|^2 is the unistochastic S that the start chose (r = 3, so
+    # P = c_1 in its drawn frame Q_1); its triangle is as far from flat as
+    # the dense oracle finds, not merely closed
+    for seed in range(4):
+        surface = smooth_instance(0, 3, 3, seed=seed).representation.surface
+        start = _assert_closed_triangle(_Point.random(surface, np.random.default_rng(seed)))
+        s = np.abs(start.stack[0].conj().T @ start.stack[1]) ** 2
+        a, b, c = (np.exp(1j * np.array(k.angles)) for k in surface.classes)
+        assert np.abs(a @ s @ b - c.conj().sum()) <= 1e-13
+        assert _slack(s) >= 0.99 * _largest_slack(a, b, c.conj().sum())
+
+
+def _thin(rng, eps):
+    # c_2 in a frame eps from c_1's: the triangle is near a reducible one,
+    # so its admissible region is small
+    q = np.linalg.qr(np.eye(3) + eps * (rng.standard_normal((3, 3))
+                                        + 1j * rng.standard_normal((3, 3))))[0]
+    c1 = np.diag(np.exp(1j * np.array([0.3, 2.0, 4.0])))
+    return _closed_triple([c1, q @ np.diag(np.exp(1j * np.array([1.0, 2.5, 5.0]))) @ q.conj().T])
+
+
+def _repeated(rng, punctures):
+    u = haar_unitary(3, rng, punctures - 1)
+    u[1] = u[1] @ np.diag(np.exp(1j * np.array([0.7, 0.7, -1.4]))) @ u[1].conj().T
+    return _closed_triple(u)
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: _repeated(rng, 3),
+    lambda rng: _repeated(rng, 4),
+    lambda rng: _closed_triple([np.exp(0.4j) * np.eye(3), *haar_unitary(3, rng, 2)]),
+    lambda rng: _thin(rng, 1e-2),
+    lambda rng: _thin(rng, 1e-3),
+], ids=["repeated-r3", "repeated-r4", "scalar-kept-r4", "thin-1e-2", "thin-1e-3"])
+def test_triangle_start_edge_cases(build):
+    # a repeated eigenvalue leaves the trace linear in fewer entries of S
+    # (and at r = 3 makes the point rigid); a scalar class among the kept
+    # frames only rotates P; a thin admissible region must still be found.
+    # At r = 4 a draw's P may leave the last triangle no room (it then
+    # comes back as it is), so there only most draws must close
+    rng = np.random.default_rng(14)
+    closed = 0
+    for seed in range(8):
+        surface = build(rng)
+        raw = _Point.random(surface, rng)
+        if surface.punctures > 3 and _triangle_start(raw) is raw:
+            continue
+        _assert_closed_triangle(raw)
+        closed += 1
+        result = solve(surface, SolverConfig(seed=seed))
+        assert result.residual <= 1e-14
+        assert result.irreducible
+        if surface.punctures == 3:
+            assert (result.restart_index, len(result.history)) == (0, 1)
+    assert closed >= 6
+
+
+@pytest.mark.filterwarnings("error")
+def test_triangle_start_with_a_scalar_class_in_the_triangle_keeps_the_draw():
+    # at r = 3 a scalar c_1 or c_2 makes a^T S b the same for every S, so
+    # there is no plane to search: the draw is the start, and LM reaches
+    # the reducible points that are all the surface has
+    rng = np.random.default_rng(15)
+    for position in (0, 1):
+        images = list(haar_unitary(3, rng, 2))
+        images[position] = np.exp(0.4j) * np.eye(3)
+        surface = _closed_triple(images[:2])
+        raw = _Point.random(surface, rng)
+        stack = raw.stack.copy()
+        assert _triangle_start(raw) is raw
+        assert np.array_equal(raw.stack, stack)
+        result = solve(surface, SolverConfig(seed=0))
+        assert result.residual <= SolverConfig().tol
+        assert not result.irreducible
+
+
+UNMET_TRIANGLES = {
+    # the angles sum to 4.2, not 0 mod 2 pi
+    "angle-sum": SurfaceData(0, 3, 3, (ConjugacyClass((0.3, 1.1, 2.0)),
+                                       ConjugacyClass((0.4, 0.4, 0.5)),
+                                       ConjugacyClass((2.0, -1.0, -1.5)))),
+    # c_1 and c_2 lie within 0.2 of I, so c_3 = (c_1 c_2)^-1 cannot have
+    # the eigenvalue e^(2i): no unistochastic S meets the trace
+    "triangle": SurfaceData(0, 3, 3, (ConjugacyClass((0.1, 0.1, -0.2)),) * 2
+                            + (ConjugacyClass((2.0, -1.0, -1.0)),)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(UNMET_TRIANGLES))
+def test_unmet_triangle_keeps_its_draw(name):
+    # no triangle closes, so the draw stays the start, untouched; a sqrt or
+    # division warning fails here
+    surface = UNMET_TRIANGLES[name]
+    for seed in range(4):
+        raw = _Point.random(surface, np.random.default_rng(seed))
+        stack = raw.stack.copy()
+        assert _exact_start(raw) is raw
+        assert np.array_equal(raw.stack, stack)
+
+
+def test_triangle_start_certifies_the_corpus_points():
+    # the (0, 3, 3) witness surfaces of perfbench's first api-certify rounds
+    # solve at restart 0 from the exact start and certify: irreducible, the
+    # expected tangent dimension, and a Gram matrix of full rank
+    for seed in range(16):
+        surface = smooth_instance(0, 3, 3, seed=seed).representation.surface
+        result = solve(surface, SolverConfig(seed=seed))
+        assert result.restart_index == 0
+        assert len(result.history) == 1
+        assert result.residual <= 1e-14
+        report = analyze(result.representation)
+        assert report.irreducible
+        assert report.tangent_dim == report.expected_dim
+        assert gram_matrix(result.representation).rank == report.tangent_dim

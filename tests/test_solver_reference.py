@@ -15,17 +15,18 @@ from them.  So a solve, its history, its residual, its restart index and
 the rejected steps pin the damping loop, the Cayley step, the
 bookkeeping of accepted and rejected candidates and `reunitarize`.
 
-For N >= 2 at genus >= 1 and for N = 2 at genus 0 `solve` completes each
-start in closed form (Goto's commutator pair, the closed polygon of the
-classes) and then rarely takes a step, so the reference restart loop
-applies the same completion, and the two LM loops are also compared from
-raw Haar starts on every corpus shape, where they do take steps.
+For N >= 2 `solve` completes each start in closed form (Goto's commutator
+pair at genus >= 1, the closed polygon of the classes at genus 0 and N = 2,
+the closed last triangle at genus 0 and N = 3) and then rarely takes a
+step, so the reference restart loop applies the same completion, and the
+two LM loops are also compared from raw Haar starts on every corpus shape,
+where they do take steps.
 """
 
 import numpy as np
 import pytest
 
-from surfrep import linalg
+from surfrep import linalg, solver
 from surfrep.cohomology import is_irreducible
 from surfrep.corpus import CORPUS_SHAPES, smooth_instance
 from surfrep.presentation import Representation, SurfaceData
@@ -35,7 +36,6 @@ from surfrep.solver import (
     _LM_RETRIES,
     _LM_SHRINK,
     SolverConfig,
-    _exact_start,
     _jacobian,
     _Layout,
     _levenberg_marquardt,
@@ -189,7 +189,8 @@ def _ref_solve(surface, cfg):
     fallback = None
     rejected = 0
     for attempt in range(cfg.restarts):
-        start = _exact_start(_Point.random(surface, np.random.default_rng(children[attempt])))
+        start = solver._exact_start(
+            _Point.random(surface, np.random.default_rng(children[attempt])))
         nh = 2 * surface.genus
         point = _RefPoint(surface, start.stack[:nh], start.stack[nh:])
         point, res, history, restart_rejected = _ref_levenberg_marquardt(point, cfg)
@@ -242,12 +243,22 @@ def test_levenberg_marquardt_matches_reference_from_raw_starts(shape, seed):
         assert len(history) > 1
 
 
-def test_comparison_covers_rejected_steps():
+def test_comparison_covers_rejected_steps(monkeypatch):
     # a candidate point leaking into the next step would only show after a
-    # rejected step; this compared case takes some
+    # rejected step.  Every corpus solve starts exact and takes no step,
+    # so both restart loops start from the raw draw here (the identity in
+    # place of `_exact_start`), and this compared case takes some
+    monkeypatch.setattr(solver, "_exact_start", lambda point: point)
     surface = smooth_instance(0, 3, 3, seed=0).representation.surface
-    _, rejected = _ref_solve(surface, SolverConfig(seed=0))
+    cfg = SolverConfig(seed=0)
+    result = solve(surface, cfg)
+    (rho, res, _, restart_index, _, history), rejected = _ref_solve(surface, cfg)
     assert rejected >= 1
+    for ours, ref in zip(result.representation.images, rho.images):
+        assert np.array_equal(ours, ref)
+    assert result.history == history
+    assert result.residual == res
+    assert result.restart_index == restart_index
 
 
 SURFACES = [
