@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatchError,
     NearSingularError,
     NoConvergenceError,
+    NonexistenceError,
     NotParabolicError,
     NumericalRankError,
     ObstructionFound,
@@ -59,6 +60,7 @@ __all__ = [
     "GramMatrix",
     "NearSingularError",
     "NoConvergenceError",
+    "NonexistenceError",
     "NotParabolicError",
     "NumericalRankError",
     "ObstructionFound",

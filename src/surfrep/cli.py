@@ -22,10 +22,11 @@ and the run "manifest" (command, input, config, seed, tool_version,
 timings).  The sections are "analysis", "relation_residual" and
 "class_residuals" for solve, "analysis" for analyze, "analysis" and
 "gram" for symplectic, "deformation" and "verify" for deform.  Bad solver
-flags (--tol, --restarts, --max-iters) are refused before any work, on a
-saved point too.
+flags (--tol, --restarts, --seed) are refused before any work, on a saved
+point too.
 
-Exit codes: 0 success, 1 invalid input, 2 solver failed to converge,
+Exit codes: 0 success, 1 invalid input (including classes that no
+representation meets, NonexistenceError), 2 solver failed to converge,
 3 the point is reducible (the same condition as not smooth), 4 the
 deformation is obstructed, 5 the point cannot be certified in double
 precision (two rank methods disagree, a transform met a near-singular
@@ -49,6 +50,7 @@ from .errors import (
     DimensionMismatchError,
     NearSingularError,
     NoConvergenceError,
+    NonexistenceError,
     NotParabolicError,
     NumericalRankError,
     ObstructionFound,
@@ -100,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10,
                        help="solver convergence tolerance")
         p.add_argument("--restarts", type=int, default=8)
-        p.add_argument("--max-iters", type=int, default=500)
 
     p_def = sub.choices["deform"]
     p_def.add_argument("--order", type=int, default=4,
@@ -256,13 +257,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         watch = Stopwatch()
         # solver flags are refused before any work, saved point or not
-        config = SolverConfig(max_iters=args.max_iters, tol=args.tol,
-                              seed=args.seed, restarts=args.restarts)
+        config = SolverConfig(tol=args.tol, seed=args.seed, restarts=args.restarts)
         payload = _COMMANDS[args.command](args, config, watch)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         return _fail(EXIT_INVALID, type(e).__name__, str(e))
     except NotParabolicError as e:
         return _fail(EXIT_INVALID, "NotParabolicError", str(e))
+    except NonexistenceError as e:
+        return _fail(EXIT_INVALID, "NonexistenceError", str(e), angle_sum=e.angle_sum)
     except NoConvergenceError as e:
         return _fail(EXIT_NO_CONVERGENCE, "NoConvergenceError", str(e),
                      restart_residuals=list(e.restart_residuals))

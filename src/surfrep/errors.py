@@ -1,5 +1,7 @@
 """Typed errors shared across the package."""
 
+import math
+
 
 class SurfrepError(Exception):
     """Base class for all package-specific errors."""
@@ -32,6 +34,17 @@ class NotParabolicError(SurfrepError):
 
 class ReducibleError(SurfrepError):
     """The representation has a commutant larger than the scalars."""
+
+
+class NonexistenceError(SurfrepError):
+    """No representation meets the classes: their angles, whose sum
+    `angle_sum` the relation forces to 0 mod 2 pi, miss it."""
+
+    def __init__(self, angle_sum):
+        miss = abs(math.remainder(angle_sum, 2 * math.pi))
+        super().__init__(f"the class angles sum to {angle_sum:.6g}, {miss:.3g} "
+                         f"away from 0 mod 2 pi, so no representation meets them")
+        self.angle_sum = angle_sum
 
 
 class NoConvergenceError(SurfrepError):

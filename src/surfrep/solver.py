@@ -28,22 +28,23 @@ right multiplication with E: J = (eta -> eta E, realified) o
 sum_k (a_k Ad(L_k) + b_k Ad(L_(k+1))), each letter's block summed onto its
 variable.  One `adjoint_matrix` call takes the prefixes and E.
 
-Every step is a damped Gauss-Newton (Levenberg-Marquardt) step on the
-manifold, from the first iterate on.  At each point one SVD of the
-Jacobian J serves every damping retry: singular values below `linalg`'s
-cutoff are structurally zero (gauge directions and the centre) and are
-dropped, the rest are damped with mu = lam * res^2, and the step
-delta = sum_i s_i <u_i, -r> / (s_i^2 + mu) v_i is retracted with the
-Cayley map, which is exactly unitary (Absil, Mahony and Sepulchre,
-Optimization Algorithms on Matrix Manifolds, 2008, section 8.4).  A step
-is accepted only if the residual falls; lam shrinks after an accepted
-step and grows after a rejected one.  With mu proportional to res^2 the
-iteration stays locally quadratic although the solutions are not
-isolated (Yamashita and Fukushima, Computing Suppl. 15, 2001), so it
-reaches machine precision, which the downstream rank decisions rely on.
-A restart stops at res <= 1e-14, when no singular value survives the cut
-(no step can move E) or no damping lowers the residual, or after
-`max_iters` steps.
+Every step is an undamped Gauss-Newton step on the manifold, the
+Moore-Penrose Newton step delta = -J^+ r (Ben-Israel, J. Math. Anal. Appl.
+15, 1966): the SVD of the Jacobian J drops the singular values below
+`linalg`'s cutoff, which are structurally zero (gauge directions and the
+centre), and delta = -sum_i <u_i, r> / s_i v_i is retracted with the Cayley
+map, which is exactly unitary (Absil, Mahony and Sepulchre, Optimization
+Algorithms on Matrix Manifolds, 2008, section 8.4), so the points stay
+unitary to roundoff and are never re-projected.  The solutions are not
+isolated; where J has constant rank near one, the step still converges to
+it quadratically, and so reaches the machine precision that the
+downstream rank decisions rely on.  Every start with a closed form below
+is already a solution, and only genus-0 draws of N >= 4 and N = 3 draws
+whose last triangle did not close are searched, so the loop needs no
+damping: a step is kept only if the residual falls, and otherwise the
+restart ends.  A restart also stops at res <= 1e-14 and after
+`_MAX_STEPS` steps.  When J keeps no singular value, the step is zero and
+cannot lower the residual.
 
 Restarts draw independent starting points from deterministic child seeds
 of SeedSequence(seed): restart k draws its child when it starts, the child
@@ -118,9 +119,9 @@ in the triangle is scalar (the trace no longer depends on S) or no S of
 positive slack meets the trace, the draw is the start; for r >= 4 the
 next restart draws another P.
 
-Levenberg-Marquardt runs from the completed point as from any other: it
-stops at once when the residual is already at most 1e-14 and polishes
-otherwise, and `tol` decides convergence.  At N = 1 every commutator is
+Gauss-Newton runs from the completed point as from any other: it stops at
+once when the residual is already at most 1e-14 and polishes otherwise,
+and `tol` decides convergence.  At N = 1 every commutator is
 1, so there is nothing to complete: the raw draw is the start.  The first
 converged irreducible point wins; if every converged restart is reducible
 the first of those is returned and callers decide whether that is
@@ -139,7 +140,7 @@ import numpy as np
 
 from . import linalg
 from .cohomology import is_irreducible
-from .errors import NoConvergenceError
+from .errors import NoConvergenceError, NonexistenceError
 from .presentation import Presentation, Representation, SurfaceData, _integer_field
 from .unitary import (
     ANGLE_TOL,
@@ -150,16 +151,11 @@ from .unitary import (
     circle_distance,
     haar_unitary,
     unflatten_algebra,
-    unitarize,
 )
 
-# Levenberg-Marquardt damping mu = lam * res^2: lam starts at _LM_LAMBDA,
-# is divided by _LM_SHRINK after an accepted step and multiplied by
-# _LM_GROW after a rejected one, at most _LM_RETRIES times per point.
-_LM_LAMBDA = 1e-2
-_LM_SHRINK = 3.0
-_LM_GROW = 10.0
-_LM_RETRIES = 12
+# Gauss-Newton steps a restart takes at most; a searched raw draw that
+# converges does so in about ten
+_MAX_STEPS = 50
 
 # The doubly stochastic 3 x 3 matrices S, row-major: vec(S) = 1/3 + _DOUBLY x
 # with x = (S_11, S_12, S_21, S_22) - 1/3 (row and column sums 1).
@@ -176,14 +172,13 @@ _TRIANGLE_NEWTON = 3
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iters: int = 500
     tol: float = 1e-10
     seed: int = 0
     restarts: int = 8
 
     def __post_init__(self):
         # integral floats such as 2.0 pass as ints; 2.5, True or NaN do not
-        for name, least in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
+        for name, least in (("restarts", 1), ("seed", 0)):
             value = _integer_field(name, getattr(self, name))
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -293,10 +288,6 @@ class _Point:
         """Cayley-retracted step along a (2g + r, N, N) stack of directions."""
         return _Point(self.layout, cayley(0.5 * dirs) @ self.stack)
 
-    def reunitarize(self) -> None:
-        self.stack = unitarize(self.stack)
-        self._sweep = None
-
     def representation(self) -> Representation:
         images = tuple(self.stack[:self.layout.nh]) + tuple(self.peripherals())
         return Representation(self.layout.surface, images)
@@ -323,34 +314,25 @@ def _jacobian(point: _Point) -> np.ndarray:
     return realified @ fox.transpose(1, 0, 2).reshape(d, -1)
 
 
-def _levenberg_marquardt(point: _Point, cfg: SolverConfig):
-    """Damped Gauss-Newton steps from the start; returns the point, its
-    residual and the residual before each step."""
+def _gauss_newton(point: _Point):
+    """Undamped Gauss-Newton steps from the start, each kept only if the
+    residual falls; returns the point, its residual and the residual
+    before each step."""
     n = point.layout.surface.rank
-    lam = _LM_LAMBDA
     history = []
     res = point.residual()
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_STEPS):
         history.append(res)
         if res <= 1e-14:
             break
         u, s, vt, _ = linalg.truncated_svd(_jacobian(point))
-        if s.size == 0:
-            break  # the Jacobian is zero: no step moves E
-        rhs = s * (u.T @ -_complex_to_real(point.sweep()[2] - point.layout.eye))
-        for _ in range(_LM_RETRIES):
-            delta = vt.T @ (rhs / (s * s + lam * res * res))
-            cand = point.step(unflatten_algebra(delta.reshape(-1, n * n), n))
-            cand_res = cand.residual()
-            if cand_res < res:
-                break
-            lam *= _LM_GROW
-        else:
+        delta = vt.T @ ((u.T @ -_complex_to_real(point.sweep()[2] - point.layout.eye)) / s)
+        cand = point.step(unflatten_algebra(delta.reshape(-1, n * n), n))
+        cand_res = cand.residual()
+        if cand_res >= res:
             break
         point, res = cand, cand_res
-        lam /= _LM_SHRINK
-    point.reunitarize()
-    return point, point.residual(), history
+    return point, res, history
 
 
 def _goto_start(point: _Point) -> _Point:
@@ -657,27 +639,24 @@ def _exact_start(point: _Point) -> _Point:
 def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResult:
     """Find a representation with the prescribed peripheral classes.
 
-    Runs deterministic restarts; each draws a Haar point and takes
-    Levenberg-Marquardt steps from it.  For genus >= 1 and N >= 2 the
-    draw's (a_1, b_1) is first replaced by Goto's commutator pair for the
-    rest of the relation (module docstring; Goto, J. Math. Soc. Japan 1,
-    1949), which solves the relation exactly when the class angles sum to
-    0 mod 2 pi.  At genus 0 and N = 2 the frames are completed to a closed
-    spherical polygon of the classes, its bending half-angles chosen by the
-    spherical triangle inequality (module docstring; Jeffrey and Weitsman,
-    Comm. Math. Phys. 150, 1992), which solves the relation exactly
-    whenever a point exists.  At genus 0 and N = 3 the last two frames
-    close the triangle that the draw's product of the other classes leaves,
-    through a unistochastic matrix of the largest triangle slack found
-    (module docstring; Jarlskog and Stora, Phys. Lett. B 208, 1988).
-    Levenberg-Marquardt then only certifies or polishes the start.
-    Returns the first irreducible converged point, or the first converged
-    point if every restart lands on a reducible one.  Raises
-    NoConvergenceError when no restart reaches the tolerance.
+    Refuses classes whose angles do not sum to 0 mod 2 pi before any
+    restart, with NonexistenceError carrying the angle sum: the relation
+    has determinant 1, so no point exists.  Then runs deterministic
+    restarts; each draws a Haar point, completes it to an exact start where
+    a closed form is known (module docstring: Goto's commutator pair at
+    genus >= 1, the closed spherical polygon at genus 0 and N = 2, the
+    closed last triangle at genus 0 and N = 3) and takes undamped
+    Moore-Penrose Newton steps delta = -J^+ r from it (Ben-Israel, J. Math.
+    Anal. Appl. 15, 1966) until one fails to lower the residual.  Returns
+    the first irreducible converged point, or the first converged point if
+    every restart lands on a reducible one.  Raises NoConvergenceError when
+    no restart reaches the tolerance.
     """
     cfg = config or SolverConfig()
     if surface.presentation.free_rank == 0:
         raise ValueError("degenerate surface (genus 0, one puncture) has no moduli")
+    if _determinant_angle(surface.classes) is None:
+        raise NonexistenceError(float(sum(sum(c.angles) for c in surface.classes)))
     seeds = np.random.SeedSequence(cfg.seed)
     layout = _Layout(surface)
     fallback = None
@@ -687,7 +666,7 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     for attempt in range(cfg.restarts):
         rng = np.random.default_rng(seeds.spawn(1)[0])
         point = _exact_start(_Point.random(surface, rng, layout))
-        point, res, history = _levenberg_marquardt(point, cfg)
+        point, res, history = _gauss_newton(point)
         residuals.append(res)
         if res < best_res:
             best_res = res

@@ -16,9 +16,8 @@ inverse is one contraction with the basis, and Ad(g) is one Kronecker
 product between two fixed matrices.  A member of a stack comes out bit
 for bit as it does alone, so callers pass a stack wherever they have one.
 
-Matrix-valued results that are skew-Hermitian or unitary by contract are
-re-projected onto the constraint set where drift could otherwise
-accumulate.
+Matrix-valued results that are skew-Hermitian by contract are
+re-projected onto u(N) where drift could otherwise accumulate.
 """
 
 from __future__ import annotations
@@ -66,12 +65,6 @@ def is_skew_hermitian(x: np.ndarray) -> bool:
         return False
     herm = norms_along(x + x.conj().swapaxes(-1, -2), (-2, -1))
     return bool((herm <= SKEW_TOL * np.maximum(1.0, norms_along(x, (-2, -1)))).all())
-
-
-def unitarize(u: np.ndarray) -> np.ndarray:
-    """Nearest unitary matrix, or stack of them (polar projection via SVD)."""
-    w, _, vh = np.linalg.svd(u)
-    return w @ vh
 
 
 def mat_exp(x: np.ndarray) -> np.ndarray:

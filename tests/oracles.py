@@ -38,8 +38,10 @@ view of the package's stacked series kernel (`deformation._cauchy`,
 `_exp` and `_log`) that the per-letter references are written in.
 
 The rest are u(N) and word operations that the checks state their
-properties with: the invariant form, the commutator and the truncated
-Baker-Campbell-Hausdorff series.
+properties with: the invariant form, the commutator, the truncated
+Baker-Campbell-Hausdorff series and the polar projection onto U(N),
+`unitarize`, which the solver never applies (its Cayley steps keep
+points unitary to roundoff).
 """
 
 import math
@@ -79,6 +81,12 @@ def reduce_word(w):
 def is_unitary(u, tol=1e-10):
     n = u.shape[0]
     return bool(np.linalg.norm(u.conj().T @ u - np.eye(n)) <= tol)
+
+
+def unitarize(u):
+    """Nearest unitary matrix, or stack of them (polar projection via SVD)."""
+    w, _, vh = np.linalg.svd(u)
+    return w @ vh
 
 
 def bracket(x, y):

@@ -11,7 +11,7 @@ import scipy.linalg
 from surfrep.cohomology import analyze, parabolic_tangent_basis, unflatten_cochain
 from surfrep.corpus import obstructed_instance, tangent_direction
 from surfrep.deformation import build_deformation, verify_deformation
-from surfrep.errors import NoConvergenceError, ObstructionFound
+from surfrep.errors import NoConvergenceError, NonexistenceError, ObstructionFound
 from surfrep.pairing import gram_matrix, lift_to_cone, symplectic_form
 from surfrep.presentation import SurfaceData, build_periphery, evaluate_word
 from surfrep.solver import SolverConfig, solve
@@ -240,12 +240,22 @@ def test_7_property_p_double_enumeration():
 
 
 def test_8_solver_contract():
+    # the angle sum 1.0 is not 0 mod 2 pi: refused before any restart
     infeasible = SurfaceData(1, 1, 1, (ConjugacyClass((1.0,)),))
     try:
-        solve(infeasible, SolverConfig(seed=0, restarts=3, max_iters=60))
+        solve(infeasible, SolverConfig(seed=0, restarts=3))
         ok = False
-    except NoConvergenceError:
+    except NonexistenceError:
         ok = True
+    # the angles pass, but half-angles 0.1, 0.1, 3.0 close no spherical
+    # triangle: every restart runs and the solver gives up
+    unmet = SurfaceData(0, 3, 2, (ConjugacyClass((0.1, -0.1)),) * 2
+                        + (ConjugacyClass((3.0, -3.0)),))
+    try:
+        solve(unmet, SolverConfig(seed=0, restarts=3))
+        ok = False
+    except NoConvergenceError as e:
+        ok = ok and len(e.restart_residuals) == 3
 
     for surface in (
         SurfaceData(0, 2, 1, (ConjugacyClass((0.8,)), ConjugacyClass((-0.8,)))),
@@ -263,7 +273,8 @@ def test_8_solver_contract():
         for x, y in zip(runs[0].representation.images,
                         runs[1].representation.images)
     )
-    assert _verdict(8, "solver: infeasible refuses, abelian to 1e-12, "
+    assert _verdict(8, "solver: unmet determinant refused, unmet triangle "
+                       "gives up, abelian to 1e-12, "
                        "4-punctured sphere to 1e-10 deterministically", ok)
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from surfrep import cli
+from surfrep import cli, solver
 from surfrep.corpus import obstructed_instance, smooth_instance, tangent_direction
 from surfrep.deformation import build_deformation
 from surfrep.errors import ObstructionFound
@@ -245,21 +245,47 @@ def test_usage_error_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+# half-angles 0.1, 0.1 and 3.0 break the spherical triangle inequality: no
+# point exists, and the determinant check cannot tell
+TRIANGLE_SPHERE = {
+    "genus": 0, "punctures": 3, "rank": 2,
+    "classes": [[0.1, -0.1], [0.1, -0.1], [3.0, -3.0]],
+}
+
+
 def test_infeasible_surface_exits_2(tmp_path, capsys):
-    inp = _write(tmp_path, "bad.json", {
-        "genus": 1, "punctures": 1, "rank": 1, "classes": [[1.0]],
-    })
-    code, _, err = _run(capsys, ["solve", "--input", inp, "--max-iters", "60",
-                                 "--restarts", "2"])
+    inp = _write(tmp_path, "bad.json", TRIANGLE_SPHERE)
+    code, _, err = _run(capsys, ["solve", "--input", inp, "--restarts", "2"])
     assert code == 2
     assert json.loads(err)["error"]["type"] == "NoConvergenceError"
 
 
+@pytest.mark.parametrize("surface,angle_sum", [
+    ({"genus": 1, "punctures": 1, "rank": 1, "classes": [[1.0]]}, 1.0),
+    ({"genus": 0, "punctures": 4, "rank": 2,
+      "classes": [[HALF_PI, -HALF_PI]] * 3 + [[HALF_PI, 0.5 - HALF_PI]]}, 8 * np.pi + 0.5),
+], ids=["u1-torus", "angle-sum-sphere"])
+def test_unmet_determinant_exits_1_before_any_restart(tmp_path, capsys, monkeypatch,
+                                                      surface, angle_sum):
+    # the relation has determinant 1, so class angles that do not sum to 0
+    # mod 2 pi are met by no point; solve refuses them before it draws
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a restart ran on a surface with no point")
+
+    monkeypatch.setattr(solver._Point, "random", no_draw)
+    inp = _write(tmp_path, "bad.json", surface)
+    code, out, err = _run(capsys, ["solve", "--input", inp])
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "NonexistenceError"
+    assert payload["angle_sum"] == pytest.approx(angle_sum, abs=1e-12)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("punctures,classes", [
-    (4, [[HALF_PI, -HALF_PI]] * 3 + [[HALF_PI, 0.5 - HALF_PI]]),
-    (3, [[0.1, -0.1], [0.1, -0.1], [3.0, -3.0]]),
-], ids=["angle-sum", "triangle"])
+    (3, TRIANGLE_SPHERE["classes"]),
+], ids=["triangle"])
 def test_unmet_sphere_solve_exits_2(tmp_path, capsys, punctures, classes):
     # no closed polygon: the genus-0 rank-2 start stays the draw, every
     # restart runs and the solver gives up with each restart's residual
@@ -396,11 +422,8 @@ def test_malformed_classes_exit_1(tmp_path, capsys, classes):
 
 
 def test_no_convergence_payload_lists_restart_residuals(tmp_path, capsys):
-    inp = _write(tmp_path, "bad.json", {
-        "genus": 1, "punctures": 1, "rank": 1, "classes": [[1.0]],
-    })
-    code, _, err = _run(capsys, ["solve", "--input", inp, "--max-iters", "60",
-                                 "--restarts", "3"])
+    inp = _write(tmp_path, "bad.json", TRIANGLE_SPHERE)
+    code, _, err = _run(capsys, ["solve", "--input", inp, "--restarts", "3"])
     assert code == 2
     residuals = json.loads(err)["error"]["restart_residuals"]
     assert len(residuals) == 3
@@ -487,13 +510,28 @@ def test_non_finite_tol_exits_1_before_solving(tmp_path, capsys, monkeypatch, to
                    point_to_dict(smooth_instance(1, 2, 1).representation))
     for command in ("solve", "analyze", "symplectic", "deform"):
         for inp in (surface, point):
-            code, out, err = _run(capsys, [command, "--input", inp, "--tol", tol,
-                                           "--max-iters", "1"])
+            code, out, err = _run(capsys, [command, "--input", inp, "--tol", tol])
             assert code == 1, (command, inp)
             assert out == ""
             error = json.loads(err)["error"]
             assert error["type"] == "ValueError"
             assert "finite" in error["message"]
+
+
+def test_max_iters_is_no_longer_a_flag(tmp_path, capsys):
+    # the solver takes at most a fixed number of undamped steps per restart,
+    # so there is no step budget to set: the flag is a usage error, and the
+    # manifest's config holds the three solver settings that remain
+    inp = _write(tmp_path, "surf.json", FOUR_PUNCTURE)
+    code, out, err = _run(capsys, ["solve", "--input", inp, "--max-iters", "60"])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "--max-iters" in error["message"]
+    code, out, _ = _run(capsys, ["solve", "--input", inp])
+    assert code == 0
+    assert json.loads(out)["manifest"]["config"] == {"tol": 1e-10, "seed": 0, "restarts": 8}
 
 
 def test_negative_seed_exits_1_before_any_work(tmp_path, capsys, monkeypatch):

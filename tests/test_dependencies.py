@@ -113,9 +113,9 @@ def test_every_package_definition_has_a_caller():
     assert dead == _BENCHMARK_COUNTED | _PUBLIC_WITHOUT_CALLER
 
 
-# SVDs outside linalg that decide no rank: a polar projection and the
-# polar factor of the canonical tangent basis
-_SVD_WITHOUT_RANK = {"unitary.unitarize", "cohomology._canonical_columns"}
+# SVDs outside linalg that decide no rank: the polar factor of the
+# canonical tangent basis
+_SVD_WITHOUT_RANK = {"cohomology._canonical_columns"}
 
 
 def _svd_callers(root):

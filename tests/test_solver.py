@@ -7,16 +7,16 @@ import scipy.linalg
 from surfrep import linalg, solver
 from surfrep.cohomology import analyze, is_irreducible
 from surfrep.corpus import CORPUS_SHAPES, smooth_instance
-from surfrep.errors import NoConvergenceError
+from surfrep.errors import NoConvergenceError, NonexistenceError
 from surfrep.pairing import gram_matrix
 from surfrep.presentation import SurfaceData
 from surfrep.solver import (
     SolverConfig,
     _exact_start,
+    _gauss_newton,
     _goto_start,
     _jacobian,
     _Layout,
-    _levenberg_marquardt,
     _Point,
     _polygon_start,
     _reach,
@@ -24,6 +24,8 @@ from surfrep.solver import (
     solve,
 )
 from surfrep.unitary import ConjugacyClass, algebra_basis, haar_unitary
+
+from oracles import unitarize
 
 HALF_PI = np.pi / 2
 
@@ -43,13 +45,17 @@ def test_feasible_abelian_torus():
     assert result.residual <= 1e-12
 
 
-def test_infeasible_single_puncture_raises():
-    # U(1) is abelian, so the commutator relation forces a trivial puncture
+def test_infeasible_single_puncture_raises(monkeypatch):
+    # U(1) is abelian, so the commutator relation forces a trivial puncture:
+    # the angle sum 1.0 is not 0 mod 2 pi, and solve refuses before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a restart ran on a surface with no point")
+
+    monkeypatch.setattr(_Point, "random", no_draw)
     surface = SurfaceData(1, 1, 1, (ConjugacyClass((1.0,)),))
-    with pytest.raises(NoConvergenceError) as exc:
-        solve(surface, SolverConfig(seed=0, restarts=3, max_iters=60))
-    assert exc.value.best_residual > 0.1
-    assert len(exc.value.history) > 0
+    with pytest.raises(NonexistenceError) as exc:
+        solve(surface, SolverConfig(seed=0, restarts=3))
+    assert exc.value.angle_sum == 1.0
 
 
 def test_four_puncture_case_converges_irreducible():
@@ -118,14 +124,14 @@ def test_the_chart_kernel_gives_the_tangent_dimension(shape, monkeypatch):
     # N^2 - centralizer_dim of them, and each frame's stabilizer, sum m^2
     # over the multiplicities of its class, and the rest is H^1
     finals = []
-    lm = solver._levenberg_marquardt
+    gauss_newton = solver._gauss_newton
 
-    def recorded(point, cfg):
-        out = lm(point, cfg)
+    def recorded(point):
+        out = gauss_newton(point)
         finals.append(out[0])
         return out
 
-    monkeypatch.setattr(solver, "_levenberg_marquardt", recorded)
+    monkeypatch.setattr(solver, "_gauss_newton", recorded)
     surface = smooth_instance(*shape, seed=0).representation.surface
     result = solve(surface, SolverConfig(seed=0))
     jac = _jacobian(finals[result.restart_index])
@@ -163,14 +169,11 @@ def test_config_validation():
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
 
 
 @pytest.mark.parametrize("field,value", [
-    ("max_iters", 2.5), ("restarts", 1.5), ("seed", 0.5), ("max_iters", float("nan")),
-    ("max_iters", True), ("restarts", True), ("seed", True), ("seed", False),
-    ("seed", -1), ("max_iters", -3), ("restarts", 0), ("tol", True),
+    ("restarts", 1.5), ("seed", 0.5), ("restarts", True), ("seed", True),
+    ("seed", False), ("seed", -1), ("restarts", 0), ("tol", True),
 ])
 def test_config_refuses_a_bad_integer_field_by_name(field, value):
     # before, 2.5 or 1.5 died later with a TypeError, True meant 1 and a
@@ -180,9 +183,8 @@ def test_config_refuses_a_bad_integer_field_by_name(field, value):
 
 
 def test_config_takes_integral_floats_as_ints():
-    cfg = SolverConfig(max_iters=3.0, restarts=2.0, seed=0.0)
-    assert [(type(v), v) for v in (cfg.max_iters, cfg.restarts, cfg.seed)] == [
-        (int, 3), (int, 2), (int, 0)]
+    cfg = SolverConfig(restarts=2.0, seed=0.0)
+    assert [(type(v), v) for v in (cfg.restarts, cfg.seed)] == [(int, 2), (int, 0)]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -207,8 +209,8 @@ def test_solved_points_certify_smooth_irreducible():
 
 
 def test_no_convergence_reports_each_restart_residual():
-    surface = SurfaceData(1, 1, 1, (ConjugacyClass((1.0,)),))
-    cfg = SolverConfig(seed=0, restarts=3, max_iters=60)
+    surface = UNMET_SPHERES["triangle"]
+    cfg = SolverConfig(seed=0, restarts=3)
     with pytest.raises(NoConvergenceError) as exc:
         solve(surface, cfg)
     residuals = exc.value.restart_residuals
@@ -218,10 +220,12 @@ def test_no_convergence_reports_each_restart_residual():
 
 
 def test_zero_jacobian_stops_each_restart_without_a_step(monkeypatch):
-    # U(1) is abelian: E = [a, b] c does not move with the point, the
-    # Jacobian keeps no singular value and no Cayley step can help
-    surface = SurfaceData(1, 1, 1, (ConjugacyClass((1.0,)),))
-    cfg = SolverConfig(seed=0, restarts=3, max_iters=60)
+    # U(1) is abelian: E = [a, b] c = c does not move with the point, so the
+    # Jacobian keeps no singular value and no Cayley step can help.  The
+    # angle 5e-10 passes the determinant check (it is within ANGLE_TOL of
+    # 0), yet the residual |c - 1| = 5e-10 stays above tol: no point exists
+    surface = SurfaceData(1, 1, 1, (ConjugacyClass((5e-10,)),))
+    cfg = SolverConfig(seed=0, restarts=3)
     steps = []
     original = _Point.step
 
@@ -232,33 +236,33 @@ def test_zero_jacobian_stops_each_restart_without_a_step(monkeypatch):
     monkeypatch.setattr(_Point, "step", counted)
     with pytest.raises(NoConvergenceError) as exc:
         solve(surface, cfg)
-    assert steps == []
-    # each restart ends at its (reunitarized) start, after one iterate
-    before, after = [], []
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-        point = _Point.random(surface, np.random.default_rng(child))
-        before.append(point.residual())
-        point.reunitarize()
-        after.append(point.residual())
-    assert exc.value.restart_residuals == tuple(after)
-    assert exc.value.history == (before[int(np.argmin(after))],)
+    # each restart tries the one step an empty SVD gives, zero, and it
+    # cannot lower the residual
+    assert len(steps) == cfg.restarts
+    assert not any(dirs.any() for dirs in steps)
+    # so each restart ends at its start, after one iterate
+    starts = [_Point.random(surface, np.random.default_rng(child)).residual()
+              for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
+    assert all(r > cfg.tol for r in starts)
+    assert exc.value.restart_residuals == tuple(starts)
+    assert exc.value.history == (min(starts),)
 
 
 def test_restarts_past_the_first_use_their_own_children_in_order(monkeypatch):
-    # one step brings no restart to tolerance, so every restart runs and
-    # reports; their starts differ, so a skipped or reordered child shows.
-    # Every corpus start is exact and would converge at restart 0, so the
+    # a tol below roundoff brings no restart to tolerance, so every restart
+    # runs and reports; their starts differ, so a skipped or reordered child
+    # shows.  Every corpus start is exact and would stop at once, so the
     # restarts start from the raw draw here (the identity in place of
     # `_exact_start`) and have to step
     monkeypatch.setattr(solver, "_exact_start", lambda point: point)
     surface = smooth_instance(0, 3, 3).representation.surface
-    cfg = SolverConfig(seed=5, restarts=4, max_iters=1)
+    cfg = SolverConfig(seed=5, restarts=4, tol=1e-300)
     with pytest.raises(NoConvergenceError) as exc:
         solve(surface, cfg)
     expected = []
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         point = _Point.random(surface, np.random.default_rng(child))
-        expected.append(_levenberg_marquardt(point, cfg)[1])
+        expected.append(_gauss_newton(point)[1])
     assert len(set(expected)) == cfg.restarts
     assert exc.value.restart_residuals == tuple(expected)
 
@@ -317,7 +321,7 @@ def test_goto_start_with_a_repeated_eigenvalue_converges(theta):
 
 
 @pytest.mark.parametrize("genus,rank,punctures", [(1, 1, 1), (2, 1, 3), (0, 2, 4), (0, 3, 3)])
-def test_goto_start_leaves_rank_one_and_genus_zero_draws_alone(genus, rank, punctures):
+def test_exact_start_keeps_rank_one_draws_and_completes_genus_zero_ones(genus, rank, punctures):
     # rank-1 draws are the start as they are; a genus-0 rank-2 draw is
     # completed to the closed polygon of its classes and a genus-0 rank-3
     # draw to the closed last triangle, both keeping the draw's first frame
@@ -349,6 +353,23 @@ def test_corpus_solves_at_rank_two_and_up_need_no_step():
             assert len(result.history) == 1, (shape, seed)
             assert result.residual <= 1e-14, (shape, seed)
             assert result.irreducible, (shape, seed)
+
+
+@pytest.mark.parametrize("punctures", [3, 4, 5])
+def test_genus_zero_rank_four_solves_from_the_raw_draw(punctures):
+    # no closed form completes a genus-0 draw of N = 4: Gauss-Newton
+    # searches from the raw draw, and its Cayley steps keep the point
+    # unitary without any re-projection
+    for seed in range(4):
+        surface = smooth_instance(0, 4, punctures, seed=seed).representation.surface
+        result = solve(surface, SolverConfig(seed=seed))
+        assert result.residual <= SolverConfig().tol, seed
+        assert len(result.history) > 1, seed
+        assert result.irreducible, seed
+        report = analyze(result.representation)
+        assert report.tangent_dim == report.expected_dim, seed
+        images = np.array(result.representation.images)
+        assert np.abs(images - unitarize(images)).max() <= 1e-13, seed
 
 
 @pytest.mark.parametrize("genus", [1, 2])
@@ -510,13 +531,19 @@ UNMET_SPHERES = {
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(UNMET_SPHERES))
 def test_unmet_sphere_keeps_its_draw_and_gives_up(name):
-    # no polygon closes, so the draw stays the start, untouched, and the
-    # solver gives up as before; an arccos or sqrt domain warning fails here
+    # no polygon closes, so the draw stays the start, untouched; an arccos
+    # or sqrt domain warning fails here.  The solver gives up on the
+    # triangle sphere and refuses the angle-sum sphere before any restart
     surface = UNMET_SPHERES[name]
     raw = _Point.random(surface, np.random.default_rng(0))
     stack = raw.stack.copy()
     assert np.array_equal(_exact_start(raw).stack, stack)
     cfg = SolverConfig()
+    if name == "angle-sum":
+        with pytest.raises(NonexistenceError) as refused:
+            solve(surface, cfg)
+        assert refused.value.angle_sum == pytest.approx(8 * np.pi + 0.5, abs=1e-12)
+        return
     with pytest.raises(NoConvergenceError) as exc:
         solve(surface, cfg)
     residuals = exc.value.restart_residuals

@@ -8,19 +8,19 @@ the Jacobian as a loop over variables x basis x letters of the products
 L_k dM_k R_k.  The two Jacobians round differently, so they are compared
 to 1e-13 of the reference's scale.
 
-Everything else is compared bit for bit.  The reference
-Levenberg-Marquardt loop moves, retracts and reunitarizes its own lists
-of matrices, and takes its Jacobian from `_jacobian` on a `_Point` built
-from them.  So a solve, its history, its residual, its restart index and
-the rejected steps pin the damping loop, the Cayley step, the
-bookkeeping of accepted and rejected candidates and `reunitarize`.
+Everything else is compared bit for bit.  The reference Gauss-Newton
+loop moves and retracts its own lists of matrices, and takes its
+Jacobian from `_jacobian` on a `_Point` built from them.  So a solve, its
+history, its residual, its restart index and the rejected step that ends
+a restart pin the step, the Cayley retraction and the bookkeeping of
+accepted and rejected candidates.
 
 For N >= 2 `solve` completes each start in closed form (Goto's commutator
 pair at genus >= 1, the closed polygon of the classes at genus 0 and N = 2,
 the closed last triangle at genus 0 and N = 3) and then rarely takes a
 step, so the reference restart loop applies the same completion, and the
-two LM loops are also compared from raw Haar starts on every corpus shape,
-where they do take steps.
+two Gauss-Newton loops are also compared from raw Haar starts on every
+corpus shape, where they do take steps.
 """
 
 import numpy as np
@@ -29,25 +29,18 @@ import pytest
 from surfrep import linalg, solver
 from surfrep.cohomology import is_irreducible
 from surfrep.corpus import CORPUS_SHAPES, smooth_instance
+from surfrep.errors import NoConvergenceError
 from surfrep.presentation import Representation, SurfaceData
 from surfrep.solver import (
-    _LM_GROW,
-    _LM_LAMBDA,
-    _LM_RETRIES,
-    _LM_SHRINK,
+    _MAX_STEPS,
     SolverConfig,
+    _gauss_newton,
     _jacobian,
     _Layout,
-    _levenberg_marquardt,
     _Point,
     solve,
 )
-from surfrep.unitary import (
-    ConjugacyClass,
-    algebra_basis,
-    cayley,
-    unitarize,
-)
+from surfrep.unitary import ConjugacyClass, algebra_basis, cayley
 
 from oracles import bracket
 
@@ -101,10 +94,6 @@ class _RefPoint:
         nh = len(self.handles)
         return _RefPoint(self.surface, moved[:nh], moved[nh:])
 
-    def reunitarize(self):
-        self.handles = [unitarize(m) for m in self.handles]
-        self.frames = [unitarize(m) for m in self.frames]
-
     def representation(self):
         return Representation(self.surface, tuple(self.handles) + tuple(self.peripherals()))
 
@@ -138,20 +127,18 @@ def _ref_jacobian(point, basis):
     return np.array(cols).T
 
 
-def _ref_levenberg_marquardt(point, cfg):
-    """The solver's damped Gauss-Newton loop on a point held as lists,
+def _ref_gauss_newton(point):
+    """The solver's undamped Gauss-Newton loop on a point held as lists,
     with the solver's Jacobian of that point.
 
-    Returns the point, its residual, the history and the number of
-    rejected (re-damped) steps.
+    Returns the point, its residual, the history and whether the restart
+    ended on a rejected step.
     """
     n = point.surface.rank
     basis = algebra_basis(n)
-    lam = _LM_LAMBDA
     history = []
-    rejected = 0
     res = point.residual()
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_STEPS):
         history.append(res)
         if res <= 1e-14:
             break
@@ -159,51 +146,42 @@ def _ref_levenberg_marquardt(point, cfg):
         keep = s > max(linalg.SOLVE_RTOL * s[0], linalg.RANK_ATOL)
         u, s, vt = u[:, keep], s[keep], vt[keep]
         e, _, _ = point.relation_product()
-        rhs = s * (u.T @ -_complex_to_real(e - np.eye(n)))
+        delta = vt.T @ ((u.T @ -_complex_to_real(e - np.eye(n))) / s)
+        dirs = np.tensordot(delta.reshape(-1, n * n), basis, axes=1)
         nh = len(point.handles)
-        moved = None
-        for _ in range(_LM_RETRIES):
-            delta = vt.T @ (rhs / (s * s + lam * res * res))
-            dirs = np.tensordot(delta.reshape(-1, n * n), basis, axes=1)
-            cand = point.move(dirs[:nh], dirs[nh:])
-            cand_res = cand.residual()
-            if cand_res < res:
-                moved = cand
-                break
-            rejected += 1
-            lam *= _LM_GROW
-        if moved is None:
-            break
-        point, res = moved, cand_res
-        lam /= _LM_SHRINK
-    point.reunitarize()
-    return point, point.residual(), history, rejected
+        cand = point.move(dirs[:nh], dirs[nh:])
+        cand_res = cand.residual()
+        if cand_res >= res:
+            return point, res, history, True
+        point, res = cand, cand_res
+    return point, res, history, False
 
 
 def _ref_solve(surface, cfg):
-    """The restart loop of `solve` over the reference LM loop.
+    """The restart loop of `solve` over the reference Gauss-Newton loop.
 
-    Returns the winning result and the rejected steps of every restart run.
+    Returns the winning result, or None, and (residual, history, whether it
+    ended on a rejected step) for every restart run.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     fallback = None
-    rejected = 0
+    runs = []
     for attempt in range(cfg.restarts):
         start = solver._exact_start(
             _Point.random(surface, np.random.default_rng(children[attempt])))
         nh = 2 * surface.genus
         point = _RefPoint(surface, start.stack[:nh], start.stack[nh:])
-        point, res, history, restart_rejected = _ref_levenberg_marquardt(point, cfg)
-        rejected += restart_rejected
+        point, res, history, rejected = _ref_gauss_newton(point)
+        runs.append((res, tuple(history), rejected))
         if res > cfg.tol:
             continue
         rho = point.representation()
         result = (rho, res, len(history), attempt, is_irreducible(rho), tuple(history))
         if result[4]:
-            return result, rejected
+            return result, runs
         if fallback is None:
             fallback = result
-    return fallback, rejected
+    return fallback, runs
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -226,15 +204,15 @@ def test_solve_matches_reference_bit_for_bit(shape, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("shape", CORPUS_SHAPES, ids=lambda s: "g{}_n{}_r{}".format(*s))
 def test_levenberg_marquardt_matches_reference_from_raw_starts(shape, seed):
-    # the raw Haar draw, without the closed-form completion: LM has to
-    # search here at every rank >= 2
+    # the raw Haar draw, without the closed-form completion: Gauss-Newton
+    # has to search here at every rank >= 2.  The test keeps the name of
+    # the damped loop that the undamped one replaced
     surface = smooth_instance(*shape, seed=seed).representation.surface
-    cfg = SolverConfig(seed=seed)
     start = _Point.random(surface, np.random.default_rng(seed))
     nh = 2 * surface.genus
     ref = _RefPoint(surface, start.stack[:nh], start.stack[nh:])
-    point, res, history = _levenberg_marquardt(start, cfg)
-    ref, ref_res, ref_history, _ = _ref_levenberg_marquardt(ref, cfg)
+    point, res, history = _gauss_newton(start)
+    ref, ref_res, ref_history, _ = _ref_gauss_newton(ref)
     for ours, theirs in zip(point.representation().images, ref.representation().images):
         assert np.array_equal(ours, theirs)
     assert history == list(ref_history)
@@ -243,22 +221,23 @@ def test_levenberg_marquardt_matches_reference_from_raw_starts(shape, seed):
         assert len(history) > 1
 
 
-def test_comparison_covers_rejected_steps(monkeypatch):
-    # a candidate point leaking into the next step would only show after a
-    # rejected step.  Every corpus solve starts exact and takes no step,
-    # so both restart loops start from the raw draw here (the identity in
-    # place of `_exact_start`), and this compared case takes some
-    monkeypatch.setattr(solver, "_exact_start", lambda point: point)
-    surface = smooth_instance(0, 3, 3, seed=0).representation.surface
+def test_comparison_covers_rejected_steps():
+    # a rejected candidate leaking out of a restart would only show after a
+    # rejected step.  No point exists on this sphere (half-angles 0.1, 0.1
+    # and 3.0 break the spherical triangle inequality), so every restart
+    # steps from its raw draw until a step fails to lower the residual
+    surface = SurfaceData(0, 3, 2, (ConjugacyClass((0.1, -0.1)),) * 2
+                          + (ConjugacyClass((3.0, -3.0)),))
     cfg = SolverConfig(seed=0)
-    result = solve(surface, cfg)
-    (rho, res, _, restart_index, _, history), rejected = _ref_solve(surface, cfg)
-    assert rejected >= 1
-    for ours, ref in zip(result.representation.images, rho.images):
-        assert np.array_equal(ours, ref)
-    assert result.history == history
-    assert result.residual == res
-    assert result.restart_index == restart_index
+    with pytest.raises(NoConvergenceError) as exc:
+        solve(surface, cfg)
+    result, runs = _ref_solve(surface, cfg)
+    assert result is None
+    assert all(rejected for _, _, rejected in runs)
+    assert any(len(history) > 1 for _, history, _ in runs)
+    assert exc.value.restart_residuals == tuple(res for res, _, _ in runs)
+    best = min(range(len(runs)), key=lambda k: runs[k][0])
+    assert exc.value.history == runs[best][1]
 
 
 SURFACES = [
