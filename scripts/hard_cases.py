@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Run the hard deformation cases and print one JSON row per case.
+
+Cases:
+  rank1-sweep  every rank-1 corpus shape at seeds 0-3, tangent direction 0
+               scaled by 10^0 ... 10^6 in quarter decades
+  d-sweep      genus 1, rank 2, one puncture, class angles pi +- d/2, for
+               d = 10^-1 ... 10^-14 at solver seeds 0-3
+  obstructed   `obstructed_instance()`
+  torus        the once-punctured rank-2 torus at the trivial point with the
+               identity class, directions (i sx, i sz) and (i sz, 2 i sz)
+  genus2-cone  the genus-2 trivial point, direction (i sx, i sz, 2 i sz, i sx / 2),
+               which lies in the quadratic cone [X1, Y1] + [X2, Y2] = 0
+  overflow     `smooth_instance(1, 2, 1)` with direction 0 scaled by 1e40,
+               1e60 and 1e80
+
+Each case is `build_deformation(order=4)` followed by `verify_deformation`.
+A row holds the case and its parameters; `outcome`, "built" or the type of
+the error raised; `order`, the order built or the obstructed order;
+`residual`, the largest order residual of a build or the obstruction's
+norm; `relative`, the obstruction's relative norm (null for a build);
+`verify_passed` and `slope` (null without a build); `wall_s`, the time of
+the build and the verify; and a `verdict`: right, refused (the input is
+too large for double precision), wrong, or undecided.  `item` names the
+ROADMAP item that decides an undecided row or mends a wrong one.
+
+Usage: PYTHONPATH=src python scripts/hard_cases.py
+"""
+
+import json
+import math
+import time
+
+import numpy as np
+
+from surfrep import (
+    ConjugacyClass,
+    ObstructionFound,
+    Representation,
+    SolverConfig,
+    SurfaceData,
+    analyze,
+    build_deformation,
+    obstructed_instance,
+    smooth_instance,
+    solve,
+    tangent_direction,
+    verify_deformation,
+)
+from surfrep.corpus import CORPUS_SHAPES
+
+ORDER = 4
+SEEDS = range(4)
+# the ROADMAP items that decide or mend a row: 9, obstructions that are
+# obstructions; 10, certificates that notice a degenerating class (with the
+# obstruction bound and the decay grid)
+OBSTRUCTIONS, CERTIFICATES = 9, 10
+
+SX = np.array([[0, 1j], [1j, 0]])
+SZ = np.array([[1j, 0], [0, -1j]])
+
+
+def _number(x):
+    """A float as JSON keeps it: non-finite values as strings."""
+    if x is None or math.isfinite(x):
+        return x
+    return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+
+
+def _run(rho, direction):
+    """Build to ORDER and verify; the row's measured fields."""
+    t0 = time.perf_counter()
+    row = {"outcome": "built", "order": ORDER, "residual": None, "relative": None,
+           "verify_passed": None, "slope": None}
+    try:
+        # an overflow is refused with ValueError, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = build_deformation(rho, direction, order=ORDER)
+    except ObstructionFound as exc:
+        row.update(outcome="ObstructionFound", order=exc.order,
+                   residual=exc.residual_norm, relative=exc.relative_norm)
+    except Exception as exc:  # a refusal is a row too
+        row.update(outcome=type(exc).__name__, order=None)
+    else:
+        report = verify_deformation(state)
+        row.update(residual=max(state.residual_norms), verify_passed=report["passed"],
+                   slope=report["slope"])
+    row["wall_s"] = time.perf_counter() - t0
+    return row
+
+
+def _judge(row, obstructed_at=None, item=None):
+    """Verdict of a row whose direction provably extends to every order
+    (`obstructed_at` None) or is obstructed at order `obstructed_at`;
+    `item` mends a wrong verdict."""
+    outcome = row["outcome"]
+    if outcome == "ValueError":
+        return "refused", None
+    if obstructed_at is not None:
+        right = outcome == "ObstructionFound" and row["order"] == obstructed_at
+        return ("right", None) if right else ("wrong", item)
+    if outcome != "built":
+        return "wrong", item
+    # a build whose default grid misses the series' radius is for item 10
+    return ("right", None) if row["verify_passed"] else ("undecided", CERTIFICATES)
+
+
+def _emit(case, params, row, verdict):
+    row = dict(case=case, params=params, **row)
+    row["verdict"], row["item"] = verdict
+    print(json.dumps({k: _number(v) if isinstance(v, float) else v for k, v in row.items()},
+                     allow_nan=False), flush=True)
+
+
+def rank1_sweep():
+    # u(1) is abelian: every parabolic direction extends to every order
+    for genus, rank, punctures in CORPUS_SHAPES:
+        if rank != 1:
+            continue
+        for seed in SEEDS:
+            rho = smooth_instance(genus, rank, punctures, seed).representation
+            direction = tangent_direction(rho, 0)
+            for quarter in range(25):
+                row = _run(rho, 10.0 ** (quarter / 4) * direction)
+                _emit("rank1-sweep", {"shape": [genus, rank, punctures], "seed": seed,
+                                      "log10_scale": quarter / 4},
+                      row, _judge(row, item=CERTIFICATES))
+
+
+def d_sweep():
+    for k in range(1, 15):
+        d = 10.0 ** -k
+        surface = SurfaceData(1, 1, 2, (ConjugacyClass((math.pi + d / 2, math.pi - d / 2)),))
+        for seed in SEEDS:
+            params = {"d": d, "seed": seed}
+            rho = solve(surface, SolverConfig(seed=seed)).representation
+            report = analyze(rho)
+            params["tangent"] = [report.tangent_dim, report.expected_dim]
+            row = _run(rho, tangent_direction(rho, 0))
+            if report.tangent_dim == report.expected_dim:
+                verdict = _judge(row, item=CERTIFICATES)
+            elif row["verify_passed"]:
+                verdict = "right", None
+            else:
+                # the rank decisions disagree with the dimension count
+                verdict = "undecided", CERTIFICATES
+            _emit("d-sweep", params, row, verdict)
+
+
+def trivial_point(genus, direction):
+    """The trivial rank-2 point of the genus-g surface with one puncture of
+    identity class, and a direction given on the handle generators."""
+    surface = SurfaceData(genus, 1, 2, (ConjugacyClass((0.0, 0.0)),))
+    rho = Representation.from_free_images(surface, [np.eye(2)] * (2 * genus))
+    return rho, np.array(direction)
+
+
+def named_cases():
+    rho, direction = obstructed_instance()
+    row = _run(rho, direction)
+    _emit("obstructed", {}, row, _judge(row, obstructed_at=2))
+
+    # [X, Y] != 0 is the order-2 obstruction at the trivial point
+    row = _run(*trivial_point(1, [SX, SZ]))
+    _emit("torus", {"direction": "(i sx, i sz)"}, row, _judge(row, obstructed_at=2))
+    row = _run(*trivial_point(1, [SZ, 2 * SZ]))
+    _emit("torus", {"direction": "(i sz, 2 i sz)"}, row, _judge(row))
+
+    # a quadratic cone (Goldman-Millson): a direction on it extends
+    row = _run(*trivial_point(2, [SX, SZ, 2 * SZ, SX / 2]))
+    _emit("genus2-cone", {"direction": "(i sx, i sz, 2 i sz, i sx / 2)"}, row,
+          _judge(row, item=OBSTRUCTIONS))
+
+    rho = smooth_instance(1, 2, 1).representation
+    direction = tangent_direction(rho, 0)
+    for scale in (1e40, 1e60, 1e80):
+        row = _run(rho, scale * direction)
+        _emit("overflow", {"shape": [1, 2, 1], "scale": scale}, row,
+              _judge(row, item=CERTIFICATES))
+
+
+def main() -> None:
+    rank1_sweep()
+    d_sweep()
+    named_cases()
+
+
+if __name__ == "__main__":
+    main()

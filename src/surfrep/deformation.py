@@ -75,14 +75,26 @@ then gives H_{c_j} and G_j for every puncture.  The images rho(w_j) of
 the peripheral words are those of the one `Periphery` a build makes; the
 order-1 lifts and the matching matrix read the same record.
 
-Evaluation schedule: `solve_next_order` on a family known to order k
-makes one `order_residuals` call on (h_1..h_k, 0), (c_1..c_k, 0),
-truncated at k+1.  Its order-k coefficient checks the order solved last
-(order 1, the cocycle and its lifts, is not a solve and is not checked),
-and its order-(k+1) coefficient is the inhomogeneity of the next solve,
-whose norm the next check takes as its scale.  One last call checks the
-top order, so an order-K build evaluates the full nonlinear residual K
+Evaluation schedule: a build holds the coefficients in two stacks,
+h (K, free_rank, N, N) and c (K, punctures, N, N), allocated as zeros
+once; each solved order is written into its row.  For N >= 2,
+`solve_next_order` on a family known to order k makes one
+`order_residuals` call on (h_1..h_k, 0), (c_1..c_k, 0), truncated at
+k+1.  Its order-k coefficient checks the order solved last (order 1, the
+cocycle and its lifts, is not a solve and is not checked), and its
+order-(k+1) coefficient is the inhomogeneity of the next solve, whose
+norm the next check takes as its scale.  One last call checks the top
+order, so an order-K build evaluates the full nonlinear residual K
 times, and every solved order is checked by such an evaluation.
+
+For N = 1 a build evaluates it once.  u(1) is abelian, so exp(-t h_1(x))
+commutes with every image: rho_t(w) rho(w)^dagger is exp(-t h_1(w)),
+H_{c_j}(t) = t h_1(c_j), and Ad = 1 makes G_j(t) = 0.  The family t h_1
+is exact, and every order k >= 2 has the exact solution h_k = c_k = 0.
+Those rows stay zero, and one `order_residuals` call on the whole stack
+checks orders 2..K.  With a zero top row an order's inhomogeneity b_k is
+its residual, so each order is judged against its own norm, as the
+order-by-order schedule would judge it.
 
 `verify_deformation` instantiates the whole parameter grid the same
 way: a Horner sum over the stacked coefficients, then one batched
@@ -358,10 +370,11 @@ def matching_matrix(rho: Representation, periphery: Periphery) -> np.ndarray:
     return a.reshape(r * d, -1)
 
 
-def _checked_order(res: np.ndarray, order: int, scale: float) -> float:
+def _checked_order(res: np.ndarray, order: int, scale: float | None = None) -> float:
     """Norm of one order's residuals; ValueError if it or `scale`, the norm
     of that order's inhomogeneity, is not finite; ObstructionFound if it
-    exceeds OBSTRUCTION_TOL * max(1, scale).
+    exceeds OBSTRUCTION_TOL * max(1, scale).  Without `scale` the order's
+    top row is zero, and its inhomogeneity is the residual itself.
 
     A finite direction gives a non-finite norm only when the series
     overflow double precision: that says nothing about an obstruction,
@@ -369,6 +382,8 @@ def _checked_order(res: np.ndarray, order: int, scale: float) -> float:
     """
     flat = flatten_algebra(res).reshape(-1)
     norm = linalg.scaled_norm(flat)
+    if scale is None:
+        scale = norm
     if not (math.isfinite(norm) and math.isfinite(scale)):
         raise ValueError(f"the residual at order {order} is not finite ({norm}, "
                          f"inhomogeneity {scale}): the direction is too large "
@@ -421,15 +436,18 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     generators), every value finite and skew-Hermitian, or ValueError: the
     residuals see only the skew part, so a Hermitian part would ride along
     in h_1 unchecked.  One `build_periphery` serves the order-1 lifts and
-    every order, and the matching matrix is built, rank-certified and
-    factored once for all orders.  Each `solve_next_order` checks the
-    order before it; one last `order_residuals` call checks the top order,
-    so an order-K build evaluates the residual series K times.  Raises
-    ObstructionFound at the first order whose inhomogeneity leaves the
-    range of the linear part by more than OBSTRUCTION_TOL of its norm (or
-    of 1, when smaller), and ValueError at the first order whose residual
-    is not finite.  `order` is an integer (2.0 passes, True and
-    1.5 do not).
+    every order.  The matching matrix is built and rank-certified once for
+    all orders, and for N >= 2 factored once.  The coefficients go into
+    stacks allocated once (module docstring, evaluation schedule).  For
+    N >= 2 each `solve_next_order` checks the order before it and one last
+    `order_residuals` call checks the top order, so an order-K build
+    evaluates the residual series K times.  For N = 1 the family t h_1 is
+    exact: rows 2..K stay zero and one `order_residuals` call checks every
+    order.  Raises ObstructionFound at the first order whose inhomogeneity
+    leaves the range of the linear part by more than OBSTRUCTION_TOL of
+    its norm (or of 1, when smaller), and ValueError at the first order
+    whose residual is not finite.  `order` is an integer (2.0 passes, True
+    and 1.5 do not).
     """
     order = _integer_field("order", order)
     if order < 1:
@@ -438,22 +456,32 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     if not is_skew_hermitian(direction):
         raise ValueError("direction values must be finite and skew-Hermitian")
     periphery = build_periphery(rho)
-    h = direction[None]
-    c = lift_to_cone(rho, direction, periphery)[None]
+    pres, n = rho.presentation, rho.rank
+    h = np.zeros((order, pres.free_rank, n, n), dtype=complex)
+    c = np.zeros((order, pres.punctures, n, n), dtype=complex)
+    # the lift first: it refuses a direction of the wrong shape, which the
+    # row assignment might broadcast
+    c[0] = lift_to_cone(rho, direction, periphery)
+    h[0] = direction
     norms = []
     rank = None
     if order > 1:
-        solver, rank = linalg.min_norm_solver(matching_matrix(rho, periphery))
-        scale = 0.0
-        for _ in range(1, order):
-            h_top, c_top, norm, scale = solve_next_order(rho, h, c, periphery, solver,
-                                                         scale)
-            h = np.concatenate([h, h_top[None]])
-            c = np.concatenate([c, c_top[None]])
-            if norm is not None:
-                norms.append(norm)
-        top = order_residuals(rho, h, c, periphery)[-1]
-        norms.append(_checked_order(top, order, scale))
+        a = matching_matrix(rho, periphery)
+        if n == 1:
+            # u(1) is abelian: t h_1 is exact and rows 2..K stay zero
+            rank = linalg.checked_rank(a, linalg.SOLVE_RTOL)
+            res = order_residuals(rho, h, c, periphery)
+            norms = [_checked_order(res[k - 1], k) for k in range(2, order + 1)]
+        else:
+            solver, rank = linalg.min_norm_solver(a)
+            scale = 0.0
+            for k in range(1, order):
+                h[k], c[k], norm, scale = solve_next_order(rho, h[:k], c[:k], periphery,
+                                                           solver, scale)
+                if norm is not None:
+                    norms.append(norm)
+            top = order_residuals(rho, h, c, periphery)[-1]
+            norms.append(_checked_order(top, order, scale))
     return DeformationState(rho, h, c, tuple(norms), rank)
 
 

@@ -87,17 +87,21 @@ from .presentation import Periphery, Representation, build_periphery
 from .unitary import unflatten_algebra
 
 
-def _cone_lifts(periphery: Periphery, values: np.ndarray) -> np.ndarray:
+def _cone_lifts(periphery: Periphery, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Minimum-norm lifts of peripheral values, (punctures, N^2, columns).
 
-    `values[j]` holds u(c_j) of many cocycles, one column each.  A column's
-    component in the fixed space ker(Ad(rho(c_j)) - 1) is the cokernel
-    class that a parabolic cocycle must miss, and which no lift can meet;
-    NotParabolicError is raised when it is not negligible.
+    `values[j]` holds u(c_j) of the cocycles whose Ad coordinates are the
+    columns of `cols`.  A column's component in the fixed space
+    ker(Ad(rho(c_j)) - 1) is the cokernel class that a parabolic cocycle
+    must miss, and which no lift can meet; NotParabolicError is raised
+    when it exceeds PARABOLIC_TOL * max(1, ||u(c_j)||, ||u||).  The column
+    norm ||u|| keeps the test relative at N = 1, where u(c_j) of a
+    parabolic cocycle is pure roundoff.
     """
+    scale = np.maximum(1.0, linalg.norms_along(cols, 0))
     for j, (fixed, vals) in enumerate(zip(periphery.fixed, values)):
         stuck = linalg.norms_along(fixed.T @ vals, 0)
-        bad = np.flatnonzero(stuck > PARABOLIC_TOL * np.maximum(1.0, linalg.norms_along(vals, 0)))
+        bad = np.flatnonzero(stuck > PARABOLIC_TOL * np.maximum(scale, linalg.norms_along(vals, 0)))
         if bad.size:
             raise NotParabolicError(
                 f"cocycle is not parabolic at puncture {j}: "
@@ -121,7 +125,8 @@ def lift_to_cone(rho: Representation, values: np.ndarray,
     if periphery is None:
         periphery = build_periphery(rho)
     cols = flatten_cochain(values)[:, None]
-    return unflatten_algebra(_cone_lifts(periphery, periphery.fox @ cols)[..., 0], rho.rank)
+    return unflatten_algebra(_cone_lifts(periphery, cols, periphery.fox @ cols)[..., 0],
+                             rho.rank)
 
 
 def _pairing(rho: Representation, periphery: Periphery, cols: np.ndarray) -> np.ndarray:
@@ -138,7 +143,7 @@ def _pairing(rho: Representation, periphery: Periphery, cols: np.ndarray) -> np.
     values = periphery.fox @ cols
     handles = cols[:2 * pres.genus * d]
     total += handles.T @ handles - values[-1].T @ values[-1]
-    total -= np.einsum("jai,jak->ik", _cone_lifts(periphery, values), values)
+    total -= np.einsum("jai,jak->ik", _cone_lifts(periphery, cols, values), values)
     return total / pres.punctures
 
 

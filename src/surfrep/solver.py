@@ -231,13 +231,15 @@ def _relation_layout(pres: Presentation):
 
 class _Layout:
     """What every point of one solve shares: the class representatives
-    Lambda_j, stacked, and the relation layout of its shape
-    (`_relation_layout`)."""
+    Lambda_j, stacked, the relation layout of its shape
+    (`_relation_layout`) and the determinant decision `angle_sum`
+    (`_determinant_angle`: None when no point exists)."""
 
-    __slots__ = ("surface", "nh", "eye", "lambdas", "gather", "owner", "a", "b")
+    __slots__ = ("surface", "angle_sum", "nh", "eye", "lambdas", "gather", "owner", "a", "b")
 
     def __init__(self, surface: SurfaceData):
         self.surface = surface
+        self.angle_sum = _determinant_angle(surface.classes)
         self.nh = 2 * surface.genus
         self.eye = np.eye(surface.rank)
         self.lambdas = np.array([c.representative() for c in surface.classes])
@@ -429,7 +431,7 @@ def _polygon_start(point: _Point) -> _Point:
     twists come from the draw.  The point comes back as it is when the
     angle sum is not 0 mod 2 pi or the chain cannot close."""
     classes = point.layout.surface.classes
-    total = _determinant_angle(classes)
+    total = point.layout.angle_sum
     if total is None:
         return point
     eps = 1.0 if math.cos(total / 2) > 0 else -1.0
@@ -591,7 +593,7 @@ def _triangle_start(point: _Point) -> _Point:
     0 mod 2 pi, a class of the triangle is scalar, or no unistochastic
     matrix of positive slack meets the trace."""
     lay = point.layout
-    if _determinant_angle(lay.surface.classes) is None:
+    if lay.angle_sum is None:
         return point
     # P = W diag(a) W^H; for r = 3 that is c_1 in its drawn frame
     if len(point.stack) == 3:
@@ -655,10 +657,10 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     cfg = config or SolverConfig()
     if surface.presentation.free_rank == 0:
         raise ValueError("degenerate surface (genus 0, one puncture) has no moduli")
-    if _determinant_angle(surface.classes) is None:
+    layout = _Layout(surface)
+    if layout.angle_sum is None:
         raise NonexistenceError(float(sum(sum(c.angles) for c in surface.classes)))
     seeds = np.random.SeedSequence(cfg.seed)
-    layout = _Layout(surface)
     fallback = None
     best_res = np.inf
     best_history = ()

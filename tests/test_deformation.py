@@ -127,14 +127,28 @@ def test_matching_residuals_vanish_through_order(witness_u2, witness_u3):
         assert all(r < 1e-8 for r in state.residual_norms)
 
 
-def test_abelian_families_truncate(witness_u1):
-    rho = witness_u1.representation
-    state = build_deformation(rho, tangent_direction(rho, 0), order=4)
-    assert np.linalg.norm(state.h[1:]) < 1e-12
-    assert np.linalg.norm(state.c[1:]) < 1e-12
-    report = verify_deformation(state)
-    assert report["slope"] == float("inf")
-    assert report["passed"]
+def test_abelian_families_truncate(corpus):
+    # u(1) is abelian, so t h_1 is exact: every row past the first is
+    # exactly zero, and the one evaluation checks each order at roundoff
+    for inst in corpus:
+        rho = inst.representation
+        if rho.rank != 1:
+            continue
+        direction = tangent_direction(rho, 0)
+        a = matching_matrix(rho, build_periphery(rho))
+        for order in range(1, 6):
+            state = build_deformation(rho, direction, order=order)
+            assert state.order == order
+            assert not state.h[1:].any() and not state.c[1:].any(), (inst.name, order)
+            assert len(state.residual_norms) == order - 1
+            assert all(r <= 1e-15 for r in state.residual_norms), (inst.name, order)
+            if order == 1:
+                assert state.linear_rank is None
+            else:
+                assert state.linear_rank == linalg.checked_rank(a, rtol=linalg.SOLVE_RTOL)
+            report = verify_deformation(state)
+            assert report["slope"] == float("inf"), (inst.name, order)
+            assert report["passed"]
 
 
 def test_second_order_identity_on_random_words(witness_u2):
@@ -416,10 +430,11 @@ def _reference_build(rho, direction, order):
     return h, c, None
 
 
-def test_one_residual_evaluation_per_order(witness_u2, monkeypatch):
+def test_one_residual_evaluation_per_order(witness_u2, witness_u1, monkeypatch):
     # solve_next_order on an order-k family evaluates (h_1..h_k, 0) once:
     # order k is its check, order k+1 its inhomogeneity; one last call
-    # checks the top order
+    # checks the top order.  At N = 1 nothing is solved, and one call on
+    # the whole stack checks every order
     calls = []
     original_residuals = deformation.order_residuals
     original_next = deformation.solve_next_order
@@ -444,19 +459,22 @@ def test_one_residual_evaluation_per_order(witness_u2, monkeypatch):
     monkeypatch.setattr(deformation, "solve_next_order", counted_next)
     monkeypatch.setattr(deformation, "build_periphery", counted_periphery)
     monkeypatch.setattr(presentation, "evaluate_word", counted_word)
-    rho = witness_u2.representation
-    direction = tangent_direction(rho, 0)
-    for order in (1, 2, 3, 4):
-        calls.clear()
-        build_deformation(rho, direction, order=order)
-        # one periphery per build, which evaluates the word of c_r once
-        expected = [("build_periphery", None), ("evaluate_word", None)]
-        expected += [call for k in range(1, order)
-                     for call in (("solve_next_order", k), ("order_residuals", k + 1))]
-        if order > 1:
-            expected.append(("order_residuals", order))
-        assert calls == expected
-        assert sum(name == "order_residuals" for name, _ in calls) == (order if order > 1 else 0)
+    for inst in (witness_u2, witness_u1):
+        rho = inst.representation
+        direction = tangent_direction(rho, 0)
+        for order in (1, 2, 3, 4):
+            calls.clear()
+            build_deformation(rho, direction, order=order)
+            # one periphery per build, which evaluates the word of c_r once
+            expected = [("build_periphery", None), ("evaluate_word", None)]
+            if rho.rank > 1:
+                expected += [call for k in range(1, order)
+                             for call in (("solve_next_order", k), ("order_residuals", k + 1))]
+            if order > 1:
+                expected.append(("order_residuals", order))
+            assert calls == expected
+            evaluations = (order if rho.rank > 1 else 1) if order > 1 else 0
+            assert sum(name == "order_residuals" for name, _ in calls) == evaluations
 
 
 def test_each_order_check_matches_a_fresh_top_order_evaluation(witness_u1, witness_u2,
@@ -498,9 +516,9 @@ def test_obstruction_vector_does_not_depend_on_the_build_order(obstructed):
     assert raised[0].residual_norm == pytest.approx(1.2707969905351293, rel=1e-12)
 
 
-def test_solver_matches_differenced_reference(witness_u2, witness_u3,
+def test_solver_matches_differenced_reference(witness_u1, witness_u2, witness_u3,
                                               witness_u2_sphere):
-    for inst in (witness_u2, witness_u3, witness_u2_sphere):
+    for inst in (witness_u1, witness_u2, witness_u3, witness_u2_sphere):
         rho = inst.representation
         direction = tangent_direction(rho, 0)
         state = build_deformation(rho, direction, order=4)

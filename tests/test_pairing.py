@@ -95,6 +95,47 @@ def test_lift_rejects_non_parabolic_direction(rng, witness_u2):
         lift_to_cone(rho, values)
 
 
+SCALES = [10.0 ** e for e in range(0, 61, 5)]
+
+
+def _non_parabolic_unit(periphery):
+    """The unit cochain, in Ad coordinates, whose peripheral values have the
+    largest fixed-space component over all punctures."""
+    stacks = [fixed.T @ fox for fixed, fox in zip(periphery.fixed, periphery.fox)]
+    _, s, vt = np.linalg.svd(np.concatenate(stacks))
+    return vt[0], s[0]
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 3), (1, 2, 1), (0, 2, 4), (1, 3, 1)],
+                         ids=lambda s: "g{}_n{}_r{}".format(*s))
+def test_parabolic_test_scales_with_the_cocycle(shape):
+    # the fixed-space component is judged against max(1, ||u(c_j)||, ||u||):
+    # at N = 1 u(c_j) of a tangent direction is pure roundoff, and a bound
+    # on it alone would refuse a large multiple of a parabolic direction
+    rho = smooth_instance(*shape).representation
+    periphery = build_periphery(rho)
+    bad, reach = _non_parabolic_unit(periphery)
+    assert reach > 0.1
+    basis = parabolic_tangent_basis(rho).basis
+    for col in basis.T:
+        for scale in SCALES:
+            lifts = lift_to_cone(rho, unflatten_cochain(rho, scale * col), periphery)
+            assert np.isfinite(lifts).all()
+            with pytest.raises(NotParabolicError):
+                lift_to_cone(rho, unflatten_cochain(rho, scale * (col + 1e-6 * bad)),
+                             periphery)
+
+
+def test_every_cochain_of_the_u1_torus_is_parabolic(rng):
+    # one puncture at N = 1: u(c_1) is the abelianized commutator, zero
+    rho = smooth_instance(1, 1, 1).representation
+    periphery = build_periphery(rho)
+    assert _non_parabolic_unit(periphery)[1] < 1e-15
+    for scale in SCALES:
+        values = unflatten_cochain(rho, scale * rng.standard_normal(rho.presentation.free_rank))
+        assert np.isfinite(lift_to_cone(rho, values, periphery)).all()
+
+
 def test_skewness(witness_u2, witness_u2_sphere):
     for inst in (witness_u2, witness_u2_sphere):
         rho = inst.representation
