@@ -24,9 +24,17 @@ the build and the verify; and a `verdict`: right, refused (the input is
 too large for double precision), wrong, or undecided.  `item` names the
 ROADMAP item that decides an undecided row or mends a wrong one.
 
+With --diff PARENT.jsonl CHANGE.jsonl it runs nothing: it reads two such
+tables, matched row by row on case and params, prints each row whose
+outcome, order, verify_passed or verdict moved as {"case", "params",
+"moved": {field: [parent, change]}}, a row present in only one table with
+its side, and then one count per case.
+
 Usage: PYTHONPATH=src python scripts/hard_cases.py
+       PYTHONPATH=src python scripts/hard_cases.py --diff PARENT.jsonl CHANGE.jsonl
 """
 
+import argparse
 import json
 import math
 import time
@@ -179,7 +187,46 @@ def named_cases():
               _judge(row, item=CERTIFICATES))
 
 
-def main() -> None:
+# the fields of a row that say what happened; residuals and times move freely
+COMPARED = ("outcome", "order", "verify_passed", "verdict")
+
+
+def _table(path):
+    """The rows of a table, keyed on case and params, in file order."""
+    with open(path) as f:
+        rows = [json.loads(line) for line in f if line.strip()]
+    return {(row["case"], json.dumps(row["params"], sort_keys=True)): row for row in rows}
+
+
+def diff(parent_path, change_path) -> None:
+    parent, change = _table(parent_path), _table(change_path)
+    counts = {}
+    for key in list(parent) + [k for k in change if k not in parent]:
+        case, params = key[0], json.loads(key[1])
+        count = counts.setdefault(case, {"rows": 0, "moved": 0})
+        count["rows"] += 1
+        if key not in parent or key not in change:
+            count["moved"] += 1
+            side = "parent" if key in parent else "change"
+            print(json.dumps({"case": case, "params": params, "only_in": side}))
+            continue
+        moved = {f: [parent[key][f], change[key][f]] for f in COMPARED
+                 if parent[key][f] != change[key][f]}
+        if moved:
+            count["moved"] += 1
+            print(json.dumps({"case": case, "params": params, "moved": moved}))
+    for case, count in counts.items():
+        print(f"{case}: {count['moved']} of {count['rows']} rows moved")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="compare two tables instead of running the cases")
+    args = parser.parse_args(argv)
+    if args.diff:
+        diff(*args.diff)
+        return
     rank1_sweep()
     d_sweep()
     named_cases()

@@ -29,58 +29,71 @@ OBSTRUCTION_TOL * max(1, ||b_k||), so that scaling the direction, which
 scales order k by the k-th power, scales the roundoff and the bound
 together.
 
-Series are stored stacked: an array of shape (..., K+1, N, N) holds one
+Real form.  The residual series run in the real form of gl(N, C),
+
+    R(A + iB) = [[A, -B], [B, A]],
+
+an injective algebra map into real 2N x 2N matrices with
+R(X^dagger) = R(X)^T.  numpy multiplies a stack of small real matrices
+several times faster than the same stack of complex ones, and every
+series product below is such a stack.  A build embeds its constants
+once, in a `RealForm`: the free images rho(x) and the images gamma_j of
+the peripheral words, those of the one `Periphery` a build makes (the
+order-1 lifts and the matching matrix read the same record).  It holds
+h and c in real form, and complex appears only in the coefficients of
+the `DeformationState` it returns.  Each order's u(N) coordinates are
+read straight off the real residual by one fixed linear map,
+`_coordinates`: the flatten_algebra coordinates of A + iB, each a signed
+sum of at most two entries, scaled by 1 or 1/sqrt(2).  A solved order
+goes back by the fixed map `_real_coefficients`, whose every entry is a
+single product, so the complex coefficients of the state are the bits
+that `unflatten_algebra` gives for the same coordinates.
+
+Series are stored stacked: an array of shape (..., K+1, M, M) holds one
 series truncated at order K per index of its leading axes, axis -3 runs
-over the powers t^0 .. t^K and the last two axes are the matrix.  One
-kernel does all series arithmetic on such stacks: the truncated Cauchy
-product `_cauchy`, and `_exp` and `_log`, which refuse, for the whole
-stack at once, a constant term that is not 0 (exp) or I (log), and drop
-the roundoff that passes the check.  `_cauchy` takes the valuations of
-its factors (a_i = 0 for i < v_a, b_j = 0 for j < v_b) and forms only
-the products a_i b_j with i + j <= K, i >= v_a and j >= v_b, all at
-once, then sums those with i + j = m in the order of i.  The m-th term
-of exp(s) and the m-th power in log(I + x) are products of factors of
-valuations (m - 1, 1), so a series truncated at order 4 needs 10 block
-products for its exponential instead of 75.  Valuation and truncation
-only leave out products that are exactly zero or cut off, and the sums
-keep their order, so a coefficient does not depend on the truncation
-order it was computed at: bit for bit for N >= 2, and up to the last
-bit for N = 1, whose sums BLAS runs as matrix-vector products.
+over the powers t^0 .. t^K and the last two axes are the matrix (M = 2N
+in real form).  One kernel does all series arithmetic on such stacks: the
+truncated Cauchy product `_cauchy`, and `_exp` and `_log`, which refuse,
+for the whole stack at once, a constant term that is not 0 (exp) or I
+(log), and drop the roundoff that passes the check.  `_cauchy` takes the
+valuations of its factors (a_i = 0 for i < v_a, b_j = 0 for j < v_b) and
+forms only the products a_i b_j with i + j <= K, i >= v_a and j >= v_b,
+all at once, ordered by m = i + j and then by i, and one
+`np.add.reduceat` sums each run of equal m.  The m-th term of exp(s) and
+the m-th power in log(I + x) are products of factors of valuations
+(m - 1, 1), so a series truncated at order 4 needs 10 block products for
+its exponential instead of 75.  Valuation and truncation only leave out
+products that are exactly zero or cut off, and the run of order m sits
+at the same place whatever the truncation, so a coefficient does not
+depend on the truncation order it was computed at, bit for bit for every
+N.  The kernel is dtype-generic: the tests run it on complex series too.
 
 The kernel's index tables are cached per shape, read-only and shared by
 every call: `_cauchy_pairs(order, va, vb)`, the pairs of a product and
-the 0/1 matrix that sums them, `_identity(order, n)`, the constant series
-I, and `_peripheral_slots(presentation)`, the letters of the peripheral
-words.  They, the `ndarray.take` gathers, the in-place sums of `_exp`
-and the one preallocated exponent stack of `order_residuals` spare
-allocations and numpy calls only: every product and sum is the one
-described above, in the same order, so the coefficients are the same
-bits as with fresh tables and separate arrays.
+the start of each run, `_identity(order, n)`, the constant series I, and
+`_coordinate_maps(n)`, the two fixed linear maps.  They and the
+`ndarray.take` gathers spare allocations and numpy calls only.
 
 `order_residuals` evaluates every peripheral word in one pass of that
-kernel and returns the residual at every order.  A letter x of a word
-over the free basis contributes the series exp(-H_x) rho(x), an inverse
-letter x^-1 contributes rho(x)^dagger exp(H_x): the exponent has the
-sign -1 for a letter and +1 for an inverse letter, and the constant
-rho(x)^(+-1) stands on the right of a letter and on the left of an
-inverse letter.  One stacked call takes the exponentials of -H_x and +H_x
-for every free generator and of both conjugator series C_j and
--Ad(rho(c_j)) C_j.  A product with a constant series is one matrix
-product per power, so the letters form a table of 2 free_rank series
-plus the identity, and each word is a row of slots in that table.  The
-rows are folded from left to right, one Cauchy product per letter
-position for all punctures at once; the shorter words are padded at
-their end with the identity, whose products are exact.  One stacked log
-then gives H_{c_j} and G_j for every puncture.  The images rho(w_j) of
-the peripheral words are those of the one `Periphery` a build makes; the
-order-1 lifts and the matching matrix read the same record.
+kernel and returns the coordinates of the residual at every order.  A
+letter x of a word over the free basis contributes the series
+exp(-H_x) rho(x); an inverse letter contributes rho(x)^dagger exp(H_x),
+which is the transpose of R(exp(-H_x) rho(x)) coefficient by coefficient
+because h_k is skew-Hermitian.  So only exp(-H_x) is exponentiated, and
+a build takes h_1 as skew_project(direction) to make that exact.  A
+peripheral word c_j with j < r is one letter, so H_{c_j} is h(c_j)
+itself; only the last word p^-1, p the relation without c_r, is folded,
+from left to right with one Cauchy product per letter, and takes a log.
+One stacked call takes the exponentials of -H_x for every free generator
+and of both conjugator series C_j and -Ad(gamma_j) C_j, and one stacked
+log gives G_j for every puncture and H_{c_r}.
 
-Evaluation schedule: a build holds the coefficients in two stacks,
-h (K, free_rank, N, N) and c (K, punctures, N, N), allocated as zeros
+Evaluation schedule: a build holds the coefficients in two real stacks,
+h (K, free_rank, 2N, 2N) and c (K, punctures, 2N, 2N), allocated as zeros
 once; each solved order is written into its row.  For N >= 2,
 `solve_next_order` on a family known to order k makes one
-`order_residuals` call on (h_1..h_k, 0), (c_1..c_k, 0), truncated at
-k+1.  Its order-k coefficient checks the order solved last (order 1, the
+`order_residuals` call on rows 1..k+1 of the stacks, the last still zero.
+Its order-k coefficient checks the order solved last (order 1, the
 cocycle and its lifts, is not a solve and is not checked), and its
 order-(k+1) coefficient is the inhomogeneity of the next solve, whose
 norm the next check takes as its scale.  One last call checks the top
@@ -96,11 +109,11 @@ checks orders 2..K.  With a zero top row an order's inhomogeneity b_k is
 its residual, so each order is judged against its own norm, as the
 order-by-order schedule would judge it.
 
-`verify_deformation` instantiates the whole parameter grid the same
-way: a Horner sum over the stacked coefficients, then one batched
-exponential over (t, generator).  The relation and the last peripheral
-word are folded once over the stacked grid, and `match_class` takes
-each puncture's (T, N, N) stack in one call.
+`verify_deformation` instantiates the whole parameter grid from the
+complex coefficients: a Horner sum over the stacked coefficients, then
+one batched exponential over (t, generator).  The relation and the last
+peripheral word are folded once over the stacked grid, and `match_class`
+takes each puncture's (T, N, N) stack in one call.
 """
 
 from __future__ import annotations
@@ -116,19 +129,17 @@ from .errors import ObstructionFound
 from .pairing import lift_to_cone
 from .presentation import (
     Periphery,
-    Presentation,
     Representation,
     _integer_field,
     build_periphery,
     word_image,
 )
 from .unitary import (
-    flatten_algebra,
+    algebra_basis,
     is_skew_hermitian,
     mat_exp,
     match_class,
     skew_project,
-    unflatten_algebra,
 )
 
 OBSTRUCTION_TOL = 1e-8
@@ -139,16 +150,16 @@ SLOPE_NOISE_FLOOR = 1e-13
 
 @lru_cache(maxsize=64)
 def _cauchy_pairs(order: int, va: int, vb: int):
-    """The pairs (i, j) with i + j <= order, i >= va and j >= vb, in
-    lexicographic order, and the 0/1 matrix whose row m sums the pairs
-    with i + j = m."""
-    pairs = [(i, j) for i in range(va, order + 1) for j in range(vb, order + 1 - i)]
+    """The pairs (i, j) with i + j <= order, i >= va and j >= vb, ordered
+    by m = i + j and then by i, and the index of the first pair of each m
+    from va + vb on."""
+    pairs = [(i, m - i) for m in range(va + vb, order + 1) for i in range(va, m - vb + 1)]
     i = np.array([p[0] for p in pairs], dtype=np.intp)
     j = np.array([p[1] for p in pairs], dtype=np.intp)
-    mask = (i + j == np.arange(order + 1)[:, None]).astype(complex)
-    for arr in (i, j, mask):
+    starts = np.flatnonzero(np.diff(i + j, prepend=-1))
+    for arr in (i, j, starts):
         arr.setflags(write=False)
-    return i, j, mask
+    return i, j, starts
 
 
 def _cauchy(a: np.ndarray, b: np.ndarray, va: int = 0, vb: int = 0) -> np.ndarray:
@@ -157,19 +168,20 @@ def _cauchy(a: np.ndarray, b: np.ndarray, va: int = 0, vb: int = 0) -> np.ndarra
     `va` and `vb` are valuations: a_i = 0 for i < va and b_j = 0 for
     j < vb.  Only the products a_i b_j that the truncation keeps and the
     valuations leave nonzero are formed, all at once, and row m sums those
-    with i + j = m in the order of i.
+    with i + j = m, one run of `np.add.reduceat` each.
     """
-    k1, n = a.shape[-3], a.shape[-1]
-    i, j, mask = _cauchy_pairs(k1 - 1, va, vb)
+    i, j, starts = _cauchy_pairs(a.shape[-3] - 1, va, vb)
     products = a.take(i, axis=-3) @ b.take(j, axis=-3)
-    out = mask @ products.reshape(products.shape[:-3] + (i.size, n * n))
-    return out.reshape(out.shape[:-2] + (k1, n, n))
+    out = np.zeros(products.shape[:-3] + a.shape[-3:], dtype=products.dtype)
+    if starts.size:
+        np.add.reduceat(products, starts, axis=-3, out=out[..., va + vb:, :, :])
+    return out
 
 
 @lru_cache(maxsize=64)
 def _identity(order: int, n: int) -> np.ndarray:
     """The constant series I, read-only."""
-    out = np.zeros((order + 1, n, n), dtype=complex)
+    out = np.zeros((order + 1, n, n))
     out[0] = np.eye(n)
     out.setflags(write=False)
     return out
@@ -224,64 +236,116 @@ def _horner(coeffs: np.ndarray, t) -> np.ndarray:
     return acc
 
 
-@lru_cache(maxsize=64)
-def _peripheral_slots(pres: Presentation):
-    """The letters of the peripheral words over the free basis, as slots.
+def _embed(x: np.ndarray) -> np.ndarray:
+    """R(x) = [[A, -B], [B, A]] for x = A + iB, or for every member of a
+    stack (..., N, N)."""
+    n = x.shape[-1]
+    out = np.empty(x.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = x.real
+    out[..., n:, :n] = x.imag
+    out[..., :n, n:] = -x.imag
+    return out
 
-    One row per puncture and one column per letter position, as many as
-    the longest word has letters (at least one).  A letter x is slot x, an
-    inverse letter x^-1 is slot free_rank + x, and slot 2 free_rank, the
-    identity, pads a row at its end.
+
+def _unembed(y: np.ndarray) -> np.ndarray:
+    """A + iB from the first block column of R(A + iB), or of a stack."""
+    n = y.shape[-1] // 2
+    return y[..., :n, :n] + 1j * y[..., n:, :n]
+
+
+@lru_cache(maxsize=16)
+def _coordinate_maps(n: int):
+    """The fixed linear maps between real forms and u(n) coordinates.
+
+    `write` (n^2, 4n^2) holds R(e_a) in row a, so each entry of
+    R(sum v_a e_a) is the one product v_a R(e_a).  Coordinate a of A + iB
+    is the product of the first block column of R(A + iB), which holds A
+    and B, with that of R(e_a), whose nonzero entries, at most two, share
+    one size, 1 or 1/sqrt(2).  `read` (4n^2, n^2) holds their signs and
+    `scale` (n^2,) the size, so a column of `read` sums exactly in any
+    order and one multiplication scales it.
     """
-    nf = pres.free_rank
-    words = [pres.peripheral_word(j) for j in range(pres.punctures)]
-    slots = np.full((pres.punctures, max(1, max(map(len, words)))), 2 * nf)
-    for j, w in enumerate(words):
-        for p, (idx, e) in enumerate(w):
-            slots[j, p] = idx if e == 1 else nf + idx
-    slots.setflags(write=False)
-    return slots
+    write = _embed(algebra_basis(n)).reshape(n * n, 4 * n * n)
+    first = np.zeros((2 * n, 2 * n))
+    first[:, :n] = 1.0
+    read = np.ascontiguousarray(np.sign(write.T) * first.reshape(-1, 1))
+    scale = np.abs(write).max(axis=1)
+    for arr in (read, scale, write):
+        arr.setflags(write=False)
+    return read, scale, write
 
 
-def order_residuals(rho: Representation, h: np.ndarray, c: np.ndarray,
-                    periphery: Periphery) -> np.ndarray:
-    """Coefficients of H_{c_j} - G_j at orders 1..m, one skew matrix per puncture.
+def _coordinates(y: np.ndarray) -> np.ndarray:
+    """The u(N) coordinates of A + iB from R(A + iB), or from a stack
+    (..., 2N, 2N): shape (..., N^2)."""
+    n2 = y.shape[-1]
+    read, scale, _ = _coordinate_maps(n2 // 2)
+    return (y.reshape(y.shape[:-2] + (n2 * n2,)) @ read) * scale
 
-    `h` is (m, free_rank, N, N), `c` is (m, punctures, N, N); the result
-    is (m, punctures, N, N) in the same layout, row k-1 holding order k.
-    Zero residual at every order up to m means the truncated family stays
-    in the classes to that order.  The peripheral images are those of
-    `periphery`, `build_periphery(rho)`.  Every puncture is done at once,
-    in the stacked layout of the module docstring.
-    """
+
+def _real_coefficients(v: np.ndarray, n: int) -> np.ndarray:
+    """R(x) of the elements of u(n) with coordinates v (..., n^2)."""
+    return (v @ _coordinate_maps(n)[2]).reshape(v.shape[:-1] + (2 * n, 2 * n))
+
+
+@dataclass(frozen=True, eq=False)
+class RealForm:
+    """The constants of one build in real form, built by `real_form`."""
+
+    rho: Representation
+    images: np.ndarray    # R(rho(x)) of the free generators
+    gamma: np.ndarray     # R(gamma_j), the images of the peripheral words
+    gamma_t: np.ndarray   # R(gamma_j^dagger), their transposes
+    word: tuple           # the last peripheral word: (generator, is_inverse)
+
+
+def real_form(rho: Representation, periphery: Periphery) -> RealForm:
+    """The real forms of rho's free images and of `periphery`'s gamma_j,
+    `periphery` being `build_periphery(rho)`, embedded in one call."""
     pres = rho.presentation
-    n, nf, r = rho.rank, pres.free_rank, pres.punctures
-    order = len(h)
-    slots = _peripheral_slots(pres)
-    gamma = periphery.images
-    gamma_h = gamma.conj().swapaxes(-1, -2)
-    # the exponents -H_x, +H_x, C_j and -Ad(rho(c_j)) C_j, stacked
-    exponents = np.zeros((2 * (nf + r), order + 1, n, n), dtype=complex)
-    h_powers = np.swapaxes(h, 0, 1)
-    exponents[:nf, 1:] = -h_powers
-    exponents[nf:2 * nf, 1:] = h_powers
-    exponents[2 * nf:2 * nf + r, 1:] = np.swapaxes(c, 0, 1)
-    np.negative(gamma[:, None] @ exponents[2 * nf:2 * nf + r] @ gamma_h[:, None],
-                out=exponents[2 * nf + r:])
+    nf, n = pres.free_rank, rho.rank
+    images = np.array(rho.images[:nf], dtype=complex).reshape(nf, n, n)
+    real = _embed(np.concatenate([images, periphery.images]))
+    gamma = real[nf:]
+    word = tuple((idx, e == -1) for idx, e in pres.last_peripheral_word)
+    return RealForm(rho, real[:nf], gamma, gamma.swapaxes(-1, -2).copy(), word)
+
+
+def order_residuals(form: RealForm, h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """u(N) coordinates of H_{c_j} - G_j at orders 1..m, one row per puncture.
+
+    `h` is (m, free_rank, 2N, 2N) and `c` (m, punctures, 2N, 2N), the
+    coefficients in real form, h skew: an inverse letter is read as the
+    transpose of its letter.  The result is (m, punctures, N^2), row k-1
+    holding order k in `flatten_algebra` coordinates.  Zero residual at
+    every order up to m means the truncated family stays in the classes
+    to that order.  The constants are those of `form`,
+    `real_form(rho, build_periphery(rho))`.  Every puncture is done at
+    once, in the stacked layout of the module docstring.
+    """
+    pres = form.rho.presentation
+    nf, r = pres.free_rank, pres.punctures
+    order, n2 = len(h), h.shape[-1]
+    # the exponents -H_x, C_j and -Ad(gamma_j) C_j, stacked
+    exponents = np.zeros((nf + 2 * r, order + 1, n2, n2))
+    np.negative(h.swapaxes(0, 1), out=exponents[:nf, 1:])
+    exponents[nf:nf + r, 1:] = c.swapaxes(0, 1)
+    np.negative(form.gamma[:, None] @ exponents[nf:nf + r] @ form.gamma_t[:, None],
+                out=exponents[nf + r:])
     exps = _exp(exponents)
-    # a product with a constant series is one matrix product per power
-    images = np.array(rho.images[:nf], dtype=complex).reshape(nf, 1, n, n)
-    table = np.concatenate([exps[:nf] @ images,
-                            images.conj().swapaxes(-1, -2) @ exps[nf:2 * nf],
-                            _identity(order, n)[None]])
-    letters = table[slots]
-    prod = letters[:, 0]
-    for p in range(1, slots.shape[1]):
-        prod = _cauchy(prod, letters[:, p])
-    # rho_t(w) rho(w)^dagger, then exp(C_j) exp(-Ad(rho(c_j)) C_j)
-    logs = -_log(np.concatenate([prod @ gamma_h[:, None],
-                                 _cauchy(exps[2 * nf:2 * nf + r], exps[2 * nf + r:])]))
-    return skew_project(np.swapaxes(logs[:r, 1:] - logs[r:, 1:], 0, 1))
+    # the letters exp(-H_x) rho(x): a product with a constant is one per power
+    letters = exps[:nf] @ form.images[:, None]
+    prod = _identity(order, n2)
+    for p, (idx, inverse) in enumerate(form.word):
+        letter = letters[idx].swapaxes(-1, -2) if inverse else letters[idx]
+        prod = letter if p == 0 else _cauchy(prod, letter)
+    # log(exp(C_j) exp(-Ad(gamma_j) C_j)) = -G_j, and log of
+    # rho_t(w_r) gamma_r^dagger = -H_{c_r}
+    logs = _log(np.concatenate([_cauchy(exps[nf:nf + r], exps[nf + r:]),
+                                (prod @ form.gamma_t[-1])[None]]))
+    # -H_{c_j}: the exponent -h(c_j) of a one-letter word, then -H_{c_r}
+    minus_h = np.concatenate([exponents[nf - r + 1:nf, 1:], logs[r:, 1:]])
+    return _coordinates(logs[:r, 1:] - minus_h).swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -371,16 +435,17 @@ def matching_matrix(rho: Representation, periphery: Periphery) -> np.ndarray:
 
 
 def _checked_order(res: np.ndarray, order: int, scale: float | None = None) -> float:
-    """Norm of one order's residuals; ValueError if it or `scale`, the norm
-    of that order's inhomogeneity, is not finite; ObstructionFound if it
-    exceeds OBSTRUCTION_TOL * max(1, scale).  Without `scale` the order's
-    top row is zero, and its inhomogeneity is the residual itself.
+    """Norm of one order's residual coordinates; ValueError if it or
+    `scale`, the norm of that order's inhomogeneity, is not finite;
+    ObstructionFound if it exceeds OBSTRUCTION_TOL * max(1, scale).
+    Without `scale` the order's top row is zero, and its inhomogeneity is
+    the residual itself.
 
     A finite direction gives a non-finite norm only when the series
     overflow double precision: that says nothing about an obstruction,
     and NaN would pass the tolerance test.
     """
-    flat = flatten_algebra(res).reshape(-1)
+    flat = res.reshape(-1)
     norm = linalg.scaled_norm(flat)
     if scale is None:
         scale = norm
@@ -394,37 +459,34 @@ def _checked_order(res: np.ndarray, order: int, scale: float | None = None) -> f
     return norm
 
 
-def solve_next_order(rho: Representation, h: np.ndarray, c: np.ndarray,
-                     periphery: Periphery, solver, scale: float = 0.0):
+def solve_next_order(form: RealForm, h: np.ndarray, c: np.ndarray, solver,
+                     scale: float = 0.0):
     """Check the top order of a family known to order k, then solve order k+1.
 
-    One `order_residuals` call on (h_1..h_k, 0), (c_1..c_k, 0) serves
-    both: its order-k coefficient is the residual of the order solved
-    last, and its order-(k+1) coefficient is the inhomogeneity b of the
-    order-(k+1) matching conditions, which are affine in the unknown top
-    coefficients with linear part `matching_matrix(rho, periphery)`.  The
-    system is solved at minimum norm by `solver`, the solve function that
+    `h` and `c` hold orders 1..k+1 in real form, the last row zero, as
+    `order_residuals` takes them.  One `order_residuals` call serves both:
+    its order-k coefficient is the residual of the order solved last, and
+    its order-(k+1) coefficient is the inhomogeneity b of the order-(k+1)
+    matching conditions, which are affine in the unknown top coefficients
+    with linear part `matching_matrix(rho, periphery)`.  The system is
+    solved at minimum norm by `solver`, the solve function that
     `linalg.min_norm_solver` returns for that matrix.
 
     `scale` is the norm of the order-k inhomogeneity, which the call on
-    order k-1 returned.  Returns (h_top, c_top, norm, next_scale), norm
-    being the order-k residual norm, or None for k = 1, whose coefficients
-    are the cocycle and its lifts rather than a solve, and next_scale the
-    norm of b.  Raises ObstructionFound when that residual exceeds
+    order k-1 returned.  Returns (h_top, c_top, norm, next_scale): the
+    order-(k+1) coefficients in real form, norm the order-k residual norm,
+    or None for k = 1, whose coefficients are the cocycle and its lifts
+    rather than a solve, and next_scale the norm of b.  Raises
+    ObstructionFound when that residual exceeds
     OBSTRUCTION_TOL * max(1, scale), and ValueError when it or `scale` is
     not finite.
     """
-    pres = rho.presentation
-    n = rho.rank
-    nf, r = pres.free_rank, pres.punctures
-    k = len(h)
-    res = order_residuals(rho,
-                          np.concatenate([h, np.zeros((1, nf, n, n), dtype=complex)]),
-                          np.concatenate([c, np.zeros((1, r, n, n), dtype=complex)]),
-                          periphery)
+    nf = h.shape[1]
+    k = len(h) - 1
+    res = order_residuals(form, h, c)
     norm = None if k == 1 else _checked_order(res[k - 1], k, scale)
-    b = flatten_algebra(res[k]).reshape(-1)
-    top = unflatten_algebra(solver(-b).reshape(nf + r, n * n), n)
+    b = res[k].reshape(-1)
+    top = _real_coefficients(solver(-b).reshape(-1, res.shape[-1]), form.rho.rank)
     return top[:nf], top[nf:], norm, linalg.scaled_norm(b)
 
 
@@ -435,10 +497,13 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     The direction must be a parabolic cocycle (values on the free
     generators), every value finite and skew-Hermitian, or ValueError: the
     residuals see only the skew part, so a Hermitian part would ride along
-    in h_1 unchecked.  One `build_periphery` serves the order-1 lifts and
-    every order.  The matching matrix is built and rank-certified once for
-    all orders, and for N >= 2 factored once.  The coefficients go into
-    stacks allocated once (module docstring, evaluation schedule).  For
+    in h_1 unchecked.  h_1 is skew_project(direction), exactly skew, which
+    the transposed inverse letters of `order_residuals` need.  One
+    `build_periphery` serves the order-1 lifts and every order, and one
+    `real_form` embeds its constants.  The matching matrix is built and
+    rank-certified once for all orders, and for N >= 2 factored once.  The
+    coefficients go into real stacks allocated once, and complex only into
+    the returned state (module docstring, evaluation schedule).  For
     N >= 2 each `solve_next_order` checks the order before it and one last
     `order_residuals` call checks the top order, so an order-K build
     evaluates the residual series K times.  For N = 1 the family t h_1 is
@@ -455,34 +520,37 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     direction = np.asarray(direction, dtype=complex)
     if not is_skew_hermitian(direction):
         raise ValueError("direction values must be finite and skew-Hermitian")
+    direction = skew_project(direction)
     periphery = build_periphery(rho)
-    pres, n = rho.presentation, rho.rank
-    h = np.zeros((order, pres.free_rank, n, n), dtype=complex)
-    c = np.zeros((order, pres.punctures, n, n), dtype=complex)
     # the lift first: it refuses a direction of the wrong shape, which the
     # row assignment might broadcast
-    c[0] = lift_to_cone(rho, direction, periphery)
-    h[0] = direction
+    first = _embed(np.concatenate([direction, lift_to_cone(rho, direction, periphery)]))
+    pres, n = rho.presentation, rho.rank
+    nf = pres.free_rank
+    h = np.zeros((order, nf, 2 * n, 2 * n))
+    c = np.zeros((order, pres.punctures, 2 * n, 2 * n))
+    h[0], c[0] = first[:nf], first[nf:]
     norms = []
     rank = None
     if order > 1:
+        form = real_form(rho, periphery)
         a = matching_matrix(rho, periphery)
         if n == 1:
             # u(1) is abelian: t h_1 is exact and rows 2..K stay zero
             rank = linalg.checked_rank(a, linalg.SOLVE_RTOL)
-            res = order_residuals(rho, h, c, periphery)
+            res = order_residuals(form, h, c)
             norms = [_checked_order(res[k - 1], k) for k in range(2, order + 1)]
         else:
             solver, rank = linalg.min_norm_solver(a)
             scale = 0.0
             for k in range(1, order):
-                h[k], c[k], norm, scale = solve_next_order(rho, h[:k], c[:k], periphery,
+                h[k], c[k], norm, scale = solve_next_order(form, h[:k + 1], c[:k + 1],
                                                            solver, scale)
                 if norm is not None:
                     norms.append(norm)
-            top = order_residuals(rho, h, c, periphery)[-1]
+            top = order_residuals(form, h, c)[-1]
             norms.append(_checked_order(top, order, scale))
-    return DeformationState(rho, h, c, tuple(norms), rank)
+    return DeformationState(rho, _unembed(h), _unembed(c), tuple(norms), rank)
 
 
 def check_t_samples(ts) -> list:

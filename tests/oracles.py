@@ -19,11 +19,16 @@ package computes in one place:
   `all_pairs_exp` and `all_pairs_log` (the package forms only the pairs
   that truncation and valuation leave nonzero);
 - the induced series on a word, one letter at a time, `word_log_series`
-  and its coefficients `word_coefficients`, the conjugator series
-  `conjugator_log_series`, and from them the matching residuals puncture
-  by puncture, `reference_order_residuals` (the package evaluates every
-  peripheral word at once in the stacked series kernel of
-  `deformation.order_residuals`);
+  and its coefficients `word_coefficients`, in complex arithmetic with
+  both letter forms (the package transposes its letters in real form);
+- the matching residuals puncture by puncture and letter by letter in the
+  package's real-form arithmetic, `reference_order_residuals` (the
+  package evaluates every peripheral word at once in the stacked series
+  kernel of `deformation.order_residuals`), with the conjugator series
+  `conjugator_log_series`;
+- the same residuals in extended precision, `extended_order_residuals`:
+  np.clongdouble, plain loops over letters and coefficient pairs, and no
+  package kernel, so the one check whose arithmetic is not the package's;
 - the truncated family at one parameter value, `reference_instantiate`,
   and its residuals one t at a time, `reference_grid_residuals` (the
   package instantiates and checks the whole decay-check grid at once).
@@ -35,7 +40,8 @@ count, which is 1 on every surface.
 
 `MatrixSeries`, with `series_exp` and `series_log`, is the one-series
 view of the package's stacked series kernel (`deformation._cauchy`,
-`_exp` and `_log`) that the per-letter references are written in.
+`_exp` and `_log`) that the per-letter references are written in; it
+keeps the dtype of its coefficients, complex or real form.
 
 The rest are u(N) and word operations that the checks state their
 properties with: the invariant form, the commutator, the truncated
@@ -51,7 +57,15 @@ import numpy as np
 
 from surfrep import linalg
 from surfrep.cohomology import _require_nondegenerate, _restriction_matrix
-from surfrep.deformation import DeformationState, _cauchy, _exp, _horner, _log
+from surfrep.deformation import (
+    DeformationState,
+    _cauchy,
+    _coordinates,
+    _embed,
+    _exp,
+    _horner,
+    _log,
+)
 from surfrep.presentation import (
     Representation,
     SurfaceData,
@@ -184,7 +198,7 @@ class MatrixSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.coeffs = np.asarray(coeffs)
 
     @property
     def order(self):
@@ -193,16 +207,16 @@ class MatrixSeries:
     @classmethod
     def constant(cls, mat, order):
         n = mat.shape[0]
-        coeffs = np.zeros((order + 1, n, n), dtype=complex)
+        coeffs = np.zeros((order + 1, n, n), dtype=mat.dtype)
         coeffs[0] = mat
         return cls(coeffs)
 
     @classmethod
     def from_coefficients(cls, mats, order):
         """Series sum_k mats[k-1] t^k with no constant term."""
-        mats = np.asarray(mats, dtype=complex)
+        mats = np.asarray(mats)
         n = mats.shape[1]
-        coeffs = np.zeros((order + 1, n, n), dtype=complex)
+        coeffs = np.zeros((order + 1, n, n), dtype=mats.dtype)
         top = min(len(mats), order)
         coeffs[1:top + 1] = mats[:top]
         return cls(coeffs)
@@ -308,27 +322,127 @@ def word_log_series(rho, h, w, order):
 
 
 def conjugator_log_series(c_j, gamma, order):
-    """G_j(t) = -log(exp(C_j) exp(-Ad(gamma) C_j)) truncated."""
+    """G_j(t) = -log(exp(C_j) exp(-Ad(gamma) C_j)) truncated; complex, or in
+    real form with gamma and c_j in real form."""
     cs = MatrixSeries.from_coefficients(c_j, order)
-    gh = gamma.conj().T
+    gh = np.ascontiguousarray(gamma.conj().T)
     ad = MatrixSeries(np.array([gamma @ m @ gh for m in cs.coeffs]))
     return -series_log(series_exp(cs) @ series_exp(-ad))
 
 
-def reference_order_residuals(rho, h, c, periphery=None):
-    """`deformation.order_residuals`, one puncture and one letter at a time;
-    the peripheral images are evaluated here, `periphery` or not."""
+def _real_letter_series(rho, h, idx, exp, order):
+    """R(exp(-H_x) rho(x)) for a letter x, and its transpose, which is
+    R(rho(x)^dagger exp(H_x)), for x^-1; `h` in real form."""
+    hs = MatrixSeries.from_coefficients(h[:, idx], order)
+    letter = series_exp(-hs).coeffs @ _embed(rho.images[idx])
+    return MatrixSeries(letter if exp == 1 else letter.swapaxes(-1, -2))
+
+
+def reference_order_residuals(form, h, c):
+    """`deformation.order_residuals`, one puncture and one letter at a time
+    in the same real-form arithmetic; of `form` only rho is read, and the
+    peripheral images are evaluated here."""
+    rho = form.rho
     pres = rho.presentation
     order = len(h)
-    out = np.empty((order, pres.punctures, rho.rank, rho.rank), dtype=complex)
+    out = np.empty((order, pres.punctures, rho.rank ** 2))
     for j in range(pres.punctures):
         w = pres.peripheral_word(j)
-        gamma_j = evaluate_word(rho, pres.to_free(w))
-        hw = word_log_series(rho, h, w, order)
+        gamma_j = _embed(evaluate_word(rho, w))
+        if j < pres.punctures - 1:
+            # the one-letter word c_j: H_{c_j} is h(c_j) itself
+            hw = MatrixSeries.from_coefficients(h[:, pres.c(j)], order)
+        else:
+            s = None
+            for idx, e in w:
+                letter = _real_letter_series(rho, h, idx, e, order)
+                s = letter if s is None else s @ letter
+            hw = -series_log(MatrixSeries(s.coeffs @ np.ascontiguousarray(gamma_j.T)))
         gj = conjugator_log_series(c[:, j], gamma_j, order)
         for k in range(1, order + 1):
-            out[k - 1, j] = skew_project(hw.coefficient(k) - gj.coefficient(k))
+            out[k - 1, j] = _coordinates(hw.coefficient(k) - gj.coefficient(k))
     return out
+
+
+def _long_product(a, b, seen):
+    """Truncated product of two series given as lists of matrices; `seen`
+    collects every series formed."""
+    out = [sum(a[i] @ b[m - i] for i in range(m + 1)) for m in range(len(a))]
+    seen.append(out)
+    return out
+
+
+def _long_exp(s, seen):
+    """exp of a series with zero constant term, term by term."""
+    eye = np.eye(s[0].shape[0], dtype=np.clongdouble)
+    out = [eye] + [0 * eye for _ in s[1:]]
+    term = list(out)
+    for m in range(1, len(s)):
+        term = [x / m for x in _long_product(term, s, seen)]
+        out = [x + y for x, y in zip(out, term)]
+    seen.append(out)
+    return out
+
+
+def _long_log(s, seen):
+    """log of a series with constant term I, term by term."""
+    x = [0 * s[0]] + list(s[1:])
+    out, power = [0 * s[0] for _ in s], x
+    for m in range(1, len(s)):
+        out = [o + ((-1) ** (m + 1) / np.longdouble(m)) * p for o, p in zip(out, power)]
+        power = _long_product(power, x, seen)
+    seen.append(out)
+    return out
+
+
+def extended_order_residuals(rho, h, c):
+    """H_{c_j} - G_j at orders 1..m in np.clongdouble, one puncture, one
+    letter and one coefficient pair at a time, from complex `h` (m,
+    free_rank, N, N) and `c` (m, punctures, N, N).
+
+    Every letter is formed in its own way, x as exp(-H_x) rho(x) and x^-1
+    as rho(x)^dagger exp(H_x), and the images of the peripheral words are
+    multiplied out here.  Returns the residuals (m, punctures, N, N),
+    their skew parts, and per order and puncture the size of the terms:
+    the largest entry, at that order, of any series the evaluation forms.
+    Roundoff in double precision scales with it, since the terms may
+    cancel (at N = 1 every residual vanishes).
+    """
+    pres = rho.presentation
+    order = len(h)
+    n = rho.rank
+    eye = np.eye(n, dtype=np.clongdouble)
+
+    def series(coeffs):
+        return [0 * eye] + [np.asarray(m, dtype=np.clongdouble) for m in coeffs]
+
+    images = [np.asarray(m, dtype=np.clongdouble) for m in rho.images]
+    residuals = np.empty((order, pres.punctures, n, n), dtype=np.clongdouble)
+    sizes = np.empty((order, pres.punctures))
+    for j in range(pres.punctures):
+        seen = []
+        prod, gamma = [eye] + [0 * eye] * order, eye
+        for idx, e in pres.peripheral_word(j):
+            if e == 1:
+                letter = [x @ images[idx]
+                          for x in _long_exp([-x for x in series(h[:, idx])], seen)]
+                gamma = gamma @ images[idx]
+            else:
+                back = images[idx].conj().T
+                letter = [back @ x for x in _long_exp(series(h[:, idx]), seen)]
+                gamma = gamma @ back
+            seen.append(letter)
+            prod = _long_product(prod, letter, seen)
+        hw = [-x for x in _long_log([x @ gamma.conj().T for x in prod], seen)]
+        cs = series(c[:, j])
+        ad = [-(gamma @ x @ gamma.conj().T) for x in cs]
+        gj = [-x for x in _long_log(_long_product(_long_exp(cs, seen), _long_exp(ad, seen),
+                                                  seen), seen)]
+        for k in range(1, order + 1):
+            d = hw[k] - gj[k]
+            residuals[k - 1, j] = (d - d.conj().T) / 2
+            sizes[k - 1, j] = float(max(np.abs(s[k]).max() for s in seen))
+    return residuals, sizes
 
 
 def reference_instantiate(state, t):

@@ -175,8 +175,9 @@ def test_direction_with_a_hermitian_part_exits_1(tmp_path, capsys):
 
 
 def test_direction_too_large_for_the_residuals_exits_1(tmp_path, capsys):
-    # the order-2 residual is NaN.  numpy's overflow warnings, errors
-    # under this suite's warning filter, must not reach stderr either
+    # the order-3 terms pass 1e308 and the order-3 residual is NaN, while
+    # order 2 is finite.  numpy's overflow warnings, errors under this
+    # suite's warning filter, must not reach stderr either
     rho = smooth_instance(1, 2, 1).representation
     inp = _write(tmp_path, "point.json", point_to_dict(rho))
     dirf = _write(tmp_path, "dir.json",
@@ -186,7 +187,7 @@ def test_direction_too_large_for_the_residuals_exits_1(tmp_path, capsys):
     assert out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "ValueError"
-    assert "order 2 is not finite" in error["message"]
+    assert "order 3 is not finite" in error["message"]
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):

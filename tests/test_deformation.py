@@ -17,9 +17,11 @@ from surfrep.corpus import (
 )
 from surfrep.deformation import (
     DEFAULT_VERIFY_TS,
+    _embed,
     build_deformation,
     matching_matrix,
     order_residuals,
+    real_form,
     verify_deformation,
 )
 from surfrep.errors import ObstructionFound
@@ -27,6 +29,7 @@ from surfrep.pairing import lift_to_cone
 from surfrep.presentation import build_periphery, evaluate_word
 from surfrep.unitary import (
     flatten_algebra,
+    is_skew_hermitian,
     mat_exp,
     skew_project,
     unflatten_algebra,
@@ -41,6 +44,7 @@ from oracles import (
     all_pairs_log,
     bracket,
     conjugation_state,
+    extended_order_residuals,
     reference_grid_residuals,
     reference_instantiate,
     reference_order_residuals,
@@ -53,6 +57,13 @@ from oracles import (
 def _witness(genus, rank, punctures, seed=0):
     return witness_representation(genus, rank, punctures,
                                   np.random.default_rng(seed))
+
+
+def _residuals(rho, h, c, periphery=None):
+    """`order_residuals` on complex coefficients: the real form of rho and
+    of h and c, then the (m, punctures, N^2) residual coordinates."""
+    form = real_form(rho, build_periphery(rho) if periphery is None else periphery)
+    return order_residuals(form, _embed(np.asarray(h)), _embed(np.asarray(c)))
 
 
 def _random_series(rng, n, order, with_constant=None):
@@ -105,7 +116,7 @@ def test_first_order_is_the_direction(witness_u2):
     assert np.array_equal(state.c[0], lift_to_cone(rho, direction))
     assert state.order == 1
     # order-1 matching residual vanishes for a parabolic cocycle
-    res = order_residuals(rho, state.h, state.c, build_periphery(rho))
+    res = _residuals(rho, state.h, state.c)
     assert max(algebra_norm(m) for m in res) < 1e-10
 
 
@@ -122,7 +133,7 @@ def test_matching_residuals_vanish_through_order(witness_u2, witness_u3):
     for inst in (witness_u2, witness_u3):
         rho = inst.representation
         state = build_deformation(rho, tangent_direction(rho, 0), order=3)
-        res = order_residuals(rho, state.h, state.c, build_periphery(rho))
+        res = _residuals(rho, state.h, state.c)
         assert max(algebra_norm(m) for m in res) < 1e-8
         assert all(r < 1e-8 for r in state.residual_norms)
 
@@ -177,7 +188,7 @@ def test_conjugation_family_is_exact(witness_u2, rng):
     rho = witness_u2.representation
     x = skew_project(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     state = conjugation_state(rho, x, order=5)
-    res = order_residuals(rho, state.h, state.c, build_periphery(rho))
+    res = _residuals(rho, state.h, state.c)
     assert max(algebra_norm(m) for m in res) < 1e-12
     # instantiation reproduces the conjugated point up to truncation error
     t = 0.05
@@ -199,18 +210,42 @@ def test_direction_must_be_finite_and_skew_hermitian(witness_u2, bad):
         build_deformation(rho, direction, order=2)
 
 
-@pytest.mark.parametrize("scale,order", [(1e100, 3), (1e120, 2)], ids=["order-3", "nan"])
+@pytest.mark.parametrize("scale,order", [(1e120, 3), (1e160, 2)], ids=["order-3", "nan"])
 def test_a_residual_that_overflows_is_refused_not_obstructed(witness_u2, scale, order):
-    # the series products overflow: at 1e100 the order-3 residual is NaN
-    # (the order-2 residual norm, 1e184, is finite), at 1e120 already the
-    # order-2 residual.  That is no obstruction, and NaN would pass the
-    # tolerance test
+    # the series products overflow: at 1e120 the order-3 terms pass 1e308
+    # and the order-3 residual is NaN, at 1e160 already the order-2 terms.
+    # That is no obstruction, and NaN would pass the tolerance test.  Each
+    # coefficient sums only its own products, so the orders below still
+    # build: an overflow at order 3 leaves order 2 finite
     rho = witness_u2.representation
     direction = scale * tangent_direction(rho, 0)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match=f"order {order} is not finite") as exc:
         build_deformation(rho, direction, order=4)
     assert exc.type is ValueError
+    if order > 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = build_deformation(rho, direction, order=order - 1)
+        assert np.isfinite(state.residual_norms).all()
+
+
+def test_h1_is_the_skew_part_of_the_direction(witness_u2, witness_u3):
+    # is_skew_hermitian lets a Hermitian part of up to SKEW_TOL pass; the
+    # transposed inverse letters need h_1 exactly skew, so the build takes
+    # skew_project(direction), and builds what the skew part builds
+    for inst in (witness_u2, witness_u3):
+        rho = inst.representation
+        skew = tangent_direction(rho, 0)
+        herm = np.eye(rho.rank) * 1e-13 * np.abs(skew).max()
+        direction = skew + herm
+        assert is_skew_hermitian(direction)
+        state = build_deformation(rho, direction, order=4)
+        assert np.array_equal(state.h[0], skew_project(direction))
+        assert np.array_equal(state.h[0], -state.h[0].conj().swapaxes(-1, -2))
+        ref = build_deformation(rho, skew_project(direction), order=4)
+        assert np.array_equal(state.h, ref.h) and np.array_equal(state.c, ref.c)
+        assert state.residual_norms == ref.residual_norms
+        assert verify_deformation(state)["passed"]
 
 
 @pytest.mark.parametrize("order", [True, 1.5], ids=["bool", "fraction"])
@@ -301,6 +336,17 @@ def test_a_scaled_direction_is_not_obstructed_by_its_roundoff(witness_u2, scale)
         assert norm / scale ** k <= deformation.OBSTRUCTION_TOL
 
 
+def _order_two_system(rho, direction, periphery):
+    """The real form, the order-1 family (h_1, 0), (c_1, 0) in real stacks
+    and the solver of the matching matrix, as a build sets them up."""
+    h1, c1 = direction, lift_to_cone(rho, direction, periphery)
+    h = np.zeros((2,) + h1.shape[:-2] + (2 * rho.rank, 2 * rho.rank))
+    c = np.zeros((2,) + c1.shape[:-2] + h.shape[-2:])
+    h[0], c[0] = _embed(h1), _embed(c1)
+    solver, _ = linalg.min_norm_solver(matching_matrix(rho, periphery))
+    return real_form(rho, periphery), h, c, solver
+
+
 def test_obstruction_is_judged_relative_to_its_inhomogeneity(obstructed):
     # the obstructed instance stops at order 2 whatever the rule: its
     # residual is 0.65 of the order-2 inhomogeneity, bit for bit the
@@ -309,23 +355,18 @@ def test_obstruction_is_judged_relative_to_its_inhomogeneity(obstructed):
     with pytest.raises(ObstructionFound) as exc:
         build_deformation(rho, direction, order=4)
     periphery = build_periphery(rho)
-    h1, c1 = direction, lift_to_cone(rho, direction, periphery)
-    zero = np.zeros_like(h1)
-    b = order_residuals(rho, np.array([h1, zero]), np.array([c1, np.zeros_like(c1)]),
-                        periphery)[-1]
-    b_norm = np.linalg.norm(flatten_algebra(b).reshape(-1))
+    form, h, c, solver = _order_two_system(rho, direction, periphery)
+    b = order_residuals(form, h, c)[-1]
+    b_norm = np.linalg.norm(b.reshape(-1))
     assert b_norm > 1
     assert exc.value.order == 2
     assert exc.value.relative_norm == exc.value.residual_norm / b_norm
     assert exc.value.relative_norm == pytest.approx(0.6459082665150225, rel=1e-12)
     assert exc.value.residual_norm == pytest.approx(1.2707969905351293, rel=1e-12)
-    solver, _ = linalg.min_norm_solver(matching_matrix(rho, periphery))
-    h_top, c_top, _, scale = deformation.solve_next_order(rho, h1[None], c1[None],
-                                                          periphery, solver)
+    h[1], c[1], _, scale = deformation.solve_next_order(form, h, c, solver)
     assert scale == b_norm
-    fresh = order_residuals(rho, np.array([h1, h_top]), np.array([c1, c_top]),
-                            periphery)[-1]
-    assert np.array_equal(exc.value.residual_vector, flatten_algebra(fresh).reshape(-1))
+    fresh = order_residuals(form, h, c)[-1]
+    assert np.array_equal(exc.value.residual_vector, fresh.reshape(-1))
 
 
 def test_obstructed_point_first_order_still_works(obstructed):
@@ -356,9 +397,9 @@ def test_default_ts_cover_two_decades():
 # --- the closed-form linear part against finite differences ---------------
 
 def _flat_residual(rho, h, c, h_top, c_top, periphery):
-    res = order_residuals(rho, np.concatenate([h, h_top[None]]),
-                          np.concatenate([c, c_top[None]]), periphery)
-    return np.concatenate([flatten_algebra(m) for m in res[-1]])
+    res = _residuals(rho, np.concatenate([h, h_top[None]]),
+                     np.concatenate([c, c_top[None]]), periphery)
+    return res[-1].reshape(-1)
 
 
 def _unpack(vec, rho):
@@ -431,10 +472,10 @@ def _reference_build(rho, direction, order):
 
 
 def test_one_residual_evaluation_per_order(witness_u2, witness_u1, monkeypatch):
-    # solve_next_order on an order-k family evaluates (h_1..h_k, 0) once:
-    # order k is its check, order k+1 its inhomogeneity; one last call
-    # checks the top order.  At N = 1 nothing is solved, and one call on
-    # the whole stack checks every order
+    # solve_next_order on an order-k family evaluates rows (h_1..h_k, 0) of
+    # the build's stacks once: order k is its check, order k+1 its
+    # inhomogeneity; one last call checks the top order.  At N = 1 nothing
+    # is solved, and one call on the whole stack checks every order
     calls = []
     original_residuals = deformation.order_residuals
     original_next = deformation.solve_next_order
@@ -469,7 +510,8 @@ def test_one_residual_evaluation_per_order(witness_u2, witness_u1, monkeypatch):
             expected = [("build_periphery", None), ("evaluate_word", None)]
             if rho.rank > 1:
                 expected += [call for k in range(1, order)
-                             for call in (("solve_next_order", k), ("order_residuals", k + 1))]
+                             for call in (("solve_next_order", k + 1),
+                                          ("order_residuals", k + 1))]
             if order > 1:
                 expected.append(("order_residuals", order))
             assert calls == expected
@@ -480,16 +522,16 @@ def test_one_residual_evaluation_per_order(witness_u2, witness_u1, monkeypatch):
 def test_each_order_check_matches_a_fresh_top_order_evaluation(witness_u1, witness_u2,
                                                               witness_u3, witness_u2_sphere):
     # the check of order k is read off an evaluation truncated at k+1;
-    # it must equal the top coefficient of the family truncated at k
+    # it equals the top coefficient of the family truncated at k, bit for
+    # bit, since a coefficient does not depend on the truncation
     for inst in (witness_u1, witness_u2, witness_u3, witness_u2_sphere):
         rho = inst.representation
         state = build_deformation(rho, tangent_direction(rho, 0), order=5)
         assert len(state.residual_norms) == 4
         periphery = build_periphery(rho)
         for k, norm in zip(range(2, 6), state.residual_norms):
-            fresh = order_residuals(rho, state.h[:k], state.c[:k], periphery)[-1]
-            fresh_norm = np.linalg.norm(np.concatenate([flatten_algebra(m) for m in fresh]))
-            assert abs(norm - fresh_norm) <= 1e-15, (inst.name, k)
+            fresh = _residuals(rho, state.h[:k], state.c[:k], periphery)[-1]
+            assert norm == np.linalg.norm(fresh.reshape(-1)), (inst.name, k)
 
 
 def test_obstruction_vector_does_not_depend_on_the_build_order(obstructed):
@@ -506,13 +548,10 @@ def test_obstruction_vector_does_not_depend_on_the_build_order(obstructed):
     for e in raised[1:]:
         assert e.residual_norm == raised[0].residual_norm
         assert np.array_equal(e.residual_vector, raised[0].residual_vector)
-    periphery = build_periphery(rho)
-    h1, c1 = direction, lift_to_cone(rho, direction, periphery)
-    solver, _ = linalg.min_norm_solver(matching_matrix(rho, periphery))
-    h_top, c_top, _, _ = deformation.solve_next_order(rho, h1[None], c1[None], periphery, solver)
-    fresh = order_residuals(rho, np.array([h1, h_top]), np.array([c1, c_top]), periphery)[-1]
-    flat = np.concatenate([flatten_algebra(m) for m in fresh])
-    assert np.array_equal(raised[0].residual_vector, flat)
+    form, h, c, solver = _order_two_system(rho, direction, build_periphery(rho))
+    h[1], c[1], _, _ = deformation.solve_next_order(form, h, c, solver)
+    fresh = order_residuals(form, h, c)[-1]
+    assert np.array_equal(raised[0].residual_vector, fresh.reshape(-1))
     assert raised[0].residual_norm == pytest.approx(1.2707969905351293, rel=1e-12)
 
 
@@ -561,12 +600,63 @@ def test_stacked_residuals_equal_reference_bit_for_bit(corpus):
     rng = np.random.default_rng(11)
     for inst in corpus:
         rho = inst.representation
-        periphery = build_periphery(rho)
+        form = real_form(rho, build_periphery(rho))
         for order in (1, 2, 3, 4):
-            h, c = _random_lower_orders(rho, order + 1, rng)
-            stacked = order_residuals(rho, h, c, periphery)
-            assert np.array_equal(stacked, reference_order_residuals(rho, h, c)), \
+            h, c = (_embed(x) for x in _random_lower_orders(rho, order + 1, rng))
+            stacked = order_residuals(form, h, c)
+            assert np.array_equal(stacked, reference_order_residuals(form, h, c)), \
                 (inst.name, order)
+
+
+def test_residuals_agree_with_extended_precision(corpus):
+    # the bit-for-bit reference shares the package's arithmetic; this one
+    # does not.  Every shape at seeds 0-3, at the build's coefficients and
+    # at random lower orders: within 32 ulps of the largest term at each
+    # order (3.5 ulps seen)
+    rng = np.random.default_rng(5)
+    for inst in corpus:
+        rho = inst.representation
+        cases = [_random_lower_orders(rho, order + 1, rng) for order in (1, 2, 4)]
+        if inst.report.tangent_dim:
+            state = build_deformation(rho, tangent_direction(rho, 0), order=4)
+            cases.append((state.h, state.c))
+        for h, c in cases:
+            ours = unflatten_algebra(_residuals(rho, h, c), rho.rank)
+            ref, sizes = extended_order_residuals(rho, h, c)
+            err = np.abs(ours - ref).max(axis=(-2, -1)).astype(float)
+            assert (err <= 32 * np.finfo(float).eps * sizes).all(), (inst.name, len(h))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_coefficients_do_not_depend_on_the_truncation_order(corpus, rank):
+    # each coefficient is the sum of its own products, in its own order,
+    # whatever the truncation: a residual at order k is the same bits at
+    # every truncation order m >= k
+    rng = np.random.default_rng(rank)
+    for inst in corpus:
+        rho = inst.representation
+        if rho.rank != rank:
+            continue
+        form = real_form(rho, build_periphery(rho))
+        h, c = (_embed(x) for x in _random_lower_orders(rho, 6, rng))
+        full = order_residuals(form, h, c)
+        for m in range(1, 5):
+            assert np.array_equal(order_residuals(form, h[:m], c[:m]), full[:m]), \
+                (inst.name, m)
+
+
+def test_coordinate_maps_are_flatten_and_unflatten(rng):
+    # the residual read-off is flatten_algebra of A + iB to roundoff, and a
+    # solved order goes back to the bits of unflatten_algebra
+    for n in (1, 2, 3):
+        x = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        coords = deformation._coordinates(_embed(x))
+        assert np.abs(coords - flatten_algebra(x)).max() <= 1e-15 * np.abs(x).max()
+        v = rng.standard_normal((4, n * n))
+        real = deformation._real_coefficients(v, n)
+        assert np.array_equal(deformation._unembed(real), unflatten_algebra(v, n))
+        assert np.array_equal(_embed(deformation._unembed(real)), real)
+        assert np.array_equal(deformation._coordinates(real), flatten_algebra(unflatten_algebra(v, n)))
 
 
 def _reference_pipeline(monkeypatch, rho, direction, order):

@@ -162,8 +162,8 @@ def test_every_spawn_draws_one_child():
 _CACHED_CALLS = {
     "cohomology._reference_frame": (4, 2),
     "deformation._cauchy_pairs": (4, 1, 1),
+    "deformation._coordinate_maps": (2,),
     "deformation._identity": (4, 2),
-    "deformation._peripheral_slots": (standard_presentation(1, 2),),
     "presentation.standard_presentation": (1, 2),
     "solver._relation_layout": (standard_presentation(1, 2),),
     "unitary._basis_columns": (2,),

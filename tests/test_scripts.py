@@ -54,3 +54,33 @@ def test_hard_cases_prints_one_schema_row_per_case():
     # 6 rank-1 shapes x 4 seeds x 25 scales; 14 d x 4 seeds
     assert counts == {"rank1-sweep": 600, "d-sweep": 56, "obstructed": 1, "torus": 2,
                       "genus2-cone": 1, "overflow": 3}
+
+
+def test_hard_cases_diff_prints_moved_rows_and_counts(tmp_path):
+    def row(case, params, **fields):
+        base = {"case": case, "params": params, "outcome": "built", "order": 4,
+                "residual": 1e-9, "relative": None, "verify_passed": True, "slope": 5.0,
+                "wall_s": 0.01, "verdict": "right", "item": None}
+        return json.dumps({**base, **fields})
+
+    parent = [row("rank1-sweep", {"seed": 0}), row("rank1-sweep", {"seed": 1}),
+              row("torus", {"direction": "x"}, outcome="ObstructionFound", order=2,
+                  verify_passed=None, slope=None)]
+    # a residual and a time that move are not a moved row; an order is
+    change = [row("rank1-sweep", {"seed": 0}, residual=2e-9, wall_s=0.02),
+              row("rank1-sweep", {"seed": 1}, outcome="ObstructionFound", order=3,
+                  verify_passed=None, slope=None, verdict="wrong", item=10),
+              row("torus", {"direction": "x"}, outcome="ObstructionFound", order=3,
+                  verify_passed=None, slope=None)]
+    paths = []
+    for name, rows in (("parent.jsonl", parent), ("change.jsonl", change)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("\n".join(rows) + "\n")
+    lines = _run_script("hard_cases.py", "--diff", *map(str, paths))
+    assert [json.loads(line) for line in lines[:2]] == [
+        {"case": "rank1-sweep", "params": {"seed": 1},
+         "moved": {"outcome": ["built", "ObstructionFound"], "order": [4, 3],
+                   "verify_passed": [True, None], "verdict": ["right", "wrong"]}},
+        {"case": "torus", "params": {"direction": "x"}, "moved": {"order": [2, 3]}},
+    ]
+    assert lines[2:] == ["rank1-sweep: 1 of 2 rows moved", "torus: 1 of 1 rows moved"]
