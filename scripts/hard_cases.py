@@ -13,16 +13,24 @@ Cases:
                which lies in the quadratic cone [X1, Y1] + [X2, Y2] = 0
   overflow     `smooth_instance(1, 2, 1)` with direction 0 scaled by 1e40,
                1e60 and 1e80
+  genus0-wall  genus 0, rank 2, four punctures, SU(2) half-angles
+               (0.5, 0.5, 0.5, 1.5 -+ 10^-k) for k = 2, 4, 6, 8, 10 at
+               solver seeds 0-3: the partial products reach half-angles up
+               to 1.5, so the closing half-angle lies just inside or just
+               outside the interval that admits a point
 
-Each case is `build_deformation(order=4)` followed by `verify_deformation`.
+Each case is `build_deformation(order=4)` followed by `verify_deformation`,
+along tangent direction 0 of a genus0-wall row's solve; a solve that
+raises is the row, with the type of its error as the outcome.
 A row holds the case and its parameters; `outcome`, "built" or the type of
 the error raised; `order`, the order built or the obstructed order;
 `residual`, the largest order residual of a build or the obstruction's
 norm; `relative`, the obstruction's relative norm (null for a build);
 `verify_passed` and `slope` (null without a build); `wall_s`, the time of
-the build and the verify; and a `verdict`: right, refused (the input is
-too large for double precision), wrong, or undecided.  `item` names the
-ROADMAP item that decides an undecided row or mends a wrong one.
+the build and the verify (and of the solve, on genus0-wall rows); and a
+`verdict`: right, refused (the input is too large for double precision),
+wrong, or undecided.  `item` names the ROADMAP item that decides an
+undecided row or mends a wrong one.
 
 With --diff PARENT.jsonl CHANGE.jsonl it runs nothing: it reads two such
 tables, matched row by row on case and params, prints each row whose
@@ -43,6 +51,7 @@ import numpy as np
 
 from surfrep import (
     ConjugacyClass,
+    NonexistenceError,
     ObstructionFound,
     Representation,
     SolverConfig,
@@ -59,10 +68,11 @@ from surfrep.corpus import CORPUS_SHAPES
 
 ORDER = 4
 SEEDS = range(4)
-# the ROADMAP items that decide or mend a row: 9, obstructions that are
-# obstructions; 10, certificates that notice a degenerating class (with the
-# obstruction bound and the decay grid)
-OBSTRUCTIONS, CERTIFICATES = 9, 10
+# the ROADMAP items that decide or mend a row: 2, existence decided before
+# the solver runs; 9, obstructions that are obstructions; 10, certificates
+# that notice a degenerating class; 11, scale-free obstruction verdicts and
+# the verify grid
+EXISTENCE, OBSTRUCTIONS, CERTIFICATES, MAJORANTS = 2, 9, 10, 11
 
 SX = np.array([[0, 1j], [1j, 0]])
 SZ = np.array([[1j, 0], [0, -1j]])
@@ -109,8 +119,8 @@ def _judge(row, obstructed_at=None, item=None):
         return ("right", None) if right else ("wrong", item)
     if outcome != "built":
         return "wrong", item
-    # a build whose default grid misses the series' radius is for item 10
-    return ("right", None) if row["verify_passed"] else ("undecided", CERTIFICATES)
+    # a build whose default grid misses the series' radius is for item 11
+    return ("right", None) if row["verify_passed"] else ("undecided", MAJORANTS)
 
 
 def _emit(case, params, row, verdict):
@@ -132,7 +142,7 @@ def rank1_sweep():
                 row = _run(rho, 10.0 ** (quarter / 4) * direction)
                 _emit("rank1-sweep", {"shape": [genus, rank, punctures], "seed": seed,
                                       "log10_scale": quarter / 4},
-                      row, _judge(row, item=CERTIFICATES))
+                      row, _judge(row, item=MAJORANTS))
 
 
 def d_sweep():
@@ -146,13 +156,39 @@ def d_sweep():
             params["tangent"] = [report.tangent_dim, report.expected_dim]
             row = _run(rho, tangent_direction(rho, 0))
             if report.tangent_dim == report.expected_dim:
-                verdict = _judge(row, item=CERTIFICATES)
+                verdict = _judge(row, item=MAJORANTS)
             elif row["verify_passed"]:
                 verdict = "right", None
             else:
                 # the rank decisions disagree with the dimension count
                 verdict = "undecided", CERTIFICATES
             _emit("d-sweep", params, row, verdict)
+
+
+def genus0_wall():
+    for k in range(2, 11, 2):
+        for side, sign in (("inside", -1), ("outside", 1)):
+            closing = 1.5 + sign * 10.0 ** -k
+            surface = SurfaceData(0, 4, 2, tuple(ConjugacyClass((h, -h))
+                                                 for h in (0.5, 0.5, 0.5, closing)))
+            for seed in SEEDS:
+                t0 = time.perf_counter()
+                try:
+                    rho = solve(surface, SolverConfig(seed=seed)).representation
+                    direction = tangent_direction(rho, 0)
+                except Exception as exc:  # a refusal is a row too
+                    row = {"outcome": type(exc).__name__, "order": None, "residual": None,
+                           "relative": None, "verify_passed": None, "slope": None}
+                    # outside the interval no point exists, which item 2
+                    # decides before any restart
+                    right = side == "outside" and isinstance(exc, NonexistenceError)
+                    verdict = ("right", None) if right else ("wrong", EXISTENCE)
+                else:
+                    row = _run(rho, direction)
+                    verdict = _judge(row, item=EXISTENCE)
+                row["wall_s"] = time.perf_counter() - t0
+                _emit("genus0-wall", {"closing": closing, "side": side, "seed": seed},
+                      row, verdict)
 
 
 def trivial_point(genus, direction):
@@ -230,6 +266,7 @@ def main(argv=None) -> None:
     rank1_sweep()
     d_sweep()
     named_cases()
+    genus0_wall()
 
 
 if __name__ == "__main__":

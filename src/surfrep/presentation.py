@@ -285,9 +285,12 @@ def word_image(images, w: Word, n: int) -> np.ndarray:
     identity, an inverse letter by the adjoint.
 
     The one word fold of the package: an entry of `images` may be a stack
-    (..., n, n), and stacks multiply member by member.
+    (..., n, n), and stacks multiply member by member; the empty word is
+    the identity in the stack shape of the images.
     """
     out = np.eye(n, dtype=complex)
+    if not w and len(images):
+        return np.broadcast_to(out, np.shape(images[0])[:-2] + (n, n)).copy()
     for idx, e in w:
         m = images[idx]
         out = out @ (m if e == 1 else m.conj().swapaxes(-1, -2))

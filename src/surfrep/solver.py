@@ -61,63 +61,57 @@ b_1 = V S V^dagger with S the cyclic shift S e_i = e_{i+1}.  Then
 det T = 1, that is when the class angles sum to 0 mod 2 pi; otherwise the
 point is only a start.
 
-At genus 0 and N = 2 the relation c_1 ... c_r = I asks for a closed
-polygon in SU(2) = S^3, and its bending coordinates, the half-angles
-sigma_k of the partial products P_k = s_1 ... s_k, are known in closed
-form from the classes (Jeffrey and Weitsman, Comm. Math. Phys. 150, 1992),
-so `_polygon_start` completes the draw's frames.  Write c_j = e^(i phi_j)
-s_j with phi_j = (alpha_j + beta_j) / 2 and s_j in SU(2) of half-angle
-theta_j = |alpha_j - beta_j| / 2.  The relation then reads
-s_1 ... s_r = eps I with eps = e^(-i sum phi_j), which is +-1 exactly when
-the class angles sum to 0 mod 2 pi, so P_(r-1) must have half-angle
-theta_r if eps = 1 and pi - theta_r if eps = -1.  By the spherical
-triangle inequality, P_(k-1) of half-angle sigma times s_k can have any
-half-angle in [|sigma - theta_k|, min(sigma + theta_k, 2 pi - sigma -
-theta_k)], so the reachable interval of each sigma_k is walked forward in
-closed form (`_reach`); the chain is chosen backward, each sigma_k the
-midpoint of the part of its interval from which sigma_(k+1) is reached,
-so no triangle is degenerate where the classes leave room and the point
-is irreducible.  The axis of s_k is placed on the cone about P_(k-1)'s
-axis on which tr(P_(k-1) s_k) = 2 cos sigma_k (spherical law of
-cosines), at the twist of its drawn axis about P_(k-1)'s;
-s_r = eps P_(r-1)^-1 closes the polygon.  Frame 1 stays the draw's, and
-each other frame is read off its axis m, Q sigma_z Q^dagger = m . sigma,
-in closed form (no `eig`, no SVD).  The reachable intervals are exactly
-the half-angles the partial products can take, so the chain closes
-exactly when a point exists: it is the rank-2 genus-0 existence test (in
-closed form, Biswas, Int. J. Math. 9, 1998).  When the angle sum or the
-closing half-angle misses by more than ANGLE_TOL, the draw is the start.
+At genus 0 and N <= 3 `_chain_start` closes c_1 ... c_r = I as a chain
+of triangles P_(k-1) c_k = P_k, P_k = c_1 ... c_k, P_(r-1) = c_r^-1.  It
+walks k with P_(k-1) = W diag(a) W^dagger and c_k = W V diag(b) V^dagger
+W^dagger, b the class of c_k.  A unitary M with det M = delta has the
+characteristic polynomial x^2 - e_1 x + delta (N = 2) or x^3 - e_1 x^2 +
+delta conj(e_1) x - delta (N = 3), so once the class angles sum to 0 mod
+2 pi the class of M = diag(a) V diag(b) V^dagger, that is of P_k, is
+decided by tr M = a^T S b, with S_ij = |V_ij|^2 doubly stochastic.  Each
+step takes an S that meets the target's trace, sets c_k's frame to W V,
+and reads P_k's frame off M (`eig`, made unitary by QR), paired with the
+order of the target's eigenvalues; c_r's frame is P_(r-1)'s.  The first
+W is c_1's drawn frame, or the frame of the draw's product before the
+first prescribed triangle.  The angle sum misses 0 by roundoff; that miss
+is put on c_k's eigenvalues, where it stays roundoff, not on the
+target's, whose eigenvalue gaps would amplify it.
 
-At genus 0 and N = 3 `_triangle_start` keeps the draw's frames of c_1 ...
-c_(r-2) and closes the last triangle P c_(r-1) c_r = I, P = c_1 ... c_(r-2).
-Write P = W diag(a) W^dagger (W is c_1's drawn frame when r = 3, and from
-`eig`, made unitary by QR, when r >= 4) and c_(r-1) = W V diag(b) V^dagger
-W^dagger.  A unitary 3 x 3 M with det M = delta has the characteristic
-polynomial x^3 - e_1 x^2 + delta conj(e_1) x - delta, so when the class
-angles sum to 0 mod 2 pi the class of M = diag(a) V diag(b) V^dagger, which
-must be that of c_r^-1, is decided by tr M = a^T S b alone, with
-S_ij = |V_ij|^2.  The doubly stochastic S with a^T S b = tr(Lambda_r^dagger)
-form a polygon in a plane (two real linear equations on four free
-entries), and such an S is unistochastic exactly when the numbers
-sqrt(S_1j S_2j) form a triangle (Jarlskog and Stora, Phys. Lett. B 208,
-1988; Dunkl and Zyczkowski, J. Math. Phys. 50, 2009): when its slack
-16 area^2 = 4 p_1 p_2 - (p_3 - p_1 - p_2)^2, p_j = S_1j S_2j (Heron), is
-not negative.  `_unistochastic` takes the S of largest slack that a
-vectorised search finds over parallel lines across the polygon; along
-each line the slack is a quartic, and the best line's maximum is
-polished by Newton steps.  Positive slack keeps every entry of S positive
-and the triangle from being flat.  V follows in closed form
-(`_unistochastic_unitary`): row 1 is sqrt(S_1j), row 2 sqrt(S_2j)
-e^(i phi_j) with the phases that close the triangle, row 3 the conjugate
-cross product of rows 1 and 2.  The frame of c_(r-1) is W V, and the frame
-of c_r is W times the eigenvectors of M^dagger (`eig`, made unitary by QR),
-paired with the order of c_r's class angles.  The angle sum misses 0 by
-roundoff, and that miss is put on c_(r-1)'s eigenvalues, where it stays
-roundoff, rather than on c_r's, where the gaps of the class would
-amplify it.  When the angle sum misses by more than ANGLE_TOL, a class
-in the triangle is scalar (the trace no longer depends on S) or no S of
-positive slack meets the trace, the draw is the start; for r >= 4 the
-next restart draws another P.
+At N = 2 every P_k is prescribed by the bending coordinates of a closed
+polygon in SU(2) = S^3 (Jeffrey and Weitsman, Comm. Math. Phys. 150,
+1992).  Write c_j = e^(i phi_j) s_j with phi_j = (alpha_j + beta_j) / 2
+and s_j in SU(2) of half-angle theta_j = |alpha_j - beta_j| / 2: P_k has
+the eigenvalues e^(i (Phi_k +- sigma_k)), Phi_k = phi_1 + ... + phi_k and
+sigma_k the half-angle of s_1 ... s_k.  The relation reads s_1 ... s_r =
+eps I, eps = e^(-i sum phi_j) = +-1, so sigma_(r-1) is theta_r if eps = 1
+and pi - theta_r if eps = -1.  By the spherical triangle inequality,
+P_(k-1) of half-angle sigma times s_k can have any half-angle in
+[|sigma - theta_k|, min(sigma + theta_k, 2 pi - sigma - theta_k)]; the
+reachable interval of each sigma_k is walked forward (`_reach`) and the
+chain chosen backward, each sigma_k the midpoint of the part of its
+interval from which sigma_(k+1) is reached, so no triangle is degenerate
+where the classes leave room and the point is irreducible.  Every 2 x 2
+doubly stochastic S is unistochastic and a^T S b is linear in S_11, so V
+is the rotation of the S in closed form, at the twist of c_k's drawn
+frame in W (`_rotation`).  The chain closes exactly when a point exists:
+it is the rank-2 genus-0 existence test (Biswas, Int. J. Math. 9, 1998).
+
+At N = 3 the frames of c_1 ... c_(r-2) are the draw's, and only the last
+triangle is closed.  The doubly stochastic S with a^T S b =
+tr(Lambda_r^dagger) form a polygon in a plane, and such an S is
+unistochastic exactly when the numbers sqrt(S_1j S_2j) form a triangle
+(Jarlskog and Stora, Phys. Lett. B 208, 1988; Dunkl and Zyczkowski,
+J. Math. Phys. 50, 2009), that is when its slack 16 area^2 = 4 p_1 p_2 -
+(p_3 - p_1 - p_2)^2, p_j = S_1j S_2j (Heron), is positive, which also
+keeps every entry of S positive.  `_unistochastic` takes the S of largest
+slack that a search over parallel lines across the polygon finds, each
+line's slack a quartic polished by Newton steps, and V follows in closed
+form (`_unistochastic_unitary`).
+
+The draw is the start when the angle sum or N = 2's closing half-angle
+misses by more than ANGLE_TOL, or when at N = 3 a class in the triangle
+is scalar (the trace no longer depends on S) or no S of positive slack
+meets the trace; for r >= 4 the next restart draws another P_(r-2).
 
 Gauss-Newton runs from the completed point as from any other: it stops at
 once when the residual is already at most 1e-14 and polishes otherwise,
@@ -393,86 +387,12 @@ def _half_angle_chain(theta: list, tau: float):
     return sigma
 
 
-def _frame(m: list) -> list:
-    """The unitary Q, as nested lists, with Q sigma_z Q^dagger = m . sigma
-    for a unit axis m = (x, y, z): first column the +1 eigenvector of
-    m . sigma, (1 + z, x + iy) or (x - iy, 1 - z) normalized, whichever is
-    longer."""
-    x, y, z = m
-    scale = math.sqrt(2 * (1 + abs(z)))
-    if z >= 0:
-        u0, u1 = (1 + z) / scale, complex(x, y) / scale
-    else:
-        u0, u1 = complex(x, -y) / scale, (1 - z) / scale
-    return [[u0, -u1.conjugate()], [u1, u0.conjugate()]]
-
-
-def _su2_times(p: tuple, q: tuple) -> tuple:
-    """The product of SU(2) elements held as (w, v) for w I + i v . sigma:
-    (w_p w_q - v_p . v_q, w_p v_q + w_q v_p - v_p x v_q)."""
-    (pw, (a, b, c)), (qw, (x, y, z)) = p, q
-    return (pw * qw - (a * x + b * y + c * z),
-            [pw * x + qw * a - (b * z - c * y),
-             pw * y + qw * b - (c * x - a * z),
-             pw * z + qw * c - (a * y - b * x)])
-
-
 def _determinant_angle(classes) -> float | None:
     """The sum of the class angles, or None when it is not 0 mod 2 pi to
     within ANGLE_TOL: the determinant of the relation, which every point
     must meet."""
     total = sum(sum(c.angles) for c in classes)
     return None if circle_distance(total) > ANGLE_TOL else total
-
-
-def _polygon_start(point: _Point) -> _Point:
-    """The genus-0, N = 2 point with frames 2..r read off a closed
-    spherical polygon of the classes (module docstring); frame 1 and the
-    twists come from the draw.  The point comes back as it is when the
-    angle sum is not 0 mod 2 pi or the chain cannot close."""
-    classes = point.layout.surface.classes
-    total = point.layout.angle_sum
-    if total is None:
-        return point
-    eps = 1.0 if math.cos(total / 2) > 0 else -1.0
-    # c_j = exp(i phi_j) s_j, s_j of signed half-angle half_j about its axis
-    half = [(c.angles[0] - c.angles[1]) / 2 for c in classes]
-    theta = [abs(h) for h in half]
-    sigma = _half_angle_chain(theta, theta[-1] if eps > 0 else math.pi - theta[-1])
-    if sigma is None:
-        return point
-    # the drawn axes Q sigma_z Q^dagger = 2 q q^dagger - I, q the first column
-    drawn = []
-    for q0, q1 in point.stack[:, :, 0].tolist():
-        w = 2 * q1 * q0.conjugate()
-        drawn.append([w.real, w.imag, abs(q0) ** 2 - abs(q1) ** 2])
-    # the running product P = s_1 ... s_k, an SU(2) element cos a I +
-    # i sin a (n . sigma) held as (cos a, sin a n), starts from the drawn c_1
-    pw, pv = math.cos(half[0]), [math.sin(half[0]) * x for x in drawn[0]]
-    axes = []
-    for k in range(1, len(classes) - 1):
-        u = drawn[k]
-        sin_p = math.hypot(*pv)
-        n = [x / sin_p for x in pv] if sin_p else u
-        ct, st = math.cos(theta[k]), math.sin(theta[k])
-        # the cone about n on which tr(P s_k) = 2 cos sigma_k (spherical
-        # law of cosines), at the drawn axis's twist about n
-        denom = sin_p * st
-        cg = min(1.0, max(-1.0, (pw * ct - math.cos(sigma[k])) / denom)) if denom else 1.0
-        sg = math.sqrt(1.0 - cg * cg)
-        un = sum(a * b for a, b in zip(u, n))
-        perp = [a - un * b for a, b in zip(u, n)]
-        norm = math.hypot(*perp)
-        m = [cg * b + (sg * a / norm if norm else 0.0) for a, b in zip(perp, n)]
-        axes.append(m if half[k] >= 0 else [-x for x in m])
-        pw, pv = _su2_times((pw, pv), (ct, [st * x for x in m]))
-    # s_r = eps P^-1 = (eps pw, -eps pv) closes the polygon
-    sin_p = math.hypot(*pv)
-    sign = -eps if half[-1] >= 0 else eps
-    axes.append([sign * x / sin_p for x in pv] if sin_p else drawn[-1])
-    stack = point.stack.copy()
-    stack[1:] = [_frame(m) for m in axes]
-    return _Point(point.layout, stack)
 
 
 def _triangle_slack(s: np.ndarray) -> np.ndarray:
@@ -586,56 +506,89 @@ def _unistochastic_unitary(s: np.ndarray) -> np.ndarray:
                       (x * v - y * u).conjugate()]])
 
 
-def _triangle_start(point: _Point) -> _Point:
-    """The genus-0, N = 3 point whose last two frames close the triangle
-    P c_(r-1) c_r = I, P = c_1 ... c_(r-2) from the draw (module
-    docstring).  The point comes back as it is when the angle sum is not
-    0 mod 2 pi, a class of the triangle is scalar, or no unistochastic
-    matrix of positive slack meets the trace."""
+def _rotation(a: np.ndarray, b: np.ndarray, trace: complex, drawn: np.ndarray) -> np.ndarray:
+    """The 2 x 2 unitary V with a^T S b = a_1 b_2 + a_2 b_1 + S_11 (a_1 - a_2)
+    (b_1 - b_2) = trace, S_ij = |V_ij|^2, and the twist arg(V_21 conj(V_11))
+    of `drawn`; S is the draw's when a or b is scalar."""
+    (a1, a2), (b1, b2) = a.tolist(), b.tolist()
+    (u11, _), (u21, _) = drawn.tolist()
+    slope = (a1 - a2) * (b1 - b2)
+    s11 = ((trace - a1 * b2 - a2 * b1) / slope).real if slope else abs(u11) ** 2
+    s11 = min(1.0, max(0.0, s11))
+    twist = u21 * u11.conjugate()
+    z = twist / abs(twist) if twist else 1.0
+    c, s = math.sqrt(s11), math.sqrt(1.0 - s11)
+    return np.array([[c, -s * z.conjugate()], [s * z, c]])
+
+
+def _chain_start(point: _Point) -> _Point:
+    """The genus-0 point, N = 2 or 3, whose frames close the chain of
+    triangles P_(k-1) c_k = P_k, P_k = c_1 ... c_k (module docstring).
+    The point comes back as it is when the angle sum is not 0 mod 2 pi,
+    the half-angle chain cannot close (N = 2), or no unistochastic matrix
+    of positive slack meets the last trace (N = 3)."""
     lay = point.layout
     if lay.angle_sum is None:
         return point
-    # P = W diag(a) W^H; for r = 3 that is c_1 in its drawn frame
-    if len(point.stack) == 3:
+    n, r = len(lay.eye), len(point.stack)
+    # the eigenvalues of P_k^-1 for each prescribed P_k, the last c_r's class
+    targets = [lay.lambdas[-1].diagonal()]
+    if n == 2:
+        classes = lay.surface.classes
+        theta = [abs(c.angles[0] - c.angles[1]) / 2 for c in classes]
+        # s_1 ... s_r = eps I, eps = e^(-i angle_sum / 2) = +-1
+        closing = theta[-1] if math.cos(lay.angle_sum / 2) > 0 else math.pi - theta[-1]
+        sigma = _half_angle_chain(theta, closing)
+        if sigma is None:
+            return point
+        # P_k = e^(i Phi_k) s_1 ... s_k has the eigenvalues e^(i (Phi_k +- sigma_k))
+        phi = np.cumsum([sum(c.angles) / 2 for c in classes])
+        targets[:0] = [np.exp(-1j * (phi[k] + np.array([s, -s])))
+                       for k, s in enumerate(sigma[1:-1], 1)]
+    # P = W diag(a) W^H before the first triangle: c_1 in its drawn frame,
+    # or the draw's product from `eig`, made unitary by QR
+    first = r - 1 - len(targets)
+    if first == 1:
         w, a = point.stack[0], lay.lambdas[0].diagonal()
     else:
-        a, w = np.linalg.eig(point.sweep()[1][-2])
+        a, w = np.linalg.eig(point.sweep()[1][first])
         w = np.linalg.qr(w)[0]
-    b, last = lay.lambdas[-2].diagonal(), lay.lambdas[-1].diagonal()
-    # the angle sum misses 0 by roundoff: put that miss on c_(r-1)'s
-    # eigenvalues, where it stays roundoff, not on c_r's, which the
-    # eigenvalue gaps of the class would amplify
-    b = b * np.exp(-1j * cmath.phase(np.prod(a) * np.prod(b) * np.prod(last)) / 3)
-    s = _unistochastic(a, b, last.conj().sum())
-    if s is None:
-        return point
-    v = _unistochastic_unitary(s)
-    # c_r = (P c_(r-1))^-1 = W m^H W^H; its frame pairs m^H's eigenvalues
-    # with the order of the class angles
-    m = (a[:, None] * v * b) @ v.conj().T
-    e, frame = np.linalg.eig(m.conj().T)
-    perms = _permutation_table(3)
-    order = perms[np.abs(e[perms] - last).sum(axis=1).argmin()]
+    perms = _permutation_table(n)
     stack = point.stack.copy()
-    stack[-2] = w @ v
-    stack[-1] = w @ np.linalg.qr(frame[:, order])[0]
+    for k, inverse in enumerate(targets, first):
+        # the angle sum's roundoff miss goes on c_k's eigenvalues
+        b = lay.lambdas[k].diagonal()
+        b = b * np.exp(-1j * cmath.phase(a.prod() * b.prod() * inverse.prod()) / n)
+        trace = inverse.conj().sum()
+        if n == 2:
+            v = _rotation(a, b, trace, w.conj().T @ point.stack[k])
+        else:
+            s = _unistochastic(a, b, trace)
+            if s is None:
+                return point
+            v = _unistochastic_unitary(s)
+        # P_k^-1 = W m^H W^H, its frame paired with the target's order
+        m = (a[:, None] * v * b) @ v.conj().T
+        e, frame = np.linalg.eig(m.conj().T)
+        order = perms[np.abs(e[perms] - inverse).sum(axis=1).argmin()]
+        stack[k] = w @ v
+        w, a = w @ np.linalg.qr(frame[:, order])[0], inverse.conj()
+    stack[-1] = w
     return _Point(lay, stack)
 
 
 def _exact_start(point: _Point) -> _Point:
     """The draw completed to a start that solves the relation where a
-    closed form is known: Goto's pair at genus >= 1 (`_goto_start`), the
-    closed polygon at genus 0 and N = 2 (`_polygon_start`) and the closed
-    last triangle at genus 0 and N = 3 (`_triangle_start`).  N = 1 draws,
-    and genus-0 draws of N > 3, come back as they are."""
+    closed form is known: Goto's pair at genus >= 1 (`_goto_start`) and
+    the closed chain of triangles at genus 0 and N = 2 or 3
+    (`_chain_start`).  N = 1 draws, and genus-0 draws of N > 3, come back
+    as they are."""
     surface = point.layout.surface
     if surface.rank == 1:
         return point
     if surface.genus:
         return _goto_start(point)
-    if surface.rank == 2:
-        return _polygon_start(point)
-    return _triangle_start(point) if surface.rank == 3 else point
+    return _chain_start(point) if surface.rank <= 3 else point
 
 
 def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResult:
@@ -646,13 +599,12 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     has determinant 1, so no point exists.  Then runs deterministic
     restarts; each draws a Haar point, completes it to an exact start where
     a closed form is known (module docstring: Goto's commutator pair at
-    genus >= 1, the closed spherical polygon at genus 0 and N = 2, the
-    closed last triangle at genus 0 and N = 3) and takes undamped
-    Moore-Penrose Newton steps delta = -J^+ r from it (Ben-Israel, J. Math.
-    Anal. Appl. 15, 1966) until one fails to lower the residual.  Returns
-    the first irreducible converged point, or the first converged point if
-    every restart lands on a reducible one.  Raises NoConvergenceError when
-    no restart reaches the tolerance.
+    genus >= 1, the closed chain of triangles at genus 0 and N = 2 or 3)
+    and takes undamped Moore-Penrose Newton steps delta = -J^+ r from it
+    (Ben-Israel, J. Math. Anal. Appl. 15, 1966) until one fails to lower
+    the residual.  Returns the first irreducible converged point, or the
+    first converged point if every restart lands on a reducible one.
+    Raises NoConvergenceError when no restart reaches the tolerance.
     """
     cfg = config or SolverConfig()
     if surface.presentation.free_rank == 0:

@@ -60,11 +60,14 @@ def skew_project(x: np.ndarray) -> np.ndarray:
 
 def is_skew_hermitian(x: np.ndarray) -> bool:
     """||x + x^dagger|| <= SKEW_TOL * max(1, ||x||) for x, or for every member
-    of a stack; False on non-finite input."""
+    of a stack; False on non-finite input.  Each member is first scaled by
+    a power of two near 1 / max |x_ij|, exactly, so no square overflows."""
     if not np.isfinite(x).all():
         return False
-    herm = norms_along(x + x.conj().swapaxes(-1, -2), (-2, -1))
-    return bool((herm <= SKEW_TOL * np.maximum(1.0, norms_along(x, (-2, -1)))).all())
+    unit = np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=(-2, -1), keepdims=True))[1])
+    y = unit * x
+    herm = norms_along(y + y.conj().swapaxes(-1, -2), (-2, -1))
+    return bool((herm <= SKEW_TOL * np.maximum(unit[..., 0, 0], norms_along(y, (-2, -1)))).all())
 
 
 def mat_exp(x: np.ndarray) -> np.ndarray:

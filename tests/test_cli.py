@@ -190,6 +190,20 @@ def test_direction_too_large_for_the_residuals_exits_1(tmp_path, capsys):
     assert "order 3 is not finite" in error["message"]
 
 
+def test_direction_past_the_range_of_its_squares_exits_1_with_one_payload(tmp_path, capsys):
+    # at 1e160 the squares of the entries overflow.  The skew-Hermitian
+    # check scales each member first, so no overflow warning (an error
+    # under this suite's warning filter) comes before the refusal
+    rho = smooth_instance(1, 2, 1).representation
+    inp = _write(tmp_path, "point.json", point_to_dict(rho))
+    dirf = _write(tmp_path, "dir.json",
+                  {"values": encode_values(1e160 * tangent_direction(rho, 0))})
+    code, out, err = _run(capsys, ["deform", "--input", inp, "--direction-file", dirf])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

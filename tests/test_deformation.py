@@ -26,8 +26,9 @@ from surfrep.deformation import (
 )
 from surfrep.errors import ObstructionFound
 from surfrep.pairing import lift_to_cone
-from surfrep.presentation import build_periphery, evaluate_word
+from surfrep.presentation import Representation, SurfaceData, build_periphery, evaluate_word
 from surfrep.unitary import (
+    ConjugacyClass,
     flatten_algebra,
     is_skew_hermitian,
     mat_exp,
@@ -287,6 +288,19 @@ def test_verify_report_layout(witness_u2):
     }
     assert len(report["ts"]) == 2
     assert len(report["class_residuals"][0]) == rho.surface.punctures
+
+
+def test_verify_on_a_genus_zero_surface_with_one_puncture():
+    # no free generator, and the last peripheral word is empty: its image
+    # is the identity at every t of the grid, and the order-3 family (the
+    # point itself) verifies
+    surface = SurfaceData(0, 1, 2, (ConjugacyClass((0.0, 0.0)),))
+    rho = Representation.from_free_images(surface, [])
+    state = build_deformation(rho, np.zeros((0, 2, 2), dtype=complex), order=3)
+    report = verify_deformation(state)
+    assert report["order"] == 3
+    assert report["passed"]
+    assert report["class_residuals"] == [[0.0]] * len(DEFAULT_VERIFY_TS)
 
 
 @pytest.mark.parametrize("ts", [

@@ -49,11 +49,11 @@ def test_hard_cases_prints_one_schema_row_per_case():
             assert row[key] is None or isinstance(row[key], float) or row[key] == "inf"
         assert row["wall_s"] > 0
         assert row["verdict"] in {"right", "refused", "wrong", "undecided"}
-        assert row["item"] in {None, 9, 10}
+        assert row["item"] in {None, 2, 9, 10, 11}
         assert row["verdict"] != "undecided" or row["item"] is not None
-    # 6 rank-1 shapes x 4 seeds x 25 scales; 14 d x 4 seeds
+    # 6 rank-1 shapes x 4 seeds x 25 scales; 14 d x 4 seeds; 5 k x 2 sides x 4 seeds
     assert counts == {"rank1-sweep": 600, "d-sweep": 56, "obstructed": 1, "torus": 2,
-                      "genus2-cone": 1, "overflow": 3}
+                      "genus2-cone": 1, "overflow": 3, "genus0-wall": 40}
 
 
 def test_hard_cases_diff_prints_moved_rows_and_counts(tmp_path):

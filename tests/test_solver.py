@@ -12,15 +12,15 @@ from surfrep.pairing import gram_matrix
 from surfrep.presentation import SurfaceData
 from surfrep.solver import (
     SolverConfig,
+    _chain_start,
     _exact_start,
     _gauss_newton,
     _goto_start,
+    _half_angle_chain,
     _jacobian,
     _Layout,
     _Point,
-    _polygon_start,
     _reach,
-    _triangle_start,
     solve,
 )
 from surfrep.unitary import ConjugacyClass, algebra_basis, haar_unitary
@@ -342,7 +342,7 @@ def test_corpus_solves_at_rank_two_and_up_need_no_step():
     # every witness surface of rank >= 2 meets the determinant condition and
     # its classes leave room for a point, so the exact start (Goto's pair,
     # the closed polygon or the closed last triangle) solves restart 0
-    # outright and LM records the start's residual and stops
+    # outright and Gauss-Newton records the start's residual and stops
     shapes = [s for s in CORPUS_SHAPES if s[1] >= 2]
     assert len(shapes) == 9
     for shape in shapes:
@@ -425,7 +425,7 @@ def _special_unitaries(rng, k):
 
 
 def _assert_closed_polygon(surface, raw):
-    start = _polygon_start(raw)
+    start = _chain_start(raw)
     frames = start.stack
     gram = frames @ frames.conj().swapaxes(-1, -2)
     assert np.linalg.norm(gram - np.eye(2), axis=(1, 2)).max() <= 1e-13
@@ -454,15 +454,41 @@ def test_reach_is_the_set_of_product_half_angles():
         assert high - 1e-3 <= half.max() <= high + 1e-12
 
 
-@pytest.mark.parametrize("punctures", [3, 4, 5, 6])
-def test_polygon_start_closes_the_relation_exactly(punctures):
-    # seeded random classes read off a closed product: the angles sum to 0
-    # mod 2 pi and the chain of half-angles closes
+def _closed_polygon_draws(punctures):
+    """Ten seeded draws on random classes read off a closed product: the
+    angles sum to 0 mod 2 pi and the chain of half-angles closes."""
     rng = np.random.default_rng(40 + punctures)
     for _ in range(10):
         surface = _closed_sphere(haar_unitary(2, rng, punctures - 1))
-        start = _assert_closed_polygon(surface, _Point.random(surface, rng))
+        yield surface, _Point.random(surface, rng)
+
+
+@pytest.mark.parametrize("punctures", [3, 4, 5, 6])
+def test_polygon_start_closes_the_relation_exactly(punctures):
+    for surface, raw in _closed_polygon_draws(punctures):
+        start = _assert_closed_polygon(surface, raw)
         assert is_irreducible(start.representation())
+
+
+@pytest.mark.parametrize("punctures", [4, 5, 6])
+def test_polygon_start_partial_products_have_the_chosen_classes(punctures):
+    # P_k = c_1 ... c_k = e^(i Phi_k) s_1 ... s_k, Phi_k half the class
+    # angles of c_1 .. c_k, must have the eigenvalues e^(i (Phi_k +- sigma_k))
+    # of the half-angle chain, 2 <= k <= r - 2 (P_1 is c_1, P_(r-1) is c_r^-1,
+    # so r = 3 has none)
+    for surface, raw in _closed_polygon_draws(punctures):
+        angles = np.array([c.angles for c in surface.classes])
+        theta = list(np.abs(angles[:, 0] - angles[:, 1]) / 2)
+        closing = theta[-1] if np.cos(angles.sum() / 2) > 0 else np.pi - theta[-1]
+        sigma = _half_angle_chain(theta, closing)
+        phi = np.cumsum(angles.sum(axis=1) / 2)
+        images = _chain_start(raw).representation().images
+        product = images[0]
+        for k in range(2, punctures - 1):
+            product = product @ images[k - 1]
+            want = np.exp(1j * (phi[k - 1] + np.array([sigma[k - 1], -sigma[k - 1]])))
+            got = np.linalg.eigvals(product)
+            assert min(np.abs(got - want).max(), np.abs(got[::-1] - want).max()) <= 1e-13
 
 
 def _central_first(rng):
@@ -503,7 +529,8 @@ def test_polygon_start_edge_cases(build, sign):
 
 def test_corpus_solves_at_genus_zero_rank_two_need_at_most_one_step():
     # the witness classes close a spherical polygon, so restart 0's start
-    # meets the relation to roundoff and LM certifies it, polishing at most once
+    # meets the relation to roundoff and Gauss-Newton certifies it, polishing
+    # at most once
     shapes = [s for s in CORPUS_SHAPES if s[0] == 0 and s[1] == 2]
     assert len(shapes) == 3
     for shape in shapes:
@@ -586,7 +613,7 @@ def _largest_slack(a, b, trace, points=301):
 
 
 def _assert_closed_triangle(raw):
-    start = _triangle_start(raw)
+    start = _chain_start(raw)
     frames = start.stack
     gram = frames @ frames.conj().swapaxes(-1, -2)
     assert np.linalg.norm(gram - np.eye(3), axis=(1, 2)).max() <= 1e-13
@@ -603,14 +630,15 @@ def test_triangle_start_closes_the_relation_exactly(punctures):
     # seeded random classes read off a closed product.  At r = 3 the
     # triangle (c_1, c_2, c_3) always closes; for r >= 4 the draw's
     # P = c_1 ... c_(r-2) may leave no room for the last two classes, and
-    # then the draw comes back untouched for LM and the next restart
+    # then the draw comes back untouched for Gauss-Newton and the next
+    # restart
     rng = np.random.default_rng(60 + punctures)
     closed = 0
     for _ in range(20):
         surface = _closed_triple(haar_unitary(3, rng, punctures - 1))
         raw = _Point.random(surface, rng)
         stack = raw.stack.copy()
-        if _triangle_start(raw) is raw:
+        if _chain_start(raw) is raw:
             assert np.array_equal(raw.stack, stack)
             continue
         _assert_closed_triangle(raw)
@@ -664,7 +692,7 @@ def test_triangle_start_edge_cases(build):
     for seed in range(8):
         surface = build(rng)
         raw = _Point.random(surface, rng)
-        if surface.punctures > 3 and _triangle_start(raw) is raw:
+        if surface.punctures > 3 and _chain_start(raw) is raw:
             continue
         _assert_closed_triangle(raw)
         closed += 1
@@ -679,8 +707,8 @@ def test_triangle_start_edge_cases(build):
 @pytest.mark.filterwarnings("error")
 def test_triangle_start_with_a_scalar_class_in_the_triangle_keeps_the_draw():
     # at r = 3 a scalar c_1 or c_2 makes a^T S b the same for every S, so
-    # there is no plane to search: the draw is the start, and LM reaches
-    # the reducible points that are all the surface has
+    # there is no plane to search: the draw is the start, and Gauss-Newton
+    # reaches the reducible points that are all the surface has
     rng = np.random.default_rng(15)
     for position in (0, 1):
         images = list(haar_unitary(3, rng, 2))
@@ -688,7 +716,7 @@ def test_triangle_start_with_a_scalar_class_in_the_triangle_keeps_the_draw():
         surface = _closed_triple(images[:2])
         raw = _Point.random(surface, rng)
         stack = raw.stack.copy()
-        assert _triangle_start(raw) is raw
+        assert _chain_start(raw) is raw
         assert np.array_equal(raw.stack, stack)
         result = solve(surface, SolverConfig(seed=0))
         assert result.residual <= SolverConfig().tol
