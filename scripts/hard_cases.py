@@ -26,7 +26,9 @@ A row holds the case and its parameters; `outcome`, "built" or the type of
 the error raised; `order`, the order built or the obstructed order;
 `residual`, the largest order residual of a build or the obstruction's
 norm; `relative`, the obstruction's relative norm (null for a build);
-`verify_passed` and `slope` (null without a build); `wall_s`, the time of
+`verify_passed` and `slope` (null without a build); `exit`, the exit code
+the `surfrep` command gives (0 for a build, the error's `exit_code` for a
+SurfrepError, 1 for a ValueError, null otherwise); `wall_s`, the time of
 the build and the verify (and of the solve, on genus0-wall rows); and a
 `verdict`: right, refused (the input is too large for double precision),
 wrong, or undecided.  `item` names the ROADMAP item that decides an
@@ -34,9 +36,10 @@ undecided row or mends a wrong one.
 
 With --diff PARENT.jsonl CHANGE.jsonl it runs nothing: it reads two such
 tables, matched row by row on case and params, prints each row whose
-outcome, order, verify_passed or verdict moved as {"case", "params",
+outcome, order, verify_passed, exit or verdict moved as {"case", "params",
 "moved": {field: [parent, change]}}, a row present in only one table with
-its side, and then one count per case.
+its side, and then one count per case.  A field that an older table
+lacks reads as null.
 
 Usage: PYTHONPATH=src python scripts/hard_cases.py
        PYTHONPATH=src python scripts/hard_cases.py --diff PARENT.jsonl CHANGE.jsonl
@@ -56,6 +59,7 @@ from surfrep import (
     Representation,
     SolverConfig,
     SurfaceData,
+    SurfrepError,
     analyze,
     build_deformation,
     obstructed_instance,
@@ -85,20 +89,30 @@ def _number(x):
     return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
 
 
+def _refused(exc):
+    """The measured fields of a row that ended in `exc`."""
+    if isinstance(exc, SurfrepError):
+        code = exc.exit_code
+    else:
+        code = 1 if isinstance(exc, ValueError) else None
+    return {"outcome": type(exc).__name__, "order": None, "residual": None,
+            "relative": None, "verify_passed": None, "slope": None, "exit": code}
+
+
 def _run(rho, direction):
     """Build to ORDER and verify; the row's measured fields."""
     t0 = time.perf_counter()
     row = {"outcome": "built", "order": ORDER, "residual": None, "relative": None,
-           "verify_passed": None, "slope": None}
+           "verify_passed": None, "slope": None, "exit": 0}
     try:
         # an overflow is refused with ValueError, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             state = build_deformation(rho, direction, order=ORDER)
     except ObstructionFound as exc:
-        row.update(outcome="ObstructionFound", order=exc.order,
-                   residual=exc.residual_norm, relative=exc.relative_norm)
+        row = _refused(exc)
+        row.update(order=exc.order, residual=exc.residual_norm, relative=exc.relative_norm)
     except Exception as exc:  # a refusal is a row too
-        row.update(outcome=type(exc).__name__, order=None)
+        row = _refused(exc)
     else:
         report = verify_deformation(state)
         row.update(residual=max(state.residual_norms), verify_passed=report["passed"],
@@ -177,8 +191,7 @@ def genus0_wall():
                     rho = solve(surface, SolverConfig(seed=seed)).representation
                     direction = tangent_direction(rho, 0)
                 except Exception as exc:  # a refusal is a row too
-                    row = {"outcome": type(exc).__name__, "order": None, "residual": None,
-                           "relative": None, "verify_passed": None, "slope": None}
+                    row = _refused(exc)
                     # outside the interval no point exists, which item 2
                     # decides before any restart
                     right = side == "outside" and isinstance(exc, NonexistenceError)
@@ -224,7 +237,7 @@ def named_cases():
 
 
 # the fields of a row that say what happened; residuals and times move freely
-COMPARED = ("outcome", "order", "verify_passed", "verdict")
+COMPARED = ("outcome", "order", "verify_passed", "exit", "verdict")
 
 
 def _table(path):
@@ -246,8 +259,8 @@ def diff(parent_path, change_path) -> None:
             side = "parent" if key in parent else "change"
             print(json.dumps({"case": case, "params": params, "only_in": side}))
             continue
-        moved = {f: [parent[key][f], change[key][f]] for f in COMPARED
-                 if parent[key][f] != change[key][f]}
+        moved = {f: [parent[key].get(f), change[key].get(f)] for f in COMPARED
+                 if parent[key].get(f) != change[key].get(f)}
         if moved:
             count["moved"] += 1
             print(json.dumps({"case": case, "params": params, "moved": moved}))

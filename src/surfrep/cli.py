@@ -25,13 +25,14 @@ timings).  The sections are "analysis", "relation_residual" and
 flags (--tol, --restarts, --seed) are refused before any work, on a saved
 point too.
 
-Exit codes: 0 success, 1 invalid input (including classes that no
+Exit codes: 0 success, 1 invalid input (a ValueError, OSError, KeyError
+or JSONDecodeError).  A package error exits with the code its class
+declares in `errors.py`, the error table, and its stderr document carries
+the payload fields the class names: 1 invalid input (classes that no
 representation meets, NonexistenceError), 2 solver failed to converge,
 3 the point is reducible (the same condition as not smooth), 4 the
 deformation is obstructed, 5 the point cannot be certified in double
-precision (two rank methods disagree, a transform met a near-singular
-matrix, or an irreducible point's tangent dimension is not the expected
-one).
+precision.
 """
 
 from __future__ import annotations
@@ -45,17 +46,14 @@ import numpy as np
 
 from .cohomology import analyze
 from .corpus import tangent_direction
-from .deformation import DEFAULT_VERIFY_TS, build_deformation, check_t_samples, verify_deformation
-from .errors import (
-    DimensionMismatchError,
-    NearSingularError,
-    NoConvergenceError,
-    NonexistenceError,
-    NotParabolicError,
-    NumericalRankError,
-    ObstructionFound,
-    ReducibleError,
+from .deformation import (
+    DEFAULT_VERIFY_TS,
+    build_deformation,
+    check_direction,
+    check_t_samples,
+    verify_deformation,
 )
+from .errors import ReducibleError, SurfrepError
 from .pairing import gram_matrix
 from .presentation import SurfaceData
 from .serialize import (
@@ -67,14 +65,9 @@ from .serialize import (
     point_to_dict,
 )
 from .solver import SolverConfig, solve
-from .unitary import is_skew_hermitian
 
 EXIT_OK = 0
 EXIT_INVALID = 1
-EXIT_NO_CONVERGENCE = 2
-EXIT_NOT_SMOOTH_POINT = 3
-EXIT_OBSTRUCTED = 4
-EXIT_UNCERTIFIABLE = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,10 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON file: surface data or a saved point")
         p.add_argument("--output", default=None,
                        help="write the JSON result here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-10,
+        p.add_argument("--seed", type=int, default=SolverConfig.seed)
+        p.add_argument("--tol", type=float, default=SolverConfig.tol,
                        help="solver convergence tolerance")
-        p.add_argument("--restarts", type=int, default=8)
+        p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
 
     p_def = sub.choices["deform"]
     p_def.add_argument("--order", type=int, default=4,
@@ -137,8 +130,7 @@ def _point(config: SolverConfig, surface: SurfaceData, rho):
 
 
 def _load_direction(path: str, surface: SurfaceData):
-    """The cocycle values of a --direction-file, one finite skew-Hermitian
-    N x N matrix per free generator of the surface."""
+    """The cocycle values of a --direction-file, checked by `check_direction`."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "values" not in data:
@@ -147,14 +139,7 @@ def _load_direction(path: str, surface: SurfaceData):
         direction = decode_values(data["values"])
     except (TypeError, IndexError) as e:
         raise ValueError(f"direction values must be matrices of [re, im] pairs: {e}") from e
-    n = surface.rank
-    want = (surface.presentation.free_rank, n, n)
-    if direction.shape != want:
-        raise ValueError(f"direction must give one {n}x{n} value per free generator: "
-                         f"shape {want}, got {direction.shape}")
-    if not is_skew_hermitian(direction):
-        raise ValueError("direction values must be finite and skew-Hermitian")
-    return direction
+    return check_direction(direction, surface)
 
 
 def _document(args, config: SolverConfig, watch: Stopwatch, rho, result,
@@ -261,24 +246,8 @@ def main(argv=None) -> int:
         payload = _COMMANDS[args.command](args, config, watch)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         return _fail(EXIT_INVALID, type(e).__name__, str(e))
-    except NotParabolicError as e:
-        return _fail(EXIT_INVALID, "NotParabolicError", str(e))
-    except NonexistenceError as e:
-        return _fail(EXIT_INVALID, "NonexistenceError", str(e), angle_sum=e.angle_sum)
-    except NoConvergenceError as e:
-        return _fail(EXIT_NO_CONVERGENCE, "NoConvergenceError", str(e),
-                     restart_residuals=list(e.restart_residuals))
-    except ReducibleError as e:
-        return _fail(EXIT_NOT_SMOOTH_POINT, "ReducibleError", str(e))
-    except ObstructionFound as e:
-        return _fail(EXIT_OBSTRUCTED, "ObstructionFound", str(e),
-                     order=e.order, residual_norm=e.residual_norm,
-                     relative_norm=e.relative_norm)
-    except (NumericalRankError, NearSingularError) as e:
-        return _fail(EXIT_UNCERTIFIABLE, type(e).__name__, str(e))
-    except DimensionMismatchError as e:
-        return _fail(EXIT_UNCERTIFIABLE, "DimensionMismatchError", str(e),
-                     tangent_dim=e.tangent_dim, expected_dim=e.expected_dim)
+    except SurfrepError as e:
+        return _fail(e.exit_code, type(e).__name__, str(e), **e.payload)
     _emit(payload, args.output)
     return EXIT_OK
 

@@ -495,7 +495,7 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     """Solve the matching conditions order by order up to the given order.
 
     The direction must be a parabolic cocycle (values on the free
-    generators), every value finite and skew-Hermitian, or ValueError: the
+    generators), passed by `check_direction`, or ValueError: the
     residuals see only the skew part, so a Hermitian part would ride along
     in h_1 unchecked.  h_1 is skew_project(direction), exactly skew, which
     the transposed inverse letters of `order_residuals` need.  One
@@ -517,13 +517,8 @@ def build_deformation(rho: Representation, direction: np.ndarray,
     order = _integer_field("order", order)
     if order < 1:
         raise ValueError("order must be at least 1")
-    direction = np.asarray(direction, dtype=complex)
-    if not is_skew_hermitian(direction):
-        raise ValueError("direction values must be finite and skew-Hermitian")
-    direction = skew_project(direction)
+    direction = skew_project(check_direction(direction, rho.surface))
     periphery = build_periphery(rho)
-    # the lift first: it refuses a direction of the wrong shape, which the
-    # row assignment might broadcast
     first = _embed(np.concatenate([direction, lift_to_cone(rho, direction, periphery)]))
     pres, n = rho.presentation, rho.rank
     nf = pres.free_rank
@@ -551,6 +546,20 @@ def build_deformation(rho: Representation, direction: np.ndarray,
             top = order_residuals(form, h, c)[-1]
             norms.append(_checked_order(top, order, scale))
     return DeformationState(rho, _unembed(h), _unembed(c), tuple(norms), rank)
+
+
+def check_direction(values, surface) -> np.ndarray:
+    """`values` as a complex stack, one N x N matrix per free generator of
+    `surface`; ValueError unless every value is finite and skew-Hermitian."""
+    values = np.asarray(values, dtype=complex)
+    n = surface.rank
+    want = (surface.presentation.free_rank, n, n)
+    if values.shape != want:
+        raise ValueError(f"direction must give one {n}x{n} value per free generator: "
+                         f"shape {want}, got {values.shape}")
+    if not is_skew_hermitian(values):
+        raise ValueError("direction values must be finite and skew-Hermitian")
+    return values
 
 
 def check_t_samples(ts) -> list:

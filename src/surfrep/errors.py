@@ -1,21 +1,34 @@
-"""Typed errors shared across the package."""
+"""Typed errors shared across the package, and the command line's error
+table: each class states in its header the exit status of the `surfrep`
+command it ends and the attributes its stderr document carries beside
+"type" and "message".  A new structured refusal is one class here."""
 
 import math
 
 
 class SurfrepError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; a subclass must name
+    its `exit_code` and may name its `payload_fields`."""
+
+    def __init_subclass__(cls, exit_code, payload_fields=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.exit_code, cls.payload_fields = exit_code, payload_fields
+
+    @property
+    def payload(self) -> dict:
+        return {name: getattr(self, name) for name in self.payload_fields}
 
 
-class NearSingularError(SurfrepError):
+class NearSingularError(SurfrepError, exit_code=5):
     """A linear solve inside a transform hit an ill-conditioned matrix."""
 
 
-class NumericalRankError(SurfrepError):
+class NumericalRankError(SurfrepError, exit_code=5):
     """Two independent rank methods disagreed on a matrix."""
 
 
-class DimensionMismatchError(SurfrepError):
+class DimensionMismatchError(SurfrepError, exit_code=5,
+                             payload_fields=("tangent_dim", "expected_dim")):
     """A smooth irreducible point whose certified tangent dimension is not
     the expected dimension; both numbers are carried."""
 
@@ -28,15 +41,15 @@ class DimensionMismatchError(SurfrepError):
         self.expected_dim = expected_dim
 
 
-class NotParabolicError(SurfrepError):
+class NotParabolicError(SurfrepError, exit_code=1):
     """A cocycle has a nonzero class in some peripheral cokernel."""
 
 
-class ReducibleError(SurfrepError):
+class ReducibleError(SurfrepError, exit_code=3):
     """The representation has a commutant larger than the scalars."""
 
 
-class NonexistenceError(SurfrepError):
+class NonexistenceError(SurfrepError, exit_code=1, payload_fields=("angle_sum",)):
     """No representation meets the classes: their angles, whose sum
     `angle_sum` the relation forces to 0 mod 2 pi, miss it."""
 
@@ -47,7 +60,8 @@ class NonexistenceError(SurfrepError):
         self.angle_sum = angle_sum
 
 
-class NoConvergenceError(SurfrepError):
+class NoConvergenceError(SurfrepError, exit_code=2,
+                         payload_fields=("restart_residuals",)):
     """The solver exhausted its budget without reaching the tolerance.
 
     `restart_residuals` holds each restart's final residual.
@@ -60,7 +74,8 @@ class NoConvergenceError(SurfrepError):
         self.restart_residuals = tuple(restart_residuals)
 
 
-class ObstructionFound(SurfrepError):
+class ObstructionFound(SurfrepError, exit_code=4,
+                       payload_fields=("order", "residual_norm", "relative_norm")):
     """Raised when the order-by-order deformation system is inconsistent.
 
     Carries the least-squares residual vector, which represents the

@@ -8,7 +8,13 @@ import pytest
 from surfrep import cli, solver
 from surfrep.corpus import obstructed_instance, smooth_instance, tangent_direction
 from surfrep.deformation import build_deformation
-from surfrep.errors import ObstructionFound
+from surfrep.errors import (
+    DimensionMismatchError,
+    NumericalRankError,
+    ObstructionFound,
+    SurfrepError,
+)
+from surfrep.presentation import SurfaceData
 from surfrep.serialize import encode_values, point_from_dict, point_to_dict
 from surfrep.solver import SolveResult
 
@@ -455,7 +461,7 @@ def test_rank_disagreement_exits_5_with_payload(tmp_path, capsys, monkeypatch):
     qr = linalg.rank_pivoted_qr
     monkeypatch.setattr(linalg, "rank_pivoted_qr", lambda m, *a: qr(m, *a) + 1)
     code, out, err = _run(capsys, ["analyze", "--input", inp])
-    assert code == cli.EXIT_UNCERTIFIABLE == 5
+    assert code == NumericalRankError.exit_code == 5
     assert out == ""
     payload = json.loads(err)["error"]
     assert payload["type"] == "NumericalRankError"
@@ -502,7 +508,7 @@ def test_dimension_mismatch_exits_5_with_both_numbers(tmp_path, capsys):
         return _run(capsys, ["symplectic", "--input", _write(tmp_path, "surf.json", surface)])
 
     code, out, err = symplectic(1e-8)
-    assert code == cli.EXIT_UNCERTIFIABLE == 5
+    assert code == DimensionMismatchError.exit_code == 5
     assert out == ""
     payload = json.loads(err)["error"]
     assert payload["type"] == "DimensionMismatchError"
@@ -626,3 +632,80 @@ def test_malformed_images_exit_1_with_payload(tmp_path, capsys, images):
     error = json.loads(err)["error"]
     assert error["type"] == "ValueError"
     assert "images" in error["message"]
+
+
+def _surfrep_errors():
+    """Every SurfrepError subclass that `surfrep.errors` defines."""
+    from surfrep import errors
+
+    return [cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.SurfrepError)
+            and cls is not errors.SurfrepError]
+
+
+# one instance of each error, built with the arguments its class takes
+_ERROR_ARGS = {
+    "DimensionMismatchError": (3, 4),
+    "NonexistenceError": (1.0,),
+    "NoConvergenceError": ("no restart converged", 0.5, [1.0, 0.5], (1.0, 0.5)),
+    "ObstructionFound": (2, np.zeros(3), 1.5, 0.75),
+}
+
+
+@pytest.mark.parametrize("cls", _surfrep_errors(), ids=lambda cls: cls.__name__)
+def test_every_package_error_maps_to_its_exit_code_and_payload(tmp_path, capsys,
+                                                               monkeypatch, cls):
+    # the error table lives in errors.py: each class declares its exit code
+    # and payload fields, and main reads them with no clause of its own
+    exc = cls(*_ERROR_ARGS.get(cls.__name__, ("refused",)))
+    assert cls.exit_code in range(1, 6)
+
+    def command(args, config, watch):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", command)
+    code, out, err = _run(capsys, ["analyze", "--input", str(tmp_path / "unread.json")])
+    assert code == cls.exit_code
+    assert out == ""
+    payload = {name: getattr(exc, name) for name in cls.payload_fields}
+    assert json.loads(err) == json.loads(json.dumps(
+        {"error": {"type": cls.__name__, "message": str(exc), **payload}}))
+
+
+def _hard_cases():
+    """scripts/hard_cases.py as a module."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "hard_cases.py"
+    spec = importlib.util.spec_from_file_location("hard_cases", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_deform_exits_with_the_exit_of_its_hard_case_row(tmp_path, capsys):
+    hard_cases = _hard_cases()
+
+    def deform(rho, direction):
+        inp = _write(tmp_path, "point.json", point_to_dict(rho))
+        dirf = _write(tmp_path, "dir.json", {"values": encode_values(direction)})
+        code, _, _ = _run(capsys, ["deform", "--input", inp, "--order", str(hard_cases.ORDER),
+                                   "--direction-file", dirf])
+        return code
+
+    # obstructed: ObstructionFound
+    rho, direction = obstructed_instance()
+    assert deform(rho, direction) == hard_cases._run(rho, direction)["exit"] == 4
+    # overflow at 1e80: a residual that is not finite, ValueError
+    rho = smooth_instance(1, 2, 1).representation
+    direction = 1e80 * tangent_direction(rho, 0)
+    assert deform(rho, direction) == hard_cases._run(rho, direction)["exit"] == 1
+    # genus0-wall, outside by 1e-2 at seed 0: the solve ends the row
+    halves = (0.5, 0.5, 0.5, 1.5 + 1e-2)
+    surface = {"genus": 0, "punctures": 4, "rank": 2, "classes": [[h, -h] for h in halves]}
+    inp = _write(tmp_path, "surf.json", surface)
+    code, _, _ = _run(capsys, ["deform", "--input", inp, "--seed", "0"])
+    with pytest.raises(SurfrepError) as exc:
+        solver.solve(SurfaceData.from_dict(surface), solver.SolverConfig(seed=0))
+    assert code == hard_cases._refused(exc.value)["exit"] == 2

@@ -211,6 +211,22 @@ def test_direction_must_be_finite_and_skew_hermitian(witness_u2, bad):
         build_deformation(rho, direction, order=2)
 
 
+@pytest.mark.parametrize("bad", ["one-short", "one-matrix", "flat"])
+def test_direction_of_the_wrong_shape_is_refused_by_name(witness_u2, bad):
+    # the refusal names the shape it wants, as the CLI's --direction-file
+    # check does, not a numpy broadcast or matmul error
+    rho = witness_u2.representation
+    direction = tangent_direction(rho, 0)
+    direction = {"one-short": direction[:-1], "one-matrix": direction[0],
+                 "flat": direction.reshape(-1)}[bad]
+    nf, n = rho.presentation.free_rank, rho.rank
+    message = (f"direction must give one {n}x{n} value per free generator: "
+               f"shape {(nf, n, n)}, got {direction.shape}")
+    with pytest.raises(ValueError) as exc:
+        build_deformation(rho, direction, order=2)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("scale,order", [(1e120, 3), (1e160, 2)], ids=["order-3", "nan"])
 def test_a_residual_that_overflows_is_refused_not_obstructed(witness_u2, scale, order):
     # the series products overflow: at 1e120 the order-3 terms pass 1e308

@@ -38,7 +38,7 @@ def test_hard_cases_prints_one_schema_row_per_case():
     counts = {}
     for row in rows:
         assert set(row) == {"case", "params", "outcome", "order", "residual", "relative",
-                            "verify_passed", "slope", "wall_s", "verdict", "item"}
+                            "verify_passed", "slope", "exit", "wall_s", "verdict", "item"}
         counts[row["case"]] = counts.get(row["case"], 0) + 1
         assert isinstance(row["params"], dict) and isinstance(row["outcome"], str)
         assert row["order"] is None or row["order"] in range(1, 5)
@@ -84,3 +84,16 @@ def test_hard_cases_diff_prints_moved_rows_and_counts(tmp_path):
         {"case": "torus", "params": {"direction": "x"}, "moved": {"order": [2, 3]}},
     ]
     assert lines[2:] == ["rank1-sweep: 1 of 2 rows moved", "torus: 1 of 1 rows moved"]
+
+
+def test_hard_cases_diff_reads_a_field_an_older_table_lacks_as_null(tmp_path):
+    row = {"case": "torus", "params": {}, "outcome": "built", "order": 4, "residual": 1e-9,
+           "relative": None, "verify_passed": True, "slope": 5.0, "wall_s": 0.01,
+           "verdict": "right", "item": None}
+    paths = [tmp_path / "parent.jsonl", tmp_path / "change.jsonl"]
+    paths[0].write_text(json.dumps(row) + "\n")
+    paths[1].write_text(json.dumps({**row, "exit": 0}) + "\n")
+    lines = _run_script("hard_cases.py", "--diff", *map(str, paths))
+    assert [json.loads(line) for line in lines[:1]] == [
+        {"case": "torus", "params": {}, "moved": {"exit": [None, 0]}}]
+    assert lines[1:] == ["torus: 1 of 1 rows moved"]
