@@ -203,9 +203,10 @@ def test_solve_matches_reference_bit_for_bit(shape, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("shape", CORPUS_SHAPES, ids=lambda s: "g{}_n{}_r{}".format(*s))
-def test_gauss_newton_matches_reference_from_raw_starts(shape, seed):
+def test_levenberg_marquardt_matches_reference_from_raw_starts(shape, seed):
     # the raw Haar draw, without the closed-form completion: Gauss-Newton
-    # has to search here at every rank >= 2
+    # has to search here at every rank >= 2.  The test keeps the name of
+    # the damped loop that the undamped one replaced
     surface = smooth_instance(*shape, seed=seed).representation.surface
     start = _Point.random(surface, np.random.default_rng(seed))
     nh = 2 * surface.genus
