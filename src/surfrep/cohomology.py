@@ -61,7 +61,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError, ReducibleError
 from .presentation import Periphery, Representation, SurfaceData, build_periphery
-from .unitary import adjoint_matrix, flatten_algebra, unflatten_algebra
+from .unitary import adjoint_matrix, flatten_algebra, identity, unflatten_algebra
 
 PARABOLIC_TOL = 1e-9
 # seed of the fixed reference matrix behind the canonical tangent basis
@@ -110,7 +110,7 @@ def coboundary_matrix(rho: Representation) -> np.ndarray:
     """Matrix of the coboundary map u(N) -> u(N)^n in algebra coordinates."""
     n2 = rho.rank ** 2
     ads = adjoint_matrix(np.array(rho.images[:rho.presentation.free_rank]))
-    return (ads - np.eye(n2)).reshape(-1, n2)
+    return (ads - identity(n2)).reshape(-1, n2)
 
 
 def h1_basis(rho: Representation) -> Subspace:

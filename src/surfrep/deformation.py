@@ -112,8 +112,10 @@ order-by-order schedule would judge it.
 `verify_deformation` instantiates the whole parameter grid from the
 complex coefficients: a Horner sum over the stacked coefficients, then
 one batched exponential over (t, generator).  The relation and the last
-peripheral word are folded once over the stacked grid, and `match_class`
-takes each puncture's (T, N, N) stack in one call.
+peripheral word are folded once over the stacked grid, and one
+`match_class` call takes every puncture's grid, an (r, T, N, N) stack,
+against the r classes.  The decay slope is the least-squares line
+through the usable (log t, log residual) points in closed form.
 """
 
 from __future__ import annotations
@@ -136,6 +138,7 @@ from .presentation import (
 )
 from .unitary import (
     algebra_basis,
+    identity,
     is_skew_hermitian,
     mat_exp,
     match_class,
@@ -430,7 +433,7 @@ def matching_matrix(rho: Representation, periphery: Periphery) -> np.ndarray:
     a = np.zeros((r, d, nf + r, d))
     a[:, :, :nf] = periphery.fox.reshape(r, d, nf, d)
     j = np.arange(r)
-    a[j, :, nf + j] = np.eye(d) - periphery.adjoints
+    a[j, :, nf + j] = identity(d) - periphery.adjoints
     return a.reshape(r * d, -1)
 
 
@@ -565,12 +568,17 @@ def check_direction(values, surface) -> np.ndarray:
 def check_t_samples(ts) -> list:
     """The decay-check grid as floats, largest first.
 
-    Raises ValueError unless every t is finite and positive and at least
-    two are distinct: one point gives no slope, yet would pass as slope inf.
+    Raises ValueError unless there are at least two t, every one finite
+    and positive, and none repeats: one point gives no slope, yet would
+    pass as slope inf, and a repeated point is no second abscissa for the
+    fit.  Repeats are judged on log10(t), the abscissa the fit reads, so
+    two adjacent doubles whose logarithms round together count as one.
     """
     ts = sorted((float(t) for t in ts), reverse=True)
-    if not np.all(np.isfinite(ts)) or min(ts, default=0.0) <= 0 or len(set(ts)) < 2:
-        raise ValueError(f"t samples must be finite, positive, two distinct; got {ts}")
+    if (not np.all(np.isfinite(ts)) or min(ts, default=0.0) <= 0 or len(ts) < 2
+            or len(set(map(math.log10, ts))) < len(ts)):
+        raise ValueError(f"t samples must be finite, positive, at least two and "
+                         f"distinct in log10; got {ts}")
     return ts
 
 
@@ -579,23 +587,30 @@ def _grid_residuals(state: DeformationState, ts) -> tuple:
 
     Returns (relation, classes): one float per t, and per t one float per
     puncture.  The relation and the last peripheral word are folded once
-    over the stacked grid, and `match_class` takes each puncture's stack
-    of T images in one call.
+    over the stacked grid.  The r - 1 grid stacks of the free c_j and the
+    last word's product form one (r, T, N, N) stack, which one
+    `match_class` call takes against the r classes.
     """
     rho = state.rho
     pres = rho.presentation
-    n, r = rho.rank, pres.punctures
-    classes = rho.surface.classes
+    n = rho.rank
     stacks = state._grid_images(ts)
-    eye = np.eye(n)
+    eye = identity(n)
     relation = [float(np.linalg.norm(m - eye))
                 for m in word_image(stacks, pres.relation, n)]
-    per_puncture = [match_class(stacks[pres.c(j)], classes[j]) for j in range(r - 1)]
     # the stored last image is class-exact by construction; measure the
     # free-word product against the class instead
-    per_puncture.append(match_class(word_image(stacks, pres.last_peripheral_word, n),
-                                    classes[r - 1]))
-    return relation, np.array(per_puncture).T.tolist()
+    peripheral = np.stack(stacks[pres.c(0):pres.free_rank]
+                          + (word_image(stacks, pres.last_peripheral_word, n),))
+    return relation, match_class(peripheral, rho.surface.classes).T.tolist()
+
+
+def _fitted_slope(xs: list, ys: list) -> float:
+    """The slope of the least-squares line through (xs, ys), in closed form:
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, xs not all equal."""
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    return sum(d * (y - my) for d, y in zip(dx, ys)) / sum(d * d for d in dx)
 
 
 def verify_deformation(state: DeformationState, ts=DEFAULT_VERIFY_TS) -> dict:
@@ -607,7 +622,8 @@ def verify_deformation(state: DeformationState, ts=DEFAULT_VERIFY_TS) -> dict:
     from the fit; if fewer than two usable points remain the residuals are
     identically at the floor (exact families) and the slope is reported as
     infinite.  The grid is checked by `check_t_samples`; the residuals
-    come from `_grid_residuals`.
+    come from `_grid_residuals`, and the slope from `_fitted_slope` on
+    log10 of both.
     """
     ts = check_t_samples(ts)
     relation, classes = _grid_residuals(state, ts)
@@ -616,9 +632,8 @@ def verify_deformation(state: DeformationState, ts=DEFAULT_VERIFY_TS) -> dict:
     if len(usable) < 2:
         slope = float("inf")
     else:
-        lt = np.log10([t for t, _ in usable])
-        lv = np.log10([v for _, v in usable])
-        slope = float(np.polyfit(lt, lv, 1)[0])
+        slope = _fitted_slope([math.log10(t) for t, _ in usable],
+                              [math.log10(v) for _, v in usable])
     expected = state.order + 1
     return {
         "order": state.order,

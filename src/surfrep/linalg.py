@@ -71,8 +71,10 @@ def rank_svd(m: np.ndarray, rtol: float = RANK_RTOL) -> RankInfo:
 def norms_along(a: np.ndarray, axis) -> np.ndarray:
     """2-norms of a along `axis` (Frobenius norms for two axes): the sum
     that `np.linalg.norm(a, axis=axis)` takes, so the same bits, without
-    its dispatch.  conj() of a real array is the array itself."""
-    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
+    its dispatch.  A real array skips conj(), which would copy it
+    unchanged."""
+    squares = (a.conj() * a).real if np.iscomplexobj(a) else a * a
+    return np.sqrt(np.add.reduce(squares, axis=axis))
 
 
 def scaled_norm(x: np.ndarray) -> float:
@@ -103,7 +105,8 @@ def rank_pivoted_qr(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
     norm falls to max(rtol * |r_00|, RANK_ATOL) or below; the norms are
     `norms_along(a, 0)`.
     """
-    a = np.array(m, dtype=complex if np.iscomplexobj(m) else float)
+    complex_input = np.iscomplexobj(m)
+    a = np.array(m, dtype=complex if complex_input else float)
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     if a.size == 0:
@@ -115,7 +118,7 @@ def rank_pivoted_qr(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
         if norms[j] <= threshold:
             return k
         q = a[:, j] / norms[j]
-        a -= q[:, None] * (q.conj() @ a)
+        a -= q[:, None] * ((q.conj() if complex_input else q) @ a)
         a[:, j] = 0.0
         norms = norms_along(a, 0)
     return min(a.shape)

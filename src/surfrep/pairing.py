@@ -94,19 +94,23 @@ def _cone_lifts(periphery: Periphery, cols: np.ndarray, values: np.ndarray) -> n
     columns of `cols`.  A column's component in the fixed space
     ker(Ad(rho(c_j)) - 1) is the cokernel class that a parabolic cocycle
     must miss, and which no lift can meet; NotParabolicError is raised
-    when it exceeds PARABOLIC_TOL * max(1, ||u(c_j)||, ||u||).  The column
-    norm ||u|| keeps the test relative at N = 1, where u(c_j) of a
-    parabolic cocycle is pure roundoff.
+    when it exceeds PARABOLIC_TOL * max(1, ||u(c_j)||, ||u||), naming the
+    first such puncture.  The column norm ||u|| keeps the test relative
+    at N = 1, where u(c_j) of a parabolic cocycle is pure roundoff.  One
+    product with the zero-padded fixed bases takes the components at
+    every puncture; it reads them off an orthonormal basis, not as
+    (1 - P^+ P) u, whose roundoff grows like 1 / sigma_min near a
+    degenerate class.
     """
     scale = np.maximum(1.0, linalg.norms_along(cols, 0))
-    for j, (fixed, vals) in enumerate(zip(periphery.fixed, values)):
-        stuck = linalg.norms_along(fixed.T @ vals, 0)
-        bad = np.flatnonzero(stuck > PARABOLIC_TOL * np.maximum(scale, linalg.norms_along(vals, 0)))
-        if bad.size:
-            raise NotParabolicError(
-                f"cocycle is not parabolic at puncture {j}: "
-                f"fixed-space component {stuck[bad[0]]:.3e}"
-            )
+    stuck = linalg.norms_along(periphery.fixed_rows @ values, -2)
+    bad = np.argwhere(stuck > PARABOLIC_TOL * np.maximum(scale, linalg.norms_along(values, -2)))
+    if bad.size:
+        j, k = bad[0]
+        raise NotParabolicError(
+            f"cocycle is not parabolic at puncture {j}: "
+            f"fixed-space component {stuck[j, k]:.3e}"
+        )
     return periphery.pinv @ values
 
 

@@ -31,6 +31,7 @@ from .unitary import (
     ConjugacyClass,
     adjoint_matrix,
     flatten_algebra,
+    identity,
     match_class,
     unflatten_algebra,
 )
@@ -244,15 +245,13 @@ class Representation:
     def relation_residual(self) -> float:
         pres = self.presentation
         return float(
-            np.linalg.norm(self.evaluate(pres.relation) - np.eye(self.rank))
+            np.linalg.norm(self.evaluate(pres.relation) - identity(self.rank))
         )
 
     def class_residuals(self):
-        pres = self.presentation
-        return [
-            match_class(self.images[pres.c(j)], self.surface.classes[j])
-            for j in range(self.surface.punctures)
-        ]
+        """The `match_class` of each peripheral image, in one call."""
+        peripheral = np.array(self.images[self.presentation.c(0):])
+        return match_class(peripheral, self.surface.classes).tolist()
 
     def validate(self) -> None:
         n = self.rank
@@ -260,7 +259,7 @@ class Representation:
             # a NaN would fail every comparison below, and so pass them all
             if not np.isfinite(m).all():
                 raise ValueError(f"image of {name} is not finite")
-            err = np.linalg.norm(m.conj().T @ m - np.eye(n))
+            err = np.linalg.norm(m.conj().T @ m - identity(n))
             if err > 1e-10:
                 raise ValueError(f"image of {name} not unitary: {err:.3e}")
         res = self.relation_residual()
@@ -288,9 +287,10 @@ def word_image(images, w: Word, n: int) -> np.ndarray:
     (..., n, n), and stacks multiply member by member; the empty word is
     the identity in the stack shape of the images.
     """
-    out = np.eye(n, dtype=complex)
-    if not w and len(images):
-        return np.broadcast_to(out, np.shape(images[0])[:-2] + (n, n)).copy()
+    out = identity(n, complex)
+    if not w:
+        lead = np.shape(images[0])[:-2] if len(images) else ()
+        return np.broadcast_to(out, lead + (n, n)).copy()
     for idx, e in w:
         m = images[idx]
         out = out @ (m if e == 1 else m.conj().swapaxes(-1, -2))
@@ -299,6 +299,22 @@ def word_image(images, w: Word, n: int) -> np.ndarray:
 
 def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
     return rho.evaluate(w)
+
+
+@lru_cache(maxsize=256)
+def _fox_layout(pres: Presentation, w: Word):
+    """The shape of the Fox walk along w, read-only: the letters of
+    `to_free(w)`, their generator indices, their signs as a (letters, 1, 1)
+    stack, and the one-hot (free_rank, letters) owner matrix whose row x
+    marks the letters of generator x."""
+    letters = pres.to_free(w)
+    gens = np.array([idx for idx, _ in letters], dtype=np.intp)
+    signs = np.array([e for _, e in letters], dtype=float).reshape(-1, 1, 1)
+    owner = np.zeros((pres.free_rank, len(letters)))
+    owner[gens, np.arange(len(letters))] = 1.0
+    for arr in (gens, signs, owner):
+        arr.setflags(write=False)
+    return letters, gens, signs, owner
 
 
 def fox_steps(rho: Representation, w: Word):
@@ -311,13 +327,15 @@ def fox_steps(rho: Representation, w: Word):
     For the k-th letter it is Ad(rho(p)) F(x), p the prefix word, so the
     blocks are the increments of the cocycle restriction along the word:
     F(p x) = F(p) + Ad(rho(p)) F(x).  The prefixes are N x N products, and
-    one `adjoint_matrix` call takes all of them.  This is the only Fox
-    walk of the package; `build_periphery` takes it along the relation,
-    and `fox_matrix` sums it per generator for any word.
+    one `adjoint_matrix` call takes all of them.  The letters, generator
+    indices and signs depend on the word alone and come from the cached
+    `_fox_layout`.  This is the only Fox walk of the package;
+    `build_periphery` takes it along the relation, and `fox_matrix` sums
+    it per generator for any word.
     """
-    letters = rho.presentation.to_free(w)
+    letters, gens, signs, _ = _fox_layout(rho.presentation, w)
     n = rho.rank
-    prefix = np.eye(n, dtype=complex)
+    prefix = identity(n, complex)
     # the prefix whose Ad each block is: before x, or after x^-1
     frames = np.empty((len(letters), n, n), dtype=complex)
     for k, (idx, e) in enumerate(letters):
@@ -328,17 +346,22 @@ def fox_steps(rho: Representation, w: Word):
         else:
             prefix = prefix @ m.conj().T
             frames[k] = prefix
-    gens = np.array([idx for idx, _ in letters], dtype=np.intp)
-    signs = np.array([e for _, e in letters], dtype=float)
-    return gens, signs[:, None, None] * adjoint_matrix(frames)
+    return gens, signs * adjoint_matrix(frames)
 
 
-def _fox_sum(rho: Representation, gens: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The blocks of a `fox_steps` walk summed into the columns of their
-    generators: a real (N^2, free_rank * N^2) matrix."""
+def _fox_sum(rho: Representation, w: Word, blocks: np.ndarray) -> np.ndarray:
+    """The blocks of the `fox_steps` walk along w summed into the columns
+    of their generators: a real (N^2, free_rank * N^2) matrix.
+
+    One product with the one-hot owner matrix of `_fox_layout` does the
+    sum.  A generator that owns at most two letters, as every generator of
+    the relation does, sums at most two nonzero blocks, and a sum of two
+    does not depend on its order, so that is the bits of adding the blocks
+    one at a time.
+    """
     d = rho.rank ** 2
-    out = np.zeros((rho.presentation.free_rank, d, d))
-    np.add.at(out, gens, blocks)
+    owner = _fox_layout(rho.presentation, w)[3]
+    out = (owner @ blocks.reshape(len(blocks), d * d)).reshape(-1, d, d)
     return out.transpose(1, 0, 2).reshape(d, -1)
 
 
@@ -351,7 +374,7 @@ def fox_matrix(rho: Representation, w: Word) -> np.ndarray:
     so the map does not depend on the stored image of the last peripheral
     generator.
     """
-    return _fox_sum(rho, *fox_steps(rho, w))
+    return _fox_sum(rho, w, fox_steps(rho, w)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,6 +387,20 @@ class Periphery:
     fox: np.ndarray        # F(c_j), (punctures, N^2, free_rank N^2)
     fixed: tuple           # orthonormal bases of ker(Ad(gamma_j) - 1)
     pinv: np.ndarray       # pseudo-inverses of Ad(gamma_j) - 1
+    fixed_rows: np.ndarray  # fixed[j].T zero-padded to (punctures, N^2, N^2)
+
+
+@lru_cache(maxsize=64)
+def _selectors(pres: Presentation, n: int) -> np.ndarray:
+    """F(c_j) for j < r at rank n, read-only: the block selectors of the
+    free generators c_j, a (punctures - 1, n^2, free_rank n^2) stack."""
+    d, r = n * n, pres.punctures
+    out = np.zeros((r - 1, d, pres.free_rank, d))
+    j = np.arange(r - 1)
+    out[j, :, pres.c(j), :] = np.eye(d)
+    out = out.reshape(r - 1, d, pres.free_rank * d)
+    out.setflags(write=False)
+    return out
 
 
 def build_periphery(rho: Representation) -> Periphery:
@@ -375,21 +412,25 @@ def build_periphery(rho: Representation) -> Periphery:
     Over the free basis c_r is p^-1, p the relation without c_r, so
     F(c_r) = -Ad(gamma_r) F(p): one `fox_steps` walk along p.  One SVD of
     each Ad(gamma_j) - 1 decides its kernel, and the pseudo-inverse keeps
-    the singular values that decision keeps.
+    the singular values that decision keeps.  The kernel bases are also
+    stacked, as rows padded with zero rows, so that one product takes the
+    fixed-space components at every puncture.
     """
     pres = rho.presentation
     d, r = rho.rank ** 2, pres.punctures
     images = np.array(rho.images[pres.c(0):pres.free_rank]
                       + (evaluate_word(rho, pres.last_peripheral_word),))
     adjoints = adjoint_matrix(images)
-    walk = fox_steps(rho, pres.relation[:-1])
-    fox = np.zeros((r, d, pres.free_rank, d))
-    j = np.arange(r - 1)
-    fox[j, :, pres.c(j), :] = np.eye(d)
-    fox = fox.reshape(r, d, -1)
-    fox[-1] = -adjoints[-1] @ _fox_sum(rho, *walk)
-    fixed, pinv = linalg.kernels_and_pseudoinverses(adjoints - np.eye(d))
-    return Periphery(images, adjoints, walk, fox, fixed, pinv)
+    word = pres.relation[:-1]
+    walk = fox_steps(rho, word)
+    fox = np.empty((r, d, pres.free_rank * d))
+    fox[:-1] = _selectors(pres, rho.rank)
+    fox[-1] = -adjoints[-1] @ _fox_sum(rho, word, walk[1])
+    fixed, pinv = linalg.kernels_and_pseudoinverses(adjoints - identity(d))
+    fixed_rows = np.zeros((r, d, d))
+    for rows, basis in zip(fixed_rows, fixed):
+        rows[:basis.shape[1]] = basis.T
+    return Periphery(images, adjoints, walk, fox, fixed, pinv, fixed_rows)
 
 
 def extend_cocycle(rho: Representation, values: np.ndarray, w: Word) -> np.ndarray:

@@ -53,6 +53,15 @@ def circle_distance(theta: float, phi: float = 0.0) -> float:
     return abs(wrap_angle(theta - phi))
 
 
+@lru_cache(maxsize=32)
+def identity(n: int, dtype=float) -> np.ndarray:
+    """The n x n identity of `dtype`, read-only: a product with it is a new
+    array, and a caller that needs its own copy takes one."""
+    out = np.eye(n, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 def skew_project(x: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a complex matrix, or of a stack, onto u(N)."""
     return 0.5 * (x - x.conj().swapaxes(-1, -2))
@@ -309,19 +318,28 @@ def _permutation_table(n: int) -> np.ndarray:
     return table
 
 
-def match_class(u: np.ndarray, cls: ConjugacyClass):
-    """Largest circular eigenvalue mismatch between u and the class.
+def match_class(u: np.ndarray, cls: ConjugacyClass | tuple):
+    """Largest circular eigenvalue mismatch between u and a class.
 
     Pairs the eigenvalue angles of u with the recorded class angles by the
     assignment of least total circular distance, found by trying every
     permutation (N! of them, at most 6 for N <= 3), and returns the largest
     distance in that pairing.  Distances are wrapped, so wrap-around at 0
     is handled correctly.  A float for one matrix; for a stack (..., N, N)
-    an array holding the same float for each member.
+    an array holding the same float for each member.  `cls` is one
+    `ConjugacyClass` for every member, or a sequence of them, one per
+    index of the stack's leading axis: a (r, T, N, N) stack of r punctures'
+    images against their r classes.  Either way one batched `eigvals`
+    serves the stack, and a member's float is the bits of its own call.
     """
     eig = np.angle(np.linalg.eigvals(u))
     n = eig.shape[-1]
-    dist = np.abs(wrap_angle(eig[..., :, None] - np.array(cls.angles)))
+    if isinstance(cls, ConjugacyClass):
+        angles = np.array(cls.angles)
+    else:
+        angles = np.array([c.angles for c in cls])
+        angles = angles.reshape(angles.shape[:1] + (1,) * (eig.ndim - 2) + (1, n))
+    dist = np.abs(wrap_angle(eig[..., :, None] - angles))
     paired = dist[..., np.arange(n), _permutation_table(n)]
     worst = paired.max(axis=-1)
     best = np.argmin(paired.sum(axis=-1), axis=-1)

@@ -119,8 +119,9 @@ def test_deform_t_samples_flag(tmp_path, capsys):
     ["--t-samples", "0.5"], ["--t-samples", "0.1,0.1"],
     ["--t-samples", "0,0.01"], ["--t-samples", "0.1,-0.2"],
     ["--t-samples", "0.1,x"], ["--order", "0"], ["--direction", "-1"],
+    ["--t-samples", "0.1,0.1,0.01"],
 ], ids=["nan", "inf", "single", "repeated", "zero", "negative", "word", "order-0",
-        "direction-negative"])
+        "direction-negative", "repeated-of-three"])
 def test_bad_deform_flags_exit_1_before_solving(tmp_path, capsys, monkeypatch, flags):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve ran before the flags were checked")

@@ -321,9 +321,13 @@ def test_verify_on_a_genus_zero_surface_with_one_puncture():
 
 @pytest.mark.parametrize("ts", [
     [math.nan, 0.01], [math.inf, 0.01], [0.5], [0.1, 0.1], [0.0, 0.01], [0.1, -0.2], [],
-], ids=["nan", "inf", "single", "repeated", "zero", "negative", "empty"])
+    [0.1, 0.1, 1e-9], [1e-3, 0.0010000000000000002],
+], ids=["nan", "inf", "single", "repeated", "zero", "negative", "empty", "repeated-of-three",
+        "repeated-in-log10"])
 def test_verify_refuses_a_grid_without_two_usable_ts(witness_u2, ts):
-    # one distinct t would give no slope, yet pass as an infinite one
+    # one distinct t would give no slope, yet pass as an infinite one; a
+    # repeated t, or two whose log10 coincide, gives the closed-form slope
+    # no second abscissa
     rho = witness_u2.representation
     state = build_deformation(rho, tangent_direction(rho, 0), order=1)
     with pytest.raises(ValueError):

@@ -164,12 +164,15 @@ _CACHED_CALLS = {
     "deformation._cauchy_pairs": (4, 1, 1),
     "deformation._coordinate_maps": (2,),
     "deformation._identity": (4, 2),
+    "presentation._fox_layout": (standard_presentation(1, 2), ((0, 1), (1, -1), (2, 1))),
+    "presentation._selectors": (standard_presentation(1, 3), 2),
     "presentation.standard_presentation": (1, 2),
     "solver._relation_layout": (standard_presentation(1, 2),),
     "unitary._basis_columns": (2,),
     "unitary._entry_positions": (2,),
     "unitary._permutation_table": (3,),
     "unitary.algebra_basis": (2,),
+    "unitary.identity": (2,),
 }
 # Caches of values that are not arrays: a Presentation is frozen.
 _CACHES_WITHOUT_ARRAYS = {"presentation.standard_presentation"}

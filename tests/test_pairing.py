@@ -1,10 +1,13 @@
 """Fundamental cycle, cup product, and the symplectic Gram matrix."""
 
+import re
+
 import numpy as np
 import pytest
 
-from surfrep import linalg
+from surfrep import linalg, pairing
 from surfrep.cohomology import (
+    PARABOLIC_TOL,
     flatten_cochain,
     parabolic_tangent_basis,
     unflatten_cochain,
@@ -124,6 +127,45 @@ def test_parabolic_test_scales_with_the_cocycle(shape):
             with pytest.raises(NotParabolicError):
                 lift_to_cone(rho, unflatten_cochain(rho, scale * (col + 1e-6 * bad)),
                              periphery)
+
+
+def _per_puncture_check(periphery, cols, values):
+    """The cone-lift check one puncture at a time, the reference for the
+    stacked check of `_cone_lifts`: (puncture, column, component) of the
+    first offending column at the first offending puncture, or None."""
+    scale = np.maximum(1.0, linalg.norms_along(cols, 0))
+    for j, (fixed, vals) in enumerate(zip(periphery.fixed, values)):
+        stuck = linalg.norms_along(fixed.T @ vals, 0)
+        bad = np.flatnonzero(stuck > PARABOLIC_TOL * np.maximum(scale, linalg.norms_along(vals, 0)))
+        if bad.size:
+            return j, bad[0], stuck[bad[0]]
+    return None
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 4), (1, 2, 2), (0, 3, 3), (1, 3, 2)],
+                         ids=lambda s: "g{}_n{}_r{}".format(*s))
+def test_stacked_cone_check_names_the_puncture_of_the_per_puncture_loop(shape):
+    # a fixed-space component at the first puncture, at a later one, and at
+    # both (the later one in an earlier column): the stacked check names the
+    # puncture the loop names, the first one, with the loop's component
+    rho = smooth_instance(*shape).representation
+    periphery = build_periphery(rho)
+    cols = parabolic_tangent_basis(rho).basis[:, :2]
+    clean = periphery.fox @ cols
+    assert _per_puncture_check(periphery, cols, clean) is None
+    assert np.isfinite(pairing._cone_lifts(periphery, cols, clean)).all()
+    later = rho.presentation.punctures - 1
+    for defects in ([(0, 0)], [(later, 0)], [(later, 0), (0, 1)]):
+        values = clean.copy()
+        for j, k in defects:
+            values[j, :, k] += 1e-3 * periphery.fixed[j][:, -1]
+        j, k, component = _per_puncture_check(periphery, cols, values)
+        assert j == min(p for p, _ in defects)
+        message = f"at puncture {j}: fixed-space component {component:.3e}"
+        with pytest.raises(NotParabolicError, match=re.escape(message) + "$"):
+            pairing._cone_lifts(periphery, cols, values)
+        stacked = linalg.norms_along(periphery.fixed_rows @ values, -2)[j, k]
+        assert abs(stacked - component) <= 1e-12 * component
 
 
 def test_every_cochain_of_the_u1_torus_is_parabolic(rng):

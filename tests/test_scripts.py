@@ -97,3 +97,18 @@ def test_hard_cases_diff_reads_a_field_an_older_table_lacks_as_null(tmp_path):
     assert [json.loads(line) for line in lines[:1]] == [
         {"case": "torus", "params": {}, "moved": {"exit": [None, 0]}}]
     assert lines[1:] == ["torus: 1 of 1 rows moved"]
+
+
+def test_cli_outputs_runs_calls_and_a_directory_diffs_empty_against_itself(tmp_path):
+    out = tmp_path / "out"
+    lines = _run_script("cli_outputs.py", "--tree", str(ROOT), "--out", str(out),
+                        "--only", "readme-analyze", "exit1-nonexistent")
+    assert lines == ["readme-analyze: exit 0", "exit1-nonexistent: exit 1"]
+    assert (out / "readme-analyze.exit").read_text() == "0\n"
+    assert (out / "exit1-nonexistent.exit").read_text() == "1\n"
+    doc = json.loads((out / "readme-analyze.out").read_text())
+    assert doc["manifest"]["timings"] == {} and doc["analysis"]["tangent_dim"] == 2
+    assert json.loads((out / "exit1-nonexistent.err").read_text())["error"]["type"] == \
+        "NonexistenceError"
+    assert _run_script("cli_outputs.py", "--diff", str(out), str(out)) == [
+        "0 of 2 calls differ"]

@@ -405,6 +405,14 @@ def test_match_class_of_a_stack_is_the_match_of_each_member(n, rng):
     assert np.array_equal(ours, one_by_one)
     assert np.array_equal(match_class(stack.reshape(2, -1, n, n), cls),
                           np.reshape(one_by_one, (2, -1)))
+    # one class per member of the leading axis: a (2, k, N, N) stack
+    # against two classes, as the punctures' grids are checked
+    other = ConjugacyClass(tuple(rng.uniform(0, 2 * np.pi, n)))
+    halves = stack.reshape(2, -1, n, n)
+    per_class = match_class(halves, (cls, other))
+    assert per_class.shape == halves.shape[:2]
+    assert np.array_equal(per_class[0], [match_class(u, cls) for u in halves[0]])
+    assert np.array_equal(per_class[1], [match_class(u, other) for u in halves[1]])
 
 
 def test_wrap_angle_of_an_array_equals_the_scalar_wrap():
