@@ -7,8 +7,10 @@ what each call printed, or compare two such runs.
 
 The calls are solve, analyze, symplectic and deform on the README surface
 (the 4-punctured sphere, rank 2, every class (pi/2, -pi/2), solved at seed
-0) and on the saved point `smooth_instance(1, 2, 2)` at seed 0, and one
-failing input per exit code from 1 to 4: classes whose angles miss the
+0) and on three saved points at seed 0, one per rank: `smooth_instance(2,
+1, 2)` (rank 1), `smooth_instance(1, 2, 2)` (rank 2) and
+`smooth_instance(1, 3, 1)` (rank 3); and one failing input per exit code
+from 1 to 4: classes whose angles miss the
 determinant (1), the genus-0 wall closed at half-angle 1.51, where the
 solver gives up at seed 0 (2), the Gram matrix at the reducible point of
 `obstructed_instance()` (3), and the deformation there (4).
@@ -53,7 +55,9 @@ _POINTS = r"""
 import json, sys
 from surfrep import obstructed_instance, smooth_instance
 from surfrep.serialize import canonical_json, point_to_dict
-points = {"torus2": smooth_instance(1, 2, 2, seed=0).representation,
+points = {"rank1": smooth_instance(2, 1, 2, seed=0).representation,
+          "torus2": smooth_instance(1, 2, 2, seed=0).representation,
+          "rank3": smooth_instance(1, 3, 1, seed=0).representation,
           "obstructed": obstructed_instance()[0]}
 for name, rho in points.items():
     with open(f"inputs/{name}.json", "w") as fh:
@@ -66,7 +70,8 @@ SURFACES = {"readme": README_SURFACE, "nonexistent": NONEXISTENT_SURFACE,
 COMMANDS = ("solve", "analyze", "symplectic", "deform")
 CALLS = {
     **{f"readme-{c}": [c, "--input", "inputs/readme.json"] for c in COMMANDS},
-    **{f"torus2-{c}": [c, "--input", "inputs/torus2.json"] for c in COMMANDS},
+    **{f"{point}-{c}": [c, "--input", f"inputs/{point}.json"]
+       for point in ("rank1", "torus2", "rank3") for c in COMMANDS},
     "exit1-nonexistent": ["solve", "--input", "inputs/nonexistent.json"],
     "exit2-wall": ["solve", "--input", "inputs/wall.json"],
     "exit3-reducible": ["symplectic", "--input", "inputs/obstructed.json"],

@@ -54,14 +54,19 @@ is irreducible exactly when that dimension is 1 (the centre u(1)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, ReducibleError
 from .presentation import Periphery, Representation, SurfaceData, build_periphery
-from .unitary import adjoint_matrix, flatten_algebra, identity, unflatten_algebra
+from .unitary import (
+    _read_only_cache,
+    adjoint_matrix,
+    flatten_algebra,
+    identity,
+    unflatten_algebra,
+)
 
 PARABOLIC_TOL = 1e-9
 # seed of the fixed reference matrix behind the canonical tangent basis
@@ -131,12 +136,10 @@ def _restriction_matrix(fox: np.ndarray, source: np.ndarray, fixed_bases) -> np.
     return np.vstack([f.T @ fj @ source for f, fj in zip(fixed_bases, fox)])
 
 
-@lru_cache(maxsize=64)
+@_read_only_cache
 def _reference_frame(ambient: int, dim: int) -> np.ndarray:
     """The fixed (ambient, dim) matrix R of the canonical basis rule."""
-    out = np.random.default_rng(REFERENCE_SEED).standard_normal((ambient, dim))
-    out.setflags(write=False)
-    return out
+    return np.random.default_rng(REFERENCE_SEED).standard_normal((ambient, dim))
 
 
 def _canonical_columns(basis: np.ndarray) -> np.ndarray:

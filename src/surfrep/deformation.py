@@ -68,9 +68,10 @@ at the same place whatever the truncation, so a coefficient does not
 depend on the truncation order it was computed at, bit for bit for every
 N.  The kernel is dtype-generic: the tests run it on complex series too.
 
-The kernel's index tables are cached per shape, read-only and shared by
-every call: `_cauchy_pairs(order, va, vb)`, the pairs of a product and
-the start of each run, `_identity(order, n)`, the constant series I, and
+The kernel's index tables are cached per shape by
+`unitary._read_only_cache`, read-only and shared by every call:
+`_cauchy_pairs(order, va, vb)`, the pairs of a product and the start of
+each run, `_identity(order, n)`, the constant series I, and
 `_coordinate_maps(n)`, the two fixed linear maps.  They and the
 `ndarray.take` gathers spare allocations and numpy calls only.
 
@@ -122,7 +123,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -137,6 +137,7 @@ from .presentation import (
     word_image,
 )
 from .unitary import (
+    _read_only_cache,
     algebra_basis,
     identity,
     is_skew_hermitian,
@@ -151,7 +152,7 @@ DEFAULT_VERIFY_TS = tuple(10.0 ** e for e in (-1.0, -1.5, -2.0, -2.5, -3.0))
 SLOPE_NOISE_FLOOR = 1e-13
 
 
-@lru_cache(maxsize=64)
+@_read_only_cache
 def _cauchy_pairs(order: int, va: int, vb: int):
     """The pairs (i, j) with i + j <= order, i >= va and j >= vb, ordered
     by m = i + j and then by i, and the index of the first pair of each m
@@ -159,10 +160,7 @@ def _cauchy_pairs(order: int, va: int, vb: int):
     pairs = [(i, m - i) for m in range(va + vb, order + 1) for i in range(va, m - vb + 1)]
     i = np.array([p[0] for p in pairs], dtype=np.intp)
     j = np.array([p[1] for p in pairs], dtype=np.intp)
-    starts = np.flatnonzero(np.diff(i + j, prepend=-1))
-    for arr in (i, j, starts):
-        arr.setflags(write=False)
-    return i, j, starts
+    return i, j, np.flatnonzero(np.diff(i + j, prepend=-1))
 
 
 def _cauchy(a: np.ndarray, b: np.ndarray, va: int = 0, vb: int = 0) -> np.ndarray:
@@ -181,12 +179,11 @@ def _cauchy(a: np.ndarray, b: np.ndarray, va: int = 0, vb: int = 0) -> np.ndarra
     return out
 
 
-@lru_cache(maxsize=64)
+@_read_only_cache
 def _identity(order: int, n: int) -> np.ndarray:
     """The constant series I, read-only."""
     out = np.zeros((order + 1, n, n))
     out[0] = np.eye(n)
-    out.setflags(write=False)
     return out
 
 
@@ -256,7 +253,7 @@ def _unembed(y: np.ndarray) -> np.ndarray:
     return y[..., :n, :n] + 1j * y[..., n:, :n]
 
 
-@lru_cache(maxsize=16)
+@_read_only_cache
 def _coordinate_maps(n: int):
     """The fixed linear maps between real forms and u(n) coordinates.
 
@@ -272,10 +269,7 @@ def _coordinate_maps(n: int):
     first = np.zeros((2 * n, 2 * n))
     first[:, :n] = 1.0
     read = np.ascontiguousarray(np.sign(write.T) * first.reshape(-1, 1))
-    scale = np.abs(write).max(axis=1)
-    for arr in (read, scale, write):
-        arr.setflags(write=False)
-    return read, scale, write
+    return read, np.abs(write).max(axis=1), write
 
 
 def _coordinates(y: np.ndarray) -> np.ndarray:

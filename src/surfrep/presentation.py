@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .unitary import (
     ConjugacyClass,
+    _read_only_cache,
     adjoint_matrix,
     flatten_algebra,
     identity,
@@ -52,10 +53,10 @@ class Presentation:
     punctures: int
 
     def __post_init__(self):
-        if self.punctures < 1:
-            raise ValueError("need at least one puncture")
         if self.genus < 0:
             raise ValueError("negative genus")
+        if self.punctures < 1:
+            raise ValueError("need at least one puncture")
 
     @property
     def num_generators(self) -> int:
@@ -96,14 +97,6 @@ class Presentation:
         """c_r as a word over the free basis, from the relation."""
         return word_inverse(self.relation[:-1])
 
-    def peripheral_word(self, j: int) -> Word:
-        """The j-th peripheral generator as a word over the free basis."""
-        if not 0 <= j < self.punctures:
-            raise ValueError(f"puncture index {j} out of range")
-        if j == self.punctures - 1:
-            return self.last_peripheral_word
-        return ((self.c(j), 1),)
-
     def to_free(self, w: Word) -> Word:
         """Rewrite a word over all generators as a word over the free basis."""
         last = self.num_generators - 1
@@ -121,7 +114,7 @@ class Presentation:
         return tuple(out)
 
 
-@lru_cache(maxsize=64)
+@_read_only_cache
 def standard_presentation(genus: int, punctures: int) -> Presentation:
     return Presentation(genus, punctures)
 
@@ -147,10 +140,7 @@ class SurfaceData:
     def __post_init__(self):
         for name in ("genus", "punctures", "rank"):
             object.__setattr__(self, name, _integer_field(name, getattr(self, name)))
-        if self.genus < 0:
-            raise ValueError("negative genus")
-        if self.punctures < 1:
-            raise ValueError("need at least one puncture")
+        standard_presentation(self.genus, self.punctures)
         if self.rank < 1:
             raise ValueError("rank must be positive")
         classes = tuple(
@@ -301,7 +291,7 @@ def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
     return rho.evaluate(w)
 
 
-@lru_cache(maxsize=256)
+@_read_only_cache
 def _fox_layout(pres: Presentation, w: Word):
     """The shape of the Fox walk along w, read-only: the letters of
     `to_free(w)`, their generator indices, their signs as a (letters, 1, 1)
@@ -312,8 +302,6 @@ def _fox_layout(pres: Presentation, w: Word):
     signs = np.array([e for _, e in letters], dtype=float).reshape(-1, 1, 1)
     owner = np.zeros((pres.free_rank, len(letters)))
     owner[gens, np.arange(len(letters))] = 1.0
-    for arr in (gens, signs, owner):
-        arr.setflags(write=False)
     return letters, gens, signs, owner
 
 
@@ -390,7 +378,7 @@ class Periphery:
     fixed_rows: np.ndarray  # fixed[j].T zero-padded to (punctures, N^2, N^2)
 
 
-@lru_cache(maxsize=64)
+@_read_only_cache
 def _selectors(pres: Presentation, n: int) -> np.ndarray:
     """F(c_j) for j < r at rank n, read-only: the block selectors of the
     free generators c_j, a (punctures - 1, n^2, free_rank n^2) stack."""
@@ -398,9 +386,7 @@ def _selectors(pres: Presentation, n: int) -> np.ndarray:
     out = np.zeros((r - 1, d, pres.free_rank, d))
     j = np.arange(r - 1)
     out[j, :, pres.c(j), :] = np.eye(d)
-    out = out.reshape(r - 1, d, pres.free_rank * d)
-    out.setflags(write=False)
-    return out
+    return out.reshape(r - 1, d, pres.free_rank * d)
 
 
 def build_periphery(rho: Representation) -> Periphery:

@@ -127,7 +127,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -139,6 +138,7 @@ from .presentation import Presentation, Representation, SurfaceData, _integer_fi
 from .unitary import (
     ANGLE_TOL,
     _permutation_table,
+    _read_only_cache,
     adjoint_matrix,
     algebra_basis,
     cayley,
@@ -201,7 +201,7 @@ class SolveResult:
         }
 
 
-@lru_cache(maxsize=64)
+@_read_only_cache
 def _relation_layout(pres: Presentation):
     """The relation's letter layout, read-only: (gather, owner, a, b).
 
@@ -218,8 +218,6 @@ def _relation_layout(pres: Presentation):
     owner = np.array([idx for idx, _ in relation])
     a = np.array([1.0 if e == 1 else 0.0 for _, e in relation])[:, None, None]
     b = np.array([-1.0 if e == -1 or idx >= nh else 0.0 for idx, e in relation])[:, None, None]
-    for arr in (gather, owner, a, b):
-        arr.setflags(write=False)
     return gather, owner, a, b
 
 

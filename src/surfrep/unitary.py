@@ -18,13 +18,16 @@ for bit as it does alone, so callers pass a stack wherever they have one.
 
 Matrix-valued results that are skew-Hermitian by contract are
 re-projected onto u(N) where drift could otherwise accumulate.
+
+Every constant table of the package is cached by `_read_only_cache`, which
+holds the one cache bound and makes the arrays of each table read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, permutations
 
 import numpy as np
@@ -53,13 +56,26 @@ def circle_distance(theta: float, phi: float = 0.0) -> float:
     return abs(wrap_angle(theta - phi))
 
 
-@lru_cache(maxsize=32)
+def _read_only_cache(builder):
+    """lru_cache for a builder of constant tables: every caller receives the
+    same object, so on the miss that builds a value each ndarray it holds,
+    alone or in a tuple, is made read-only.  A hit never reaches `builder`."""
+    @wraps(builder)
+    def build(*args, **kwargs):
+        value = builder(*args, **kwargs)
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
+        return value
+
+    return lru_cache(maxsize=64)(build)
+
+
+@_read_only_cache
 def identity(n: int, dtype=float) -> np.ndarray:
     """The n x n identity of `dtype`, read-only: a product with it is a new
     array, and a caller that needs its own copy takes one."""
-    out = np.eye(n, dtype=dtype)
-    out.setflags(write=False)
-    return out
+    return np.eye(n, dtype=dtype)
 
 
 def skew_project(x: np.ndarray) -> np.ndarray:
@@ -139,53 +155,38 @@ def haar_unitary(n: int, rng: np.random.Generator, k: int | None = None) -> np.n
 # orthonormal basis of u(N) and coordinates
 
 
-@lru_cache(maxsize=16)
+@_read_only_cache
+def _entry_positions(n: int) -> np.ndarray:
+    """Row-major positions of the diagonal entries, then of the entries
+    (k, l) and then (l, k) for the pairs k < l in the basis ordering."""
+    k, l = np.triu_indices(n, 1)
+    return np.concatenate([np.arange(n) * (n + 1), k * n + l, l * n + k])
+
+
+@_read_only_cache
 def algebra_basis(n: int) -> np.ndarray:
     """Orthonormal basis of u(n) for B, shape (n^2, n, n).
 
     Ordering: the n diagonal elements i e_kk first, then for each pair
     k < l the real rotation (e_kl - e_lk)/sqrt(2) and the imaginary
-    symmetric element i (e_kl + e_lk)/sqrt(2).
+    symmetric element i (e_kl + e_lk)/sqrt(2), written at the entries
+    `_entry_positions` lists, where `flatten_algebra` reads them.
     """
-    mats = []
-    for k in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[k, k] = 1j
-        mats.append(m)
-    for k in range(n):
-        for l in range(k + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[k, l] = _INV_SQRT2
-            m[l, k] = -_INV_SQRT2
-            mats.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[k, l] = 1j * _INV_SQRT2
-            m[l, k] = 1j * _INV_SQRT2
-            mats.append(m)
-    out = np.array(mats)
-    out.setflags(write=False)
-    return out
+    pos, pairs = _entry_positions(n), n * (n - 1) // 2
+    upper, lower, rows = pos[n:n + pairs], pos[n + pairs:], n + 2 * np.arange(pairs)
+    out = np.zeros((n * n, n * n), dtype=complex)
+    out[np.arange(n), pos[:n]] = 1j
+    out[rows, upper], out[rows, lower] = _INV_SQRT2, -_INV_SQRT2
+    out[rows + 1, upper] = out[rows + 1, lower] = 1j * _INV_SQRT2
+    return out.reshape(n * n, n, n)
 
 
-@lru_cache(maxsize=16)
+@_read_only_cache
 def _basis_columns(n: int) -> tuple:
     """E, the (n^2, n^2) matrix whose column a is the row-major vec of
     basis element a, and its conjugate transpose."""
     e = algebra_basis(n).reshape(n * n, n * n).T.copy()
-    eh = e.conj().T.copy()
-    for m in (e, eh):
-        m.setflags(write=False)
-    return e, eh
-
-
-@lru_cache(maxsize=16)
-def _entry_positions(n: int) -> np.ndarray:
-    """Row-major positions of the diagonal entries, then of the entries
-    (k, l) and then (l, k) for the pairs k < l in the basis ordering."""
-    k, l = np.triu_indices(n, 1)
-    out = np.concatenate([np.arange(n) * (n + 1), k * n + l, l * n + k])
-    out.setflags(write=False)
-    return out
+    return e, e.conj().T.copy()
 
 
 def flatten_algebra(x: np.ndarray) -> np.ndarray:
@@ -310,12 +311,10 @@ class ConjugacyClass:
         return property_p_check(self.angles)
 
 
-@lru_cache(maxsize=None)
+@_read_only_cache
 def _permutation_table(n: int) -> np.ndarray:
     """All n! permutations of range(n) as a read-only (n!, n) index array."""
-    table = np.array(list(permutations(range(n))), dtype=np.intp)
-    table.flags.writeable = False
-    return table
+    return np.array(list(permutations(range(n))), dtype=np.intp)
 
 
 def match_class(u: np.ndarray, cls: ConjugacyClass | tuple):

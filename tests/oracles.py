@@ -81,6 +81,15 @@ from surfrep.unitary import flatten_algebra, mat_exp, match_class, skew_project
 # u(N) and words
 
 
+def peripheral_word(pres, j):
+    """The j-th peripheral generator of `pres` as a word over the free basis."""
+    if not 0 <= j < pres.punctures:
+        raise ValueError(f"puncture index {j} out of range")
+    if j == pres.punctures - 1:
+        return pres.last_peripheral_word
+    return ((pres.c(j), 1),)
+
+
 def reduce_word(w):
     """Free reduction of a word: adjacent x x^-1 pairs cancel."""
     out = []
@@ -181,7 +190,7 @@ def coboundary(rho, x):
 
 def peripheral_value(rho, values, j):
     """u(c_j), computed over the free basis (a word for the last puncture)."""
-    return extend_cocycle(rho, values, rho.presentation.peripheral_word(j))
+    return extend_cocycle(rho, values, peripheral_word(rho.presentation, j))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +356,7 @@ def reference_order_residuals(form, h, c):
     order = len(h)
     out = np.empty((order, pres.punctures, rho.rank ** 2))
     for j in range(pres.punctures):
-        w = pres.peripheral_word(j)
+        w = peripheral_word(pres, j)
         gamma_j = _embed(evaluate_word(rho, w))
         if j < pres.punctures - 1:
             # the one-letter word c_j: H_{c_j} is h(c_j) itself
@@ -422,7 +431,7 @@ def extended_order_residuals(rho, h, c):
     for j in range(pres.punctures):
         seen = []
         prod, gamma = [eye] + [0 * eye] * order, eye
-        for idx, e in pres.peripheral_word(j):
+        for idx, e in peripheral_word(pres, j):
             if e == 1:
                 letter = [x @ images[idx]
                           for x in _long_exp([-x for x in series(h[:, idx])], seen)]
@@ -541,7 +550,7 @@ def evaluate_cycle(genus, punctures, w, q):
     """
     pres = standard_presentation(genus, punctures)
     total = sum(sign * w(w1, w2) for sign, w1, w2 in staircase_terms(genus, punctures))
-    total += sum(q[j](pres.peripheral_word(j)) for j in range(punctures))
+    total += sum(q[j](peripheral_word(pres, j)) for j in range(punctures))
     return total / punctures
 
 

@@ -241,6 +241,21 @@ def test_non_integer_topology_exits_1(tmp_path, capsys, field, value):
     assert field in error["message"]
 
 
+@pytest.mark.parametrize("genus,punctures,message", [
+    (-1, 1, "negative genus"), (0, 0, "need at least one puncture"), (-1, 0, "negative genus"),
+])
+def test_impossible_topology_is_refused_with_its_message(tmp_path, capsys, genus, punctures,
+                                                          message):
+    classes = [[HALF_PI, -HALF_PI]] * punctures
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SurfaceData(genus, punctures, 2, classes)
+    inp = _write(tmp_path, "bad.json", {**FOUR_PUNCTURE, "genus": genus,
+                                        "punctures": punctures, "classes": classes})
+    code, out, err = _run(capsys, ["solve", "--input", inp])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_angle_exits_1(tmp_path, capsys, bad):
     # json writes these as NaN / Infinity, which json.load reads back

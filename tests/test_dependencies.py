@@ -5,9 +5,10 @@ test process itself imports scipy (it is the oracle for several kernels),
 so the check runs the whole public pipeline and two CLI calls in a fresh
 interpreter and inspects that interpreter's sys.modules.
 
-Every top-level function and class of the package has a caller in the
-package or its scripts, public or not: code that only the tests use
-lives in the tests.  The few exceptions are named, each with its reason.
+Every top-level function and class of the package, public or not, and
+every public method and property of its classes has a caller in the
+package or its scripts: code that only the tests use lives in the tests.
+The few exceptions are named, each with its reason.
 
 Rank decisions live in `surfrep.linalg`: outside it, an SVD is called
 only by the named factorizations that decide no rank.
@@ -15,9 +16,10 @@ only by the named factorizations that decide no rank.
 Child seeds are spawned one at a time, when the attempt that needs one
 starts: no batch of seeds is spawned up front and mostly thrown away.
 
-Every array an `lru_cache` function returns is read-only: the cache hands
-the same object to every caller, so one caller writing into it would
-change what all later callers read.
+Every cache of the package is `unitary._read_only_cache`, and every array
+a cached function returns is read-only: the cache hands the same object
+to every caller, so one caller writing into it would change what all
+later callers read.
 
 Every name that the tests and scripts import from the package exists: a
 test module whose import fails is a collection error, and a suite run
@@ -83,28 +85,43 @@ def test_pipeline_and_cli_never_import_scipy():
 _BENCHMARK_COUNTED = {"extend_cocycle", "min_norm_solve"}
 # Public API that nothing in the package calls: F(u, v) itself, the form
 # on M_N that `gram_matrix` tabulates on a basis, for callers who hold
-# their own pair of tangent vectors.
-_PUBLIC_WITHOUT_CALLER = {"symplectic_form"}
+# their own pair of tangent vectors; the conjugation action that M_N is
+# the quotient by; and the point of a deformation family at one parameter.
+_PUBLIC_WITHOUT_CALLER = {"symplectic_form", "Representation.gauge",
+                          "DeformationState.instantiate"}
+
+
+def _names(node, own):
+    """Names and attribute names that `node` refers to, but `own`."""
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    return names - set(own)
 
 
 def _unreferenced_definitions(roots):
-    """Top-level functions and classes of src/surfrep that no other code in
-    `roots` refers to, by name or attribute; a definition's references to
-    itself do not count."""
-    defined, referenced = set(), set()
+    """Top-level functions and classes of src/surfrep, and the public
+    methods and properties of its classes (as Class.name), that no other
+    code in `roots` refers to, by name or attribute; a definition's
+    references to itself do not count."""
+    defined, referenced = {}, set()
     for root in roots:
         in_package = root.name == "surfrep"
         for path in sorted(root.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             for stmt in tree.body:
-                names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
-                names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
-                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                    names.discard(stmt.name)
-                    if in_package:
-                        defined.add(stmt.name)
-                referenced |= names
-    return defined - referenced
+                parts = [stmt]
+                if isinstance(stmt, ast.ClassDef):
+                    parts = stmt.bases + stmt.keywords + stmt.decorator_list + stmt.body
+                for part in parts:
+                    own = (getattr(stmt, "name", None), getattr(part, "name", None))
+                    referenced |= _names(part, own)
+                    public_method = (part is not stmt and isinstance(part, ast.FunctionDef)
+                                     and not part.name.startswith("_"))
+                    if in_package and public_method:
+                        defined[part.name] = f"{stmt.name}.{part.name}"
+                if in_package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    defined[stmt.name] = stmt.name
+    return {label for name, label in defined.items() if name not in referenced}
 
 
 def test_every_package_definition_has_a_caller():
@@ -158,7 +175,7 @@ def test_every_spawn_draws_one_child():
         assert one, f"{name}:{line} spawns more than one child at once"
 
 
-# One call of every lru_cache function of the package, by module.name.
+# One call of every cached function of the package, by module.name.
 _CACHED_CALLS = {
     "cohomology._reference_frame": (4, 2),
     "deformation._cauchy_pairs": (4, 1, 1),
@@ -179,20 +196,26 @@ _CACHES_WITHOUT_ARRAYS = {"presentation.standard_presentation"}
 
 
 def _cached_functions(root):
-    """module.name of every top-level function decorated with lru_cache."""
-    out = set()
+    """module.name of every top-level function decorated with
+    `_read_only_cache`, and of every other top-level statement that uses
+    `lru_cache`."""
+    cached, other = set(), set()
     for path in sorted(root.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
+            name = f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
             decorators = getattr(stmt, "decorator_list", [])
-            targets = [d.func if isinstance(d, ast.Call) else d for d in decorators]
-            if any(getattr(t, "id", getattr(t, "attr", None)) == "lru_cache" for t in targets):
-                out.add(f"{path.stem}.{stmt.name}")
-    return out
+            if any(getattr(d, "id", None) == "_read_only_cache" for d in decorators):
+                cached.add(name)
+            if name != "unitary._read_only_cache" and "lru_cache" in _names(stmt, ()):
+                other.add(name)
+    return cached, other
 
 
 def test_cached_arrays_are_read_only():
     root = Path(surfrep.__file__).resolve().parent
-    assert _cached_functions(root) == set(_CACHED_CALLS)
+    cached, other = _cached_functions(root)
+    assert cached == set(_CACHED_CALLS)
+    assert other == set(), "an lru_cache outside unitary._read_only_cache"
     for name, args in _CACHED_CALLS.items():
         module, func = name.split(".")
         value = getattr(importlib.import_module(f"surfrep.{module}"), func)(*args)
@@ -202,7 +225,7 @@ def test_cached_arrays_are_read_only():
             assert not arrays, name
             continue
         assert arrays, name
-        # frozen with setflags(write=False) or flags.writeable = False
+        # frozen by _read_only_cache on the miss that built them
         assert not any(a.flags.writeable for a in arrays), f"{name} returns a writable array"
 
 

@@ -49,7 +49,7 @@ from surfrep.unitary import (
     skew_project,
 )
 
-from oracles import relative_h2, staircase_terms, traceless_coordinates
+from oracles import peripheral_word, relative_h2, staircase_terms, traceless_coordinates
 
 TOL = 1e-12
 
@@ -92,7 +92,7 @@ def _words(rho):
     pres = rho.presentation
     letters = [((i, e),) for i in range(pres.num_generators) for e in (1, -1)]
     prefixes = [pres.relation[:k] for k in range(len(pres.relation) + 1)]
-    peripheral = [pres.peripheral_word(j) for j in range(pres.punctures)]
+    peripheral = [peripheral_word(pres, j) for j in range(pres.punctures)]
     return letters + prefixes + peripheral
 
 
@@ -122,7 +122,7 @@ def test_fox_cocycle_identity(points):
         pres = rho.presentation
         rel = pres.relation
         splits = [(rel[:k], rel[k:]) for k in range(len(rel) + 1)]
-        splits += [(((i, e),), pres.peripheral_word(j))
+        splits += [(((i, e),), peripheral_word(pres, j))
                    for i in range(pres.num_generators) for e in (1, -1)
                    for j in range(pres.punctures)]
         for w1, w2 in splits:
@@ -139,7 +139,7 @@ def _reference_restriction(rho, source, fixed_bases):
     for column in source.T:
         values = unflatten_cochain(rho, column)
         cols.append(np.concatenate([
-            f.T @ flatten_algebra(_fold(rho, values, pres.peripheral_word(j)))
+            f.T @ flatten_algebra(_fold(rho, values, peripheral_word(pres, j)))
             for j, f in enumerate(fixed_bases)
         ]))
     return np.array(cols).T
@@ -198,7 +198,7 @@ def _reference_gram(rho, cols):
         entries += sign * ls @ rs.T
     for j in range(pres.punctures):
         a = adjoint_matrix(rho.images[pres.c(j)]) - np.eye(n2)
-        vals = np.array([flatten_algebra(_fold(rho, u, pres.peripheral_word(j)))
+        vals = np.array([flatten_algebra(_fold(rho, u, peripheral_word(pres, j)))
                          for u in cocycles])
         lifts = np.array([linalg.min_norm_solve(a, v)[0] for v in vals])
         entries -= lifts @ vals.T
@@ -244,7 +244,7 @@ def test_peripheral_fox_matrices_match_fold(points):
         assert np.array_equal(stack[-1], -periphery.adjoints[-1] @ closing.reshape(d, -1))
         cols = rng.standard_normal((nf * d, 3))
         for j in range(r):
-            word = pres.peripheral_word(j)
+            word = peripheral_word(pres, j)
             assert np.abs(stack[j] - _fold_matrix(rho, word)).max() < TOL, (rho.surface, j)
             ref = fox_matrix(rho, word) @ cols
             assert np.abs(stack[j] @ cols - ref).max() < TOL, (rho.surface, j)
@@ -444,7 +444,7 @@ def test_one_periphery_per_entry(monkeypatch, instances):
             continue
         pres = rho.presentation
         r, d = pres.punctures, rho.rank ** 2
-        gamma = np.array([evaluate_word(rho, pres.peripheral_word(j)) for j in range(r)])
+        gamma = np.array([evaluate_word(rho, peripheral_word(pres, j)) for j in range(r)])
         targets = list(adjoint_matrix(gamma) - np.eye(d)) if rho.rank > 1 else []
         per_puncture = list(range(r)) if rho.rank > 1 else []
         direction = corpus_module.tangent_direction(rho, 0)

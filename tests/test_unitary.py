@@ -79,6 +79,33 @@ def test_algebra_basis_is_orthonormal():
                 assert invariant_form(basis[a], basis[b]) == pytest.approx(want, abs=1e-12)
 
 
+def _loop_basis(n):
+    """The basis of u(n) element by element in the documented order: i e_kk,
+    then for each pair k < l (e_kl - e_lk)/sqrt(2) and i (e_kl + e_lk)/sqrt(2)."""
+    s = 1.0 / np.sqrt(2.0)
+    mats = []
+    for k in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        m[k, k] = 1j
+        mats.append(m)
+    for k in range(n):
+        for l in range(k + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[k, l], m[l, k] = s, -s
+            mats.append(m)
+            m = np.zeros((n, n), dtype=complex)
+            m[k, l] = m[l, k] = 1j * s
+            mats.append(m)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_basis_is_the_loop_construction_byte_for_byte(n):
+    ours, ref = algebra_basis(n), _loop_basis(n)
+    assert ours.shape == ref.shape and ours.dtype == ref.dtype
+    assert ours.tobytes() == ref.tobytes()
+
+
 def test_flatten_roundtrip(rng):
     x = _random_skew(rng, 3)
     v = flatten_algebra(x)
