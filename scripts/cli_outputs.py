@@ -7,22 +7,24 @@ what each call printed, or compare two such runs.
 
 The calls are solve, analyze, symplectic and deform on the README surface
 (the 4-punctured sphere, rank 2, every class (pi/2, -pi/2), solved at seed
-0) and on three saved points at seed 0, one per rank: `smooth_instance(2,
-1, 2)` (rank 1), `smooth_instance(1, 2, 2)` (rank 2) and
-`smooth_instance(1, 3, 1)` (rank 3); and one failing input per exit code
-from 1 to 4: classes whose angles miss the
+0, from the genus-0 chain start); on three saved points at seed 0, one per
+rank: `smooth_instance(2, 1, 2)` (rank 1), `smooth_instance(1, 2, 2)`
+(rank 2) and `smooth_instance(1, 3, 1)` (rank 3); on the surfaces of the
+last two, solved at seed 0 from Goto's commutator start; and one failing
+input per exit code from 1 to 4: classes whose angles miss the
 determinant (1), the genus-0 wall closed at half-angle 1.51, where the
 solver gives up at seed 0 (2), the Gram matrix at the reducible point of
 `obstructed_instance()` (3), and the deformation there (4).
 
 Each call runs as `python -m surfrep.cli` with PYTHONPATH=PATH/src and DIR
 as its working directory, so the input paths in the manifests are the
-same for every tree.  The saved points are written by the tree's own
-package, under DIR/inputs with the surfaces.  For each call NAME it
-writes DIR/NAME.exit, the exit code, DIR/NAME.out, standard output, and
-DIR/NAME.err, standard error; a JSON document's `manifest.timings` is
-blanked to {}, and the document is written back in the CLI's own layout
-(sorted keys, indent 2), so nothing else moves.
+same for every tree.  The saved points, and the surfaces of the two that
+are also solved, are written by the tree's own package, under DIR/inputs
+with the other surfaces.  For each call NAME it writes DIR/NAME.exit, the
+exit code, DIR/NAME.out, standard output, and DIR/NAME.err, standard
+error; a JSON document's `manifest.timings` is blanked to {}, and the
+document is written back in the CLI's own layout (sorted keys, indent 2),
+so nothing else moves.
 
 --diff prints one line per call whose files differ, or that only one
 directory holds, naming the parts that differ, and for a JSON standard
@@ -62,7 +64,14 @@ points = {"rank1": smooth_instance(2, 1, 2, seed=0).representation,
 for name, rho in points.items():
     with open(f"inputs/{name}.json", "w") as fh:
         fh.write(canonical_json(point_to_dict(rho)))
+# the points named on the command line also give their surfaces
+for name in sys.argv[1:]:
+    with open(f"inputs/{name}-surface.json", "w") as fh:
+        fh.write(json.dumps(points[name].surface.to_dict()))
 """
+# the saved points whose surfaces are also solved: genus 1, so the solver
+# starts from Goto's commutator pair
+GOTO_SURFACES = ("torus2", "rank3")
 
 SURFACES = {"readme": README_SURFACE, "nonexistent": NONEXISTENT_SURFACE,
             "wall": WALL_SURFACE}
@@ -72,6 +81,8 @@ CALLS = {
     **{f"readme-{c}": [c, "--input", "inputs/readme.json"] for c in COMMANDS},
     **{f"{point}-{c}": [c, "--input", f"inputs/{point}.json"]
        for point in ("rank1", "torus2", "rank3") for c in COMMANDS},
+    **{f"{point}-solved-{c}": [c, "--input", f"inputs/{point}-surface.json"]
+       for point in GOTO_SURFACES for c in COMMANDS},
     "exit1-nonexistent": ["solve", "--input", "inputs/nonexistent.json"],
     "exit2-wall": ["solve", "--input", "inputs/wall.json"],
     "exit3-reducible": ["symplectic", "--input", "inputs/obstructed.json"],
@@ -105,8 +116,8 @@ def run(tree: Path, out: Path, names) -> None:
     for name, surface in SURFACES.items():
         (out / "inputs" / f"{name}.json").write_text(json.dumps(surface))
     env = _env(tree)
-    subprocess.run([sys.executable, "-c", _POINTS], env=env, cwd=out, check=True,
-                   timeout=300)
+    subprocess.run([sys.executable, "-c", _POINTS, *GOTO_SURFACES], env=env, cwd=out,
+                   check=True, timeout=300)
     for name in names:
         done = subprocess.run([sys.executable, "-m", "surfrep.cli", *CALLS[name]],
                               env=env, cwd=out, capture_output=True, text=True,

@@ -53,13 +53,20 @@ produces the same output.  The draw is a Haar point.  For genus >= 1 and
 N >= 2 its first handle pair is then replaced by one that solves the
 relation in closed form (`_goto_start`), since every element of SU(N) is
 a commutator (Goto, "A theorem on compact semi-simple groups", J. Math.
-Soc. Japan 1, 1949).  With rest = [a_2, b_2] ... [a_g, b_g] c_1 ... c_r
-and T = rest^dagger = V diag(d) V^dagger (V from `eig`, made unitary by
-QR), put x_1 = 1, x_i = x_{i-1} d_i, a_1 = V diag(x) V^dagger and
-b_1 = V S V^dagger with S the cyclic shift S e_i = e_{i+1}.  Then
-[a_1, b_1] = V diag(x_i / x_{i-1}) V^dagger, which is T exactly when
-det T = 1, that is when the class angles sum to 0 mod 2 pi; otherwise the
-point is only a start.
+Soc. Japan 1, 1949).  With rest = [a_2, b_2] ... [a_g, b_g] c_1 ... c_r,
+folded from the draw's letters alone, and T = rest^dagger = V diag(d)
+V^dagger (V from `eig`, made unitary by QR), put x_1 = 1, x_i = x_{i-1}
+d_i, a_1 = V diag(x) V^dagger and b_1 = V S V^dagger with S the cyclic
+shift S e_i = e_{i+1}.  Then [a_1, b_1] = V diag(x_i / x_{i-1}) V^dagger,
+which is T exactly when det T = 1, that is when the class angles sum to
+0 mod 2 pi; otherwise the point is only a start.  T's eigenvalues come
+with no prescribed order, and the pair depends on the order and on the
+column phases that `eig` picks, so Goto keeps `eig` + QR also at N = 2:
+a closed-form frame there solves the relation as exactly but moves b_1 by
+O(1), and with it the points and verdicts of the genus-1 d-sweep of
+`scripts/hard_cases.py`, where the rank decisions sit near their
+thresholds: measured, 14 of its 56 rows moved, and all four d = 1e-12 rows
+went from right to undecided.
 
 At genus 0 and N <= 3 `_chain_start` closes c_1 ... c_r = I as a chain
 of triangles P_(k-1) c_k = P_k, P_k = c_1 ... c_k, P_(r-1) = c_r^-1.  It
@@ -70,12 +77,14 @@ delta conj(e_1) x - delta (N = 3), so once the class angles sum to 0 mod
 2 pi the class of M = diag(a) V diag(b) V^dagger, that is of P_k, is
 decided by tr M = a^T S b, with S_ij = |V_ij|^2 doubly stochastic.  Each
 step takes an S that meets the target's trace, sets c_k's frame to W V,
-and reads P_k's frame off M (`eig`, made unitary by QR), paired with the
-order of the target's eigenvalues; c_r's frame is P_(r-1)'s.  The first
-W is c_1's drawn frame, or the frame of the draw's product before the
-first prescribed triangle.  The angle sum misses 0 by roundoff; that miss
-is put on c_k's eigenvalues, where it stays roundoff, not on the
-target's, whose eigenvalue gaps would amplify it.
+and reads P_k's frame off M in the order of the target's eigenvalues
+(`_eigenframe`: in closed form at N = 2, see below; at N = 3 `eig`'s,
+paired with the target's eigenvalues and made unitary by QR); c_r's frame
+is P_(r-1)'s.  The first W is c_1's drawn frame, or at N = 3 the frame of
+the draw's product before the first prescribed triangle (`eig`, made
+unitary by QR).  The angle sum misses 0 by roundoff; that miss is put on
+c_k's eigenvalues, where it stays roundoff, not on the target's, whose
+eigenvalue gaps would amplify it.
 
 At N = 2 every P_k is prescribed by the bending coordinates of a closed
 polygon in SU(2) = S^3 (Jeffrey and Weitsman, Comm. Math. Phys. 150,
@@ -95,6 +104,18 @@ doubly stochastic S is unistochastic and a^T S b is linear in S_11, so V
 is the rotation of the S in closed form, at the twist of c_k's drawn
 frame in W (`_rotation`).  The chain closes exactly when a point exists:
 it is the rank-2 genus-0 existence test (Biswas, Int. J. Math. 9, 1998).
+
+At N = 2 P_k's frame is read off in closed form.  The target's
+eigenvalues t_1, t_2 are M^dagger's, so by Cayley-Hamilton
+(M^dagger - t_2 I)(M^dagger - t_1 I) = 0: every column of M^dagger - t_2 I
+lies on t_1's eigenline, and the one of larger norm, normalized to
+(x, y), spans it.  M^dagger is normal, so t_2's eigenline is the
+orthogonal one, spanned by (-conj(y), conj(x)), and the frame is exactly
+unitary; at a scalar M every frame is an eigenframe.  Which phase each
+column takes does not matter: the next triangle's rotation V takes its
+twist from the draw's frame in W (`_rotation`), so a diagonal phase D on
+W's columns turns V into D^dagger V D and c_k's frame W V into W V D,
+whose D commutes with c_k's class, and every image stays as it was.
 
 At N = 3 the frames of c_1 ... c_(r-2) are the draw's, and only the last
 triangle is closed.  The doubly stochastic S with a^T S b =
@@ -224,16 +245,20 @@ def _relation_layout(pres: Presentation):
 class _Layout:
     """What every point of one solve shares: the class representatives
     Lambda_j, stacked, the relation layout of its shape
-    (`_relation_layout`) and the determinant decision `angle_sum`
-    (`_determinant_angle`: None when no point exists)."""
+    (`_relation_layout`), the columns of Goto's cyclic shift and the
+    determinant decision `angle_sum` (`_determinant_angle`: None when no
+    point exists)."""
 
-    __slots__ = ("surface", "angle_sum", "nh", "eye", "lambdas", "gather", "owner", "a", "b")
+    __slots__ = ("surface", "angle_sum", "nh", "eye", "shift", "lambdas", "gather", "owner",
+                 "a", "b")
 
     def __init__(self, surface: SurfaceData):
         self.surface = surface
         self.angle_sum = _determinant_angle(surface.classes)
         self.nh = 2 * surface.genus
         self.eye = np.eye(surface.rank)
+        # the columns of the cyclic shift S e_i = e_(i+1): V S = V[:, shift]
+        self.shift = np.arange(1, surface.rank + 1) % surface.rank
         self.lambdas = np.array([c.representative() for c in surface.classes])
         self.gather, self.owner, self.a, self.b = _relation_layout(surface.presentation)
 
@@ -262,12 +287,17 @@ class _Point:
         q = self.stack[self.layout.nh:]
         return q @ self.layout.lambdas @ q.conj().swapaxes(-1, -2)
 
+    def letters(self) -> np.ndarray:
+        """Relation letters in order, gathered from concat(handles,
+        handles^H, peripherals)."""
+        h = self.stack[:self.layout.nh]
+        pool = np.concatenate([h, h.conj().swapaxes(-1, -2), self.peripherals()])
+        return pool[self.layout.gather]
+
     def sweep(self):
         """Relation letters in order, their prefix products and E."""
         if self._sweep is None:
-            h = self.stack[:self.layout.nh]
-            pool = np.concatenate([h, h.conj().swapaxes(-1, -2), self.peripherals()])
-            letters = pool[self.layout.gather]
+            letters = self.letters()
             prefixes = np.empty_like(letters)
             prefixes[0] = self.layout.eye
             for k in range(len(letters) - 1):
@@ -332,19 +362,25 @@ def _gauss_newton(point: _Point):
 def _goto_start(point: _Point) -> _Point:
     """The point with (a_1, b_1) replaced by a pair whose commutator is
     rest^dagger, so the relation holds when the class angles sum to 0
-    mod 2 pi (Goto's construction, module docstring); genus >= 1, N >= 2."""
+    mod 2 pi (Goto's construction, module docstring); genus >= 1, N >= 2.
+
+    rest is folded from the draw's letters alone: the draw's prefixes are
+    never needed.  Its inverse is factored by `eig`, made unitary by QR,
+    at every N, N = 2 included (module docstring), and b_1 is that frame
+    with its columns shifted cyclically.
+    """
     lay = point.layout
     # the letters after [a_1, b_1], folded from the right: rest, whose
     # inverse the pair must make
     rest = lay.eye
-    for m in point.sweep()[0][:3:-1]:
+    for m in point.letters()[:3:-1]:
         rest = m @ rest
     d, v = np.linalg.eig(rest.conj().T)
     v = np.linalg.qr(v)[0]
     x = np.concatenate([[1.0], np.cumprod(d[1:])])
     stack = point.stack.copy()
     stack[0] = (v * x) @ v.conj().T
-    stack[1] = np.roll(v, -1, axis=1) @ v.conj().T
+    stack[1] = v[:, lay.shift] @ v.conj().T
     return _Point(lay, stack)
 
 
@@ -519,6 +555,32 @@ def _rotation(a: np.ndarray, b: np.ndarray, trace: complex, drawn: np.ndarray) -
     return np.array([[c, -s * z.conjugate()], [s * z, c]])
 
 
+def _eigenframe(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """A unitary V with V diag(t) V^H = m, for a normal 2 x 2 or 3 x 3 m
+    whose eigenvalues are t up to roundoff, in that order (module
+    docstring).  At N = 2 its first column is the column of m - t_2 I of
+    larger norm, normalized, and it is I where m - t_2 I is exactly zero;
+    at N = 3 it is `eig`'s, its columns paired with t, made unitary by QR.
+    """
+    if len(t) == 2:
+        (m11, m12), (m21, m22) = m.tolist()
+        t2 = complex(t[1])
+        x, y = m11 - t2, m21
+        u, w = m12, m22 - t2
+        norm, other = abs(x) ** 2 + abs(y) ** 2, abs(u) ** 2 + abs(w) ** 2
+        if other > norm:
+            x, y, norm = u, w, other
+        if not norm:
+            return np.eye(2, dtype=complex)
+        norm = math.sqrt(norm)
+        x, y = x / norm, y / norm
+        return np.array([[x, -y.conjugate()], [y, x.conjugate()]])
+    perms = _permutation_table(len(t))
+    e, frame = np.linalg.eig(m)
+    order = perms[np.abs(e[perms] - t).sum(axis=1).argmin()]
+    return np.linalg.qr(frame[:, order])[0]
+
+
 def _chain_start(point: _Point) -> _Point:
     """The genus-0 point, N = 2 or 3, whose frames close the chain of
     triangles P_(k-1) c_k = P_k, P_k = c_1 ... c_k (module docstring).
@@ -551,7 +613,6 @@ def _chain_start(point: _Point) -> _Point:
     else:
         a, w = np.linalg.eig(point.sweep()[1][first])
         w = np.linalg.qr(w)[0]
-    perms = _permutation_table(n)
     stack = point.stack.copy()
     for k, inverse in enumerate(targets, first):
         # the angle sum's roundoff miss goes on c_k's eigenvalues
@@ -565,12 +626,10 @@ def _chain_start(point: _Point) -> _Point:
             if s is None:
                 return point
             v = _unistochastic_unitary(s)
-        # P_k^-1 = W m^H W^H, its frame paired with the target's order
+        # P_k^-1 = W m^H W^H, its frame in the target's order
         m = (a[:, None] * v * b) @ v.conj().T
-        e, frame = np.linalg.eig(m.conj().T)
-        order = perms[np.abs(e[perms] - inverse).sum(axis=1).argmin()]
         stack[k] = w @ v
-        w, a = w @ np.linalg.qr(frame[:, order])[0], inverse.conj()
+        w, a = w @ _eigenframe(m.conj().T, inverse), inverse.conj()
     stack[-1] = w
     return _Point(lay, stack)
 

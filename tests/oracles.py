@@ -31,7 +31,10 @@ package computes in one place:
   package kernel, so the one check whose arithmetic is not the package's;
 - the truncated family at one parameter value, `reference_instantiate`,
   and its residuals one t at a time, `reference_grid_residuals` (the
-  package instantiates and checks the whole decay-check grid at once).
+  package instantiates and checks the whole decay-check grid at once);
+- the eigenframe of a normal matrix from `eig`, paired with prescribed
+  eigenvalues and made unitary by QR, `eig_frame` (the solver's chain
+  start reads a 2 x 2 frame off in closed form, `solver._eigenframe`).
 
 Two closed forms serve as known answers: `conjugation_state`, the family
 exp(tx) rho exp(-tx), which satisfies the matching conditions at every
@@ -52,6 +55,7 @@ points unitary to roundoff).
 
 import math
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -110,6 +114,15 @@ def unitarize(u):
     """Nearest unitary matrix, or stack of them (polar projection via SVD)."""
     w, _, vh = np.linalg.svd(u)
     return w @ vh
+
+
+def eig_frame(m, t):
+    """A unitary V with V diag(t) V^H = m for a normal m with eigenvalues
+    t: the columns of `eig`, in the permutation that lies closest to t,
+    made unitary by QR."""
+    e, frame = np.linalg.eig(m)
+    order = min(permutations(range(len(t))), key=lambda p: np.abs(e[list(p)] - t).sum())
+    return np.linalg.qr(frame[:, list(order)])[0]
 
 
 def bracket(x, y):

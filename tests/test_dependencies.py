@@ -98,16 +98,49 @@ def _names(node, own):
     return names - set(own)
 
 
+def _script_references(tree):
+    """What a script refers to through its imports of surfrep, as (names,
+    attributes).  `names` are the names it imports from the package and
+    the attributes it takes of a package module that it imports; a name
+    the script defines or uses on its own does not count.  `attributes`
+    are every attribute it takes, once it imports from the package at
+    all: a method is called on an object that the package returned."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or "surfrep" for alias in node.names
+                        if alias.name.split(".")[0] == "surfrep"}
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and (node.module or "").split(".")[0] == "surfrep"):
+            # an imported name may be a submodule, whose attributes count too
+            names |= {alias.name for alias in node.names}
+            modules |= {alias.asname or alias.name for alias in node.names}
+    attributes = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    for node in attributes:
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in modules:
+            names.add(node.attr)
+    return names, {n.attr for n in attributes} if modules else set()
+
+
 def _unreferenced_definitions(roots):
     """Top-level functions and classes of src/surfrep, and the public
     methods and properties of its classes (as Class.name), that no other
     code in `roots` refers to, by name or attribute; a definition's
-    references to itself do not count."""
-    defined, referenced = {}, set()
+    references to itself do not count.  Code outside the package refers
+    to it only through its imports of surfrep (`_script_references`)."""
+    defined, referenced, methods = {}, set(), set()
     for root in roots:
         in_package = root.name == "surfrep"
         for path in sorted(root.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
+            if not in_package:
+                names, attributes = _script_references(tree)
+                referenced |= names
+                methods |= attributes
+                continue
             for stmt in tree.body:
                 parts = [stmt]
                 if isinstance(stmt, ast.ClassDef):
@@ -117,11 +150,12 @@ def _unreferenced_definitions(roots):
                     referenced |= _names(part, own)
                     public_method = (part is not stmt and isinstance(part, ast.FunctionDef)
                                      and not part.name.startswith("_"))
-                    if in_package and public_method:
+                    if public_method:
                         defined[part.name] = f"{stmt.name}.{part.name}"
-                if in_package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                     defined[stmt.name] = stmt.name
-    return {label for name, label in defined.items() if name not in referenced}
+    return {label for name, label in defined.items()
+            if name not in referenced and not ("." in label and name in methods)}
 
 
 def test_every_package_definition_has_a_caller():

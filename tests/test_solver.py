@@ -13,6 +13,7 @@ from surfrep.presentation import SurfaceData
 from surfrep.solver import (
     SolverConfig,
     _chain_start,
+    _eigenframe,
     _exact_start,
     _gauss_newton,
     _goto_start,
@@ -25,7 +26,7 @@ from surfrep.solver import (
 )
 from surfrep.unitary import ConjugacyClass, algebra_basis, haar_unitary
 
-from oracles import unitarize
+from oracles import eig_frame, unitarize
 
 HALF_PI = np.pi / 2
 
@@ -543,6 +544,102 @@ def test_corpus_solves_at_genus_zero_rank_two_need_at_most_one_step():
             report = analyze(result.representation)
             assert report.irreducible
             assert report.tangent_dim == report.expected_dim
+
+
+def _normal_matrices(n, gap, seed):
+    """Ten seeded normal n x n matrices U diag(t) U^H with their t: U Haar,
+    t on the unit circle, t_1 and t_2 `gap` apart in angle."""
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        u = haar_unitary(n, rng)
+        angles = rng.uniform(0, 2 * np.pi, n)
+        angles[1] = angles[0] + gap
+        t = np.exp(1j * angles)
+        yield (u * t) @ u.conj().T, t
+
+
+def _assert_eigenframe(v, m, t):
+    assert np.isfinite(v).all()
+    assert np.linalg.norm(v.conj().T @ v - np.eye(len(t))) <= 1e-15
+    assert np.linalg.norm((v * t) @ v.conj().T - m) <= 1e-14
+
+
+@pytest.mark.parametrize("gap", [10.0 ** -k for k in range(15)] + [0.0])
+def test_rank_two_eigenframe_is_unitary_and_takes_the_given_order(gap):
+    # the closed form against `eig` + QR: exactly unitary and reconstructing
+    # m at every gap, equal eigenvalues included; where the gap leaves the
+    # eigenlines well conditioned, the same lines as the oracle's, each
+    # column up to a phase
+    for m, t in _normal_matrices(2, gap, seed=11):
+        v = _eigenframe(m, t)
+        _assert_eigenframe(v, m, t)
+        if gap >= 1e-3:
+            overlap = np.abs(np.diag(eig_frame(m, t).conj().T @ v))
+            assert np.abs(overlap - 1).max() <= 1e-12
+
+
+def test_rank_two_eigenframe_is_finite_at_a_scalar_matrix():
+    # m - t_2 I vanishes exactly at z I, and is roundoff at U (z I) U^H:
+    # either way every frame is an eigenframe, and the one returned is
+    # finite and unitary
+    z = np.exp(0.7j)
+    t = np.array([z, z])
+    u = haar_unitary(2, np.random.default_rng(5))
+    for m in (z * np.eye(2), (u * t) @ u.conj().T):
+        _assert_eigenframe(_eigenframe(m, t), m, t)
+    assert np.array_equal(_eigenframe(z * np.eye(2), t), np.eye(2))
+
+
+def test_rank_three_eigenframe_is_eig_and_qr_bit_for_bit():
+    for gap in (1.0, 1e-6):
+        for m, t in _normal_matrices(3, gap, seed=7):
+            v = _eigenframe(m, t)
+            assert np.array_equal(v, eig_frame(m, t))
+            _assert_eigenframe(v, m, t)
+
+
+@pytest.mark.parametrize("punctures", [3, 4, 5, 6])
+def test_rank_two_chain_start_does_not_depend_on_column_phases(punctures, monkeypatch):
+    # the closed-form frames and the oracle's differ by a phase per column;
+    # the twist of the next triangle's rotation absorbs it, so the images
+    # of the start agree
+    for seed in range(4):
+        surface = smooth_instance(0, 2, punctures, seed=seed).representation.surface
+        raw = _Point.random(surface, np.random.default_rng(seed))
+        images = np.array(_chain_start(raw).representation().images)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_eigenframe", eig_frame)
+            oracle = np.array(_chain_start(raw).representation().images)
+        assert np.abs(images - oracle).max() <= 1e-14, seed
+
+
+@pytest.mark.parametrize("punctures", [3, 4, 5, 6])
+def test_rank_two_sphere_solves_stop_at_their_start_without_eig(punctures, monkeypatch):
+    # restart 0's chain start solves the relation outright, and its frames
+    # are read off in closed form: the only factorization is the QR of
+    # the Haar draw
+    surfaces = [smooth_instance(0, 2, punctures, seed=seed).representation.surface
+                for seed in range(4)]
+    calls = {"eig": 0, "qr": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    for seed, surface in enumerate(surfaces):
+        before = dict(calls)
+        result = solve(surface, SolverConfig(seed=seed))
+        assert result.restart_index == 0, seed
+        assert len(result.history) == 1, seed
+        assert result.residual <= 1e-14, seed
+        assert calls["eig"] == before["eig"], seed
+        assert calls["qr"] == before["qr"] + 1, seed
 
 
 UNMET_SPHERES = {
