@@ -14,7 +14,10 @@ last two, solved at seed 0 from Goto's commutator start; and one failing
 input per exit code from 1 to 4: classes whose angles miss the
 determinant (1), the genus-0 wall closed at half-angle 1.51, where the
 solver gives up at seed 0 (2), the Gram matrix at the reducible point of
-`obstructed_instance()` (3), and the deformation there (4).
+`obstructed_instance()` (3), and the deformation there (4).  Exit 3 has
+a second input, a solve: the once-punctured rank-2 torus with the
+identity class, whose genericity margin is 0 and whose every converged
+restart is reducible, so the solver's non-generic path runs.
 
 Each call runs as `python -m surfrep.cli` with PYTHONPATH=PATH/src and DIR
 as its working directory, so the input paths in the manifests are the
@@ -51,6 +54,9 @@ NONEXISTENT_SURFACE = {"genus": 0, "punctures": 3, "rank": 1,
 # reach of the partial products
 WALL_SURFACE = {"genus": 0, "punctures": 4, "rank": 2,
                 "classes": [[h, -h] for h in (0.5, 0.5, 0.5, 1.51)]}
+# the identity class on the once-punctured torus: only commuting pairs
+# meet it, so every point is reducible
+IDENTITY_SURFACE = {"genus": 1, "punctures": 1, "rank": 2, "classes": [[0.0, 0.0]]}
 
 # the saved points, written by the tree under test
 _POINTS = r"""
@@ -74,7 +80,7 @@ for name in sys.argv[1:]:
 GOTO_SURFACES = ("torus2", "rank3")
 
 SURFACES = {"readme": README_SURFACE, "nonexistent": NONEXISTENT_SURFACE,
-            "wall": WALL_SURFACE}
+            "wall": WALL_SURFACE, "identity": IDENTITY_SURFACE}
 
 COMMANDS = ("solve", "analyze", "symplectic", "deform")
 CALLS = {
@@ -86,6 +92,7 @@ CALLS = {
     "exit1-nonexistent": ["solve", "--input", "inputs/nonexistent.json"],
     "exit2-wall": ["solve", "--input", "inputs/wall.json"],
     "exit3-reducible": ["symplectic", "--input", "inputs/obstructed.json"],
+    "exit3-reducible-solve": ["solve", "--input", "inputs/identity.json"],
     "exit4-obstructed": ["deform", "--input", "inputs/obstructed.json"],
 }
 PARTS = ("exit", "out", "err")

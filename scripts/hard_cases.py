@@ -28,18 +28,21 @@ the error raised; `order`, the order built or the obstructed order;
 norm; `relative`, the obstruction's relative norm (null for a build);
 `verify_passed` and `slope` (null without a build); `exit`, the exit code
 the `surfrep` command gives (0 for a build, the error's `exit_code` for a
-SurfrepError, 1 for a ValueError, null otherwise); `wall_s`, the time of
-the build and the verify (and of the solve, on genus0-wall rows); and a
+SurfrepError, 1 for a ValueError, null otherwise); `tangent`, the
+computed [tangent_dim, expected_dim] of a d-sweep row's point (null on
+the other cases); `wall_s`, the time of the build and the verify (and of
+the solve, on genus0-wall rows); and a
 `verdict`: right, refused (the input is too large for double precision),
 wrong, or undecided.  `item` names the ROADMAP item that decides an
 undecided row or mends a wrong one.
 
 With --diff PARENT.jsonl CHANGE.jsonl it runs nothing: it reads two such
 tables, matched row by row on case and params, prints each row whose
-outcome, order, verify_passed, exit or verdict moved as {"case", "params",
-"moved": {field: [parent, change]}}, a row present in only one table with
-its side, and then one count per case.  A field that an older table
-lacks reads as null.
+outcome, order, verify_passed, exit, tangent or verdict moved as {"case",
+"params", "moved": {field: [parent, change]}}, a row present in only one
+table with its side, and then one count per case.  A field that an older
+table lacks reads as null, and an older table's `tangent` in a d-sweep
+row's params is read as the row's field.
 
 Usage: PYTHONPATH=src python scripts/hard_cases.py
        PYTHONPATH=src python scripts/hard_cases.py --diff PARENT.jsonl CHANGE.jsonl
@@ -137,8 +140,8 @@ def _judge(row, obstructed_at=None, item=None):
     return ("right", None) if row["verify_passed"] else ("undecided", MAJORANTS)
 
 
-def _emit(case, params, row, verdict):
-    row = dict(case=case, params=params, **row)
+def _emit(case, params, row, verdict, tangent=None):
+    row = dict(case=case, params=params, **row, tangent=tangent)
     row["verdict"], row["item"] = verdict
     print(json.dumps({k: _number(v) if isinstance(v, float) else v for k, v in row.items()},
                      allow_nan=False), flush=True)
@@ -167,7 +170,6 @@ def d_sweep():
             params = {"d": d, "seed": seed}
             rho = solve(surface, SolverConfig(seed=seed)).representation
             report = analyze(rho)
-            params["tangent"] = [report.tangent_dim, report.expected_dim]
             row = _run(rho, tangent_direction(rho, 0))
             if report.tangent_dim == report.expected_dim:
                 verdict = _judge(row, item=MAJORANTS)
@@ -176,7 +178,8 @@ def d_sweep():
             else:
                 # the rank decisions disagree with the dimension count
                 verdict = "undecided", CERTIFICATES
-            _emit("d-sweep", params, row, verdict)
+            _emit("d-sweep", params, row, verdict,
+                  tangent=[report.tangent_dim, report.expected_dim])
 
 
 def genus0_wall():
@@ -237,13 +240,16 @@ def named_cases():
 
 
 # the fields of a row that say what happened; residuals and times move freely
-COMPARED = ("outcome", "order", "verify_passed", "exit", "verdict")
+COMPARED = ("outcome", "order", "verify_passed", "exit", "tangent", "verdict")
 
 
 def _table(path):
     """The rows of a table, keyed on case and params, in file order."""
     with open(path) as f:
         rows = [json.loads(line) for line in f if line.strip()]
+    for row in rows:
+        if "tangent" in row["params"]:
+            row["tangent"] = row["params"].pop("tangent")
     return {(row["case"], json.dumps(row["params"], sort_keys=True)): row for row in rows}
 
 

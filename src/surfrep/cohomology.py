@@ -49,6 +49,12 @@ map.  A unitary image is closed under adjoints, so its complex commutant
 is too: it is the centralizer in u(N) plus i times the same, of complex
 dimension equal to the centralizer's real dimension.  By Schur's lemma rho
 is irreducible exactly when that dimension is 1 (the centre u(1)).
+`is_irreducible` decides it by one SVD of the coboundary matrix.  The
+solver reads the verdict off the classes instead where their genericity
+margin leaves no reducible point (`solver` module docstring), and
+`is_irreducible` is the tests' oracle for that derived verdict, as the
+cokernel SVD of `relative_h2` is for the obstruction count; `analyze`
+decides the rank itself, in `h1_basis`, cross-checked by QR.
 """
 
 from __future__ import annotations

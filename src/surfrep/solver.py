@@ -141,6 +141,38 @@ and `tol` decides convergence.  At N = 1 every commutator is
 converged irreducible point wins; if every converged restart is reducible
 the first of those is returned and callers decide whether that is
 acceptable.
+
+Where the classes allow no reducible point, irreducibility is read off
+them (the generic weights of Mehta and Seshadri, Math. Ann. 248, 1980).
+A reducible unitary point has an invariant subspace V of some dimension
+0 < k < N.  Its handles' commutators have determinant 1 on V and each
+c_j restricted to V has k of c_j's eigenvalues, so det(E|_V) is the
+product of one k-subset of each class's eigenvalues.  The genericity
+margin (`_genericity_margin`) is the smallest circle distance to 0 of
+the sum of one k-subset of each class's angles, over 0 < k < N; k = N
+is the determinant, which `_determinant_angle` decides.  V's orthogonal
+complement is invariant too, so the (N - k)-subsets are the complements
+of the k-subsets for k <= N / 2, and N <= 3 needs only k = 1 and the
+complements: 2 x 2^r or 2 x 3^r sums, one product with a cached 0/1 pick
+matrix (`_subset_picks`).  At N = 1 there is no such k and the margin is
++inf; past `_MARGIN_SUMS` sums it is not formed.
+
+E|_V is unitary with ||E - I|| <= res, so each of its k eigenvalue angles
+is at most about res and a point with an invariant V has margin at most
+about min(k, N - k) res <= N res / 2.  So when the margin exceeds
+max(ANGLE_TOL, N tol) no converged point is reducible, and `solve`
+reports the first converged restart irreducible without the coboundary
+SVD of `is_irreducible`.  ANGLE_TOL is the floor at which the package
+already calls an eigenvalue product 1 (`property_p_check`, the class
+multiplicities), and the numeric verdict agrees far below it: on the
+genus-0 wall (SU(2) half-angles 0.5, 0.5, 0.5, 1.5 - 10^-k, k = 2 ... 14,
+seeds 0-3) the margin is 10^-k and the smallest kept singular value of
+the coboundary matrix about 2 10^(-k/2), 0.2 at k = 2 and 2e-7 at
+k = 14, so `is_irreducible` says irreducible at every k.  Every other
+surface decides `is_irreducible` on each converged restart as above:
+margin 0, as on the README's +-pi/2 sphere, at the identity class and at
+the obstructed instance's classes; a margin within the bound, as next
+to a wall; or too many sums.
 """
 
 from __future__ import annotations
@@ -166,11 +198,17 @@ from .unitary import (
     circle_distance,
     haar_unitary,
     unflatten_algebra,
+    wrap_angle,
 )
 
 # Gauss-Newton steps a restart takes at most; a searched raw draw that
 # converges does so in about ten
 _MAX_STEPS = 50
+# subset sums `_genericity_margin` forms at most: every N <= 3 surface with
+# at most five punctures fits (2 x 3^5), and 1024 take about as long as
+# the one coboundary SVD that a generic surface skips; past it `solve`
+# decides irreducibility on each converged restart
+_MARGIN_SUMS = 1024
 
 # The doubly stochastic 3 x 3 matrices S, row-major: vec(S) = 1/3 + _DOUBLY x
 # with x = (S_11, S_12, S_21, S_22) - 1/3 (row and column sums 1).
@@ -245,16 +283,18 @@ def _relation_layout(pres: Presentation):
 class _Layout:
     """What every point of one solve shares: the class representatives
     Lambda_j, stacked, the relation layout of its shape
-    (`_relation_layout`), the columns of Goto's cyclic shift and the
+    (`_relation_layout`), the columns of Goto's cyclic shift, the
     determinant decision `angle_sum` (`_determinant_angle`: None when no
-    point exists)."""
+    point exists) and the genericity `margin` (`_genericity_margin`: None
+    when no point exists or the sums are too many to enumerate)."""
 
-    __slots__ = ("surface", "angle_sum", "nh", "eye", "shift", "lambdas", "gather", "owner",
-                 "a", "b")
+    __slots__ = ("surface", "angle_sum", "margin", "nh", "eye", "shift", "lambdas", "gather",
+                 "owner", "a", "b")
 
     def __init__(self, surface: SurfaceData):
         self.surface = surface
         self.angle_sum = _determinant_angle(surface.classes)
+        self.margin = None if self.angle_sum is None else _genericity_margin(surface.classes)
         self.nh = 2 * surface.genus
         self.eye = np.eye(surface.rank)
         # the columns of the cyclic shift S e_i = e_(i+1): V S = V[:, shift]
@@ -266,16 +306,19 @@ class _Layout:
 class _Point:
     """Solver state: one (2g + r, N, N) stack of handle images and class frames.
 
-    The relation sweep (letters, prefixes, product E) is computed at most
-    once per point and cached, so a candidate that is accepted hands its
-    sweep on to the next Jacobian.
+    The peripheral images and the relation sweep (letters, prefixes,
+    product E) are each computed at most once per point and cached, so a
+    candidate that is accepted hands its sweep on to the next Jacobian,
+    and a start that keeps the draw's frames is given the draw's
+    peripheral images.
     """
 
-    __slots__ = ("layout", "stack", "_sweep")
+    __slots__ = ("layout", "stack", "_peripherals", "_sweep")
 
-    def __init__(self, layout: _Layout, stack: np.ndarray):
+    def __init__(self, layout: _Layout, stack: np.ndarray, peripherals: np.ndarray | None = None):
         self.layout = layout
         self.stack = stack
+        self._peripherals = peripherals
         self._sweep = None
 
     @classmethod
@@ -284,8 +327,11 @@ class _Point:
         return cls(layout or _Layout(surface), stack)
 
     def peripherals(self) -> np.ndarray:
-        q = self.stack[self.layout.nh:]
-        return q @ self.layout.lambdas @ q.conj().swapaxes(-1, -2)
+        """c_j = Q_j Lambda_j Q_j^dagger, stacked."""
+        if self._peripherals is None:
+            q = self.stack[self.layout.nh:]
+            self._peripherals = q @ self.layout.lambdas @ q.conj().swapaxes(-1, -2)
+        return self._peripherals
 
     def letters(self) -> np.ndarray:
         """Relation letters in order, gathered from concat(handles,
@@ -367,7 +413,8 @@ def _goto_start(point: _Point) -> _Point:
     rest is folded from the draw's letters alone: the draw's prefixes are
     never needed.  Its inverse is factored by `eig`, made unitary by QR,
     at every N, N = 2 included (module docstring), and b_1 is that frame
-    with its columns shifted cyclically.
+    with its columns shifted cyclically.  The frames stay the draw's, and
+    so do the peripheral images, which the point is handed.
     """
     lay = point.layout
     # the letters after [a_1, b_1], folded from the right: rest, whose
@@ -381,7 +428,7 @@ def _goto_start(point: _Point) -> _Point:
     stack = point.stack.copy()
     stack[0] = (v * x) @ v.conj().T
     stack[1] = v[:, lay.shift] @ v.conj().T
-    return _Point(lay, stack)
+    return _Point(lay, stack, point.peripherals())
 
 
 def _reach(lo: float, hi: float, t: float) -> tuple:
@@ -427,6 +474,43 @@ def _determinant_angle(classes) -> float | None:
     must meet."""
     total = sum(sum(c.angles) for c in classes)
     return None if circle_distance(total) > ANGLE_TOL else total
+
+
+@_read_only_cache
+def _subset_picks(n: int, r: int) -> np.ndarray | None:
+    """The 0/1 matrix, read-only, whose rows pick one k-subset of each of
+    r classes of n angles, for every 0 < k < n: a row times the flattened
+    (r, n) angles is one subset sum.  The rows for k <= n / 2 come first,
+    then their complements, the (n - k)-subsets.  None past `_MARGIN_SUMS`
+    rows."""
+    ks = range(1, n // 2 + 1)
+    if 2 * sum(math.comb(n, k) ** r for k in ks) > _MARGIN_SUMS:
+        return None
+    blocks = []
+    for k in ks:
+        one_hot = np.zeros((math.comb(n, k), n))
+        for row, subset in enumerate(combinations(range(n), k)):
+            one_hot[row, list(subset)] = 1.0
+        # one subset per class: every index tuple into one_hot
+        choice = np.indices((len(one_hot),) * r).reshape(r, -1).T
+        blocks.append(one_hot[choice].reshape(-1, r * n))
+    picks = np.concatenate(blocks)
+    return np.concatenate([picks, 1.0 - picks])
+
+
+def _genericity_margin(classes) -> float | None:
+    """The smallest circle distance to 0 of the sum of one k-subset of
+    each class's angles, over 0 < k < N: +inf at N = 1, where there is no
+    such k, and None past `_MARGIN_SUMS` sums (module docstring).  One
+    product with `_subset_picks` forms every sum."""
+    n = classes[0].size
+    if n == 1:
+        return math.inf
+    picks = _subset_picks(n, len(classes))
+    if picks is None:
+        return None
+    sums = picks @ np.array([c.angles for c in classes]).ravel()
+    return float(np.abs(wrap_angle(sums)).min())
 
 
 def _triangle_slack(s: np.ndarray) -> np.ndarray:
@@ -662,6 +746,17 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     the residual.  Returns the first irreducible converged point, or the
     first converged point if every restart lands on a reducible one.
     Raises NoConvergenceError when no restart reaches the tolerance.
+
+    Irreducibility is decided once per solve from the classes when their
+    genericity margin, the smallest circle distance to 0 of a sum of one
+    k-subset of each class's angles over 0 < k < N, exceeds
+    max(ANGLE_TOL, N tol): no converged point is then reducible (a point
+    with an invariant k-dimensional subspace has margin at most about
+    N tol / 2), and on the genus-0 wall, margin 10^-k for k = 2 ... 14,
+    the coboundary SVD agrees at every k (module docstring).  Every other
+    surface, such as the README's +-pi/2 sphere, the identity class, the
+    obstructed instance's classes and surfaces next to a wall, decides
+    `is_irreducible` on each converged restart.
     """
     cfg = config or SolverConfig()
     if surface.presentation.free_rank == 0:
@@ -669,6 +764,9 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
     layout = _Layout(surface)
     if layout.angle_sum is None:
         raise NonexistenceError(float(sum(sum(c.angles) for c in surface.classes)))
+    # a converged point of a generic surface is irreducible (module docstring)
+    bound = max(ANGLE_TOL, surface.rank * cfg.tol)
+    generic = layout.margin is not None and layout.margin > bound
     seeds = np.random.SeedSequence(cfg.seed)
     fallback = None
     best_res = np.inf
@@ -690,7 +788,7 @@ def solve(surface: SurfaceData, config: SolverConfig | None = None) -> SolveResu
             residual=res,
             iterations=len(history),
             restart_index=attempt,
-            irreducible=is_irreducible(rho),
+            irreducible=generic or is_irreducible(rho),
             history=tuple(history),
         )
         if result.irreducible:

@@ -259,6 +259,15 @@ def property_p_check(angles) -> bool:
     The full set is excluded (its product is the determinant, which is
     fixed by the class and carries no information here).  Classes
     containing the angle 0 always fail on the corresponding singleton.
+
+    This is a condition on one class alone.  It is not the genericity of
+    a surface's classes (`solver._genericity_margin`), which takes one
+    k-subset of every class at once, the same k for all, and asks their
+    product to avoid 1: that decides whether a reducible point can exist.
+    Neither implies the other: the classes (pi/2, -pi/2) have property P,
+    yet four of them on a sphere admit reducible points, and a class with
+    the eigenvalue 1 fails property P while the surface it sits on may be
+    generic.
     """
     angles = tuple(angles)
     n = len(angles)

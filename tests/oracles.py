@@ -9,6 +9,10 @@ package computes in one place:
   `pairing._pairing`);
 - the complex commutant of the image, `commutant_dimension` (the package
   reads irreducibility off the u(N) centralizer);
+- the genericity margin by brute force, `genericity_margin`: every
+  k-subset of every class for every 0 < k < N (the solver forms the
+  k <= N / 2 sums and their complements in one product,
+  `solver._genericity_margin`);
 - the obstruction count as the SVD cokernel of the traceless peripheral
   restriction, `relative_h2` (the package reads it off the centralizer
   by duality, `cohomology` module docstring);
@@ -55,7 +59,7 @@ points unitary to roundoff).
 
 import math
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -619,6 +623,16 @@ def commutant_dimension(rho):
               for u in rho.images[:rho.presentation.free_rank]]
     a = np.vstack(blocks)
     return a.shape[1] - linalg.rank_svd(a).rank
+
+
+def genericity_margin(classes):
+    """The smallest circle distance to 0 of the sum of one k-subset of each
+    class's angles, over every 0 < k < N; +inf at N = 1."""
+    n = len(classes[0].angles)
+    sums = [sum(sum(subset) for subset in choice)
+            for k in range(1, n)
+            for choice in product(*(combinations(c.angles, k) for c in classes))]
+    return min((abs(math.remainder(s, 2 * math.pi)) for s in sums), default=math.inf)
 
 
 # ---------------------------------------------------------------------------

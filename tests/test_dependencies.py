@@ -219,6 +219,7 @@ _CACHED_CALLS = {
     "presentation._selectors": (standard_presentation(1, 3), 2),
     "presentation.standard_presentation": (1, 2),
     "solver._relation_layout": (standard_presentation(1, 2),),
+    "solver._subset_picks": (3, 2),
     "unitary._basis_columns": (2,),
     "unitary._entry_positions": (2,),
     "unitary._permutation_table": (3,),

@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from surfrep import linalg, pairing
 from surfrep.cohomology import (
     PARABOLIC_TOL,
+    analyze,
     flatten_cochain,
     parabolic_tangent_basis,
     unflatten_cochain,
@@ -20,7 +22,13 @@ from surfrep.pairing import (
     lift_to_cone,
     symplectic_form,
 )
-from surfrep.presentation import build_periphery, standard_presentation
+from surfrep.presentation import (
+    RELATION_TOL,
+    Representation,
+    build_periphery,
+    standard_presentation,
+)
+from surfrep.serialize import point_from_dict, point_to_dict
 from surfrep.unitary import (
     adjoint_matrix,
     flatten_algebra,
@@ -335,3 +343,41 @@ def test_gram_to_dict_schema(witness_u2):
     assert d["normalization"] == "lemma4.1"
     assert len(d["entries"]) == d["basis_dim"]
 
+
+
+def _off_relation(rho, residual, rng):
+    """rho with one image moved so that its relation residual is `residual`:
+    the last free generator's image times exp(t X), X a unit u(N) element,
+    or, at rank 1 with one puncture, where no free image moves the
+    relation, the stored c_r's; t is scaled so the residual is met."""
+    pres = rho.presentation
+    index = pres.free_rank if rho.rank == 1 and pres.punctures == 1 else pres.free_rank - 1
+    x = _random_algebra(rng, rho.rank)
+    x /= np.linalg.norm(x)
+
+    def moved(t):
+        images = list(rho.images)
+        images[index] = scipy.linalg.expm(t * x) @ images[index]
+        return Representation(rho.surface, tuple(images))
+
+    return moved(residual ** 2 / moved(residual).relation_residual())
+
+
+@pytest.mark.parametrize("residual", [1e-10, 1e-9, 5e-9])
+def test_saved_points_within_the_relation_tolerance_keep_their_dimensions(residual):
+    # a saved point may carry a relation residual up to RELATION_TOL, 100
+    # times the solver's tol: at 1e-10 ... 5e-9 every dimension and the Gram
+    # rank are those of the exact point
+    rng = np.random.default_rng(16)
+    for shape in CORPUS_SHAPES:
+        for seed in range(2):
+            rho = smooth_instance(*shape, seed=seed).representation
+            saved = point_from_dict(point_to_dict(_off_relation(rho, residual, rng)))
+            assert saved.relation_residual() == pytest.approx(residual, rel=1e-2)
+            assert saved.relation_residual() <= RELATION_TOL
+            saved.validate()
+            exact, moved = analyze(rho), analyze(saved)
+            for key in ("h1_dim", "tangent_dim", "expected_dim", "centralizer_dim"):
+                assert getattr(moved, key) == getattr(exact, key), (shape, seed, key)
+            assert gram_matrix(saved, report=moved).rank == \
+                gram_matrix(rho, report=exact).rank, (shape, seed)

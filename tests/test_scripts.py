@@ -38,9 +38,16 @@ def test_hard_cases_prints_one_schema_row_per_case():
     counts = {}
     for row in rows:
         assert set(row) == {"case", "params", "outcome", "order", "residual", "relative",
-                            "verify_passed", "slope", "exit", "wall_s", "verdict", "item"}
+                            "verify_passed", "slope", "exit", "tangent", "wall_s", "verdict",
+                            "item"}
         counts[row["case"]] = counts.get(row["case"], 0) + 1
         assert isinstance(row["params"], dict) and isinstance(row["outcome"], str)
+        # the computed dimensions are a field, not a parameter to match on
+        assert "tangent" not in row["params"]
+        if row["case"] == "d-sweep":
+            assert len(row["tangent"]) == 2 and all(isinstance(d, int) for d in row["tangent"])
+        else:
+            assert row["tangent"] is None
         assert row["order"] is None or row["order"] in range(1, 5)
         built = row["outcome"] == "built"
         assert isinstance(row["verify_passed"], bool) == built
@@ -98,6 +105,32 @@ def test_hard_cases_diff_reads_a_field_an_older_table_lacks_as_null(tmp_path):
         {"case": "torus", "params": {}, "moved": {"exit": [None, 0]}}]
     assert lines[1:] == ["torus: 1 of 1 rows moved"]
 
+
+def _diff_tables(tmp_path, parent, change):
+    paths = [tmp_path / "parent.jsonl", tmp_path / "change.jsonl"]
+    for path, row in zip(paths, (parent, change)):
+        path.write_text(json.dumps(row) + "\n")
+    return _run_script("hard_cases.py", "--diff", *map(str, paths))
+
+
+D_SWEEP_ROW = {"case": "d-sweep", "params": {"d": 1e-12, "seed": 0}, "outcome": "built",
+               "order": 4, "residual": 1e-9, "relative": None, "verify_passed": True,
+               "slope": 5.0, "exit": 0, "tangent": [2, 2], "wall_s": 0.01, "verdict": "right",
+               "item": None}
+
+
+def test_hard_cases_diff_prints_a_moved_tangent_dimension_as_one_moved_row(tmp_path):
+    lines = _diff_tables(tmp_path, D_SWEEP_ROW, {**D_SWEEP_ROW, "tangent": [3, 2]})
+    assert [json.loads(line) for line in lines[:1]] == [
+        {"case": "d-sweep", "params": {"d": 1e-12, "seed": 0},
+         "moved": {"tangent": [[2, 2], [3, 2]]}}]
+    assert lines[1:] == ["d-sweep: 1 of 1 rows moved"]
+
+
+def test_hard_cases_diff_reads_an_older_tables_tangent_parameter_as_the_field(tmp_path):
+    older = {**D_SWEEP_ROW, "params": {**D_SWEEP_ROW["params"], "tangent": [2, 2]}}
+    del older["tangent"]
+    assert _diff_tables(tmp_path, older, D_SWEEP_ROW) == ["d-sweep: 0 of 1 rows moved"]
 
 def test_cli_outputs_runs_calls_and_a_directory_diffs_empty_against_itself(tmp_path):
     out = tmp_path / "out"

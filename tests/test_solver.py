@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from surfrep import linalg, solver
 from surfrep.cohomology import analyze, is_irreducible
-from surfrep.corpus import CORPUS_SHAPES, smooth_instance
+from surfrep.corpus import CORPUS_SHAPES, obstructed_instance, smooth_instance
 from surfrep.errors import NoConvergenceError, NonexistenceError
 from surfrep.pairing import gram_matrix
 from surfrep.presentation import SurfaceData
@@ -24,9 +26,9 @@ from surfrep.solver import (
     _reach,
     solve,
 )
-from surfrep.unitary import ConjugacyClass, algebra_basis, haar_unitary
+from surfrep.unitary import ANGLE_TOL, ConjugacyClass, algebra_basis, haar_unitary
 
-from oracles import eig_frame, unitarize
+from oracles import eig_frame, genericity_margin, unitarize
 
 HALF_PI = np.pi / 2
 
@@ -407,6 +409,129 @@ def test_identity_class_keeps_its_reducible_and_irreducible_answers():
     assert genus_two.residual <= SolverConfig().tol
     assert genus_two.restart_index == 0
     assert genus_two.irreducible
+
+
+def _wall(k):
+    """The genus-0 wall: SU(2) half-angles 0.5, 0.5, 0.5 and 1.5 - 10^-k,
+    whose classes sit 10^-k inside the interval that admits a point."""
+    return SurfaceData(0, 4, 2, tuple(ConjugacyClass((h, -h))
+                                      for h in (0.5, 0.5, 0.5, 1.5 - 10.0 ** -k)))
+
+
+def _seeded_classes(rank, punctures, seed):
+    rng = np.random.default_rng((rank, punctures, seed))
+    angles = rng.uniform(0, 2 * np.pi, (punctures, rank))
+    angles[-1, -1] -= angles.sum()
+    return tuple(ConjugacyClass(tuple(a)) for a in angles)
+
+
+@pytest.mark.parametrize("rank,punctures", [(n, r) for n in (1, 2, 3) for r in (1, 2, 3, 4, 5)]
+                         + [(4, r) for r in (1, 2, 3)])
+def test_genericity_margin_is_the_brute_force_margin(rank, punctures):
+    for seed in range(4):
+        classes = _seeded_classes(rank, punctures, seed)
+        margin = solver._genericity_margin(classes)
+        assert margin == pytest.approx(genericity_margin(classes), abs=1e-13)
+        assert (margin == np.inf) == (rank == 1)
+
+
+@pytest.mark.parametrize("classes", [
+    FOUR_PUNCTURE.classes,
+    (ConjugacyClass((0.0, 0.0)),),
+    obstructed_instance()[0].surface.classes,
+], ids=["readme", "identity", "obstructed"])
+def test_genericity_margin_is_zero_where_a_reducible_point_exists(classes):
+    assert genericity_margin(classes) <= 1e-15
+    assert solver._genericity_margin(classes) <= 1e-15
+
+
+@pytest.mark.parametrize("k", range(2, 15))
+def test_genericity_margin_of_the_wall_is_its_distance(k):
+    classes = _wall(k).classes
+    distance = 1.5 - (1.5 - 10.0 ** -k)
+    assert solver._genericity_margin(classes) == pytest.approx(distance, abs=2e-15)
+    assert genericity_margin(classes) == pytest.approx(distance, abs=2e-15)
+
+
+def test_too_many_subset_sums_leave_the_margin_undecided(monkeypatch):
+    # rank 4 with four punctures has 2 (4^4 + 6^4) sums, past _MARGIN_SUMS:
+    # solve decides irreducibility on the converged restart instead
+    classes = _seeded_classes(4, 4, 0)
+    assert solver._subset_picks(4, 4) is None
+    assert solver._genericity_margin(classes) is None
+    calls = _count_irreducibility_calls(monkeypatch)
+    result = solve(SurfaceData(1, 4, 4, classes), SolverConfig(seed=0))
+    assert result.irreducible and calls == [result.irreducible]
+
+
+def _count_irreducibility_calls(monkeypatch):
+    """The verdicts of every `is_irreducible` call `solve` makes from now on."""
+    calls = []
+
+    def counted(rho):
+        calls.append(is_irreducible(rho))
+        return calls[-1]
+
+    monkeypatch.setattr(solver, "is_irreducible", counted)
+    return calls
+
+
+def _count_converged_restarts(monkeypatch, tol):
+    """The residual of every restart that reaches `tol` from now on."""
+    converged = []
+    gauss_newton = solver._gauss_newton
+
+    def recorded(point):
+        out = gauss_newton(point)
+        if out[1] <= tol:
+            converged.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_gauss_newton", recorded)
+    return converged
+
+
+def test_generic_corpus_solves_take_no_coboundary_svd(monkeypatch):
+    # every corpus surface is generic, so each solve reads its verdict off
+    # the classes; the coboundary SVD stays the oracle
+    calls = _count_irreducibility_calls(monkeypatch)
+    for shape in CORPUS_SHAPES:
+        for seed in range(8):
+            surface = smooth_instance(*shape, seed=seed).representation.surface
+            result = solve(surface, SolverConfig(seed=seed))
+            assert result.irreducible, (shape, seed)
+            assert is_irreducible(result.representation), (shape, seed)
+    assert calls == []
+
+
+@pytest.mark.parametrize("surface", [
+    FOUR_PUNCTURE,
+    SurfaceData(1, 1, 2, (ConjugacyClass((0.0, 0.0)),)),
+    SurfaceData(2, 1, 2, (ConjugacyClass((0.0, 0.0)),)),
+    _wall(10),
+], ids=["readme", "identity-genus1", "identity-genus2", "wall-1e-10"])
+def test_non_generic_solves_decide_each_converged_restart(surface, monkeypatch):
+    cfg = SolverConfig(seed=0)
+    assert solver._genericity_margin(surface.classes) <= ANGLE_TOL
+    calls = _count_irreducibility_calls(monkeypatch)
+    converged = _count_converged_restarts(monkeypatch, cfg.tol)
+    result = solve(surface, cfg)
+    # one verdict per converged restart, reducible until the one returned
+    assert len(calls) == len(converged) >= 1
+    assert calls == [False] * (len(calls) - 1) + [result.irreducible]
+
+
+@given(k=st.integers(1, 14), halves=st.tuples(*[st.floats(0.2, 0.7)] * 3),
+       seed=st.integers(0, 3))
+def test_near_wall_verdicts_are_the_coboundary_svd_verdicts(k, halves, seed):
+    # genus 0, rank 2, the closing half-angle 10^-k inside the sum of the
+    # other three: the margin is at most 10^-k, and the solver's verdict,
+    # derived or decided, is the oracle's
+    closing = sum(halves) - 10.0 ** -k
+    surface = SurfaceData(0, 4, 2, tuple(ConjugacyClass((h, -h)) for h in halves + (closing,)))
+    assert solver._genericity_margin(surface.classes) <= 10.0 ** -k + 1e-14
+    result = solve(surface, SolverConfig(seed=seed))
+    assert result.irreducible == is_irreducible(result.representation)
 
 
 def _closed_sphere(peripherals):
